@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 //
 // E8 — the M:N work-stealing task scheduler: language-thread counts far
-// beyond what thread-per-spawn can host. A 100,000-language-thread token
+// beyond what one OS thread per language thread could host. A 100,000-language-thread token
 // ring runs to completion on a fixed pool (at most 2x hardware threads);
 // fan-in/fan-out stress the park/unpark protocol from both directions;
 // the two-task ping-pong measures the steady-state allocation cost of a
@@ -303,42 +303,6 @@ void BM_PingPongParkUnpark(benchmark::State &State) {
   exportSchedMetrics(State, LastRun);
 }
 BENCHMARK(BM_PingPongParkUnpark)->Arg(10'000)
-    ->Unit(benchmark::kMillisecond);
-
-/// Cross-mode reference: the same fan-in on the legacy thread-per-spawn
-/// executor at a size it can still host, for the scaling story in
-/// EXPERIMENTS.md. (At ring scale the OS mode would need 100k native
-/// threads — the very wall this scheduler removes.)
-void BM_FanInOsThreads(benchmark::State &State) {
-  Expected<Pipeline> P = compile(FanProgram);
-  if (!P) {
-    State.SkipWithError(P.error().Message.c_str());
-    return;
-  }
-  const int64_t Senders = State.range(0);
-  Symbol Shot = P->Prog->Names.intern("shot");
-  Symbol Gather = P->Prog->Names.intern("gather");
-  RuntimeMetrics LastRun;
-  for (auto _ : State) {
-    ParallelExecOptions Opts;
-    Opts.OsThreads = true;
-    Opts.WatchdogMillis = 300'000;
-    ParallelExec Exec(P->Checked, Opts);
-    for (int64_t I = 0; I < Senders; ++I)
-      Exec.spawn(Shot);
-    Exec.spawn(Gather, {Value::intVal(Senders)});
-    Expected<std::vector<Value>> R = Exec.run();
-    if (!R) {
-      State.SkipWithError(R.error().Message.c_str());
-      return;
-    }
-    LastRun = Exec.metrics();
-  }
-  State.SetItemsProcessed(State.iterations() * Senders);
-  State.counters["sends"] = static_cast<double>(LastRun.ChannelSends);
-  State.counters["recvs"] = static_cast<double>(LastRun.ChannelRecvs);
-}
-BENCHMARK(BM_FanInOsThreads)->Arg(64)->Arg(256)
     ->Unit(benchmark::kMillisecond);
 
 /// FEARLESS_SCHED_SMOKE hook: run the acceptance checks directly (no

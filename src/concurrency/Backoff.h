@@ -5,10 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The supervision restart backoff shared by both executors (the M:N
-/// task scheduler and the legacy thread-per-spawn mode): capped
-/// exponential growth computed with *saturation*, plus a deterministic
-/// jitter drawn from (seed, thread index, attempt).
+/// The task scheduler's supervision restart backoff: capped exponential
+/// growth computed with *saturation*, plus a deterministic jitter drawn
+/// from (seed, thread index, attempt).
 ///
 /// Saturation matters: the naive `Base << Attempt` wraps a uint64_t once
 /// Attempt reaches the bit width (and is outright undefined behaviour at

@@ -55,39 +55,7 @@ void ValueChannel::send(Value V) {
     // settle the in-flight count and re-activate + unpark the task.
     Parent.noteRecv();
     Parent.wakeHandoff(*Waiter);
-    return;
   }
-  CV.notify_one();
-}
-
-RecvResult ValueChannel::recv(Value &Out) {
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> Lock(M);
-      if (State == ChannelState::Aborted)
-        return RecvResult::Aborted;
-      if (!Queue.empty()) {
-        Out = Queue.pop();
-        ++Recvs;
-        break;
-      }
-      if (State == ChannelState::Closed)
-        return RecvResult::Closed;
-    }
-    // Empty and open: this thread is no longer a potential sender while
-    // it waits. Declaring that may itself complete quiescence and close
-    // this very channel, which the wait predicate re-checks.
-    Parent.enterBlockedRecv();
-    {
-      std::unique_lock<std::mutex> Lock(M);
-      CV.wait(Lock, [&] {
-        return !Queue.empty() || State != ChannelState::Open;
-      });
-    }
-    Parent.exitBlockedRecv();
-  }
-  Parent.noteRecv();
-  return RecvResult::Ok;
 }
 
 RecvAttempt ValueChannel::recvOrPark(Value &Out, ChannelWaiter &W) {
@@ -136,7 +104,6 @@ ChannelWaiter *ValueChannel::close(ChannelState To) {
       W->WakeResult = To == ChannelState::Closed ? RecvResult::Closed
                                                  : RecvResult::Aborted;
   }
-  CV.notify_all();
   return Woken;
 }
 
@@ -209,24 +176,15 @@ void ChannelSet::noteRecv() {
     --PendingValues;
 }
 
-void ChannelSet::enterBlockedRecv() {
+void ChannelSet::taskParked() {
+  // A parked receiver cannot send until it receives. Called *after* the
+  // waiter is queued, so the +1 of any racing wake (handoff or closure)
+  // can only make ActiveThreads transiently overcount — delaying
+  // quiescence, never firing it early.
   std::lock_guard<std::mutex> Lock(M);
   if (ActiveThreads)
     --ActiveThreads;
   maybeQuiesceLocked();
-}
-
-void ChannelSet::exitBlockedRecv() {
-  std::lock_guard<std::mutex> Lock(M);
-  ++ActiveThreads;
-}
-
-void ChannelSet::taskParked() {
-  // Same accounting as a thread blocking in recv. Called *after* the
-  // waiter is queued, so the +1 of any racing wake (handoff or closure)
-  // can only make ActiveThreads transiently overcount — delaying
-  // quiescence, never firing it early.
-  enterBlockedRecv();
 }
 
 void ChannelSet::wakeHandoff(ChannelWaiter &W) {
@@ -254,7 +212,7 @@ void ChannelSet::setShutdownHook(std::function<void()> Hook) {
 }
 
 void ChannelSet::maybeQuiesceLocked() {
-  // No potential sender and nothing in flight: every blocked receiver is
+  // No potential sender and nothing in flight: every parked receiver is
   // waiting for a value that can never arrive. Close cleanly.
   if (Shutdown == ChannelState::Open && ActiveThreads == 0 &&
       PendingValues == 0)

@@ -1,18 +1,18 @@
-//===- concurrency/Channel.h - Typed blocking channels ----------*- C++ -*-===//
+//===- concurrency/Channel.h - Typed channels -------------------*- C++ -*-===//
 //
 // Part of the fearless-concurrency reproduction.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Real (OS-thread) blocking channels used by the parallel executor: one
-/// MPMC queue per static type τ, realizing send-τ / recv-τ. Because the
+/// The channels the parallel executor's tasks communicate over: one MPMC
+/// queue per static type τ, realizing send-τ / recv-τ. Because the
 /// type system guarantees reservation safety, the transferred object
 /// graphs need no synchronization — only the channel itself is locked.
 ///
 /// The channel set also implements the executor's shutdown protocol.
-/// Every worker thread registers as a potential sender; a thread stops
-/// being one when it finishes or while it is blocked in recv (a blocked
+/// Every language thread registers as a potential sender; a thread stops
+/// being one when it finishes or while it is parked in recv (a parked
 /// receiver cannot send until it receives). The set therefore detects
 /// global quiescence — no potential sender left and no value in flight —
 /// and closes every channel *cleanly*: receivers drain what remains and
@@ -22,16 +22,12 @@
 /// watchdog) instead puts channels in the Aborted state, which wakes
 /// receivers immediately without draining.
 ///
-/// Two blocking disciplines share the protocol (docs/SCHEDULER.md):
-///
-///  - OS mode: `recv` blocks the calling thread on the channel's
-///    condition variable (the legacy thread-per-spawn executor).
-///  - Task mode: `recvOrPark` never blocks — when no value is ready the
-///    caller's intrusive ChannelWaiter is queued on the channel and the
-///    *task* parks. A later send hands its value directly to the oldest
-///    waiter (no queue round-trip) and unparks it through the set's
-///    TaskUnparkSink; channel closure wakes every waiter with the
-///    Closed/Aborted result instead.
+/// Receiving never blocks an OS thread (docs/SCHEDULER.md): when no
+/// value is ready, `recvOrPark` queues the caller's intrusive
+/// ChannelWaiter on the channel and the *task* parks. A later send hands
+/// its value directly to the oldest waiter (no queue round-trip) and
+/// unparks it through the set's TaskUnparkSink; channel closure wakes
+/// every waiter with the Closed/Aborted result instead.
 ///
 /// Lock order (global, deadlock-freedom invariant): set mutex -> channel
 /// mutex -> scheduler internals. The unpark sink and the shutdown hook
@@ -48,7 +44,6 @@
 #include "support/Metrics.h"
 #include "support/Trace.h"
 
-#include <condition_variable>
 #include <functional>
 #include <map>
 #include <memory>
@@ -66,14 +61,14 @@ enum class ChannelState {
   Aborted, ///< Hard shutdown (error / watchdog): stop immediately.
 };
 
-/// Outcome of a blocking receive.
+/// How a parked receive ended (ChannelWaiter::WakeResult).
 enum class RecvResult {
   Ok,      ///< A value was dequeued.
   Closed,  ///< Drained and no sender can ever publish again.
   Aborted, ///< The run was torn down.
 };
 
-/// Outcome of a non-blocking receive-or-park attempt (task mode).
+/// Outcome of a non-blocking receive-or-park attempt.
 enum class RecvAttempt {
   Got,     ///< A value was dequeued; the task keeps running.
   Parked,  ///< The waiter was queued on the channel; the task parked.
@@ -151,7 +146,7 @@ private:
   size_t Head = 0, Count = 0;
 };
 
-/// A blocking multi-producer multi-consumer value queue.
+/// A multi-producer multi-consumer value queue with parked receivers.
 class ValueChannel {
 public:
   ValueChannel(ChannelSet &Parent, ChannelState Initial)
@@ -163,19 +158,14 @@ public:
   /// value is dropped and counted in the set's dropped-value metric.
   void send(Value V);
 
-  /// Dequeues a value, blocking until one is available or the channel
-  /// leaves the Open state. On a Closed channel the queue is drained
-  /// first; on an Aborted channel the call returns immediately.
-  RecvResult recv(Value &Out);
-
-  /// Non-blocking task-mode receive: dequeues into \p Out (Got), or
-  /// queues \p W on the channel (Parked — the caller must then tell the
-  /// set via taskParked() that this task is no longer a potential
-  /// sender), or reports the shutdown state. Never blocks the calling
-  /// OS thread.
+  /// Non-blocking receive: dequeues into \p Out (Got), or queues \p W
+  /// on the channel (Parked — the caller must then tell the set via
+  /// taskParked() that this task is no longer a potential sender), or
+  /// reports the shutdown state. On a Closed channel the queue is drained
+  /// first; on an Aborted channel the call returns Aborted immediately.
   RecvAttempt recvOrPark(Value &Out, ChannelWaiter &W);
 
-  /// Transitions to \p To (Closed or Aborted) and wakes all blocked
+  /// Transitions to \p To (Closed or Aborted) and wakes all parked
   /// receivers. Open → Closed → Aborted transitions only; a close never
   /// reopens and an abort is terminal. Returns the chain of task
   /// waiters that were queued (their WakeResult already set); the caller
@@ -189,10 +179,9 @@ private:
 
   ChannelSet &Parent;
   mutable std::mutex M;
-  std::condition_variable CV;
   ValueRing Queue;
   ChannelState State;
-  /// FIFO chain of parked tasks (task mode). Invariant: non-empty only
+  /// FIFO chain of parked tasks. Invariant: non-empty only
   /// while Queue is empty and State is Open — a send prefers handoff to
   /// enqueueing, and a task parks only on an empty open channel.
   ChannelWaiter *Waiters = nullptr;
@@ -211,12 +200,13 @@ public:
   /// created after shutdown is born Closed/Aborted.
   ValueChannel &channelFor(const Type &Ty);
 
-  /// Registers \p N worker threads as potential senders. Must be called
-  /// before the workers start; a set shuts down the moment no potential
-  /// sender remains, so registering late would race the detection.
+  /// Registers \p N language threads as potential senders. Must be
+  /// called before any of them runs; a set shuts down the moment no
+  /// potential sender remains, so registering late would race the
+  /// detection.
   void registerThreads(size_t N);
 
-  /// One worker finished (normally or not): it can never send again.
+  /// One thread finished (normally or not): it can never send again.
   /// May trigger clean closure of every channel.
   void threadFinished();
 
@@ -229,13 +219,13 @@ public:
   void abortAll();
 
   /// The set-wide shutdown state (Open until quiescence/closeAll/abort).
-  /// Restarting workers consult it so a post-restart attempt observes a
+  /// Restarting tasks consult it so a post-restart attempt observes a
   /// closing run as clean cancellation instead of retrying into closed
   /// channels.
   ChannelState state() const;
 
-  /// Task mode: one task parked on a channel — like a thread blocking in
-  /// recv, it is no longer a potential sender. May complete quiescence
+  /// One task parked on a channel: until it is woken it is no longer a
+  /// potential sender. May complete quiescence
   /// (which immediately wakes the parked task with RecvResult::Closed).
   /// Call *after* recvOrPark returned Parked, outside any channel lock.
   void taskParked();
@@ -246,9 +236,9 @@ public:
   void setUnparkSink(TaskUnparkSink *Sink);
 
   /// Installs a callback fired on every set-wide shutdown transition
-  /// (Open→Closed, →Aborted), with the set mutex held. Executors use it
-  /// to interrupt restart-backoff sleeps promptly instead of letting a
-  /// worker finish a multi-second sleep into a dead run. Null detaches.
+  /// (Open→Closed, →Aborted), with the set mutex held. The scheduler
+  /// uses it to expedite restart-backoff timers instead of letting a
+  /// task sleep seconds into a dead run. Null detaches.
   void setShutdownHook(std::function<void()> Hook);
 
   /// Adds this set's channel counters into \p Out.
@@ -268,8 +258,6 @@ private:
   void noteSend();        ///< A value is about to be published.
   void noteSendDropped(); ///< The publish was refused (shutdown).
   void noteRecv();        ///< A value was consumed.
-  void enterBlockedRecv(); ///< A worker is about to block in recv.
-  void exitBlockedRecv();  ///< The worker woke up again.
   /// A sender handed its value straight to the parked waiter \p W: the
   /// task becomes a potential sender again (+1 active, applied before
   /// the task can be rescheduled) and is unparked through the sink.
@@ -284,7 +272,7 @@ private:
 
   mutable std::mutex M;
   std::map<Type, std::unique_ptr<ValueChannel>> Channels;
-  /// Registered workers that are neither finished nor blocked in recv.
+  /// Registered threads that are neither finished nor parked in recv.
   size_t ActiveThreads = 0;
   /// Values sent but not yet received, across all channels.
   size_t PendingValues = 0;
@@ -292,8 +280,7 @@ private:
   ChannelState Shutdown = ChannelState::Open;
   /// Lifecycle trace buffer; written only under M.
   TraceBuffer *Trace = nullptr;
-  /// Task-mode wake callback (null in OS mode); guarded by M, invoked
-  /// under M.
+  /// Wake callback for parked tasks; guarded by M, invoked under M.
   TaskUnparkSink *Sink = nullptr;
   /// Shutdown-transition callback; guarded by M, invoked under M.
   std::function<void()> ShutdownHook;

@@ -6,16 +6,11 @@
 
 #include "concurrency/ParallelExec.h"
 
-#include "concurrency/Backoff.h"
 #include "concurrency/TaskScheduler.h"
 #include "vm/Bytecode.h"
 
-#include <atomic>
 #include <cassert>
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
-#include <thread>
 
 using namespace fearless;
 
@@ -35,28 +30,24 @@ Expected<std::vector<Value>> ParallelExec::run() {
     return fail("ParallelExec::run() may be called at most once per "
                 "executor");
   Ran = true;
-  // Snapshot the entries: the engines index a vector that can no longer
-  // grow or reallocate under them.
+  // Snapshot the entries: the scheduler indexes a vector that can no
+  // longer grow or reallocate under it.
   const std::vector<SpawnEntry> Work = std::move(Entries);
   Entries.clear();
-  return Opts.OsThreads ? runOsThreads(Work) : runTasks(Work);
-}
 
-namespace {
+  auto Started = std::chrono::steady_clock::now();
+  TaskScheduler Sched(Checked, TheHeap, Channels, Opts);
+  TaskScheduler::RunStats SStats;
+  std::vector<ThreadRunResult> Slots = Sched.run(Work, SStats);
 
-/// The epilogue both engines share: fold the per-thread records into the
-/// metrics registry, close the exec.run span, and turn errors/watchdog
-/// expiry into the run's diagnostic. Keeping it common is what makes
-/// "same counters, same failure text" across modes a structural fact
-/// rather than a test-enforced coincidence.
-Expected<std::vector<Value>>
-finalizeRun(const ParallelExecOptions &Opts, ChannelSet &Channels,
-            Heap &TheHeap, RuntimeMetrics &Metrics,
-            const std::vector<ThreadRunResult> &Slots, size_t NumThreads,
-            bool WatchdogFired, std::chrono::steady_clock::time_point Started,
-            TraceBuffer *TraceCtl, uint64_t TraceExecStart) {
-  Metrics.ThreadsSpawned = NumThreads;
-  Metrics.WatchdogFired = WatchdogFired ? 1 : 0;
+  // Fold the per-thread records into the metrics registry, close the
+  // exec.run span, and turn errors/watchdog expiry into the diagnostic.
+  Metrics = RuntimeMetrics();
+  Metrics.TasksSpawned = SStats.TasksSpawned;
+  Metrics.Steals = SStats.Steals;
+  Metrics.Parks = SStats.Parks;
+  Metrics.ThreadsSpawned = Work.size();
+  Metrics.WatchdogFired = SStats.WatchdogFired ? 1 : 0;
   Metrics.HeapObjects = TheHeap.size();
   if (Opts.VmCode)
     Metrics.ChecksErased = Opts.VmCode->ChecksErased;
@@ -83,10 +74,9 @@ finalizeRun(const ParallelExecOptions &Opts, ChannelSet &Channels,
     }
   }
   Channels.collectMetrics(Metrics);
-  if (TraceCtl)
-    TraceCtl->record("exec.run", "executor", 'X', TraceExecStart,
-                     TraceCtl->now() - TraceExecStart, "threads",
-                     NumThreads);
+  if (TraceBuffer *Ctl = SStats.Ctl)
+    Ctl->record("exec.run", "executor", 'X', SStats.ExecStartNs,
+                Ctl->now() - SStats.ExecStartNs, "threads", Work.size());
 
   // Report every failed thread, not just the first.
   std::string Errors;
@@ -98,7 +88,7 @@ finalizeRun(const ParallelExecOptions &Opts, ChannelSet &Channels,
     Errors += "parallel thread " + std::to_string(I) + ": " +
               Slots[I].Error;
   }
-  if (WatchdogFired) {
+  if (SStats.WatchdogFired) {
     std::string Msg = "watchdog: run exceeded " +
                       std::to_string(Opts.WatchdogMillis) + "ms with " +
                       std::to_string(Metrics.ThreadsCancelled) +
@@ -112,327 +102,4 @@ finalizeRun(const ParallelExecOptions &Opts, ChannelSet &Channels,
   for (const ThreadRunResult &S : Slots)
     Results.push_back(S.Result);
   return Results;
-}
-
-} // namespace
-
-Expected<std::vector<Value>>
-ParallelExec::runTasks(const std::vector<SpawnEntry> &Work) {
-  auto Started = std::chrono::steady_clock::now();
-  TaskScheduler Sched(Checked, TheHeap, Channels, Opts);
-  TaskScheduler::RunStats SStats;
-  std::vector<ThreadRunResult> Slots = Sched.run(Work, SStats);
-  Metrics = RuntimeMetrics();
-  Metrics.TasksSpawned = SStats.TasksSpawned;
-  Metrics.Steals = SStats.Steals;
-  Metrics.Parks = SStats.Parks;
-  return finalizeRun(Opts, Channels, TheHeap, Metrics, Slots, Work.size(),
-                     SStats.WatchdogFired, Started, SStats.Ctl,
-                     SStats.ExecStartNs);
-}
-
-Expected<std::vector<Value>>
-ParallelExec::runOsThreads(const std::vector<SpawnEntry> &Work) {
-  std::vector<ThreadRunResult> Slots(Work.size());
-  std::vector<std::thread> Workers;
-  std::atomic<bool> Abort{false};
-  std::mutex DoneM;
-  std::condition_variable DoneCV;
-  size_t DoneCount = 0;
-  // Backoff interruption: a worker sleeping before a restart attempt
-  // waits on WakeCV instead of a hard sleep_for, so a hard abort or the
-  // watchdog cancels a multi-second backoff promptly. ShutdownSeen is an
-  // atomic (not a Channels.state() call) because the wait predicate runs
-  // under WakeM while the shutdown hook fires under the set mutex and
-  // then takes WakeM — reading the set state from the predicate would
-  // invert that order.
-  std::atomic<bool> ShutdownSeen{false};
-  std::mutex WakeM;
-  std::condition_variable WakeCV;
-
-  Channels.registerThreads(Work.size());
-  Channels.setShutdownHook([&] {
-    ShutdownSeen.store(true, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> Lock(WakeM);
-    WakeCV.notify_all();
-  });
-
-  // Tracing: register every buffer up front (worker I -> tid I+1) so no
-  // worker touches the session mutex after it starts. The executor's
-  // control buffer is tid 0; the channel set's lifecycle buffer sits
-  // past the workers and is written only under the set mutex.
-  TraceBuffer *TraceCtl = nullptr;
-  std::vector<TraceBuffer *> WorkerTrace(Work.size(), nullptr);
-  if (Opts.Trace) {
-    TraceCtl = &Opts.Trace->registerThread(0, "executor");
-    for (size_t I = 0; I < Work.size(); ++I)
-      WorkerTrace[I] = &Opts.Trace->registerThread(
-          static_cast<uint32_t>(I + 1), "worker");
-    Channels.setTrace(&Opts.Trace->registerThread(
-        static_cast<uint32_t>(Work.size() + 1), "channels"));
-  }
-
-  auto Started = std::chrono::steady_clock::now();
-  uint64_t TraceExecStart = TraceCtl ? TraceCtl->now() : 0;
-
-  for (size_t I = 0; I < Work.size(); ++I) {
-    Workers.emplace_back([this, I, &Work, &Slots, &Abort, &DoneM, &DoneCV,
-                          &DoneCount, &WorkerTrace, &ShutdownSeen, &WakeM,
-                          &WakeCV] {
-      const SpawnEntry &E = Work[I];
-      ThreadRunResult &S = Slots[I];
-      const FnDecl *Fn = Checked.Prog->findFunction(E.Fn);
-      assert(Fn && "spawning an unknown function");
-      assert(E.Args.size() == Fn->Params.size() && "spawn arity");
-
-      TraceBuffer *TB = WorkerTrace[I];
-      uint64_t TraceRunStart = TB ? TB->now() : 0;
-      FaultInjector *Faults = Opts.Faults;
-      MachineStats Lifetime; // merged over every attempt
-
-      // Supervision loop: one iteration per attempt. With MaxRestarts ==
-      // 0 (the default) the body runs exactly once and behaves like the
-      // unsupervised executor.
-      for (uint32_t Attempt = 0;; ++Attempt) {
-        // A restart attempt that wakes into a closing run stops cleanly
-        // instead of retrying against closed channels (which would read
-        // as a fresh fault, not the cancellation it really is).
-        if (Attempt > 0 &&
-            (Abort.load(std::memory_order_relaxed) ||
-             Channels.state() != ChannelState::Open)) {
-          S.Result = Value::unitVal();
-          S.Error.clear();
-          S.Fault.reset();
-          S.Out = ThreadRunOutcome::Cancelled;
-          break;
-        }
-        // Fresh configuration per attempt: the dead attempt's partial
-        // reservation is simply dropped — region isolation guarantees no
-        // peer could see it (objects it allocated leak until the heap
-        // dies with the executor, a price only faulting runs pay).
-        ThreadState T;
-        T.Id = static_cast<ThreadId>(I);
-        for (size_t A = 0; A < E.Args.size(); ++A)
-          T.Env.emplace_back(Fn->Params[A].Name, E.Args[A]);
-        T.ControlExpr = Fn->Body.get();
-        // Pre-size this worker's `if disconnected` scratch to the graphs
-        // built before run(), keeping growth out of the measured region;
-        // the scratch is per-thread, so checks never contend on it.
-        T.Scratch.reserve(TheHeap.size());
-        T.Trace = TB;
-
-        // Per-thread, per-attempt counters: lock-free, merged into the
-        // metrics registry at join. Kept per attempt so the supervisor
-        // can see whether *this* attempt externalized anything.
-        MachineStats Stats;
-        InterpServices Services;
-        Services.TheHeap = &TheHeap;
-        Services.Prog = Checked.Prog;
-        Services.Stats = &Stats;
-        Services.SendTypes = &Checked.SendTypes;
-        Services.CheckReservations = false; // erased: checker proved them
-        Services.Faults = Faults;
-        Services.VmCode = Opts.VmCode;
-
-        S.Fault.reset();
-        S.Error.clear();
-        S.Out = ThreadRunOutcome::Cancelled;
-
-        // thread.start fault point: the attempt dies before its first
-        // step (always effect-free, so always retryable).
-        if (Faults && Faults->shouldFire(FaultPoint::ThreadStart)) {
-          S.Fault = RuntimeFault{
-              RuntimeFaultKind::Injected, Loc::invalid(),
-              static_cast<uint32_t>(FaultPoint::ThreadStart),
-              static_cast<uint32_t>(I)};
-          S.Error = S.Fault->render();
-          S.Out = ThreadRunOutcome::Errored;
-        }
-
-        bool Done = S.Out == ThreadRunOutcome::Errored;
-        while (!Done && !Abort.load(std::memory_order_relaxed)) {
-          // sched.step fault point: the executor's per-step pulse.
-          if (Faults && Faults->shouldFire(FaultPoint::SchedStep)) {
-            S.Fault = RuntimeFault{
-                RuntimeFaultKind::Injected, Loc::invalid(),
-                static_cast<uint32_t>(FaultPoint::SchedStep),
-                static_cast<uint32_t>(I)};
-            S.Error = S.Fault->render();
-            S.Out = ThreadRunOutcome::Errored;
-            break;
-          }
-          StepOutcome Out = stepThread(T, Services);
-          switch (Out) {
-          case StepOutcome::Progress:
-            break;
-          case StepOutcome::Finished:
-            S.Result = T.Result;
-            S.Out = ThreadRunOutcome::Finished;
-            Done = true;
-            break;
-          case StepOutcome::BlockedSend: {
-            // Span covers channel publication (sends never block: the
-            // channels are unbounded), making send cost visible per
-            // thread.
-            TraceSpan Span(T.Trace, "chan.send", "channel");
-            Channels.channelFor(T.CommType).send(T.PendingSend);
-            ++Stats.Sends;
-            T.PendingSend = Value();
-            T.ControlValue = Value::unitVal();
-            T.HasValue = true;
-            T.Status = ThreadStatus::Runnable;
-            break;
-          }
-          case StepOutcome::BlockedRecv: {
-            // Span covers the whole receive including blocked time — the
-            // block/wake visibility the aggregate counters cannot give.
-            TraceSpan Span(T.Trace, "chan.recv", "channel");
-            Value Received;
-            switch (Channels.channelFor(T.CommType).recv(Received)) {
-            case RecvResult::Ok:
-              ++Stats.Recvs;
-              T.ControlValue = Received;
-              T.HasValue = true;
-              T.Status = ThreadStatus::Runnable;
-              break;
-            case RecvResult::Closed:
-            case RecvResult::Aborted:
-              // Closed: every possible sender finished — a clean stop,
-              // the thread is cancelled mid-recv with a unit result.
-              // Aborted: another thread failed or the watchdog fired;
-              // the originating diagnostic is reported, not this thread.
-              S.Result = Value::unitVal();
-              S.Out = ThreadRunOutcome::Cancelled;
-              Done = true;
-              break;
-            }
-            break;
-          }
-          case StepOutcome::Stuck:
-            S.Error = T.Error;
-            S.Fault = T.Fault;
-            S.Out = ThreadRunOutcome::Errored;
-            Done = true;
-            break;
-          }
-        }
-        Lifetime.merge(Stats);
-
-        if (S.Out != ThreadRunOutcome::Errored)
-          break;
-
-        // Supervision: restart only a *fault* death (typed — injected or
-        // a runtime trap; plain program errors like division by zero
-        // stay fail-fast) whose attempt externalized nothing. One send
-        // or recv and the attempt is observable to peers — replaying it
-        // could duplicate effects, so it escalates instead.
-        bool Retryable = S.Fault.has_value() && Stats.Sends == 0 &&
-                         Stats.Recvs == 0 &&
-                         !Abort.load(std::memory_order_relaxed);
-        if (Retryable && Attempt < Opts.MaxRestarts) {
-          uint64_t Sleep = jitteredRestartMillis(
-              Opts.RestartBackoffMillis, Opts.RestartBackoffCapMillis,
-              Opts.RestartSeed, I, Attempt);
-          S.BackoffMillis += Sleep;
-          ++S.Restarts;
-          if (TB)
-            TB->instant("thread.restart", "thread", "attempt",
-                        Attempt + 1);
-          if (Sleep) {
-            // Abort-aware backoff: woken early by a hard abort or any
-            // channel-set shutdown instead of sleeping the full backoff
-            // into a dead run.
-            std::unique_lock<std::mutex> WLock(WakeM);
-            WakeCV.wait_for(
-                WLock, std::chrono::milliseconds(Sleep), [&] {
-                  return Abort.load(std::memory_order_relaxed) ||
-                         ShutdownSeen.load(std::memory_order_relaxed);
-                });
-          }
-          continue;
-        }
-
-        // Escalation: the existing quiescence abort — fail the run and
-        // wake every blocked receiver.
-        if (S.Fault) {
-          S.Escalated = true;
-          if (TB)
-            TB->instant("fault.escalated", "fault", "attempts",
-                        Attempt + 1);
-        }
-        Abort.store(true, std::memory_order_relaxed);
-        Channels.abortAll();
-        break;
-      }
-
-      if (TB) {
-        const char *OutName =
-            S.Out == ThreadRunOutcome::Finished  ? "finished"
-            : S.Out == ThreadRunOutcome::Errored ? "errored"
-                                                 : "cancelled";
-        TB->instant(OutName, "thread");
-        TB->record("thread.run", "thread", 'X', TraceRunStart,
-                   TB->now() - TraceRunStart, "steps", Lifetime.Steps);
-      }
-      S.Stats = Lifetime;
-      Channels.threadFinished();
-      {
-        std::lock_guard<std::mutex> Lock(DoneM);
-        ++DoneCount;
-      }
-      DoneCV.notify_all();
-    });
-  }
-
-  bool WatchdogFired = false;
-  {
-    std::unique_lock<std::mutex> Lock(DoneM);
-    auto AllDone = [&] { return DoneCount == Work.size(); };
-    if (Opts.WatchdogMillis > 0) {
-      if (!DoneCV.wait_for(Lock,
-                           std::chrono::milliseconds(Opts.WatchdogMillis),
-                           AllDone)) {
-        WatchdogFired = true;
-        if (TraceCtl)
-          TraceCtl->instant("watchdog.fired", "executor", "budget_ms",
-                            Opts.WatchdogMillis);
-        // Stage 1, soft cancel: close the channels cleanly so blocked
-        // receivers drain what is buffered and stop as cancelled, and
-        // give the run a grace period to quiesce on its own.
-        bool Quiesced = false;
-        if (Opts.WatchdogGraceMillis > 0) {
-          if (TraceCtl)
-            TraceCtl->instant("watchdog.soft_cancel", "executor",
-                              "grace_ms", Opts.WatchdogGraceMillis);
-          Channels.closeAll();
-          Quiesced = DoneCV.wait_for(
-              Lock, std::chrono::milliseconds(Opts.WatchdogGraceMillis),
-              AllDone);
-        }
-        // Stage 2, hard abort: spinning workers ignore the soft cancel;
-        // stop them at the next step boundary and wake everyone —
-        // including workers sleeping out a restart backoff.
-        if (!Quiesced) {
-          if (TraceCtl)
-            TraceCtl->instant("watchdog.hard_abort", "executor");
-          Abort.store(true, std::memory_order_relaxed);
-          Channels.abortAll();
-          {
-            std::lock_guard<std::mutex> WLock(WakeM);
-            WakeCV.notify_all();
-          }
-          DoneCV.wait(Lock, AllDone);
-        }
-      }
-    } else {
-      DoneCV.wait(Lock, AllDone);
-    }
-  }
-  for (std::thread &W : Workers)
-    W.join();
-  Channels.setShutdownHook(nullptr);
-
-  Metrics = RuntimeMetrics();
-  return finalizeRun(Opts, Channels, TheHeap, Metrics, Slots, Work.size(),
-                     WatchdogFired, Started, TraceCtl, TraceExecStart);
 }

@@ -1,4 +1,4 @@
-//===- concurrency/ParallelExec.h - Real-thread executor --------*- C++ -*-===//
+//===- concurrency/ParallelExec.h - Parallel executor -----------*- C++ -*-===//
 //
 // Part of the fearless-concurrency reproduction.
 //
@@ -12,23 +12,18 @@
 /// concurrency: the type system already guarantees threads touch
 /// disjoint parts of the heap.
 ///
-/// Two execution modes share every protocol below (same counters, same
-/// trace event names, same deterministic fault replay):
-///
-///  - **Task mode (default)**: language threads are resumable green
-///    tasks on an M:N work-stealing scheduler (TaskScheduler.h) — a
-///    fixed pool of OS workers, per-worker run queues, channel send/recv
-///    that parks and unparks *tasks*. Scales to 100k language threads
-///    (bench_scheduler); docs/SCHEDULER.md describes the machinery.
-///  - **OS mode (`OsThreads = true`)**: the legacy thread-per-spawn
-///    executor, kept as the differential baseline — results must stay
-///    bit-identical across modes (tests/scheduler_test.cpp).
+/// Language threads are resumable green tasks on an M:N work-stealing
+/// scheduler (TaskScheduler.h): a fixed pool of OS workers, per-worker
+/// run queues, channel send/recv that parks and unparks *tasks*. Scales
+/// to 100k language threads (bench_scheduler); docs/SCHEDULER.md
+/// describes the machinery. The deterministic abstract machine
+/// (runtime/Machine.h) is the reference the tests hold it to.
 ///
 /// Shutdown protocol: when every thread that could still send has
-/// finished, the channel set closes cleanly and threads blocked in recv
+/// finished, the channel set closes cleanly and threads parked in recv
 /// stop as *cancelled* rather than deadlocking run() (see Channel.h). A
 /// thread error or the optional watchdog aborts the run instead, waking
-/// every blocked receiver; all thread errors are reported, not just the
+/// every parked receiver; all thread errors are reported, not just the
 /// first. Per-thread counters are aggregated into a RuntimeMetrics
 /// registry at join.
 ///
@@ -98,27 +93,23 @@ struct ParallelExecOptions {
   /// span), the channel set a lifecycle buffer, and the executor a
   /// control buffer (watchdog). Null = disabled. Must outlive run().
   TraceSession *Trace = nullptr;
-  /// Task mode: size of the worker pool. 0 = auto (min(2x hardware
-  /// threads, number of spawned tasks)). Ignored in OS mode.
+  /// Size of the worker pool. 0 = auto (min(2x hardware threads, number
+  /// of spawned tasks)).
   size_t NumWorkers = 0;
-  /// Task mode: scheduling-decision seed (`--sched-seed`). Seed 0 keeps
+  /// Scheduling-decision seed (`--sched-seed`). Seed 0 keeps
   /// round-robin initial placement and sequential steal order (the
   /// near-deterministic default); a nonzero seed permutes both, giving
   /// the property sweeps distinct-but-reproducible schedules. Results of
   /// checked programs are schedule-independent either way.
   uint64_t SchedSeed = 0;
-  /// Task mode: steps a task may run before it is preempted back to the
+  /// Steps a task may run before it is preempted back to the
   /// run queue, bounding how long a spinner can monopolize a worker.
   uint32_t PreemptQuantum = 128;
-  /// Use the legacy thread-per-spawn executor (one OS thread per
-  /// language thread) instead of the task scheduler. Kept for
-  /// differential testing: both modes must produce identical results.
-  bool OsThreads = false;
   /// When set, threads execute this compiled bytecode (vm/Vm.h) instead
   /// of tree-walking the AST. Must be lowered from the same
-  /// CheckedProgram and outlive run(). Both executor modes support it;
-  /// the VM's per-thread state lives in the ThreadState, so parking,
-  /// supervision resets, and preemption work unchanged.
+  /// CheckedProgram and outlive run(). The VM's per-thread state lives
+  /// in the ThreadState, so parking, supervision resets, and preemption
+  /// work unchanged.
   const vm::CompiledProgram *VmCode = nullptr;
 };
 
@@ -128,7 +119,7 @@ struct SpawnEntry {
   std::vector<Value> Args;
 };
 
-/// Runs a set of entry functions on OS threads until all finish.
+/// Runs a set of entry functions on the task pool until all finish.
 class ParallelExec {
 public:
   explicit ParallelExec(const CheckedProgram &Checked,
@@ -140,7 +131,7 @@ public:
 
   /// Launches all registered threads, joins them, and returns their
   /// results (in spawn order). Send without a matching receiver is
-  /// buffered (asynchronous channels); recv blocks. A thread whose recv
+  /// buffered (asynchronous channels); recv parks. A thread whose recv
   /// can never be satisfied is cancelled cleanly (its result is unit and
   /// metrics().ThreadsCancelled counts it); a thread error or watchdog
   /// expiry cancels the run and reports every failed thread. May be
@@ -154,13 +145,6 @@ public:
   const RuntimeMetrics &metrics() const { return Metrics; }
 
 private:
-  /// The legacy thread-per-spawn execution engine.
-  Expected<std::vector<Value>> runOsThreads(
-      const std::vector<SpawnEntry> &Work);
-  /// The M:N task-scheduler execution engine (TaskScheduler.h).
-  Expected<std::vector<Value>> runTasks(
-      const std::vector<SpawnEntry> &Work);
-
   const CheckedProgram &Checked;
   ParallelExecOptions Opts;
   Heap TheHeap;

@@ -470,9 +470,9 @@ TaskScheduler::run(const std::vector<SpawnEntry> &Work, RunStats &Stats) {
     Wk.Thread = std::thread([this, WI] { workerLoop(WI); });
   }
 
-  // Completion / watchdog wait — the same two-stage escalation as the
-  // OS-thread mode. The scheduler mutex is released around the channel
-  // shutdown calls (the set mutex must always be taken first).
+  // Completion / watchdog wait with two-stage escalation. The scheduler
+  // mutex is released around the channel shutdown calls (the set mutex
+  // must always be taken first).
   {
     std::unique_lock<std::mutex> Lock(SchedM);
     auto AllDone = [&] { return DoneCount == Tasks.size(); };

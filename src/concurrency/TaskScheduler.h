@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The M:N green-thread engine behind ParallelExec's default (task)
-/// mode: language threads are resumable tasks — the small-step
+/// The M:N green-thread engine behind ParallelExec: language threads are
+/// resumable tasks — the small-step
 /// interpreter (runtime/Interp.h) already yields at step boundaries, so
 /// a task is just a ThreadState plus supervision bookkeeping — scheduled
 /// onto a fixed pool of OS workers. Each worker owns a run queue;
@@ -16,14 +16,14 @@
 /// ChannelWaiter — no allocation) instead of blocking an OS thread;
 /// send hands values directly to parked waiters and unparks them.
 ///
-/// Everything ParallelExec proved on OS threads is re-proven here with
-/// the same observable surface: the quiescence shutdown and two-stage
-/// watchdog, the fault-injection points (`thread.start`, `sched.step`,
-/// plus the interpreter's instrumented sites), supervised restart with
-/// saturating backoff (Backoff.h), the trace event vocabulary
-/// (`thread.run`, `chan.send`, `chan.recv`, `thread.restart`,
-/// `fault.escalated`, `watchdog.*`), and the RuntimeMetrics counters —
-/// extended with `tasks_spawned`, `steals`, and `parks`.
+/// It implements the executor's whole observable surface: the quiescence
+/// shutdown and two-stage watchdog, the fault-injection points
+/// (`thread.start`, `sched.step`, plus the interpreter's instrumented
+/// sites), supervised restart with saturating backoff (Backoff.h), the
+/// trace event vocabulary (`thread.run`, `chan.send`, `chan.recv`,
+/// `thread.restart`, `fault.escalated`, `watchdog.*`), and the
+/// RuntimeMetrics counters, including `tasks_spawned`, `steals`, and
+/// `parks`.
 ///
 /// Scheduling is seeded (`SchedSeed`): seed 0 keeps round-robin initial
 /// placement and sequential steal order; a nonzero seed permutes both
@@ -50,11 +50,11 @@
 
 namespace fearless {
 
-/// Terminal state of one language thread, shared by both executor modes.
+/// Terminal state of one language thread.
 enum class ThreadRunOutcome { Cancelled, Finished, Errored };
 
-/// Per-language-thread result record produced by both engines and folded
-/// into RuntimeMetrics and the run's results by ParallelExec::run.
+/// Per-language-thread result record, folded into RuntimeMetrics and the
+/// run's results by ParallelExec::run.
 struct ThreadRunResult {
   Value Result;
   std::string Error;

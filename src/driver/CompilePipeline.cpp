@@ -23,7 +23,6 @@ uint64_t PipelineOptions::fingerprint() const {
   F |= Checks ? 4u : 0u;
   F |= Elide ? 8u : 0u;
   F |= EmitChecks ? 16u : 0u;
-  F |= (Engine == "vm" ? 32u : 0u);
   // Mix so distinct flag sets land far apart in the cache key space.
   F *= 0x9E3779B97F4A7C15ull;
   F ^= F >> 32;
@@ -36,11 +35,9 @@ size_t CompiledArtifact::approxBytes() const {
   // programs; the bytecode is measured exactly. The multiplier is
   // deliberately generous — the cache budget is a ceiling, not a ledger.
   size_t Bytes = SourceBytes * 24 + 4096;
-  if (VmCode) {
-    for (const vm::Chunk &C : VmCode->Chunks)
-      Bytes += C.Code.size() * sizeof(vm::Instr) +
-               C.Constants.size() * sizeof(Value);
-  }
+  for (const vm::Chunk &C : VmCode->Chunks)
+    Bytes += C.Code.size() * sizeof(vm::Instr) +
+             C.Constants.size() * sizeof(Value);
   return Bytes;
 }
 
@@ -76,29 +73,26 @@ fearless::buildArtifact(std::string_view Source,
     }
   }
 
-  if (Opts.Engine == "vm") {
-    vm::CompileOptions VO;
-    VO.EmitChecks = Opts.EmitChecks;
-    VO.Verdicts = &A->Verdicts;
-    VO.ElideDisconnect = Opts.Elide;
+  vm::CompileOptions VO;
+  VO.EmitChecks = Opts.EmitChecks;
+  VO.Verdicts = &A->Verdicts;
+  VO.ElideDisconnect = Opts.Elide;
 #ifndef NDEBUG
-    VO.CrossCheckElision = true;
+  VO.CrossCheckElision = true;
 #endif
-    uint64_t CompileStart = 0;
-    TraceBuffer *CompileTB = nullptr;
-    if (Trace) {
-      CompileTB = &Trace->registerThread(4242, "vm-compiler");
-      CompileStart = CompileTB->now();
-    }
-    Expected<vm::CompiledProgram> Code =
-        vm::compileProgram(A->P.Checked, VO);
-    if (CompileTB)
-      CompileTB->record("vm.compile", "vm", 'X', CompileStart,
-                        CompileTB->now() - CompileStart);
-    if (!Code)
-      return Code.takeFailure();
-    A->VmCode.emplace(Code.take());
+  uint64_t CompileStart = 0;
+  TraceBuffer *CompileTB = nullptr;
+  if (Trace) {
+    CompileTB = &Trace->registerThread(4242, "vm-compiler");
+    CompileStart = CompileTB->now();
   }
+  Expected<vm::CompiledProgram> Code = vm::compileProgram(A->P.Checked, VO);
+  if (CompileTB)
+    CompileTB->record("vm.compile", "vm", 'X', CompileStart,
+                      CompileTB->now() - CompileStart);
+  if (!Code)
+    return Code.takeFailure();
+  A->VmCode.emplace(Code.take());
   return std::shared_ptr<const CompiledArtifact>(std::move(A));
 }
 
@@ -209,7 +203,7 @@ RunOutcome fearless::runArtifact(const CompiledArtifact &A,
   }
 
   // The verdict split goes out with --metrics so runs record how much of
-  // the elision the analysis could prove (the engines never see these;
+  // the elision the analysis could prove (execution never sees these;
   // they are compile-time facts).
   auto WithAnalysis = [&](RuntimeMetrics M) {
     M.AnalysisMustDisconnected = A.MustDisconnectedSites;
@@ -217,8 +211,6 @@ RunOutcome fearless::runArtifact(const CompiledArtifact &A,
     M.AnalysisUnknown = A.UnknownSites;
     return M;
   };
-  bool UseVm = A.VmCode.has_value();
-
   // --workers: hand the entry function to the parallel executor (the
   // M:N task scheduler; dynamic checks erased, as for any checked
   // program) instead of the deterministic abstract machine.
@@ -227,8 +219,7 @@ RunOutcome fearless::runArtifact(const CompiledArtifact &A,
     PO.NumWorkers = Spec.Workers;
     PO.SchedSeed = Spec.SchedSeed;
     PO.Faults = Spec.Faults;
-    if (UseVm)
-      PO.VmCode = &*A.VmCode;
+    PO.VmCode = &*A.VmCode;
     PO.Trace = Spec.Trace;
     ParallelExec Exec(P.Checked, PO);
     Exec.spawn(Entry, std::move(Values));
@@ -253,8 +244,7 @@ RunOutcome fearless::runArtifact(const CompiledArtifact &A,
   MO.StaticVerdicts = &A.Verdicts;
   MO.ElideDisconnect = A.Options.Elide;
   MO.Faults = Spec.Faults;
-  if (UseVm)
-    MO.VmCode = &*A.VmCode;
+  MO.VmCode = &*A.VmCode;
   MO.Trace = Spec.Trace;
   Machine M(P.Checked, MO);
   std::vector<Value> InterpValues = Values; // for the debug cross-check
@@ -267,14 +257,13 @@ RunOutcome fearless::runArtifact(const CompiledArtifact &A,
 
 #ifndef NDEBUG
   // Debug builds: re-run the VM result through the tree-walking
-  // interpreter and fail loudly on divergence — the two engines are
-  // differential oracles for each other. Skipped under fault injection
-  // (the injector's triggers are stateful and would fire differently on
-  // the second run) and under --spawn/--schedule (the engines batch
-  // decision points differently, so a recorded schedule only replays on
-  // the engine that recorded it, and multi-root results are
-  // schedule-relative).
-  if (UseVm && R && !Spec.Faults && !Spec.Schedule &&
+  // interpreter, the reference evaluator, and fail loudly on divergence.
+  // Skipped under fault injection (the injector's triggers are stateful
+  // and would fire differently on the second run) and under
+  // --spawn/--schedule (the evaluators batch decision points
+  // differently, so a recorded schedule only replays on the VM, and
+  // multi-root results are schedule-relative).
+  if (R && !Spec.Faults && !Spec.Schedule &&
       ExtraSpawns.empty()) {
     MachineOptions IO = MO;
     IO.VmCode = nullptr;

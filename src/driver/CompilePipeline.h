@@ -60,12 +60,9 @@ struct PipelineOptions {
   /// turns off).
   bool Elide = true;
   /// Emit reservation-check ops into the bytecode. The CLI computes this
-  /// as `Checks && !WorkersSet` (the parallel executors always run
+  /// as `Checks && !WorkersSet` (the parallel executor always runs
   /// erased — the checker proved the checks redundant).
   bool EmitChecks = true;
-  /// Execution engine: "vm" (register bytecode, default) or "interp"
-  /// (tree-walking interpreter). "interp" skips bytecode lowering.
-  std::string Engine = "vm";
 
   /// Stable 64-bit fingerprint of every field above.
   uint64_t fingerprint() const;
@@ -73,13 +70,15 @@ struct PipelineOptions {
 
 /// The immutable product of the compile pipeline: AST + checked program
 /// + verifier stats (Pipeline), the static region-graph analysis report
-/// and its runtime verdict table, and (for the vm engine) the compiled
-/// bytecode. Shared read-only by concurrent runs.
+/// and its runtime verdict table, and the compiled bytecode. Shared
+/// read-only by concurrent runs.
 struct CompiledArtifact {
   Pipeline P;
   AnalysisReport Report;
   DisconnectVerdictTable Verdicts;
-  /// Present iff Options.Engine == "vm".
+  /// The lowered bytecode every run executes. Always engaged once
+  /// buildArtifact returns; optional only so callers that dereference
+  /// it keep compiling.
   std::optional<vm::CompiledProgram> VmCode;
   /// The verdict split, stamped into --metrics output by runs.
   uint64_t MustDisconnectedSites = 0;
@@ -98,8 +97,8 @@ struct CompiledArtifact {
   size_t approxBytes() const;
 };
 
-/// Runs parse + sema + check + verify + analyze (+ vm lowering for the
-/// vm engine) over \p Source. \p Trace, when set, records a `vm.compile`
+/// Runs parse + sema + check + verify + analyze + vm lowering over
+/// \p Source. \p Trace, when set, records a `vm.compile`
 /// span on a dedicated buffer. Failures carry the DiagnosticStage that
 /// maps to the CLI exit-code table.
 Expected<std::shared_ptr<const CompiledArtifact>>
@@ -123,7 +122,7 @@ struct RunSpec {
   /// Deterministic fault injection; null = disabled. Must outlive the
   /// call.
   FaultInjector *Faults = nullptr;
-  /// Structured tracing for the execution engines; null = disabled.
+  /// Structured tracing for the run; null = disabled.
   TraceSession *Trace = nullptr;
   /// Extra threads spawned alongside the entry (--spawn FN[:a,b,...],
   /// repeatable, in order). Machine mode only: this is how the CLI puts
@@ -146,8 +145,8 @@ struct RunOutcome {
   bool HasMetrics = false;
 };
 
-/// Executes \p Spec.Fn over \p A on the engine the artifact was built
-/// for. Never throws and never prints: all text lands in the outcome.
+/// Executes \p Spec.Fn over \p A's bytecode. Never throws and never
+/// prints: all text lands in the outcome.
 RunOutcome runArtifact(const CompiledArtifact &A, const RunSpec &Spec);
 
 /// Renders `fearlessc check` output for \p A: the OK line (using

@@ -204,7 +204,7 @@ public:
   const Heap &heap() const { return TheHeap; }
   const MachineStats &stats() const { return Stats; }
   /// Aggregated counters in the common RuntimeMetrics schema (the same
-  /// registry the real-thread executor reports).
+  /// registry the parallel executor reports).
   RuntimeMetrics metrics() const;
   const std::vector<ThreadState> &threads() const { return Threads; }
   /// The structured fault that failed the last run(), when the failure

@@ -313,7 +313,6 @@ Json Server::handleRequest(const std::string &Payload, TraceBuffer *TB,
     PO.Checks = Req->Checks;
     PO.Elide = Req->Elide;
     PO.EmitChecks = Req->Checks && Req->Workers < 0;
-    PO.Engine = Req->Engine;
 
     bool WasHit = false;
     Expected<std::shared_ptr<const CompiledArtifact>> Artifact = [&] {

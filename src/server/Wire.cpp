@@ -148,10 +148,6 @@ fearless::server::decodeRequest(std::string_view Payload) {
     R.Interprocedural = Opts->getBool("interprocedural", true);
     R.Checks = Opts->getBool("checks", true);
     R.Elide = Opts->getBool("elide", true);
-    R.Engine = Opts->getString("engine", "vm");
-    if (R.Engine != "vm" && R.Engine != "interp")
-      return fail("unknown engine '" + R.Engine +
-                  "' (expected vm or interp)");
     R.Seed = static_cast<uint64_t>(Opts->getInt("seed", 0));
     R.Stats = Opts->getBool("stats", false);
     R.Metrics = Opts->getBool("metrics", false);
@@ -190,7 +186,6 @@ std::string fearless::server::encodeRequest(const WireRequest &R) {
   Opts.set("interprocedural", R.Interprocedural);
   Opts.set("checks", R.Checks);
   Opts.set("elide", R.Elide);
-  Opts.set("engine", R.Engine);
   Opts.set("seed", static_cast<int64_t>(R.Seed));
   Opts.set("stats", R.Stats);
   Opts.set("metrics", R.Metrics);

@@ -121,7 +121,6 @@ struct WireRequest {
   bool Interprocedural = true;
   bool Checks = true;
   bool Elide = true;
-  std::string Engine = "vm";
   /// Per-run options (not cache-key relevant).
   uint64_t Seed = 0;
   bool Stats = false;

@@ -24,9 +24,9 @@
 ///  2. **Deterministic.** Decisions depend only on (plan seed, point,
 ///     per-point occurrence index) — never on wall clock or global RNG —
 ///     so a fault spec plus a seed replays the same fault schedule. Under
-///     the real-thread executor the *count* of nth/every-k firings is
-///     exact; which OS thread observes an occurrence index may vary with
-///     interleaving (the atomic counters race benignly).
+///     the parallel executor the *count* of nth/every-k firings is
+///     exact; which language thread observes an occurrence index may
+///     vary with interleaving (the atomic counters race benignly).
 ///  3. **Thread-safe.** The per-point counters are relaxed atomics; the
 ///     plan itself is immutable after construction.
 ///

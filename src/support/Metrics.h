@@ -97,14 +97,13 @@ struct RuntimeMetrics {
   /// 1 when the watchdog had to abort the run.
   uint64_t WatchdogFired = 0;
 
-  // Task-scheduler counters (M:N executor only; zero under the legacy
-  // thread-per-spawn mode and the deterministic machine).
+  // Task-scheduler counters (parallel executor only; zero under the
+  // deterministic machine).
   /// Language threads admitted to the task scheduler as green threads.
   uint64_t TasksSpawned = 0;
   /// Tasks taken from another worker's run queue.
   uint64_t Steals = 0;
-  /// Times a task parked on a channel waiting for a value (instead of
-  /// blocking an OS thread in recv).
+  /// Times a task parked on a channel waiting for a value.
   uint64_t Parks = 0;
 
   // Robustness counters (fault injection + supervision).
@@ -120,7 +119,7 @@ struct RuntimeMetrics {
   /// supervision disabled).
   uint64_t FaultsEscalated = 0;
 
-  // Channel counters (real-thread executor only).
+  // Channel counters (parallel executor only).
   uint64_t ChannelsCreated = 0;
   uint64_t ChannelSends = 0;
   uint64_t ChannelRecvs = 0;

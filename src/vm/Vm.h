@@ -5,14 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The bytecode execution engine behind `fearlessc run --engine=vm`: a
+/// The bytecode execution engine behind every `fearlessc run`: a
 /// computed-goto dispatch loop (switch fallback on non-GNU compilers)
 /// over the chunks of vm/Bytecode.h. It plugs into the executors through
 /// the exact stepThread contract the tree-walking interpreter satisfies —
 /// sends/recvs block the ThreadState and resume through
 /// ControlValue/HasValue, faults unwind as RuntimeFaultError to the
 /// step-boundary trap in stepThread, and all counters land in the same
-/// per-thread MachineStats — so the Machine, ParallelExec, and the task
+/// per-thread MachineStats — so the Machine and ParallelExec's task
 /// scheduler drive it unchanged.
 ///
 /// One stepThread "step" executes a bounded batch of instructions, so
@@ -55,7 +55,7 @@ struct VmState {
   /// Per-site field-access inline cache: memoizes the last
   /// (struct → field index) resolution. Thread-local by construction,
   /// so no synchronization (and no sharing-induced misses) under the
-  /// parallel executors.
+  /// parallel executor.
   struct IcEntry {
     const StructInfo *Struct = nullptr;
     uint32_t Field = 0;

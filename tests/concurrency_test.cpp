@@ -5,17 +5,18 @@
 //===----------------------------------------------------------------------===//
 //
 // §7: the concurrent configuration. Threads exchange items and whole list
-// segments over send/recv; under every explored interleaving, reservations
-// stay disjoint and sufficient (I1), results are schedule-independent, and
-// the real-thread executor produces the same answers with the dynamic
-// checks erased.
+// segments over send/recv; under every interleaving the model checker
+// explores, reservations stay disjoint and sufficient (I1) and results
+// are schedule-independent — or the schedule that breaks them is a
+// replayable counterexample — and the parallel executor produces the
+// same answers with the dynamic checks erased.
 //
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 
 #include "concurrency/ParallelExec.h"
-#include "concurrency/Scheduler.h"
+#include "mc/Dpor.h"
 #include "runtime/Invariants.h"
 
 #include <gtest/gtest.h>
@@ -62,32 +63,74 @@ TEST(Concurrency, RelayRing) {
   EXPECT_EQ(R->ThreadResults[2], Value::intVal(3 * (1 + 1000)));
 }
 
-TEST(Concurrency, EveryScheduleIsReservationSafe) {
+/// A model-checker factory over the message-passing suite: the
+/// interpreter with every dynamic check on and the §6 validators after
+/// every small step.
+mc::MachineFactory listFactory(Pipeline &P, bool WithRelay) {
+  return [&P, WithRelay] {
+    MachineOptions MO;
+    MO.StepValidator = [](const Machine &M) -> std::optional<std::string> {
+      if (auto Problem = checkReservationsDisjoint(M))
+        return Problem;
+      return checkStoredRefCounts(M.heap());
+    };
+    auto M = std::make_unique<Machine>(P.Checked, MO);
+    M->spawn(sym(P, "producer_lists"), {Value::intVal(3), Value::intVal(3)});
+    if (WithRelay)
+      M->spawn(sym(P, "relay"), {Value::intVal(3)});
+    M->spawn(sym(P, "consumer_lists"), {Value::intVal(3)});
+    return M;
+  };
+}
+
+TEST(Concurrency, ListPipelineIsConfluentUnderEverySchedule) {
+  // Exhaustive, not sampled: every interleaving of producer_lists(3, 3)
+  // -> consumer_lists(3) is reservation-safe at every intermediate state
+  // and ends with the same (fingerprinted) result.
   Pipeline P = mustCompile(programs::MessagePassing);
-  Expected<ScheduleReport> Report = exploreSchedules(
-      [&] {
-        auto M = std::make_unique<Machine>(P.Checked);
-        M->spawn(sym(P, "producer_lists"),
-                 {Value::intVal(3), Value::intVal(3)});
-        M->spawn(sym(P, "relay"), {Value::intVal(3)});
-        M->spawn(sym(P, "consumer_lists"), {Value::intVal(3)});
-        return M;
-      },
-      /*NumSeeds=*/25,
-      [&](const Machine &M,
-          const MachineSummary &Summary) -> std::optional<std::string> {
-        if (auto Problem = checkReservationsDisjoint(M))
-          return Problem;
-        if (auto Problem = checkStoredRefCounts(M.heap()))
-          return Problem;
-        // Schedule-independent result.
-        if (!(Summary.ThreadResults[2] == Value::intVal(3 * (3 + 1000))))
-          return "consumer result depends on the schedule";
-        return std::nullopt;
-      });
-  ASSERT_TRUE(Report.hasValue())
-      << (Report ? "" : Report.error().render());
-  EXPECT_EQ(Report->RunsExecuted, 25u);
+  mc::McOptions Opts;
+  Opts.Validate = [](const Machine &M) -> std::optional<std::string> {
+    if (!(M.threads()[1].Result == Value::intVal(3 * (0 + 1 + 2))))
+      return "consumer result is not 9";
+    return std::nullopt;
+  };
+  Expected<mc::McReport> Rep = mc::explore(listFactory(P, false), Opts);
+  ASSERT_TRUE(Rep.hasValue()) << (Rep ? "" : Rep.error().render());
+  EXPECT_TRUE(Rep->Complete) << Rep->Clipped;
+  EXPECT_FALSE(Rep->Counterexample.has_value())
+      << Rep->Counterexample->Reason;
+  EXPECT_GE(Rep->SchedulesExplored, 2u);
+  EXPECT_EQ(Rep->StatesFingerprinted, Rep->SchedulesExplored);
+}
+
+TEST(Concurrency, RelayRaceIsAReplayableDeadlock) {
+  // relay and consumer_lists both recv<sll>, so whoever wins a list is a
+  // scheduling race: when the consumer takes one straight from the
+  // producer, the relay waits for a third list that never comes. The
+  // checker must find that deadlock and ship a schedule that replays it
+  // byte for byte.
+  Pipeline P = mustCompile(programs::MessagePassing);
+  mc::MachineFactory Factory = listFactory(P, true);
+  Expected<mc::McReport> Rep = mc::explore(Factory, mc::McOptions{});
+  ASSERT_TRUE(Rep.hasValue()) << (Rep ? "" : Rep.error().render());
+  ASSERT_TRUE(Rep->Counterexample.has_value());
+  const mc::McCounterexample &CE = *Rep->Counterexample;
+  EXPECT_NE(CE.Reason.find("deadlock"), std::string::npos) << CE.Reason;
+  EXPECT_NE(CE.Reason.find("blocked in recv<sll>"), std::string::npos)
+      << CE.Reason;
+
+  Expected<mc::Schedule> Parsed = mc::Schedule::parse(CE.Sched.render());
+  ASSERT_TRUE(Parsed.hasValue()) << Parsed.error().Message;
+  std::unique_ptr<Machine> M1 = Factory();
+  std::unique_ptr<Machine> M2 = Factory();
+  Expected<MachineSummary> R1 = mc::runSchedule(*M1, *Parsed);
+  Expected<MachineSummary> R2 = mc::runSchedule(*M2, *Parsed);
+  ASSERT_FALSE(R1.hasValue());
+  ASSERT_FALSE(R2.hasValue());
+  EXPECT_EQ(R1.error().Message, CE.Reason);
+  EXPECT_EQ(R2.error().Message, CE.Reason);
+  EXPECT_EQ(M1->metrics().toJson(), M2->metrics().toJson());
+  EXPECT_EQ(M1->blockedStateDump(), M2->blockedStateDump());
 }
 
 TEST(Concurrency, ReservationsDisjointMidRun) {
@@ -233,11 +276,14 @@ TEST(Concurrency, LateCreatedChannelsAreBornClosed) {
   S.registerThreads(1);
   S.threadFinished(); // quiescent: clean shutdown
   Value V;
-  EXPECT_EQ(S.channelFor(Type::intTy()).recv(V), RecvResult::Closed);
+  ChannelWaiter W;
+  EXPECT_EQ(S.channelFor(Type::intTy()).recvOrPark(V, W),
+            RecvAttempt::Closed);
 
   ChannelSet S2;
   S2.abortAll();
-  EXPECT_EQ(S2.channelFor(Type::boolTy()).recv(V), RecvResult::Aborted);
+  EXPECT_EQ(S2.channelFor(Type::boolTy()).recvOrPark(V, W),
+            RecvAttempt::Aborted);
 }
 
 TEST(Concurrency, ClosedChannelDrainsBeforeStopping) {
@@ -250,11 +296,12 @@ TEST(Concurrency, ClosedChannelDrainsBeforeStopping) {
   C.send(Value::intVal(2));
   S.closeAll();
   Value V;
-  ASSERT_EQ(C.recv(V), RecvResult::Ok);
+  ChannelWaiter W;
+  ASSERT_EQ(C.recvOrPark(V, W), RecvAttempt::Got);
   EXPECT_EQ(V, Value::intVal(1));
-  ASSERT_EQ(C.recv(V), RecvResult::Ok);
+  ASSERT_EQ(C.recvOrPark(V, W), RecvAttempt::Got);
   EXPECT_EQ(V, Value::intVal(2));
-  EXPECT_EQ(C.recv(V), RecvResult::Closed);
+  EXPECT_EQ(C.recvOrPark(V, W), RecvAttempt::Closed);
 }
 
 TEST(Concurrency, AbortedChannelDiscardsQueuedValues) {
@@ -264,7 +311,8 @@ TEST(Concurrency, AbortedChannelDiscardsQueuedValues) {
   C.send(Value::intVal(1));
   S.abortAll();
   Value V;
-  EXPECT_EQ(C.recv(V), RecvResult::Aborted);
+  ChannelWaiter W;
+  EXPECT_EQ(C.recvOrPark(V, W), RecvAttempt::Aborted);
   // Sends into an aborted run are dropped, not queued.
   C.send(Value::intVal(2));
   EXPECT_EQ(C.sizeApprox(), 0u);

@@ -460,6 +460,9 @@ TEST(Supervision, RestartEmitsTraceInstantsAndBackoffIsDeterministic) {
     O.RestartSeed = 77;
     O.Trace = &Trace;
     O.WatchdogMillis = 10'000;
+    // One worker: the nth:1 fault must hit the same thread every run
+    // (the jitter is drawn per thread), not whichever starts first.
+    O.NumWorkers = 1;
     ParallelExec Exec(P.Checked, O);
     Exec.spawn(sym(P, "producer"), {Value::intVal(3)});
     Exec.spawn(sym(P, "consumer"), {Value::intVal(3)});
@@ -538,16 +541,17 @@ TEST(Watchdog, DoesNotFireJustUnderBudget) {
 
 TEST(Shutdown, ChannelCreatedAfterAbortIsBornAborted) {
   // Regression: a channel materialized after abortAll() must be born in
-  // the aborted state — recv returns immediately (no block), send drops.
+  // the aborted state — recv returns immediately (no park), send drops.
   ChannelSet S;
   S.registerThreads(2);
   S.abortAll();
   ValueChannel &C = S.channelFor(Type::intTy()); // created post-abort
   Value V;
-  EXPECT_EQ(C.recv(V), RecvResult::Aborted); // immediate, no deadlock
-  C.send(Value::intVal(1));                  // dropped, not queued
+  ChannelWaiter W;
+  EXPECT_EQ(C.recvOrPark(V, W), RecvAttempt::Aborted); // never parks
+  C.send(Value::intVal(1));                            // dropped
   EXPECT_EQ(C.sizeApprox(), 0u);
-  EXPECT_EQ(C.recv(V), RecvResult::Aborted);
+  EXPECT_EQ(C.recvOrPark(V, W), RecvAttempt::Aborted);
 }
 
 //===----------------------------------------------------------------------===//

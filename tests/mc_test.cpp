@@ -13,7 +13,6 @@
 
 #include "TestUtil.h"
 
-#include "concurrency/Scheduler.h"
 #include "mc/Dpor.h"
 #include "mc/Replay.h"
 #include "runtime/Invariants.h"
@@ -367,42 +366,6 @@ TEST(Mc, MismatchedScheduleDiagnosesCleanly) {
   ASSERT_FALSE(R2.hasValue());
   EXPECT_NE(R2.error().Message.find("not runnable"), std::string::npos)
       << R2.error().Message;
-}
-
-//===----------------------------------------------------------------------===//
-// exploreSchedules integration (satellite: failures ship a schedule)
-//===----------------------------------------------------------------------===//
-
-TEST(Mc, ExploreSchedulesFailureShipsAReplayableSchedule) {
-  Pipeline P = mustCompile(programs::MessagePassing);
-  Expected<ScheduleReport> Rep = exploreSchedules(
-      [&P]() {
-        auto M = std::make_unique<Machine>(P.Checked);
-        M->spawn(sym(P, "producer"), {Value::intVal(2)});
-        M->spawn(sym(P, "consumer"), {Value::intVal(2)});
-        return M;
-      },
-      3,
-      [](const Machine &, const MachineSummary &) {
-        return std::optional<std::string>("forced failure");
-      });
-  ASSERT_FALSE(Rep.hasValue());
-  const std::string &Msg = Rep.error().Message;
-  EXPECT_NE(Msg.find("schedule seed 0"), std::string::npos) << Msg;
-  EXPECT_NE(Msg.find("forced failure"), std::string::npos) << Msg;
-  ASSERT_NE(Msg.find("replayable schedule written to "),
-            std::string::npos)
-      << Msg;
-  // The advertised file exists, parses, and replays.
-  size_t At = Msg.find("written to ") + std::string("written to ").size();
-  std::string Path = Msg.substr(At, Msg.find(')', At) - At);
-  Expected<mc::Schedule> S = mc::Schedule::loadFile(Path);
-  ASSERT_TRUE(S.hasValue()) << S.error().Message;
-  auto M = std::make_unique<Machine>(P.Checked);
-  M->spawn(sym(P, "producer"), {Value::intVal(2)});
-  M->spawn(sym(P, "consumer"), {Value::intVal(2)});
-  EXPECT_TRUE(mc::runSchedule(*M, *S).hasValue());
-  std::remove(Path.c_str());
 }
 
 } // namespace

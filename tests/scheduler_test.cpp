@@ -8,10 +8,11 @@
 // the supervision-backoff fixes that shipped with it. Units cover the
 // saturating backoff math; rings, fan-in, and many-tasks-few-workers
 // workloads on the task executor; bit-identical results against the
-// legacy OS-thread executor (including an `if disconnected` oracle across
-// eight scheduling seeds); the ported supervision cases; and regressions
-// for abort-aware backoff (a hard abort or channel shutdown must cancel a
-// pending multi-second backoff promptly and cleanly).
+// deterministic abstract machine running the interpreter with checks on
+// (including an `if disconnected` oracle across eight scheduling seeds);
+// the supervision cases; and regressions for abort-aware backoff (a hard
+// abort or channel shutdown must cancel a pending multi-second backoff
+// promptly and cleanly).
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,8 +24,8 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace fearless;
@@ -207,7 +208,7 @@ TEST(TaskScheduler, SchedSeedVariesScheduleNotResults) {
 }
 
 //===----------------------------------------------------------------------===//
-// Mode parity: the task scheduler vs the OS-thread executor
+// Parity: the task scheduler vs the abstract machine
 //===----------------------------------------------------------------------===//
 
 /// The CyclicDllCrossesThreads workload: remove_tail uses
@@ -229,91 +230,96 @@ def taker() : int {
 }
 )prog";
 
-/// Runs \p Spawn's workload under \p O and returns the result vector,
-/// failing the test on error.
-std::vector<Value> runMode(Pipeline &P, ParallelExecOptions O,
-                           const std::function<void(ParallelExec &)> &Spawn,
-                           RuntimeMetrics &MetricsOut) {
+/// One spawn set: entry functions and their arguments, in spawn order.
+using SpawnSet = std::vector<std::pair<const char *, std::vector<Value>>>;
+
+/// Runs \p Spawns on the task pool under \p O and returns the result
+/// vector, failing the test on error.
+std::vector<Value> runTasks(Pipeline &P, ParallelExecOptions O,
+                            const SpawnSet &Spawns,
+                            RuntimeMetrics &MetricsOut) {
   O.WatchdogMillis = 60'000;
   ParallelExec Exec(P.Checked, O);
-  Spawn(Exec);
+  for (const auto &[Fn, Args] : Spawns)
+    Exec.spawn(sym(P, Fn), Args);
   Expected<std::vector<Value>> R = Exec.run();
   EXPECT_TRUE(R.hasValue()) << (R ? "" : R.error().render());
   MetricsOut = Exec.metrics();
   return R.hasValue() ? *R : std::vector<Value>{};
 }
 
-TEST(ModeParity, ResultsBitIdenticalAcrossExecutors) {
-  // The same workloads on both engines: result vectors must match
-  // element for element, and so must the outcome accounting.
+/// The reference: the deterministic abstract machine, tree-walking the
+/// AST with every dynamic reservation check on.
+std::vector<Value> runMachine(Pipeline &P, const SpawnSet &Spawns,
+                              RuntimeMetrics &MetricsOut) {
+  Machine M(P.Checked);
+  for (const auto &[Fn, Args] : Spawns)
+    M.spawn(sym(P, Fn), Args);
+  Expected<MachineSummary> R = M.run();
+  EXPECT_TRUE(R.hasValue()) << (R ? "" : R.error().render());
+  MetricsOut = M.metrics();
+  return R.hasValue() ? R->ThreadResults : std::vector<Value>{};
+}
+
+TEST(ModeParity, ResultsBitIdenticalToAbstractMachine) {
+  // The same workloads on the task pool and on the machine: result
+  // vectors must match element for element, and so must the outcome
+  // accounting and the communication counts.
   struct Workload {
     const char *Name;
     std::string Source;
-    std::function<void(Pipeline &, ParallelExec &)> Spawn;
+    SpawnSet Spawns;
   };
-  std::vector<Workload> Workloads;
-  Workloads.push_back(
-      {"map_reduce", programs::MessagePassing, [](Pipeline &P,
-                                                  ParallelExec &E) {
-         E.spawn(sym(P, "producer_lists"),
-                 {Value::intVal(8), Value::intVal(4)});
-         E.spawn(sym(P, "worker"), {Value::intVal(4)});
-         E.spawn(sym(P, "worker"), {Value::intVal(4)});
-         E.spawn(sym(P, "reducer"), {Value::intVal(8)});
-       }});
-  Workloads.push_back(
-      {"list_pipeline", programs::MessagePassing, [](Pipeline &P,
-                                                     ParallelExec &E) {
-         E.spawn(sym(P, "producer_lists"),
-                 {Value::intVal(6), Value::intVal(5)});
-         E.spawn(sym(P, "consumer_lists"), {Value::intVal(6)});
-       }});
-  Workloads.push_back({"dll_disconnect", DllExchange, [](Pipeline &P,
-                                                         ParallelExec &E) {
-                         E.spawn(sym(P, "maker"), {Value::intVal(4)});
-                         E.spawn(sym(P, "taker"), {});
-                       }});
+  std::vector<Workload> Workloads = {
+      {"map_reduce",
+       programs::MessagePassing,
+       {{"producer_lists", {Value::intVal(8), Value::intVal(4)}},
+        {"worker", {Value::intVal(4)}},
+        {"worker", {Value::intVal(4)}},
+        {"reducer", {Value::intVal(8)}}}},
+      {"list_pipeline",
+       programs::MessagePassing,
+       {{"producer_lists", {Value::intVal(6), Value::intVal(5)}},
+        {"consumer_lists", {Value::intVal(6)}}}},
+      {"dll_disconnect",
+       DllExchange,
+       {{"maker", {Value::intVal(4)}}, {"taker", {}}}},
+  };
   for (Workload &W : Workloads) {
     Pipeline P = mustCompile(W.Source);
-    RuntimeMetrics TaskM, OsM;
-    ParallelExecOptions TaskO;
-    std::vector<Value> TaskR = runMode(
-        P, TaskO, [&](ParallelExec &E) { W.Spawn(P, E); }, TaskM);
-    ParallelExecOptions OsO;
-    OsO.OsThreads = true;
-    std::vector<Value> OsR = runMode(
-        P, OsO, [&](ParallelExec &E) { W.Spawn(P, E); }, OsM);
-    ASSERT_EQ(TaskR.size(), OsR.size()) << W.Name;
+    RuntimeMetrics TaskM, RefM;
+    std::vector<Value> TaskR = runTasks(P, {}, W.Spawns, TaskM);
+    std::vector<Value> RefR = runMachine(P, W.Spawns, RefM);
+    ASSERT_EQ(TaskR.size(), RefR.size()) << W.Name;
     for (size_t I = 0; I < TaskR.size(); ++I)
-      EXPECT_EQ(TaskR[I], OsR[I]) << W.Name << " thread " << I;
-    EXPECT_EQ(TaskM.ThreadsFinished, OsM.ThreadsFinished) << W.Name;
-    EXPECT_EQ(TaskM.ThreadsCancelled, OsM.ThreadsCancelled) << W.Name;
-    EXPECT_EQ(TaskM.ThreadsErrored, OsM.ThreadsErrored) << W.Name;
-    EXPECT_EQ(TaskM.ChannelSends, OsM.ChannelSends) << W.Name;
-    EXPECT_EQ(TaskM.ChannelRecvs, OsM.ChannelRecvs) << W.Name;
+      EXPECT_EQ(TaskR[I], RefR[I]) << W.Name << " thread " << I;
+    EXPECT_EQ(TaskM.ThreadsFinished, RefM.ThreadsFinished) << W.Name;
+    EXPECT_EQ(TaskM.ThreadsCancelled, RefM.ThreadsCancelled) << W.Name;
+    EXPECT_EQ(TaskM.ThreadsErrored, RefM.ThreadsErrored) << W.Name;
+    EXPECT_EQ(TaskM.Sends, RefM.Sends) << W.Name;
+    EXPECT_EQ(TaskM.Recvs, RefM.Recvs) << W.Name;
+    EXPECT_EQ(TaskM.DisconnectChecks, RefM.DisconnectChecks) << W.Name;
+    // The channel layer agrees with the threads' own accounting.
+    EXPECT_EQ(TaskM.ChannelSends, RefM.Sends) << W.Name;
+    EXPECT_EQ(TaskM.ChannelRecvs, RefM.Recvs) << W.Name;
   }
 }
 
 TEST(ModeParity, DisconnectOracleAcrossEightSchedSeeds) {
   // The `if disconnected` workload re-proven on the task scheduler: the
-  // OS-thread executor is the oracle; eight scheduling seeds must all
+  // abstract machine is the oracle; eight scheduling seeds must all
   // reproduce its results bit-identically.
   Pipeline P = mustCompile(DllExchange);
-  auto Spawn = [&](ParallelExec &E) {
-    E.spawn(sym(P, "maker"), {Value::intVal(4)});
-    E.spawn(sym(P, "taker"), {});
-  };
+  const SpawnSet Spawns = {{"maker", {Value::intVal(4)}}, {"taker", {}}};
   RuntimeMetrics OracleM;
-  ParallelExecOptions OracleO;
-  OracleO.OsThreads = true;
-  std::vector<Value> Oracle = runMode(P, OracleO, Spawn, OracleM);
+  std::vector<Value> Oracle = runMachine(P, Spawns, OracleM);
   ASSERT_EQ(Oracle.size(), 2u);
   EXPECT_EQ(Oracle[1], Value::intVal(3)); // tail 0 removed, length 3
   for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
     RuntimeMetrics M;
     ParallelExecOptions O;
     O.SchedSeed = Seed;
-    std::vector<Value> R = runMode(P, O, Spawn, M);
+    std::vector<Value> R = runTasks(P, O, Spawns, M);
     ASSERT_EQ(R.size(), Oracle.size()) << "seed " << Seed;
     for (size_t I = 0; I < R.size(); ++I)
       EXPECT_EQ(R[I], Oracle[I]) << "seed " << Seed << " thread " << I;
@@ -323,8 +329,7 @@ TEST(ModeParity, DisconnectOracleAcrossEightSchedSeeds) {
 }
 
 //===----------------------------------------------------------------------===//
-// Supervision on the task scheduler (ported from fault_test.cpp's
-// OS-thread-era cases, now pinned to the M:N engine explicitly)
+// Supervision on the task scheduler
 //===----------------------------------------------------------------------===//
 
 TEST(SupervisionOnTasks, EffectFreeFaultRecoversOnOneAndTwoWorkers) {
@@ -381,7 +386,7 @@ TEST(SupervisionOnTasks, ExhaustedBudgetEscalatesToAbort) {
 
 TEST(SupervisionOnTasks, FaultAfterFirstSendIsNotReplayed) {
   // The dying attempt already externalized a value: the supervisor must
-  // escalate, not replay — identical to the OS-thread contract.
+  // escalate, not replay.
   Pipeline P = mustCompile(programs::MessagePassing);
   FaultPlan Plan = *parseFaultSpec("chan.send=nth:2");
   FaultInjector FI(Plan);
@@ -401,8 +406,7 @@ TEST(SupervisionOnTasks, FaultAfterFirstSendIsNotReplayed) {
 }
 
 //===----------------------------------------------------------------------===//
-// Abort-aware backoff (regressions for the sleep_for-era bugs), both
-// executor modes
+// Abort-aware backoff (regressions for the sleep_for-era bugs)
 //===----------------------------------------------------------------------===//
 
 TEST(BackoffInterrupt, HardAbortCancelsPendingMultiSecondBackoff) {
@@ -411,29 +415,25 @@ TEST(BackoffInterrupt, HardAbortCancelsPendingMultiSecondBackoff) {
   // interrupt that backoff promptly; under the old uninterruptible
   // sleep_for the run could not end before the full backoff elapsed.
   Pipeline P = mustCompile(programs::MessagePassing);
-  for (bool OsThreads : {false, true}) {
-    FaultPlan Plan = *parseFaultSpec("thread.start=every:1");
-    FaultInjector FI(Plan);
-    ParallelExecOptions O;
-    O.Faults = &FI;
-    O.MaxRestarts = 3;
-    O.RestartBackoffMillis = 5'000;
-    O.RestartBackoffCapMillis = 8'000;
-    O.WatchdogMillis = 100;
-    O.WatchdogGraceMillis = 0; // hard abort immediately
-    O.OsThreads = OsThreads;
-    ParallelExec Exec(P.Checked, O);
-    Exec.spawn(sym(P, "consumer"), {Value::intVal(1)});
-    Expected<std::vector<Value>> R = Exec.run();
-    ASSERT_FALSE(R.hasValue()) << (OsThreads ? "os" : "task");
-    EXPECT_NE(R.error().Message.find("watchdog"), std::string::npos)
-        << (OsThreads ? "os" : "task");
-    const RuntimeMetrics &M = Exec.metrics();
-    EXPECT_EQ(M.WatchdogFired, 1u) << (OsThreads ? "os" : "task");
-    EXPECT_EQ(M.ThreadsRestarted, 1u) << (OsThreads ? "os" : "task");
-    // Well under the 5-10s backoff: the wait was actually interrupted.
-    EXPECT_LT(M.WallMicros, 4'000'000u) << (OsThreads ? "os" : "task");
-  }
+  FaultPlan Plan = *parseFaultSpec("thread.start=every:1");
+  FaultInjector FI(Plan);
+  ParallelExecOptions O;
+  O.Faults = &FI;
+  O.MaxRestarts = 3;
+  O.RestartBackoffMillis = 5'000;
+  O.RestartBackoffCapMillis = 8'000;
+  O.WatchdogMillis = 100;
+  O.WatchdogGraceMillis = 0; // hard abort immediately
+  ParallelExec Exec(P.Checked, O);
+  Exec.spawn(sym(P, "consumer"), {Value::intVal(1)});
+  Expected<std::vector<Value>> R = Exec.run();
+  ASSERT_FALSE(R.hasValue());
+  EXPECT_NE(R.error().Message.find("watchdog"), std::string::npos);
+  const RuntimeMetrics &M = Exec.metrics();
+  EXPECT_EQ(M.WatchdogFired, 1u);
+  EXPECT_EQ(M.ThreadsRestarted, 1u);
+  // Well under the 5-10s backoff: the wait was actually interrupted.
+  EXPECT_LT(M.WallMicros, 4'000'000u);
 }
 
 TEST(BackoffInterrupt, ShutdownDuringBackoffIsCleanCancellation) {
@@ -442,32 +442,29 @@ TEST(BackoffInterrupt, ShutdownDuringBackoffIsCleanCancellation) {
   // cancellation — not retry into closed channels and count a fresh
   // fault or escalate.
   Pipeline P = mustCompile(programs::MessagePassing);
-  for (bool OsThreads : {false, true}) {
-    FaultPlan Plan = *parseFaultSpec("thread.start=every:1");
-    FaultInjector FI(Plan);
-    ParallelExecOptions O;
-    O.Faults = &FI;
-    O.MaxRestarts = 3;
-    O.RestartBackoffMillis = 5'000;
-    O.RestartBackoffCapMillis = 8'000;
-    O.WatchdogMillis = 100;
-    O.WatchdogGraceMillis = 2'000; // soft cancel, generous grace
-    O.OsThreads = OsThreads;
-    ParallelExec Exec(P.Checked, O);
-    Exec.spawn(sym(P, "consumer"), {Value::intVal(1)});
-    Expected<std::vector<Value>> R = Exec.run();
-    ASSERT_FALSE(R.hasValue()) << (OsThreads ? "os" : "task");
-    const RuntimeMetrics &M = Exec.metrics();
-    EXPECT_EQ(M.WatchdogFired, 1u) << (OsThreads ? "os" : "task");
-    // Exactly the one injected fault and the one restart: the cancelled
-    // retry neither re-consulted thread.start nor escalated.
-    EXPECT_EQ(M.FaultsInjected, 1u) << (OsThreads ? "os" : "task");
-    EXPECT_EQ(M.ThreadsRestarted, 1u) << (OsThreads ? "os" : "task");
-    EXPECT_EQ(M.FaultsEscalated, 0u) << (OsThreads ? "os" : "task");
-    EXPECT_EQ(M.ThreadsErrored, 0u) << (OsThreads ? "os" : "task");
-    EXPECT_EQ(M.ThreadsCancelled, 1u) << (OsThreads ? "os" : "task");
-    EXPECT_LT(M.WallMicros, 4'000'000u) << (OsThreads ? "os" : "task");
-  }
+  FaultPlan Plan = *parseFaultSpec("thread.start=every:1");
+  FaultInjector FI(Plan);
+  ParallelExecOptions O;
+  O.Faults = &FI;
+  O.MaxRestarts = 3;
+  O.RestartBackoffMillis = 5'000;
+  O.RestartBackoffCapMillis = 8'000;
+  O.WatchdogMillis = 100;
+  O.WatchdogGraceMillis = 2'000; // soft cancel, generous grace
+  ParallelExec Exec(P.Checked, O);
+  Exec.spawn(sym(P, "consumer"), {Value::intVal(1)});
+  Expected<std::vector<Value>> R = Exec.run();
+  ASSERT_FALSE(R.hasValue());
+  const RuntimeMetrics &M = Exec.metrics();
+  EXPECT_EQ(M.WatchdogFired, 1u);
+  // Exactly the one injected fault and the one restart: the cancelled
+  // retry neither re-consulted thread.start nor escalated.
+  EXPECT_EQ(M.FaultsInjected, 1u);
+  EXPECT_EQ(M.ThreadsRestarted, 1u);
+  EXPECT_EQ(M.FaultsEscalated, 0u);
+  EXPECT_EQ(M.ThreadsErrored, 0u);
+  EXPECT_EQ(M.ThreadsCancelled, 1u);
+  EXPECT_LT(M.WallMicros, 4'000'000u);
 }
 
 } // namespace

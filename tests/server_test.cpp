@@ -163,12 +163,6 @@ TEST(Wire, DecodeRejectsBadRequests) {
       decodeRequest("{\"v\": \"fearless-wire-v1\", \"op\": \"run\", "
                     "\"source\": \"x\", \"args\": [\"y\"]}")
           .hasValue());
-  // engine vocabulary is closed.
-  EXPECT_FALSE(
-      decodeRequest("{\"v\": \"fearless-wire-v1\", \"op\": \"check\", "
-                    "\"source\": \"x\", \"options\": {\"engine\": "
-                    "\"jit\"}}")
-          .hasValue());
   // metrics needs no source.
   EXPECT_TRUE(
       decodeRequest("{\"v\": \"fearless-wire-v1\", \"op\": \"metrics\"}")
@@ -184,7 +178,6 @@ TEST(Wire, RequestEncodeDecodeRoundTrip) {
   R.Fn = "main";
   R.Args = {1, -2};
   R.Oracle = false;
-  R.Engine = "interp";
   R.Workers = 3;
   R.Stats = true;
   Expected<WireRequest> Back = decodeRequest(encodeRequest(R));
@@ -195,7 +188,6 @@ TEST(Wire, RequestEncodeDecodeRoundTrip) {
   EXPECT_EQ(Back->Fn, "main");
   EXPECT_EQ(Back->Args, (std::vector<int64_t>{1, -2}));
   EXPECT_FALSE(Back->Oracle);
-  EXPECT_EQ(Back->Engine, "interp");
   EXPECT_EQ(Back->Workers, 3);
   EXPECT_TRUE(Back->Stats);
 }

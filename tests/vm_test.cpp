@@ -378,33 +378,37 @@ TEST(VmIc, FieldCachesHitAfterFirstResolution) {
 // Task scheduler: 8-seed randomized sweep on the VM engine
 //===----------------------------------------------------------------------===//
 
-TEST(VmScheduler, SeedSweepMatchesOsInterpBaseline) {
+TEST(VmScheduler, SeedSweepMatchesMachineBaseline) {
   Pipeline P = mustCompile(programs::MessagePassing);
   vm::CompiledProgram Code = mustCompileVm(P, false);
+  auto Spawn = [&](auto &Exec) {
+    for (int I = 0; I < 4; ++I)
+      Exec.spawn(sym(P, "producer"), {Value::intVal(3)});
+    Exec.spawn(sym(P, "consumer"), {Value::intVal(12)});
+  };
 
-  auto RunPar = [&](bool OsInterp, uint64_t Seed) {
+  // The baseline: the abstract machine tree-walking the AST with every
+  // dynamic reservation check on.
+  Machine M(P.Checked);
+  Spawn(M);
+  Expected<MachineSummary> Base = M.run();
+  ASSERT_TRUE(Base.hasValue()) << Base.error().render();
+  ASSERT_EQ(Base->ThreadResults.size(), 5u);
+
+  for (uint64_t Seed = 0; Seed <= 7; ++Seed) {
     ParallelExecOptions O;
-    O.OsThreads = OsInterp;
-    O.VmCode = OsInterp ? nullptr : &Code;
+    O.VmCode = &Code;
     O.SchedSeed = Seed;
     O.NumWorkers = 2;
     O.WatchdogMillis = 60'000;
     ParallelExec Exec(P.Checked, O);
-    for (int I = 0; I < 4; ++I)
-      Exec.spawn(sym(P, "producer"), {Value::intVal(3)});
-    Exec.spawn(sym(P, "consumer"), {Value::intVal(12)});
+    Spawn(Exec);
     Expected<std::vector<Value>> R = Exec.run();
-    EXPECT_TRUE(R.hasValue())
+    ASSERT_TRUE(R.hasValue())
         << "seed " << Seed << ": " << (R ? "" : R.error().render());
     EXPECT_EQ(Exec.metrics().WatchdogFired, 0u);
-    return R ? *R : std::vector<Value>{};
-  };
-
-  std::vector<Value> Baseline = RunPar(/*OsInterp=*/true, 0);
-  ASSERT_EQ(Baseline.size(), 5u);
-  for (uint64_t Seed = 0; Seed <= 7; ++Seed)
-    EXPECT_EQ(RunPar(/*OsInterp=*/false, Seed), Baseline)
-        << "seed " << Seed;
+    EXPECT_EQ(*R, Base->ThreadResults) << "seed " << Seed;
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -5,24 +5,22 @@
 #
 #===----------------------------------------------------------------------===#
 #
-# Reproducible benchmark baseline pipeline: builds the twelve bench_*
-# binaries, runs each with --benchmark_out_format=json (counters included,
-# e.g. the RuntimeMetrics counters exported by bench_concurrency, the
-# allocs_per_iter / losing_side_visited counters of bench_ifdisconnected,
-# the tracing-overhead counters of bench_trace, the tasks_spawned /
-# steals / parks counters of bench_scheduler, the vm_instructions /
-# ic_hits / checks_erased counters of bench_vm, the verdict-split
-# counters of bench_analysis, and the p50_ns / p99_ns /
-# warm_speedup_p50 / requests_rejected counters of bench_server, and
-# the schedules_explored / pruning_ratio_vs_naive counters of
-# bench_mc), and
-# merges the
-# per-binary JSON into one BENCH_*.json at the repo root. Compare two
-# such files with tools/bench_compare.py.
+# Reproducible benchmark baseline pipeline: builds every bench_* binary
+# listed in BENCHES below, runs each with --benchmark_out_format=json
+# (counters included, e.g. the RuntimeMetrics counters exported by
+# bench_concurrency, the allocs_per_iter / losing_side_visited counters
+# of bench_ifdisconnected, the tracing-overhead counters of bench_trace,
+# the tasks_spawned / steals / parks counters of bench_scheduler, the
+# vm_instructions / ic_hits / checks_erased counters of bench_vm, the
+# verdict-split counters of bench_analysis, the p50_ns / p99_ns /
+# warm_speedup_p50 / requests_rejected counters of bench_server, and the
+# schedules_explored / pruning_ratio_vs_naive counters of bench_mc), and
+# merges the per-binary JSON into one file. Compare two such files with
+# tools/bench_compare.py.
 #
-# Usage: tools/bench.sh [options]
+# Usage: tools/bench.sh -o FILE [options]
 #   -B DIR        build directory                (default: <repo>/build)
-#   -o FILE       merged output file             (default: <repo>/BENCH_pr10.json)
+#   -o FILE       merged output file (required, except with --smoke)
 #   -t SECONDS    --benchmark_min_time per bench (default: 0.05)
 #   -f REGEX      --benchmark_filter passed through
 #   --smoke       CI smoke mode: min_time 0.01, output under the build
@@ -40,7 +38,7 @@ set -euo pipefail
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 BUILD="$ROOT/build"
-OUT="$ROOT/BENCH_pr10.json"
+OUT=""
 MIN_TIME="0.05"
 FILTER=""
 SMOKE=0
@@ -59,6 +57,9 @@ done
 if [[ "$SMOKE" -eq 1 ]]; then
   MIN_TIME="0.01"
   OUT="$BUILD/BENCH_smoke.json"
+elif [[ -z "$OUT" ]]; then
+  echo "bench.sh: -o FILE is required (the merged output path)" >&2
+  exit 2
 fi
 
 BENCHES=(bench_table1 bench_checker bench_ifdisconnected bench_runtime

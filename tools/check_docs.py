@@ -22,10 +22,10 @@ Checks, failing with a nonzero exit on the first class of drift found:
     scheduler docs are written around). The scheduler's counters
     (tasks_spawned, steals, parks) are covered by checks 1-2 like any
     other RuntimeMetrics registration.
- 7. fearlessc accepts `--engine` and docs/IMPLEMENTATION.md documents
-    the `fearlessc disasm` subcommand (the bytecode-VM docs are written
-    around both). The VM's counters (vm_instructions, ic_hits,
-    ic_misses, checks_erased) are covered by checks 1-2.
+ 7. docs/IMPLEMENTATION.md documents the `fearlessc disasm` subcommand
+    (the bytecode-VM docs are written around it). The VM's counters
+    (vm_instructions, ic_hits, ic_misses, checks_erased) are covered by
+    checks 1-2.
  8. fearlessc accepts `--interprocedural`, `--json`, `--summaries` and
     `--werror` (the flags the interprocedural-analysis docs are written
     around); docs/ANALYSIS.md joins the flag scan of check 3. The
@@ -192,8 +192,8 @@ def self_test() -> int:
     )
     assert extract_accepted_flags(cli) == {"trace", "metrics", "sched-seed"}
     # Both spellings of a valued flag register it once.
-    assert extract_accepted_flags('"--engine" and "--engine=" forms') == {
-        "engine"
+    assert extract_accepted_flags('"--mc-dpor" and "--mc-dpor=" forms') == {
+        "mc-dpor"
     }
 
     lines = "run fearlessc with --trace out.json\nunrelated --flag here\n"
@@ -360,13 +360,6 @@ def main() -> int:
             )
             failures += 1
 
-    if "engine" not in accepted:
-        print(
-            "check_docs: fearlessc does not accept --engine, but the "
-            "VM docs depend on it",
-            file=sys.stderr,
-        )
-        failures += 1
     for flag in ("interprocedural", "json", "summaries", "werror"):
         if flag not in accepted:
             print(

@@ -42,9 +42,7 @@
 // --summaries (append the per-function summary dump to the analyze
 // report), --werror (lint diagnostics fail the analyze with the check
 // exit code), --no-oracle (naive unification search), --seed N (schedule),
-// --engine vm|interp (register-bytecode VM — the default — or the
-// tree-walking interpreter; debug builds cross-check vm results against
-// the interpreter), --no-checks (erase dynamic reservation checks),
+// --no-checks (erase dynamic reservation checks),
 // --no-elide (keep the dynamic traversal even for statically proven
 // disconnect sites),
 // --stats, --metrics (runtime metrics as one JSON line on stdout),
@@ -56,7 +54,13 @@
 // --spawn FN[:ints] (extra root thread for machine-mode run/mc,
 // repeatable), --schedule FILE (replay a recorded schedule), and the mc
 // budgets --mc-depth N, --mc-schedules N, --mc-preemptions N,
-// --mc-checks=on|off, --mc-dpor=on|off, --mc-out FILE.
+// --mc-checks=on|off, --mc-dpor=on|off, --mc-out FILE. Programs run as
+// register bytecode; debug builds cross-check results against the
+// tree-walking interpreter.
+//
+// Every integer, positional or flag value, must parse in full, and an
+// unknown `--flag` is a usage error: a typo never silently becomes a
+// different run.
 //
 // Exit codes are distinct per failure class so scripts need not parse
 // messages: 0 ok, 1 generic/internal, 2 usage, 3 parse error, 4
@@ -76,6 +80,8 @@
 #include "support/Trace.h"
 #include "vm/Compiler.h"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -117,7 +123,7 @@ int usage() {
       "  metrics                       --daemon only: lifetime metrics\n"
       "  shutdown                      --daemon only: drain the daemon\n"
       "options: --interprocedural[=on|off] --json --summaries --werror "
-      "--no-oracle --seed N --engine NAME --no-checks "
+      "--no-oracle --seed N --no-checks "
       "--no-elide --stats "
       "--metrics --trace FILE --faults SPEC --workers N --sched-seed N "
       "--daemon SOCKET\n"
@@ -128,9 +134,6 @@ int usage() {
       "  --summaries     analyze: append the per-function summary dump\n"
       "  --werror        analyze: lint diagnostics exit with the check\n"
       "                  error code (4)\n"
-      "  --engine NAME   execution engine for run: vm (the register\n"
-      "                  bytecode VM, default) or interp (the\n"
-      "                  tree-walking interpreter)\n"
       "  --workers N     run on the parallel executor's M:N task\n"
       "                  scheduler with an N-worker pool (0 = auto)\n"
       "  --sched-seed N  scheduling-decision seed for --workers runs\n"
@@ -184,9 +187,6 @@ struct Options {
   std::string FaultSpec;
   bool FaultSpecSet = false;
   uint64_t Seed = 0;
-  /// --engine: "vm" (register-bytecode VM, default) or "interp" (the
-  /// tree-walking interpreter, retained as the differential oracle).
-  std::string Engine = "vm";
   /// --workers: run on ParallelExec's M:N task scheduler instead of the
   /// deterministic abstract machine. 0 = auto-sized pool.
   size_t Workers = 0;
@@ -220,6 +220,53 @@ struct Options {
   std::string McOut;
 };
 
+/// Parses \p Text as a base-10 int64, the whole string or nothing: "7x",
+/// "abc", "" and out-of-range values are rejected instead of reading as
+/// 7 or 0.
+bool parseInt(const char *Text, int64_t &Out) {
+  if (!*Text)
+    return false;
+  errno = 0;
+  char *End = nullptr;
+  long long V = std::strtoll(Text, &End, 10);
+  if (*End != '\0' || errno == ERANGE)
+    return false;
+  Out = V;
+  return true;
+}
+
+/// parseInt for counts and seeds: additionally rejects a sign, which
+/// strtoull would otherwise wrap ("-1" is not 2^64-1 workers).
+bool parseUint(const char *Text, uint64_t &Out) {
+  if (!std::isdigit(static_cast<unsigned char>(*Text)))
+    return false;
+  errno = 0;
+  char *End = nullptr;
+  unsigned long long V = std::strtoull(Text, &End, 10);
+  if (*End != '\0' || errno == ERANGE)
+    return false;
+  Out = V;
+  return true;
+}
+
+/// Parses the positional int arguments Positional[From..] into \p Out;
+/// prints the usage error for the first malformed one.
+bool parseIntArgs(const std::vector<const char *> &Positional, size_t From,
+                  std::vector<int64_t> &Out) {
+  for (size_t I = From; I < Positional.size(); ++I) {
+    int64_t V;
+    if (!parseInt(Positional[I], V)) {
+      std::fprintf(stderr,
+                   "fearlessc: bad integer argument '%s' (arguments are "
+                   "base-10 ints)\n",
+                   Positional[I]);
+      return false;
+    }
+    Out.push_back(V);
+  }
+  return true;
+}
+
 /// Parses a --spawn spec: "fn" or "fn:1,2,3" (int args only, matching
 /// the positional-argument rule for the entry function).
 bool parseSpawnSpec(const std::string &Spec,
@@ -238,11 +285,8 @@ bool parseSpawnSpec(const std::string &Spec,
     size_t Comma = Rest.find(',', Pos);
     std::string Tok = Rest.substr(
         Pos, Comma == std::string::npos ? Rest.size() - Pos : Comma - Pos);
-    if (Tok.empty())
-      return false;
-    char *End = nullptr;
-    long long V = std::strtoll(Tok.c_str(), &End, 10);
-    if (*End != '\0')
+    int64_t V;
+    if (!parseInt(Tok.c_str(), V))
       return false;
     Out.second.push_back(V);
     if (Comma == std::string::npos)
@@ -280,7 +324,6 @@ PipelineOptions pipelineOptions(const Options &Opts) {
   PO.Checks = Opts.Checks;
   PO.Elide = Opts.Elide;
   PO.EmitChecks = Opts.Checks && !Opts.WorkersSet;
-  PO.Engine = Opts.Engine;
   return PO;
 }
 
@@ -637,8 +680,6 @@ int cmdMc(const char *Path, const char *Fn,
       Replay += " --spawn " + Spec;
     if (!EffChecks)
       Replay += " --no-checks";
-    if (Opts.Engine != "vm")
-      Replay += " --engine " + Opts.Engine;
     if (Opts.FaultSpecSet)
       Replay += " --faults " + Opts.FaultSpec;
     Replay += " --schedule " + Out;
@@ -695,7 +736,6 @@ int cmdDisasm(const char *Path, const Options &Opts) {
   PipelineOptions PO = pipelineOptions(Opts);
   // Disassembly always shows the bytecode with the checks --no-checks
   // controls, independent of --workers.
-  PO.Engine = "vm";
   PO.EmitChecks = Opts.Checks;
   Expected<std::shared_ptr<const CompiledArtifact>> A =
       buildArtifact(*Source, PO);
@@ -798,7 +838,6 @@ server::WireRequest baseRequest(const Options &Opts) {
   R.Interprocedural = Opts.Interprocedural;
   R.Checks = Opts.Checks;
   R.Elide = Opts.Elide;
-  R.Engine = Opts.Engine;
   R.Seed = Opts.Seed;
   R.Stats = Opts.Stats;
   R.Metrics = Opts.Metrics;
@@ -900,8 +939,8 @@ int cmdDaemon(const std::vector<const char *> &Positional,
     R.Name = Positional[1];
     R.Source = Source.take();
     R.Fn = Positional[2];
-    for (size_t I = 3; I < Positional.size(); ++I)
-      R.Args.push_back(std::strtoll(Positional[I], nullptr, 10));
+    if (!parseIntArgs(Positional, 3, R.Args))
+      return ExitUsage;
     return roundTrip(R);
   }
   return usage();
@@ -915,8 +954,39 @@ int main(int argc, char **argv) {
 
   Options Opts;
   std::vector<const char *> Positional;
+  auto BadNumber = [](const char *Flag, const char *V) {
+    std::fprintf(stderr, "fearlessc: bad %s value '%s' (expected a base-10 "
+                         "integer; counts and seeds are non-negative)\n",
+                 Flag, V);
+    return ExitUsage;
+  };
   for (int I = 1; I < argc; ++I) {
-    if (!std::strcmp(argv[I], "--no-oracle"))
+    // Numeric flags: the value must parse in full.
+    uint64_t *UintFlag = nullptr;
+    if (!std::strcmp(argv[I], "--seed"))
+      UintFlag = &Opts.Seed;
+    else if (!std::strcmp(argv[I], "--sched-seed"))
+      UintFlag = &Opts.SchedSeed;
+    else if (!std::strcmp(argv[I], "--mc-depth"))
+      UintFlag = &Opts.McDepth;
+    else if (!std::strcmp(argv[I], "--mc-schedules"))
+      UintFlag = &Opts.McSchedules;
+    if (UintFlag && I + 1 < argc) {
+      ++I;
+      if (!parseUint(argv[I], *UintFlag))
+        return BadNumber(argv[I - 1], argv[I]);
+      continue;
+    }
+    if (!std::strcmp(argv[I], "--workers") && I + 1 < argc) {
+      uint64_t N;
+      if (!parseUint(argv[++I], N))
+        return BadNumber("--workers", argv[I]);
+      Opts.Workers = N;
+      Opts.WorkersSet = true;
+    } else if (!std::strcmp(argv[I], "--mc-preemptions") && I + 1 < argc) {
+      if (!parseInt(argv[++I], Opts.McPreemptions))
+        return BadNumber("--mc-preemptions", argv[I]);
+    } else if (!std::strcmp(argv[I], "--no-oracle"))
       Opts.UseOracle = false;
     else if (!std::strcmp(argv[I], "--no-checks"))
       Opts.Checks = false;
@@ -952,23 +1022,10 @@ int main(int argc, char **argv) {
     else if (!std::strcmp(argv[I], "--faults") && I + 1 < argc) {
       Opts.FaultSpec = argv[++I];
       Opts.FaultSpecSet = true;
-    } else if (!std::strcmp(argv[I], "--seed") && I + 1 < argc)
-      Opts.Seed = std::strtoull(argv[++I], nullptr, 10);
-    else if (!std::strcmp(argv[I], "--workers") && I + 1 < argc) {
-      Opts.Workers = std::strtoull(argv[++I], nullptr, 10);
-      Opts.WorkersSet = true;
-    } else if (!std::strcmp(argv[I], "--sched-seed") && I + 1 < argc)
-      Opts.SchedSeed = std::strtoull(argv[++I], nullptr, 10);
-    else if (!std::strcmp(argv[I], "--spawn") && I + 1 < argc)
+    } else if (!std::strcmp(argv[I], "--spawn") && I + 1 < argc)
       Opts.SpawnSpecs.push_back(argv[++I]);
     else if (!std::strcmp(argv[I], "--schedule") && I + 1 < argc)
       Opts.SchedulePath = argv[++I];
-    else if (!std::strcmp(argv[I], "--mc-depth") && I + 1 < argc)
-      Opts.McDepth = std::strtoull(argv[++I], nullptr, 10);
-    else if (!std::strcmp(argv[I], "--mc-schedules") && I + 1 < argc)
-      Opts.McSchedules = std::strtoull(argv[++I], nullptr, 10);
-    else if (!std::strcmp(argv[I], "--mc-preemptions") && I + 1 < argc)
-      Opts.McPreemptions = std::strtoll(argv[++I], nullptr, 10);
     else if (!std::strncmp(argv[I], "--mc-checks=", 12)) {
       const char *V = argv[I] + 12;
       if (!std::strcmp(V, "on"))
@@ -997,20 +1054,18 @@ int main(int argc, char **argv) {
       }
     } else if (!std::strcmp(argv[I], "--mc-out") && I + 1 < argc)
       Opts.McOut = argv[++I];
-    else if (!std::strcmp(argv[I], "--engine") && I + 1 < argc)
-      Opts.Engine = argv[++I];
-    else if (!std::strncmp(argv[I], "--engine=", 9))
-      Opts.Engine = argv[I] + 9;
     else if (!std::strcmp(argv[I], "--daemon") && I + 1 < argc)
       Opts.DaemonSocket = argv[++I];
-    else
+    else if (!std::strncmp(argv[I], "--", 2) &&
+             std::strcmp(argv[I], "--samples")) {
+      // `analyze --samples` is the one `--` word that is an operand.
+      std::fprintf(stderr,
+                   "fearlessc: unknown option '%s' (or it is missing its "
+                   "value); run fearlessc without arguments for usage\n",
+                   argv[I]);
+      return ExitUsage;
+    } else
       Positional.push_back(argv[I]);
-  }
-  if (Opts.Engine != "vm" && Opts.Engine != "interp") {
-    std::fprintf(stderr, "fearlessc: unknown engine '%s' (expected vm "
-                         "or interp)\n",
-                 Opts.Engine.c_str());
-    return ExitUsage;
   }
   if (Positional.empty())
     return usage();
@@ -1028,14 +1083,14 @@ int main(int argc, char **argv) {
   }
   if (!std::strcmp(Cmd, "run") && Positional.size() >= 3) {
     std::vector<int64_t> Args;
-    for (size_t I = 3; I < Positional.size(); ++I)
-      Args.push_back(std::strtoll(Positional[I], nullptr, 10));
+    if (!parseIntArgs(Positional, 3, Args))
+      return ExitUsage;
     return cmdRun(Positional[1], Positional[2], Args, Opts);
   }
   if (!std::strcmp(Cmd, "mc") && Positional.size() >= 2) {
     std::vector<int64_t> Args;
-    for (size_t I = 3; I < Positional.size(); ++I)
-      Args.push_back(std::strtoll(Positional[I], nullptr, 10));
+    if (!parseIntArgs(Positional, 3, Args))
+      return ExitUsage;
     return cmdMc(Positional[1],
                  Positional.size() >= 3 ? Positional[2] : "main", Args,
                  Opts);
