@@ -71,7 +71,9 @@ void BM_ParallelItemPipeline(benchmark::State &State) {
   State.counters["producers"] = Producers;
   exportMetrics(State, LastRun);
 }
-BENCHMARK(BM_ParallelItemPipeline)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_ParallelItemPipeline)
+    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->UseRealTime();
 
 void BM_ParallelListPipeline(benchmark::State &State) {
   Expected<Pipeline> P = compile(programs::MessagePassing);
@@ -102,7 +104,9 @@ void BM_ParallelListPipeline(benchmark::State &State) {
   State.counters["producers"] = Producers;
   exportMetrics(State, LastRun);
 }
-BENCHMARK(BM_ParallelListPipeline)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_ParallelListPipeline)
+    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->UseRealTime();
 
 /// Baseline: the same single-item pipeline on the deterministic abstract
 /// machine (checks on, one interpreter, no parallelism).

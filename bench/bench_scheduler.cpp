@@ -171,11 +171,11 @@ void BM_TokenRing(benchmark::State &State) {
   exportSchedMetrics(State, LastRun);
 }
 BENCHMARK(BM_TokenRing)->Arg(1'000)->Arg(10'000)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 // The acceptance-scale ring: 100k language threads on the same fixed
 // pool. One iteration is plenty of work to time.
 BENCHMARK(BM_TokenRing)->Arg(100'000)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_FanIn(benchmark::State &State) {
   Expected<Pipeline> P = compile(FanProgram);
@@ -209,7 +209,7 @@ void BM_FanIn(benchmark::State &State) {
   exportSchedMetrics(State, LastRun);
 }
 BENCHMARK(BM_FanIn)->Arg(1'000)->Arg(10'000)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_FanOut(benchmark::State &State) {
   Expected<Pipeline> P = compile(FanProgram);
@@ -239,7 +239,7 @@ void BM_FanOut(benchmark::State &State) {
   exportSchedMetrics(State, LastRun);
 }
 BENCHMARK(BM_FanOut)->Arg(1'000)->Arg(10'000)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// Runs a two-task ping-pong of \p Exchanges round trips and returns the
 /// C++ heap allocations the whole run performed.
@@ -303,7 +303,7 @@ void BM_PingPongParkUnpark(benchmark::State &State) {
   exportSchedMetrics(State, LastRun);
 }
 BENCHMARK(BM_PingPongParkUnpark)->Arg(10'000)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// FEARLESS_SCHED_SMOKE hook: run the acceptance checks directly (no
 /// benchmark timing) so tools/ci.sh can gate them cheaply, including

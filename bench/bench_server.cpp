@@ -192,7 +192,7 @@ void BM_CheckCold(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations());
   stopServer(S);
 }
-BENCHMARK(BM_CheckCold)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_CheckCold)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 /// Warm check latency: one priming miss, then every iteration replays
 /// identical bytes and must be a derivation-cache hit.
@@ -232,7 +232,7 @@ void BM_CheckWarm(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations());
   stopServer(S);
 }
-BENCHMARK(BM_CheckWarm)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_CheckWarm)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 /// The acceptance-bar entry: interleaves cold and warm samples against
 /// one server and exports both p50s plus their ratio, so the >=10x
@@ -279,7 +279,9 @@ void BM_CheckColdVsWarm(benchmark::State &State) {
       WarmP50 > 0 ? ColdP50 / WarmP50 : 0;
   stopServer(S);
 }
-BENCHMARK(BM_CheckColdVsWarm)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_CheckColdVsWarm)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 
 /// Warm `run` round trip: the artifact is cached, so this prices the
 /// wire + VM execution, i.e. the daemon's steady-state eval latency.
@@ -319,7 +321,7 @@ void BM_RunWarm(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations());
   stopServer(S);
 }
-BENCHMARK(BM_RunWarm)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_RunWarm)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 /// Aggregate warm throughput with N concurrent client threads hammering
 /// the same cache key — the single-flight + shared-artifact path under
@@ -375,8 +377,10 @@ void BM_ConcurrentWarmClients(benchmark::State &State) {
   State.SetItemsProcessed(Total);
   stopServer(S);
 }
-BENCHMARK(BM_ConcurrentWarmClients)->Arg(2)->Arg(4)->Unit(
-    benchmark::kMillisecond);
+BENCHMARK(BM_ConcurrentWarmClients)
+    ->Arg(2)->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 /// Admission control under saturation: with a zero-capacity pending
 /// queue every connection takes the rejection path, so each iteration
@@ -424,7 +428,9 @@ void BM_OverloadRejection(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations());
   stopServer(S);
 }
-BENCHMARK(BM_OverloadRejection)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_OverloadRejection)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 
 } // namespace
 

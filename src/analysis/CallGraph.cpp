@@ -10,29 +10,23 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_set>
 
 using namespace fearless;
 
 namespace {
 
-/// Collects callee symbols from one expression tree. Iterative (explicit
-/// worklist) so pathological bodies cannot overflow the C++ stack, but
-/// sites are still recorded in a deterministic order (preorder,
-/// left-to-right).
-void collectCalls(const Expr *Root, std::vector<Symbol> &Out) {
-  std::vector<const Expr *> Stack;
-  // Pushing children in reverse keeps the pop order = source order.
-  auto PushRev = [&Stack](std::initializer_list<const Expr *> Es) {
-    std::vector<const Expr *> Tmp;
-    for (const Expr *E : Es)
-      if (E)
-        Tmp.push_back(E);
-    for (auto It = Tmp.rbegin(); It != Tmp.rend(); ++It)
-      Stack.push_back(*It);
+/// Appends the callee of every call in \p Root's tree to \p Out, in
+/// preorder, left to right. Iterative over the caller's \p Stack (empty
+/// on entry and exit) so pathological bodies cannot overflow the C++
+/// stack and no walk allocates once the buffers have grown.
+void collectCalls(const Expr *Root, std::vector<const Expr *> &Stack,
+                  std::vector<Symbol> &Out) {
+  // Children are pushed last-first, so they pop in source order.
+  auto Push = [&Stack](const Expr *E) {
+    if (E)
+      Stack.push_back(E);
   };
-  if (Root)
-    Stack.push_back(Root);
+  Push(Root);
   while (!Stack.empty()) {
     const Expr *E = Stack.back();
     Stack.pop_back();
@@ -45,79 +39,85 @@ void collectCalls(const Expr *Root, std::vector<Symbol> &Out) {
     case ExprKind::Recv:
       break;
     case ExprKind::FieldRef:
-      PushRev({cast<FieldRefExpr>(*E).Base.get()});
+      Push(cast<FieldRefExpr>(*E).Base.get());
       break;
     case ExprKind::AssignVar:
-      PushRev({cast<AssignVarExpr>(*E).Value.get()});
+      Push(cast<AssignVarExpr>(*E).Value.get());
       break;
     case ExprKind::AssignField: {
       const auto &A = cast<AssignFieldExpr>(*E);
-      PushRev({A.Base.get(), A.Value.get()});
+      Push(A.Value.get());
+      Push(A.Base.get());
       break;
     }
     case ExprKind::Let: {
       const auto &L = cast<LetExpr>(*E);
-      PushRev({L.Init.get(), L.Body.get()});
+      Push(L.Body.get());
+      Push(L.Init.get());
       break;
     }
     case ExprKind::LetSome: {
       const auto &L = cast<LetSomeExpr>(*E);
-      PushRev({L.Scrutinee.get(), L.SomeBody.get(), L.NoneBody.get()});
+      Push(L.NoneBody.get());
+      Push(L.SomeBody.get());
+      Push(L.Scrutinee.get());
       break;
     }
     case ExprKind::If: {
       const auto &I = cast<IfExpr>(*E);
-      PushRev({I.Cond.get(), I.Then.get(), I.Else.get()});
+      Push(I.Else.get());
+      Push(I.Then.get());
+      Push(I.Cond.get());
       break;
     }
     case ExprKind::IfDisconnected: {
       const auto &I = cast<IfDisconnectedExpr>(*E);
-      PushRev({I.Then.get(), I.Else.get()});
+      Push(I.Else.get());
+      Push(I.Then.get());
       break;
     }
     case ExprKind::While: {
       const auto &W = cast<WhileExpr>(*E);
-      PushRev({W.Cond.get(), W.Body.get()});
+      Push(W.Body.get());
+      Push(W.Cond.get());
       break;
     }
     case ExprKind::Seq: {
       const auto &S = cast<SeqExpr>(*E);
       for (auto It = S.Elems.rbegin(); It != S.Elems.rend(); ++It)
-        if (It->get())
-          Stack.push_back(It->get());
+        Push(It->get());
       break;
     }
     case ExprKind::New: {
       const auto &N = cast<NewExpr>(*E);
       for (auto It = N.Args.rbegin(); It != N.Args.rend(); ++It)
-        if (It->get())
-          Stack.push_back(It->get());
+        Push(It->get());
       break;
     }
     case ExprKind::SomeExpr:
-      PushRev({cast<SomeExpr>(*E).Operand.get()});
+      Push(cast<SomeExpr>(*E).Operand.get());
       break;
     case ExprKind::IsNone:
-      PushRev({cast<IsNoneExpr>(*E).Operand.get()});
+      Push(cast<IsNoneExpr>(*E).Operand.get());
       break;
     case ExprKind::Send:
-      PushRev({cast<SendExpr>(*E).Operand.get()});
+      Push(cast<SendExpr>(*E).Operand.get());
       break;
     case ExprKind::Call: {
       const auto &C = cast<CallExpr>(*E);
       Out.push_back(C.Callee);
       for (auto It = C.Args.rbegin(); It != C.Args.rend(); ++It)
-        if (It->get())
-          Stack.push_back(It->get());
+        Push(It->get());
       break;
     }
     case ExprKind::Binary: {
       const auto &B = cast<BinaryExpr>(*E);
-      PushRev({B.Lhs.get(), B.Rhs.get()});
+      Push(B.Rhs.get());
+      Push(B.Lhs.get());
       break;
     }
     case ExprKind::Unary:
-      PushRev({cast<UnaryExpr>(*E).Operand.get()});
+      Push(cast<UnaryExpr>(*E).Operand.get());
       break;
     }
   }
@@ -128,20 +128,30 @@ void collectCalls(const Expr *Root, std::vector<Symbol> &Out) {
 CallGraph CallGraph::build(const Program &P) {
   CallGraph G;
 
-  std::unordered_set<Symbol> Known;
-  for (const FnDecl &Fn : P.Functions)
-    Known.insert(Fn.Name);
+  // A function's position in P.Functions; the per-function tables below
+  // are indexed by it.
+  auto posOf = [&P](const FnDecl *F) {
+    return static_cast<size_t>(F - P.Functions.data());
+  };
 
-  for (const FnDecl &Fn : P.Functions) {
-    std::vector<Symbol> Sites;
-    collectCalls(Fn.Body.get(), Sites);
+  std::vector<const Expr *> Stack;
+  std::vector<Symbol> Sites;
+  // Per callee: 1 + the position of the last caller that listed it,
+  // which deduplicates without a set per function.
+  std::vector<size_t> ListedBy(P.Functions.size(), 0);
+  for (size_t I = 0; I < P.Functions.size(); ++I) {
+    const FnDecl &Fn = P.Functions[I];
+    Sites.clear();
+    collectCalls(Fn.Body.get(), Stack, Sites);
     G.CallSites[Fn.Name] = Sites.size();
-    std::vector<Symbol> Dedup;
-    std::unordered_set<Symbol> Seen;
+    std::vector<Symbol> &Kids = G.Callees[Fn.Name];
+    Kids.clear();
     for (Symbol Callee : Sites)
-      if (Known.count(Callee) && Seen.insert(Callee).second)
-        Dedup.push_back(Callee);
-    G.Callees[Fn.Name] = std::move(Dedup);
+      if (const FnDecl *C = P.findFunction(Callee);
+          C && ListedBy[posOf(C)] != I + 1) {
+        ListedBy[posOf(C)] = I + 1;
+        Kids.push_back(Callee);
+      }
   }
 
   // Iterative Tarjan over functions in declaration order. Generated
@@ -152,8 +162,10 @@ CallGraph CallGraph::build(const Program &P) {
     size_t Lowlink = 0;
     bool OnStack = false;
   };
-  std::unordered_map<Symbol, VState> State;
-  State.reserve(P.Functions.size());
+  std::vector<VState> States(P.Functions.size());
+  auto state = [&](Symbol Fn) -> VState & {
+    return States[posOf(P.findFunction(Fn))];
+  };
   std::vector<Symbol> TarjanStack;
   size_t NextIndex = 0;
 
@@ -164,11 +176,12 @@ CallGraph CallGraph::build(const Program &P) {
   std::vector<Frame> Work;
 
   for (const FnDecl &Root : P.Functions) {
-    if (State[Root.Name].Index != SIZE_MAX)
+    VState &RS = state(Root.Name);
+    if (RS.Index != SIZE_MAX)
       continue;
     Work.push_back({Root.Name, 0});
-    State[Root.Name].Index = State[Root.Name].Lowlink = NextIndex++;
-    State[Root.Name].OnStack = true;
+    RS.Index = RS.Lowlink = NextIndex++;
+    RS.OnStack = true;
     TarjanStack.push_back(Root.Name);
 
     while (!Work.empty()) {
@@ -176,26 +189,27 @@ CallGraph CallGraph::build(const Program &P) {
       const std::vector<Symbol> &Kids = G.Callees[F.Fn];
       if (F.NextChild < Kids.size()) {
         Symbol Child = Kids[F.NextChild++];
-        VState &CS = State[Child];
+        VState &CS = state(Child);
         if (CS.Index == SIZE_MAX) {
           CS.Index = CS.Lowlink = NextIndex++;
           CS.OnStack = true;
           TarjanStack.push_back(Child);
           Work.push_back({Child, 0});
         } else if (CS.OnStack) {
-          State[F.Fn].Lowlink = std::min(State[F.Fn].Lowlink, CS.Index);
+          VState &FS = state(F.Fn);
+          FS.Lowlink = std::min(FS.Lowlink, CS.Index);
         }
         continue;
       }
       // F's children are exhausted: maybe pop an SCC, then propagate the
       // lowlink into the parent frame.
-      VState &FS = State[F.Fn];
+      VState &FS = state(F.Fn);
       if (FS.Lowlink == FS.Index) {
         std::vector<Symbol> Scc;
         for (;;) {
           Symbol Member = TarjanStack.back();
           TarjanStack.pop_back();
-          State[Member].OnStack = false;
+          state(Member).OnStack = false;
           Scc.push_back(Member);
           if (Member == F.Fn)
             break;
@@ -212,8 +226,8 @@ CallGraph CallGraph::build(const Program &P) {
       Symbol Done = F.Fn;
       Work.pop_back();
       if (!Work.empty()) {
-        VState &PS = State[Work.back().Fn];
-        PS.Lowlink = std::min(PS.Lowlink, State[Done].Lowlink);
+        VState &PS = state(Work.back().Fn);
+        PS.Lowlink = std::min(PS.Lowlink, state(Done).Lowlink);
       }
     }
   }

@@ -41,6 +41,7 @@
 #include "sema/Resolver.h"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 
 namespace fearless {
@@ -77,22 +78,25 @@ bool isHubKind(AbsNodeKind K) {
 
 class FnAnalyzer {
 public:
-  /// \p Report may be null (effects-only mode: no site classification,
-  /// no diagnostics). \p Summaries may be null (intra-procedural mode:
-  /// every call applies the signature-derived havoc).
+  /// \p Summaries may be null (intra-procedural mode: every call applies
+  /// the signature-derived havoc).
   FnAnalyzer(const CheckedProgram &CP, const CheckedFunction &Fn,
-             AnalysisReport *Report, const SummaryTable *Summaries)
-      : CP(CP), Fn(Fn), Report(Report), Summaries(Summaries),
+             const SummaryTable *Summaries, SummaryStats &Stats)
+      : CP(CP), Fn(Fn), Summaries(Summaries), Stats(Stats),
         Names(CP.Prog->Names) {}
 
-  void run();
-  FnEffects runForEffects();
+  /// Interprets the body once, counted in Stats.EffectRuns, replacing
+  /// \p Report with its site verdicts and diagnostics; returns the body's
+  /// value.
+  PointsTo run(FnReport &Report);
+  /// The effects the run observed, for the summary engine.
+  FnEffects effects(const PointsTo &Exit) const;
 
 private:
   const CheckedProgram &CP;
   const CheckedFunction &Fn;
-  AnalysisReport *Report;
   const SummaryTable *Summaries;
+  SummaryStats &Stats;
   const Interner &Names;
 
   NodeTable Nodes;
@@ -816,8 +820,7 @@ void FnAnalyzer::classify(const IfDisconnectedExpr &E) {
 
 void FnAnalyzer::evalIfDisconnected(const IfDisconnectedExpr &E,
                                     PointsTo &Value) {
-  if (Report) // Effects-only runs skip the (side-effect-free) verdicts.
-    classify(E);
+  classify(E);
   // Both branches are analyzed regardless of the verdict (the dead one is
   // reported, not skipped): the runtime split in the then-branch does not
   // change the physical heap, so no abstract transfer is needed beyond
@@ -961,15 +964,15 @@ PointsTo FnAnalyzer::evaluate(const Expr *E) {
   return PointsTo{};
 }
 
-void FnAnalyzer::run() {
+PointsTo FnAnalyzer::run(FnReport &Report) {
+  ++Stats.EffectRuns;
   buildEntryState();
-  evaluate(Fn.Sig.Decl->Body.get());
-  if (!Report)
-    return;
+  PointsTo Exit = evaluate(Fn.Sig.Decl->Body.get());
 
+  Report = FnReport{};
   for (const IfDisconnectedExpr *Site : SiteOrder) {
     const SiteReport &R = SiteVerdicts.at(Site);
-    Report->Sites.push_back(R);
+    Report.Sites.push_back(R);
 
     std::string Args = "`if disconnected(" + Names.spelling(Site->VarA) +
                        ", " + Names.spelling(Site->VarB) + ")`";
@@ -990,7 +993,7 @@ void FnAnalyzer::run() {
       D.Message = Args + " is unknown: the runtime traversal decides";
       break;
     }
-    Report->Diags.push_back(D);
+    Report.Diags.push_back(D);
 
     if (R.Verdict != DisconnectVerdict::Unknown) {
       const Expr *Dead = R.Verdict == DisconnectVerdict::MustDisconnected
@@ -1005,16 +1008,14 @@ void FnAnalyzer::run() {
         DB.Message = std::string("dead ") + Which +
                      "-branch: the `if disconnected` at " + toString(R.Loc) +
                      " is " + toString(R.Verdict);
-        Report->Diags.push_back(DB);
+        Report.Diags.push_back(DB);
       }
     }
   }
+  return Exit;
 }
 
-FnEffects FnAnalyzer::runForEffects() {
-  buildEntryState();
-  PointsTo Exit = evaluate(Fn.Sig.Decl->Body.get());
-
+FnEffects FnAnalyzer::effects(const PointsTo &Exit) const {
   FnEffects E;
   E.Params = ParamNames;
   E.ResultRegionful = Fn.Sig.ReturnType.isRegionful();
@@ -1317,26 +1318,35 @@ DisconnectVerdictTable AnalysisReport::verdictTable() const {
   return T;
 }
 
-FnEffects analyzeFunctionEffects(const CheckedProgram &CP,
-                                 const CheckedFunction &Fn,
-                                 const SummaryTable &Summaries) {
-  FnAnalyzer A(CP, Fn, /*Report=*/nullptr, &Summaries);
-  return A.runForEffects();
+FnEffects analyzeFunction(const CheckedProgram &CP,
+                          const CheckedFunction &Fn,
+                          const SummaryTable &Summaries, FnReport &Report,
+                          SummaryStats &Stats) {
+  FnAnalyzer A(CP, Fn, &Summaries, Stats);
+  return A.effects(A.run(Report));
 }
 
 AnalysisReport analyzeProgram(const CheckedProgram &CP,
                               const AnalysisOptions &Opts) {
   AnalysisReport Report;
-  if (Opts.Interprocedural)
-    Report.Summaries = computeSummaries(CP, &Report.SummaryInfo);
-  const SummaryTable *Sums =
-      Opts.Interprocedural ? &Report.Summaries : nullptr;
-  for (const FnDecl &F : CP.Prog->Functions) {
-    auto It = CP.Functions.find(F.Name);
-    if (It == CP.Functions.end())
-      continue;
-    FnAnalyzer A(CP, It->second, &Report, Sums);
-    A.run();
+  // Per declaration position: the report of the function's final run.
+  std::vector<FnReport> FnReports(CP.Prog->Functions.size());
+  if (Opts.Interprocedural) {
+    Report.Summaries =
+        computeSummaries(CP, &Report.SummaryInfo, &FnReports);
+  } else {
+    for (size_t I = 0; I < FnReports.size(); ++I) {
+      auto It = CP.Functions.find(CP.Prog->Functions[I].Name);
+      if (It != CP.Functions.end())
+        FnAnalyzer(CP, It->second, nullptr, Report.SummaryInfo)
+            .run(FnReports[I]);
+    }
+  }
+  for (FnReport &F : FnReports) {
+    std::move(F.Sites.begin(), F.Sites.end(),
+              std::back_inserter(Report.Sites));
+    std::move(F.Diags.begin(), F.Diags.end(),
+              std::back_inserter(Report.Diags));
   }
   auto Lints = lintProgram(*CP.Prog);
   Report.Diags.insert(Report.Diags.end(), Lints.begin(), Lints.end());

@@ -68,6 +68,13 @@ struct SiteReport {
   std::string Witness;
 };
 
+/// The site verdicts and diagnostics of one function's abstract
+/// interpretation.
+struct FnReport {
+  std::vector<SiteReport> Sites;
+  std::vector<AnalysisDiag> Diags;
+};
+
 /// Everything the analysis produced for one program.
 struct AnalysisReport {
   std::vector<SiteReport> Sites;

@@ -7,6 +7,7 @@
 #include "analysis/Summary.h"
 
 #include "analysis/CallGraph.h"
+#include "analysis/StaticDisconnect.h"
 #include "ast/Ast.h"
 
 #include <sstream>
@@ -88,12 +89,24 @@ bool degradeWith(FnSummary &S, const FnEffects &E) {
 } // namespace
 
 SummaryTable fearless::computeSummaries(const CheckedProgram &CP,
-                                        SummaryStats *Stats) {
+                                        SummaryStats *Stats,
+                                        std::vector<FnReport> *Reports) {
   SummaryTable Table;
   SummaryStats Local;
   CallGraph CG = CallGraph::build(*CP.Prog);
   Local.Functions = CP.Prog->Functions.size();
   Local.Sccs = CG.sccs().size();
+
+  // Each run overwrites the function's report, so after the loop below
+  // every report comes from the run against the final table.
+  FnReport Scratch;
+  auto analyze = [&](Symbol Fn) {
+    FnReport &Out =
+        Reports ? (*Reports)[CP.Prog->findFunction(Fn) -
+                             CP.Prog->Functions.data()]
+                : Scratch;
+    return analyzeFunction(CP, CP.Functions.at(Fn), Table, Out, Local);
+  };
 
   for (size_t SccI = 0; SccI < CG.sccs().size(); ++SccI) {
     const std::vector<Symbol> &Scc = CG.sccs()[SccI];
@@ -114,36 +127,35 @@ SummaryTable fearless::computeSummaries(const CheckedProgram &CP,
       }
       Table[Fn] = optimisticSummary(SigIt->second);
     }
-    if (!Usable) {
-      for (Symbol Fn : Scc)
-        Table[Fn].Valid = false;
-      Local.Invalidated += Scc.size();
-      continue;
-    }
 
-    // One pass suffices for non-recursive components; recursive ones
-    // iterate to a fixpoint. The lattice height is bounded by the
-    // member's parameter and slot-pair counts, so the cap below is a
-    // backstop, not a tuning knob.
+    // One pass suffices for non-recursive components: their callees'
+    // summaries are final, so that pass is also the final run. Recursive
+    // ones iterate to a fixpoint, and the round that changes nothing ran
+    // every member against the final table. The lattice height is
+    // bounded by the members' parameter and slot-pair counts, so the cap
+    // below is a backstop, not a tuning knob.
     size_t Cap = Recursive ? 4 * Scc.size() + 4 : 1;
     bool Stable = false;
-    for (size_t Iter = 0; Iter < Cap && !Stable; ++Iter) {
+    for (size_t Iter = 0; Usable && Iter < Cap && !Stable; ++Iter) {
       Stable = true;
       for (Symbol Fn : Scc) {
-        FnEffects E = analyzeFunctionEffects(CP, CP.Functions.at(Fn),
-                                             Table);
-        ++Local.EffectRuns;
+        FnEffects E = analyze(Fn);
         if (degradeWith(Table[Fn], E))
           Stable = false;
       }
       if (!Recursive)
         Stable = true;
     }
-    if (Recursive && !Stable) {
-      // Did not converge under the cap: drop to the sound bottom.
+    if (!Stable) {
+      // Unusable or not converged under the cap: drop to the sound
+      // bottom, and re-run the members against it so their reports
+      // describe the table their call sites see.
       for (Symbol Fn : Scc)
         Table[Fn].Valid = false;
       Local.Invalidated += Scc.size();
+      for (Symbol Fn : Scc)
+        if (CP.Functions.contains(Fn))
+          analyze(Fn);
     }
   }
 

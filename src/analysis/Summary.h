@@ -86,7 +86,11 @@ struct SummaryStats {
   size_t Functions = 0;
   size_t Sccs = 0;
   size_t RecursiveSccs = 0;
-  /// Total per-function effect analyses run (fixpoint revisits included).
+  /// Every abstract interpretation of a function body: one per function
+  /// in an acyclic component, one per member per fixpoint round in a
+  /// recursive one, plus the re-runs of components that hit the cap.
+  /// analyzeProgram performs no others (in intra-procedural mode, one
+  /// per function and the only field it sets).
   size_t EffectRuns = 0;
   /// Functions whose SCC hit the iteration cap (summary invalidated).
   size_t Invalidated = 0;
@@ -96,7 +100,7 @@ struct SummaryStats {
 
 /// The raw effects one abstract interpretation of a function body
 /// observed, from which Summary.cpp derives the FnSummary. Computed by
-/// the FnAnalyzer in StaticDisconnect.cpp (analyzeFunctionEffects):
+/// the FnAnalyzer in StaticDisconnect.cpp (analyzeFunction):
 /// Touched[i] is true when any node ever reachable from parameter i's
 /// entry cohort was the base of a field write, was stored as a field
 /// value, was sent, or was havocked by an inner call; SlotOverlap is the
@@ -108,17 +112,27 @@ struct FnEffects {
   bool ResultRegionful = false;
 };
 
-/// Runs the abstract interpreter over \p Fn in effects-collection mode,
-/// resolving inner calls against \p Summaries (absent or invalid entries
-/// fall back to signature havoc). Implemented in StaticDisconnect.cpp.
-FnEffects analyzeFunctionEffects(const CheckedProgram &CP,
-                                 const CheckedFunction &Fn,
-                                 const SummaryTable &Summaries);
+struct FnReport; // analysis/StaticDisconnect.h
+
+/// Runs the abstract interpreter once over \p Fn, resolving inner calls
+/// against \p Summaries (absent or invalid entries fall back to signature
+/// havoc): replaces \p Report with the function's site verdicts and
+/// diagnostics, counts the run in \p Stats, and returns the effects it
+/// observed. Implemented in StaticDisconnect.cpp.
+FnEffects analyzeFunction(const CheckedProgram &CP,
+                          const CheckedFunction &Fn,
+                          const SummaryTable &Summaries, FnReport &Report,
+                          SummaryStats &Stats);
 
 /// Computes the summary of every checked function of \p CP bottom-up
-/// over the SCC condensation of its call graph.
+/// over the SCC condensation of its call graph, interpreting each
+/// function once against its callees' final summaries (a recursive
+/// component once per fixpoint round). When \p Reports is non-null it
+/// must hold one entry per CP.Prog->Functions position; each receives the
+/// report of the run against the final table.
 SummaryTable computeSummaries(const CheckedProgram &CP,
-                              SummaryStats *Stats = nullptr);
+                              SummaryStats *Stats = nullptr,
+                              std::vector<FnReport> *Reports = nullptr);
 
 /// Renders one summary as a single human-readable line (the `fearlessc
 /// analyze --summaries` dump), e.g.

@@ -83,8 +83,13 @@ const StructDecl *Program::findStruct(Symbol Name) const {
 }
 
 const FnDecl *Program::findFunction(Symbol Name) const {
-  for (const FnDecl &F : Functions)
-    if (F.Name == Name)
-      return &F;
-  return nullptr;
+  if (Name.Id >= FunctionIndex.size() || FunctionIndex[Name.Id] == 0)
+    return nullptr;
+  return &Functions[FunctionIndex[Name.Id] - 1];
+}
+
+void Program::indexFunctions() {
+  FunctionIndex.assign(Names.size() + 1, 0);
+  for (size_t I = Functions.size(); I-- > 0;)
+    FunctionIndex[Functions[I].Name.Id] = static_cast<uint32_t>(I + 1);
 }

@@ -461,9 +461,18 @@ struct Program {
   Interner Names;
   std::vector<StructDecl> Structs;
   std::vector<FnDecl> Functions;
+  /// Symbol id -> position in Functions + 1 (0: no function of that
+  /// name; the first declaration wins). Built by indexFunctions once the
+  /// declarations are complete and never rebuilt lazily, so concurrent
+  /// readers of a finished Program need no synchronization.
+  std::vector<uint32_t> FunctionIndex;
 
   const StructDecl *findStruct(Symbol Name) const;
+  /// O(1) through FunctionIndex.
   const FnDecl *findFunction(Symbol Name) const;
+  /// (Re)builds FunctionIndex; the parser calls it after the last
+  /// declaration.
+  void indexFunctions();
 };
 
 } // namespace fearless

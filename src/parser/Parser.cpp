@@ -40,6 +40,7 @@ public:
       error("expected 'struct' or 'def' at top level");
       return false;
     }
+    P.indexFunctions();
     return true;
   }
 
@@ -53,6 +54,33 @@ public:
   }
 
 private:
+  /// Cap on the parser's recursion: nested expressions, blocks, `let`
+  /// bodies (which nest through parseSeqUntilRBrace), unary prefixes and
+  /// `else if` links each take one level. The later passes recurse over
+  /// the AST these levels build, so the cap keeps them inside an 8 MB
+  /// stack too, with margin under AddressSanitizer; docs/LANGUAGE.md
+  /// documents it.
+  static constexpr size_t MaxDepth = 512;
+
+  /// One level of recursion, held until the scope ends. Converts to
+  /// false, after reporting a diagnostic, past MaxDepth.
+  class Nesting {
+  public:
+    explicit Nesting(Parser &P) : P(P), Ok(++P.Depth <= MaxDepth) {
+      if (!Ok)
+        P.error("nesting exceeds the maximum depth of " +
+                std::to_string(MaxDepth));
+    }
+    ~Nesting() { --P.Depth; }
+    Nesting(const Nesting &) = delete;
+    Nesting &operator=(const Nesting &) = delete;
+    explicit operator bool() const { return Ok; }
+
+  private:
+    Parser &P;
+    bool Ok;
+  };
+
   //===--------------------------------------------------------------------===
   // Token-stream helpers
   //===--------------------------------------------------------------------===
@@ -277,6 +305,9 @@ private:
   /// Parses `{ e1; e2; ... }`. Bare `let x = e;` binds to the rest of the
   /// block. A trailing `;` (or empty block) yields unit.
   ExprPtr parseBlock() {
+    Nesting Level(*this);
+    if (!Level)
+      return nullptr;
     SourceLoc Loc = peek().Loc;
     if (!expect(TokenKind::LBrace))
       return nullptr;
@@ -348,6 +379,9 @@ private:
   /// Parses `let x = init ...`: either `in <block>` (explicit scope) or
   /// `; rest-of-block` (binds the remainder of the enclosing block).
   ExprPtr parseBareLet(SourceLoc BlockLoc) {
+    Nesting Level(*this);
+    if (!Level)
+      return nullptr;
     SourceLoc Loc = peek().Loc;
     expect(TokenKind::KwLet);
     Symbol Name = expectIdent();
@@ -420,6 +454,9 @@ private:
   ExprPtr parseExpr() { return parseAssign(); }
 
   ExprPtr parseAssign() {
+    Nesting Level(*this);
+    if (!Level)
+      return nullptr;
     // Control-flow expressions first.
     switch (peek().Kind) {
     case TokenKind::KwLet:
@@ -528,6 +565,9 @@ private:
     ExprPtr Else;
     if (consumeIf(TokenKind::KwElse)) {
       if (peek().is(TokenKind::KwIf)) {
+        Nesting Level(*this);
+        if (!Level)
+          return nullptr;
         Else = parseIf(); // else-if chain
       } else {
         Else = parseBlock();
@@ -650,6 +690,12 @@ private:
   }
 
   ExprPtr parseUnary() {
+    if (!peek().is(TokenKind::Bang) && !peek().is(TokenKind::Minus) &&
+        !peek().is(TokenKind::KwSome))
+      return parsePostfix();
+    Nesting Level(*this);
+    if (!Level)
+      return nullptr;
     if (peek().is(TokenKind::Bang) || peek().is(TokenKind::Minus)) {
       UnaryOp Op = peek().is(TokenKind::Bang) ? UnaryOp::Not : UnaryOp::Neg;
       SourceLoc Loc = advance().Loc;
@@ -658,14 +704,11 @@ private:
         return nullptr;
       return std::make_unique<UnaryExpr>(Op, std::move(Operand), Loc);
     }
-    if (peek().is(TokenKind::KwSome)) {
-      SourceLoc Loc = advance().Loc;
-      ExprPtr Operand = parseUnary();
-      if (!Operand)
-        return nullptr;
-      return std::make_unique<SomeExpr>(std::move(Operand), Loc);
-    }
-    return parsePostfix();
+    SourceLoc Loc = advance().Loc; // `some`
+    ExprPtr Operand = parseUnary();
+    if (!Operand)
+      return nullptr;
+    return std::make_unique<SomeExpr>(std::move(Operand), Loc);
   }
 
   ExprPtr parsePostfix() {
@@ -791,6 +834,7 @@ private:
   Interner &Names;
   DiagnosticEngine &Diags;
   size_t Pos = 0;
+  size_t Depth = 0;
 };
 
 } // namespace

@@ -423,6 +423,81 @@ def main() : int { let a = new gnode(); even_len(a, 4) }
 }
 
 //===----------------------------------------------------------------------===//
+// Run counts: analyzeProgram interprets each function body once per
+// summary-engine visit, with no separate verdict pass
+//===----------------------------------------------------------------------===//
+
+TEST(SummaryRuns, AcyclicChainInterpretsEachFunctionOnce) {
+  std::string Source = "struct gnode { next : gnode; value : int; }\n";
+  for (int I = 0; I < 63; ++I)
+    Source += "def f" + std::to_string(I) + "(x : gnode) : int { f" +
+              std::to_string(I + 1) + "(x) }\n";
+  Source += "def f63(x : gnode) : int { x.value }\n";
+  Pipeline P = mustCompile(Source);
+  AnalysisReport R = analyzeProgram(P.Checked);
+  EXPECT_EQ(R.SummaryInfo.Functions, 64u);
+  EXPECT_EQ(R.SummaryInfo.RecursiveSccs, 0u);
+  EXPECT_EQ(R.SummaryInfo.EffectRuns, 64u);
+}
+
+TEST(SummaryRuns, RecursiveSccFixtureRunsItsFixpointOnly) {
+  Pipeline P = mustCompile(slurp(std::string(FEARLESS_FIXTURES_DIR) +
+                                 "/recursive_scc.fls"));
+  AnalysisReport R = analyzeProgram(P.Checked);
+  // even_len/odd_len only read `x`, so `x` stays preserved; the first
+  // round still degrades even_len's x~result may-connect bit (its value
+  // is read through `x`), and the second round changes nothing. Two
+  // rounds over both members, then main once — no verdict pass on top.
+  EXPECT_EQ(R.SummaryInfo.RecursiveSccs, 1u);
+  EXPECT_EQ(R.SummaryInfo.Invalidated, 0u);
+  const FnSummary &Even = R.Summaries.at(sym(P, "even_len"));
+  EXPECT_TRUE(Even.Preserved[0]);
+  EXPECT_TRUE(Even.mayConnect(0, Even.resultSlot()));
+  EXPECT_EQ(R.SummaryInfo.EffectRuns, 2u * 2u + 1u);
+  ASSERT_EQ(R.Sites.size(), 1u);
+  EXPECT_EQ(R.Sites[0].Verdict, DisconnectVerdict::MustDisconnected);
+}
+
+TEST(SummaryRuns, CapFallbackReRunsAgainstTheBottom) {
+  // Each round degrades one more parameter of `rot`: the write into p0
+  // reaches p1 through the rotated self-call, then p2, and so on, so ten
+  // parameters outlast the singleton cap of 4 * 1 + 4 rounds.
+  std::string Params, Rotated;
+  for (int I = 0; I < 10; ++I) {
+    Params += std::string(I ? ", " : "") + "p" + std::to_string(I);
+    Rotated += std::string(I ? ", " : "") + "p" + std::to_string((I + 1) % 10);
+  }
+  std::string Source = "struct gnode { next : gnode; }\n"
+                       "def rot(" + Params + " : gnode, n : int) : int {\n"
+                       "  p0.next = new gnode();\n"
+                       "  let a = new gnode();\n"
+                       "  let b = new gnode();\n"
+                       "  a.next = b;\n"
+                       "  a.next = a;\n"
+                       "  let k = if (n < 1) { 0 } else { rot(" + Rotated +
+                       ", n - 1) };\n"
+                       "  if disconnected(a, b) { k } else { 1 }\n"
+                       "}\n";
+  Pipeline P = mustCompile(Source);
+  AnalysisReport Inter = analyzeProgram(P.Checked);
+  EXPECT_EQ(Inter.SummaryInfo.Invalidated, 1u);
+  EXPECT_FALSE(Inter.Summaries.at(sym(P, "rot")).Valid);
+  // Eight capped rounds, then the re-run against the signature havoc.
+  EXPECT_EQ(Inter.SummaryInfo.EffectRuns, 8u + 1u);
+  // `rot` only calls itself, so its re-run is exactly the
+  // intra-procedural analysis.
+  AnalysisOptions Intra;
+  Intra.Interprocedural = false;
+  AnalysisReport Bottom = analyzeProgram(P.Checked, Intra);
+  ASSERT_EQ(Inter.Sites.size(), 1u);
+  ASSERT_EQ(Bottom.Sites.size(), 1u);
+  EXPECT_EQ(Inter.Sites[0].Verdict, Bottom.Sites[0].Verdict);
+  ASSERT_EQ(Inter.Diags.size(), Bottom.Diags.size());
+  for (size_t I = 0; I < Inter.Diags.size(); ++I)
+    EXPECT_EQ(Inter.Diags[I].Message, Bottom.Diags[I].Message);
+}
+
+//===----------------------------------------------------------------------===//
 // Interprocedural precision: strictly better on cross-call programs,
 // never worse anywhere
 //===----------------------------------------------------------------------===//

@@ -460,6 +460,27 @@ TEST_F(ServerTest, CompileFailureMapsToParseExitAndIsCached) {
   EXPECT_FALSE(R1->Err.empty());
 }
 
+TEST_F(ServerTest, TooDeeplyNestedSourceIsAParseErrorAndServingGoesOn) {
+  // 10k nested parentheses used to overflow the parser's stack and take
+  // the whole daemon down; now the depth cap turns them into a parse
+  // diagnostic on the worker that compiled them.
+  std::string Deep = "def main() : int { " + std::string(10000, '(') + "1" +
+                     std::string(10000, ')') + " }\n";
+  startServerAt({});
+  WireClient C = connectClient();
+  Expected<WireResponse> R1 = C.request(checkRequest(Deep.c_str(), 1));
+  ASSERT_TRUE(R1.hasValue());
+  EXPECT_FALSE(R1->Ok);
+  EXPECT_EQ(R1->Exit, 3);
+  EXPECT_EQ(R1->ErrorCode, "parse");
+  EXPECT_NE(R1->Err.find("nesting exceeds the maximum depth"),
+            std::string::npos)
+      << R1->Err;
+  Expected<WireResponse> R2 = C.request(checkRequest(TinyProgram, 2));
+  ASSERT_TRUE(R2.hasValue());
+  EXPECT_TRUE(R2->Ok) << R2->Err;
+}
+
 TEST_F(ServerTest, MissingEntryFunctionReportsCliError) {
   startServerAt({});
   WireClient C = connectClient();

@@ -12,14 +12,17 @@
 # standalone on every example, warm-cache assertion, draining
 # shutdown), a seeded chaos smoke (fault injection under supervision, 8
 # fixed seeds), a generated-corpus analysis smoke with an
-# interprocedural precision gate, a model-checker smoke (the
-# erasure-soundness gate: `fearlessc mc --mc-checks=off` over the
-# examples and corpus, plus a deadlock fixture whose counterexample
-# schedule must replay deterministically), then the same test suite, server
-# smoke, and chaos smoke under ThreadSanitizer plus the corpus smoke
-# under AddressSanitizer. The concurrent runtime (ParallelExec, ChannelSet) is
-# the part of this repo most likely to rot silently — TSan and chaos
-# keep the "fearless" claim honest.
+# interprocedural precision gate and a byte-identity gate on the
+# analyzer's output (tools/analysis_digests.sh against
+# tests/fixtures/analysis_digests.sha256), a parser nesting-cap smoke, a
+# model-checker smoke (the erasure-soundness gate: `fearlessc mc
+# --mc-checks=off` over the examples and corpus, plus a deadlock fixture
+# whose counterexample schedule must replay deterministically), then the
+# same test suite, server smoke, and chaos smoke under ThreadSanitizer
+# plus the corpus and nesting-cap smokes under AddressSanitizer. The
+# concurrent runtime (ParallelExec, ChannelSet) is the part of this repo
+# most likely to rot silently — TSan and chaos keep the "fearless" claim
+# honest.
 #
 # Usage: tools/ci.sh [extra ctest args...]
 #
@@ -133,6 +136,12 @@ EOF
   expect_exit 2 "usage (unknown flag)" \
     "$fc" run "$ROOT/examples/dll_remove.fls" main --bogus
   expect_exit 3 "parse error" "$fc" check "$dir/ci_parse_err.fls"
+  # 10k nested parentheses used to overflow the parser's stack (exit
+  # 139); the nesting cap makes them a parse diagnostic.
+  python3 -c 'print("def main() : int { " + "(" * 10000 + "1" +
+                    ")" * 10000 + " }")' >"$dir/ci_deep_parens.fls"
+  expect_exit 3 "parse error (nesting depth)" \
+    "$fc" check "$dir/ci_deep_parens.fls"
   expect_exit 4 "check rejection" "$fc" check "$dir/ci_check_err.fls"
   expect_exit 5 "runtime fault" \
     "$fc" run "$ROOT/examples/dll_remove.fls" main \
@@ -269,6 +278,50 @@ print(f"    must-* verdicts: interprocedural={inter} intra={intra}")
 PYEOF
     done
   done
+  echo "==> [$name] analysis digests (tests/fixtures/analysis_digests.sha256)"
+  if ! diff -u "$ROOT/tests/fixtures/analysis_digests.sha256" \
+       <("$ROOT/tools/analysis_digests.sh" "$dir"); then
+    echo "==> [$name] FAIL: \`fearlessc analyze\` output changed" >&2
+    exit 1
+  fi
+}
+
+# Parser nesting cap (docs/LANGUAGE.md): one program per kind of nesting
+# exactly at the cap of 512 levels must check, analyze and run — under
+# AddressSanitizer too, whose larger frames are the tightest stack
+# budget — and one level more must be a parse error (exit 3).
+run_depth_smoke() {
+  local name="$1" dir="$2"
+  local fc="$dir/tools/fearlessc"
+  echo "==> [$name] nesting-cap smoke"
+  python3 - "$dir" <<'PYEOF'
+import sys
+kinds = {
+    "paren": (510, lambda n: "(" * n + "1" + ")" * n),
+    "unary": (510, lambda n: "- " * n + "1"),
+    "let": (510, lambda n: "".join(f"let x{i} = {i};\n" for i in range(n))
+            + "x0"),
+    "block": (255, lambda n: "{" * n + "1" + "}" * n),
+    "elif": (508, lambda n: "if (true) { 1 } " + "else if (false) { 2 } " * n
+             + "else { 3 }"),
+    "ifnest": (255, lambda n: "if (true) { " * n + "1" + " } else { 0 }" * n),
+}
+for kind, (n, body) in kinds.items():
+    for tag, size in (("at", n), ("over", n + 1)):
+        with open(f"{sys.argv[1]}/ci_depth_{tag}_{kind}.fls", "w") as f:
+            f.write("def main() : int {\n" + body(size) + "\n}\n")
+PYEOF
+  local kind
+  for kind in paren unary let block elif ifnest; do
+    expect_exit 0 "$kind at the cap: check" \
+      "$fc" check "$dir/ci_depth_at_$kind.fls"
+    expect_exit 0 "$kind at the cap: analyze" \
+      "$fc" analyze "$dir/ci_depth_at_$kind.fls"
+    expect_exit 0 "$kind at the cap: run" \
+      "$fc" run "$dir/ci_depth_at_$kind.fls" main
+    expect_exit 3 "$kind one level over the cap" \
+      "$fc" check "$dir/ci_depth_over_$kind.fls"
+  done
 }
 
 # Model-checker smoke: the erasure-soundness gate (docs/MODELCHECK.md).
@@ -402,6 +455,7 @@ run_cli_smoke "default" "$ROOT/build"
 run_vm_smoke "default" "$ROOT/build"
 run_server_smoke "default" "$ROOT/build"
 run_corpus_smoke "default" "$ROOT/build"
+run_depth_smoke "default" "$ROOT/build"
 run_mc_smoke "default" "$ROOT/build"
 run_sched_smoke "default" "$ROOT/build"
 run_chaos_smoke "default" "$ROOT/build"
@@ -422,6 +476,7 @@ echo "==> [asan] configure + build (FEARLESS_SANITIZE=address)"
 cmake -B "$ROOT/build-asan" -S "$ROOT" -DFEARLESS_SANITIZE=address >/dev/null
 cmake --build "$ROOT/build-asan" -j "$JOBS" --target fearlessc
 run_corpus_smoke "asan" "$ROOT/build-asan"
+run_depth_smoke "asan" "$ROOT/build-asan"
 
 # Compile-out pass: the tracing layer must build with FEARLESS_TRACE=OFF
 # (stub API) and the trace suite must still pass (it guards its
