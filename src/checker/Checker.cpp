@@ -52,7 +52,7 @@ public:
       Root->Rule = "T0-Function-Definition";
       Root->Detail = P.Names.spelling(F.Name);
       Root->E = F.Body.get();
-      Root->Before = Ctx;
+      Root->Before = Root->snapshot(Ctx);
       CurrentSink = Root.get();
     }
 
@@ -80,7 +80,7 @@ public:
       return Failure{prefix(F, Err.error())};
 
     if (Root) {
-      Root->After = Ctx;
+      Root->After = Root->snapshot(Ctx);
       Root->ResultRegion = Res->Region;
       Root->ResultType = Res->Ty;
       Out.Derivation = std::move(Root);
@@ -221,23 +221,40 @@ private:
   // Expression checking
   //===--------------------------------------------------------------------===
 
+  /// The continuation of each of \p Elems, evaluated in order before
+  /// \p Cont: element I's adds the uses of every later element. Built back
+  /// to front, one merge per element, so long blocks stay linear.
+  std::vector<Continuation>
+  suffixContinuations(const std::vector<ExprPtr> &Elems,
+                      const Continuation &Cont) {
+    std::vector<Continuation> Out(Elems.size());
+    if (Elems.empty())
+      return Out;
+    Out.back() = Cont;
+    for (size_t I = Elems.size() - 1; I-- > 0;) {
+      Out[I] = Out[I + 1];
+      Out[I].Live.merge(Uses.uses(*Elems[I + 1]));
+    }
+    return Out;
+  }
+
   Expected<ExprResult> check(const Expr &E, const Continuation &Cont,
                              const Type *Want) {
     if (!Opts.EmitDerivations)
       return checkImpl(E, Cont, Want, nullptr);
     auto Node = std::make_unique<DerivStep>();
-    Node->E = &E;
-    Node->Before = Ctx;
     DerivStep *Parent = CurrentSink;
+    assert(Parent && "emitting a step with no sink");
+    Node->E = &E;
+    Node->Before = Parent->snapshot(Ctx);
     CurrentSink = Node.get();
     Expected<ExprResult> Res = checkImpl(E, Cont, Want, Node.get());
     CurrentSink = Parent;
     if (Res) {
-      Node->After = Ctx;
+      Node->After = Node->snapshot(Ctx);
       Node->ResultRegion = Res->Region;
       Node->ResultType = Res->Ty;
-      if (Parent)
-        Parent->addChild(std::move(Node));
+      Parent->addChild(std::move(Node));
     }
     return Res;
   }
@@ -711,12 +728,14 @@ private:
       Ctx = Invariant;
       // Check into a scratch derivation; only the stable iteration is
       // kept.
-      auto Scratch = std::make_unique<DerivStep>();
-      Scratch->Rule = "T-While-Body";
-      Scratch->Before = Ctx;
+      std::unique_ptr<DerivStep> Scratch;
       DerivStep *SavedSink = CurrentSink;
-      if (Opts.EmitDerivations)
+      if (Opts.EmitDerivations) {
+        Scratch = std::make_unique<DerivStep>();
+        Scratch->Rule = "T-While-Body";
+        Scratch->Before = CurrentSink->snapshot(Ctx);
         CurrentSink = Scratch.get();
+      }
 
       Expected<ExprResult> CondRes = check(*E.Cond, LoopCont, &BoolTy);
       if (!CondRes) {
@@ -743,8 +762,8 @@ private:
       dropUnreachableRegions(EntryCopy);
       if (equivalentUpToRenaming(BodyExit, RegionId(), EntryCopy,
                                  RegionId())) {
-        if (Opts.EmitDerivations && CurrentSink) {
-          Scratch->After = Ctx;
+        if (Scratch) {
+          Scratch->After = Scratch->snapshot(Ctx);
           CurrentSink->addChild(std::move(Scratch));
         }
         Ctx = std::move(AfterCond);
@@ -778,17 +797,14 @@ private:
   Expected<ExprResult> checkSeq(const SeqExpr &E, const Continuation &Cont,
                                 const Type *Want) {
     assert(!E.Elems.empty() && "parser guarantees nonempty blocks");
+    std::vector<Continuation> ElemConts = suffixContinuations(E.Elems, Cont);
     ExprResult Last{RegionId(), Type::unitTy()};
     for (size_t I = 0; I < E.Elems.size(); ++I) {
       bool IsLast = I + 1 == E.Elems.size();
-      Continuation ElemCont = Cont;
-      if (!IsLast) {
-        ElemCont.ResultLive = false;
-        for (size_t J = I + 1; J < E.Elems.size(); ++J)
-          ElemCont.Live.merge(Uses.uses(*E.Elems[J]));
-      }
+      if (!IsLast)
+        ElemConts[I].ResultLive = false;
       Expected<ExprResult> Res =
-          check(*E.Elems[I], ElemCont, IsLast ? Want : nullptr);
+          check(*E.Elems[I], ElemConts[I], IsLast ? Want : nullptr);
       if (!Res)
         return Res;
       Last = *Res;
@@ -817,13 +833,11 @@ private:
     }
     assert(E.Args.size() == ArgFields.size() &&
            "resolver checked new-arity");
+    std::vector<Continuation> ArgConts = suffixContinuations(E.Args, Cont);
     for (size_t I = 0; I < E.Args.size(); ++I) {
       const FieldInfo &Field = Info->Fields[ArgFields[I]];
-      Continuation ArgCont = Cont;
-      for (size_t J = I + 1; J < E.Args.size(); ++J)
-        ArgCont.Live.merge(Uses.uses(*E.Args[J]));
       Type FieldTy = Field.FieldType;
-      Expected<ExprResult> Arg = check(*E.Args[I], ArgCont, &FieldTy);
+      Expected<ExprResult> Arg = check(*E.Args[I], ArgConts[I], &FieldTy);
       if (!Arg)
         return Arg;
       if (!(Arg->Ty == FieldTy))
@@ -937,11 +951,10 @@ private:
            "resolver checked arity");
 
     std::vector<Symbol> ArgVars(E.Args.size());
+    std::vector<Continuation> ArgConts = suffixContinuations(E.Args, Cont);
     for (size_t I = 0; I < E.Args.size(); ++I) {
       const ParamDecl &Param = Sig.Decl->Params[I];
-      Continuation ArgCont = Cont;
-      for (size_t J = I + 1; J < E.Args.size(); ++J)
-        ArgCont.Live.merge(Uses.uses(*E.Args[J]));
+      const Continuation &ArgCont = ArgConts[I];
       if (Param.ParamType.isRegionful()) {
         const auto *Var = dyn_cast<VarRefExpr>(E.Args[I].get());
         if (!Var)

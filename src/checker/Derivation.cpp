@@ -26,12 +26,12 @@ void printStep(const DerivStep &Step, const Interner &Names,
   OS << "\n";
   for (unsigned I = 0; I < Indent; ++I)
     OS << "  ";
-  OS << "  ⊢ " << toString(Step.Before, Names) << "\n";
+  OS << "  ⊢ " << toString(*Step.Before, Names) << "\n";
   for (const auto &Child : Step.Children)
     printStep(*Child, Names, Indent + 1, OS);
   for (unsigned I = 0; I < Indent; ++I)
     OS << "  ";
-  OS << "  ⊣ " << toString(Step.After, Names);
+  OS << "  ⊣ " << toString(*Step.After, Names);
   if (Step.ResultType.isValid()) {
     OS << "  : ";
     if (Step.ResultRegion.isValid())
@@ -77,7 +77,7 @@ void dotStep(const DerivStep &Step, const Interner &Names, size_t &NextId,
     Label += "\n" + Step.Detail;
   if (Step.E)
     Label += "\n" + printExpr(*Step.E, Names);
-  Label += "\n⊣ " + toString(Step.After, Names);
+  Label += "\n⊣ " + toString(*Step.After, Names);
   OS << "  n" << Id << " [label=\"" << dotEscape(Label) << "\", shape="
      << (IsVirtual ? "box, style=filled, fillcolor=lightblue"
          : IsFraming

@@ -12,6 +12,12 @@
 /// trusting the prover's search — mirroring the paper's OCaml-prover /
 /// Coq-verifier architecture.
 ///
+/// Contexts are recorded as shared, immutable snapshots: most steps leave
+/// H;Γ unchanged, so a step takes the snapshot recorded just before it
+/// whenever the context still equals it, and copies H;Γ only when it
+/// changed. A snapshot is never edited once recorded; a step that needs a
+/// different context gets a new snapshot.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef FEARLESS_CHECKER_DERIVATION_H
@@ -44,8 +50,8 @@ struct DerivStep {
   std::string Rule;
   std::string Detail; ///< Human-readable instantiation, e.g. "focus x in r3".
   const Expr *E = nullptr;
-  Contexts Before;
-  Contexts After;
+  std::shared_ptr<const Contexts> Before;
+  std::shared_ptr<const Contexts> After;
   RegionId ResultRegion; ///< Invalid for primitives and V/F steps.
   Type ResultType;       ///< Invalid for V/F steps.
   std::vector<std::unique_ptr<DerivStep>> Children;
@@ -53,6 +59,17 @@ struct DerivStep {
   DerivStep *addChild(std::unique_ptr<DerivStep> Child) {
     Children.push_back(std::move(Child));
     return Children.back().get();
+  }
+
+  /// The snapshot of \p Ctx for the next context recorded in this step:
+  /// the snapshot recorded just before it (the last child's After, else
+  /// this step's Before) when that equals \p Ctx, otherwise a new copy.
+  std::shared_ptr<const Contexts> snapshot(const Contexts &Ctx) const {
+    const std::shared_ptr<const Contexts> &Last =
+        Children.empty() ? Before : Children.back()->After;
+    if (Last && *Last == Ctx)
+      return Last;
+    return std::make_shared<const Contexts>(Ctx);
   }
 };
 

@@ -125,9 +125,9 @@ private:
     auto Step = std::make_unique<DerivStep>();
     Step->Rule = Rule;
     Step->Detail = std::move(Detail);
-    Step->Before = Ctx;
+    Step->Before = Sink->snapshot(Ctx);
     Mutate();
-    Step->After = Ctx;
+    Step->After = Step->snapshot(Ctx);
     Sink->addChild(std::move(Step));
   }
 

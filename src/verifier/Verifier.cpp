@@ -27,7 +27,7 @@ public:
     if (auto Err = verifyStep(*Fn.Derivation); !Err)
       return Err.takeFailure();
     // The root's final context must conform to the declared output.
-    Contexts Final = Fn.Derivation->After;
+    Contexts Final = *Fn.Derivation->After;
     Contexts Output = Fn.Sig.Output;
     RegionId FinalResult = Fn.Derivation->ResultRegion;
     dropUnreachableRegions(Final, FinalResult);
@@ -44,10 +44,10 @@ public:
 private:
   ExpectedVoid verifyStep(const DerivStep &Step) {
     ++Stats.StepsChecked;
-    if (auto Problem = checkWellFormed(Step.Before, Names))
+    if (auto Problem = checkWellFormed(*Step.Before, Names))
       return fail("ill-formed context before " + Step.Rule + ": " +
                   *Problem);
-    if (auto Problem = checkWellFormed(Step.After, Names))
+    if (auto Problem = checkWellFormed(*Step.After, Names))
       return fail("ill-formed context after " + Step.Rule + ": " +
                   *Problem);
 
@@ -118,22 +118,22 @@ private:
     RegionId Region;
     Symbol Var;
     bool Added = false;
-    if (!diffTrackedVars(Step.Before.Heap, Step.After.Heap, Region, Var,
+    if (!diffTrackedVars(Step.Before->Heap, Step.After->Heap, Region, Var,
                          Added) ||
         !Added)
       return fail("V1-Focus: diff is not a single added tracked variable");
-    const RegionTrack *BeforeTrack = Step.Before.Heap.lookup(Region);
+    const RegionTrack *BeforeTrack = Step.Before->Heap.lookup(Region);
     if (!BeforeTrack || !BeforeTrack->empty() || BeforeTrack->Pinned)
       return fail("V1-Focus: region was not empty and unpinned");
-    const VarBinding *Binding = Step.Before.Vars.lookup(Var);
+    const VarBinding *Binding = Step.Before->Vars.lookup(Var);
     if (!Binding || Binding->Region != Region ||
         !Binding->VarType.isStruct())
       return fail("V1-Focus: variable not bound to the focused region "
                   "with a struct type");
     // Recompute After.
-    Contexts Expect = Step.Before;
+    Contexts Expect = *Step.Before;
     Expect.Heap.lookup(Region)->Vars.emplace(Var, VarTrack{});
-    if (!(Expect == Step.After))
+    if (!(Expect == *Step.After))
       return fail("V1-Focus: After context is not the exact instance");
     return verifyVStepEnd();
   }
@@ -142,17 +142,17 @@ private:
     RegionId Region;
     Symbol Var;
     bool Added = false;
-    if (!diffTrackedVars(Step.Before.Heap, Step.After.Heap, Region, Var,
+    if (!diffTrackedVars(Step.Before->Heap, Step.After->Heap, Region, Var,
                          Added) ||
         Added)
       return fail("V2-Unfocus: diff is not a single removed tracked "
                   "variable");
-    const VarTrack *Track = Step.Before.Heap.trackedVar(Region, Var);
+    const VarTrack *Track = Step.Before->Heap.trackedVar(Region, Var);
     if (!Track || !Track->Fields.empty())
       return fail("V2-Unfocus: variable still had tracked fields");
-    Contexts Expect = Step.Before;
+    Contexts Expect = *Step.Before;
     Expect.Heap.lookup(Region)->Vars.erase(Var);
-    if (!(Expect == Step.After))
+    if (!(Expect == *Step.After))
       return fail("V2-Unfocus: After context is not the exact instance");
     return verifyVStepEnd();
   }
@@ -193,19 +193,19 @@ private:
     RegionId Region, Target;
     Symbol Var, Field;
     bool Added = false;
-    if (!diffTrackedFields(Step.Before.Heap, Step.After.Heap, Region, Var,
+    if (!diffTrackedFields(Step.Before->Heap, Step.After->Heap, Region, Var,
                            Field, Target, Added) ||
         !Added)
       return fail("V3-Explore: diff is not a single added tracked field");
-    if (Step.Before.Heap.hasRegion(Target))
+    if (Step.Before->Heap.hasRegion(Target))
       return fail("V3-Explore: target region is not fresh");
-    const VarTrack *Track = Step.Before.Heap.trackedVar(Region, Var);
+    const VarTrack *Track = Step.Before->Heap.trackedVar(Region, Var);
     if (!Track || Track->Pinned)
       return fail("V3-Explore: variable untracked or pinned");
-    Contexts Expect = Step.Before;
+    Contexts Expect = *Step.Before;
     Expect.Heap.trackedVar(Region, Var)->Fields[Field] = Target;
     Expect.Heap.addRegion(Target);
-    if (!(Expect == Step.After))
+    if (!(Expect == *Step.After))
       return fail("V3-Explore: After context is not the exact instance");
     return verifyVStepEnd();
   }
@@ -214,19 +214,19 @@ private:
     RegionId Region, Target;
     Symbol Var, Field;
     bool Added = false;
-    if (!diffTrackedFields(Step.Before.Heap, Step.After.Heap, Region, Var,
+    if (!diffTrackedFields(Step.Before->Heap, Step.After->Heap, Region, Var,
                            Field, Target, Added) ||
         Added)
       return fail("V4-Retract: diff is not a single removed tracked "
                   "field");
-    const RegionTrack *TargetTrack = Step.Before.Heap.lookup(Target);
+    const RegionTrack *TargetTrack = Step.Before->Heap.lookup(Target);
     if (!TargetTrack || !TargetTrack->empty() || TargetTrack->Pinned)
       return fail("V4-Retract: target region not present, empty, and "
                   "unpinned");
-    Contexts Expect = Step.Before;
+    Contexts Expect = *Step.Before;
     Expect.Heap.trackedVar(Region, Var)->Fields.erase(Field);
     Expect.Heap.removeRegion(Target);
-    if (!(Expect == Step.After))
+    if (!(Expect == *Step.After))
       return fail("V4-Retract: After context is not the exact instance");
     return verifyVStepEnd();
   }
@@ -234,9 +234,9 @@ private:
   ExpectedVoid verifyAttach(const DerivStep &Step) {
     // The removed region is the one present before and absent after.
     RegionId From;
-    for (const auto &[R, Track] : Step.Before.Heap.entries()) {
+    for (const auto &[R, Track] : Step.Before->Heap.entries()) {
       (void)Track;
-      if (!Step.After.Heap.hasRegion(R)) {
+      if (!Step.After->Heap.hasRegion(R)) {
         if (From.isValid())
           return fail("V5-Attach: more than one region disappeared");
         From = R;
@@ -247,16 +247,16 @@ private:
     // Find To: the region whose tracking gained From's variables, or any
     // region that From's references now point to. Recompute for every
     // candidate To and compare.
-    for (const auto &[To, Track] : Step.After.Heap.entries()) {
+    for (const auto &[To, Track] : Step.After->Heap.entries()) {
       (void)Track;
-      if (!Step.Before.Heap.hasRegion(To))
+      if (!Step.Before->Heap.hasRegion(To))
         continue;
-      if (!Step.Before.Heap.canAttach(From, To))
+      if (!Step.Before->Heap.canAttach(From, To))
         continue;
-      Contexts Expect = Step.Before;
+      Contexts Expect = *Step.Before;
       Expect.Heap.attach(From, To);
       Expect.Vars.renameRegion(From, To);
-      if (Expect == Step.After)
+      if (Expect == *Step.After)
         return verifyVStepEnd();
     }
     return fail("V5-Attach: no legal attach target reproduces the After "
@@ -265,9 +265,9 @@ private:
 
   ExpectedVoid verifyDropRegion(const DerivStep &Step) {
     RegionId Dropped;
-    for (const auto &[R, Track] : Step.Before.Heap.entries()) {
+    for (const auto &[R, Track] : Step.Before->Heap.entries()) {
       (void)Track;
-      if (!Step.After.Heap.hasRegion(R)) {
+      if (!Step.After->Heap.hasRegion(R)) {
         if (Dropped.isValid())
           return fail("F-Drop-Region: more than one region disappeared");
         Dropped = R;
@@ -275,11 +275,11 @@ private:
     }
     if (!Dropped.isValid())
       return fail("F-Drop-Region: no region disappeared");
-    if (Step.Before.Heap.lookup(Dropped)->Pinned)
+    if (Step.Before->Heap.lookup(Dropped)->Pinned)
       return fail("F-Drop-Region: dropped region was pinned");
-    Contexts Expect = Step.Before;
+    Contexts Expect = *Step.Before;
     Expect.Heap.removeRegion(Dropped);
-    if (!(Expect == Step.After))
+    if (!(Expect == *Step.After))
       return fail("F-Drop-Region: After context is not the exact "
                   "instance");
     return verifyVStepEnd();
@@ -288,9 +288,9 @@ private:
   ExpectedVoid verifyPin(const DerivStep &Step) {
     // A pin sets exactly one pin flag (region or tracked variable).
     size_t Diffs = 0;
-    Contexts Expect = Step.Before;
-    for (auto &[R, Track] : Step.Before.Heap.entries()) {
-      const RegionTrack *AfterTrack = Step.After.Heap.lookup(R);
+    Contexts Expect = *Step.Before;
+    for (auto &[R, Track] : Step.Before->Heap.entries()) {
+      const RegionTrack *AfterTrack = Step.After->Heap.lookup(R);
       if (!AfterTrack)
         return fail("F-Pin-Region: region disappeared");
       if (Track.Pinned != AfterTrack->Pinned) {
@@ -300,7 +300,7 @@ private:
         ++Diffs;
       }
       for (auto &[V, VT] : Track.Vars) {
-        const VarTrack *AfterVT = Step.After.Heap.trackedVar(R, V);
+        const VarTrack *AfterVT = Step.After->Heap.trackedVar(R, V);
         if (!AfterVT)
           return fail("F-Pin-Region: tracked variable disappeared");
         if (VT.Pinned != AfterVT->Pinned) {
@@ -311,7 +311,7 @@ private:
         }
       }
     }
-    if (Diffs != 1 || !(Expect == Step.After))
+    if (Diffs != 1 || !(Expect == *Step.After))
       return fail("F-Pin-Region: After context is not a single added pin");
     return verifyVStepEnd();
   }
@@ -325,13 +325,13 @@ private:
       const auto *Var = dyn_cast<VarRefExpr>(Step.E);
       if (!Var)
         return fail("T2: step is not a variable reference");
-      const VarBinding *Binding = Step.Before.Vars.lookup(Var->Name);
+      const VarBinding *Binding = Step.Before->Vars.lookup(Var->Name);
       if (!Binding)
         return fail("T2: variable not bound in Γ");
       if (Binding->VarType.isRegionful() &&
-          !Step.Before.Heap.hasRegion(Binding->Region))
+          !Step.Before->Heap.hasRegion(Binding->Region))
         return fail("T2: variable's region capability missing from H");
-      if (!(Step.Before == Step.After))
+      if (!(*Step.Before == *Step.After))
         return fail("T2: variable reference must not change the context");
       return success();
     }
@@ -340,17 +340,17 @@ private:
       if (!Ref || !isa<VarRefExpr>(Ref->Base.get()))
         return fail("T5: step is not an iso field read on a variable");
       Symbol Var = cast<VarRefExpr>(*Ref->Base).Name;
-      auto Region = Step.After.Heap.trackingRegionOf(Var);
+      auto Region = Step.After->Heap.trackingRegionOf(Var);
       if (!Region)
         return fail("T5: base variable is not tracked afterwards");
-      const VarTrack *Track = Step.After.Heap.trackedVar(*Region, Var);
+      const VarTrack *Track = Step.After->Heap.trackedVar(*Region, Var);
       auto It = Track->Fields.find(Ref->Field);
       if (It == Track->Fields.end())
         return fail("T5: field is not tracked afterwards");
       if (Step.ResultType.isRegionful() &&
           It->second != Step.ResultRegion)
         return fail("T5: result region is not the tracked target");
-      if (!Step.After.Heap.hasRegion(It->second))
+      if (!Step.After->Heap.hasRegion(It->second))
         return fail("T5: tracked target region missing from H");
       return success();
     }
@@ -359,10 +359,10 @@ private:
       if (!Assign || !isa<VarRefExpr>(Assign->Base.get()))
         return fail("T7: step is not an iso field write on a variable");
       Symbol Var = cast<VarRefExpr>(*Assign->Base).Name;
-      auto Region = Step.After.Heap.trackingRegionOf(Var);
+      auto Region = Step.After->Heap.trackingRegionOf(Var);
       if (!Region)
         return fail("T7: base variable is not tracked afterwards");
-      const VarTrack *Track = Step.After.Heap.trackedVar(*Region, Var);
+      const VarTrack *Track = Step.After->Heap.trackedVar(*Region, Var);
       if (!Track->Fields.count(Assign->Field))
         return fail("T7: assigned field is not tracked afterwards");
       return success();
@@ -378,15 +378,15 @@ private:
       if (!Operand)
         return fail("T16: missing operand derivation");
       if (Operand->ResultType.isRegionful() &&
-          Step.After.Heap.hasRegion(Operand->ResultRegion))
+          Step.After->Heap.hasRegion(Operand->ResultRegion))
         return fail("T16: sent region still present in H");
       return success();
     }
     if (Step.Rule == "T17-Receive" || Step.Rule == "T10-New-Loc") {
       if (Step.ResultType.isRegionful()) {
-        if (!Step.After.Heap.hasRegion(Step.ResultRegion))
+        if (!Step.After->Heap.hasRegion(Step.ResultRegion))
           return fail(Step.Rule + ": result region missing from H");
-        if (Step.Before.Heap.hasRegion(Step.ResultRegion))
+        if (Step.Before->Heap.hasRegion(Step.ResultRegion))
           return fail(Step.Rule + ": result region is not fresh");
       }
       return success();
@@ -401,14 +401,14 @@ private:
       if (!(Step.ResultType == It->second.ReturnType))
         return fail("T9: result type does not match the signature");
       if (Step.ResultType.isRegionful() &&
-          !Step.After.Heap.hasRegion(Step.ResultRegion))
+          !Step.After->Heap.hasRegion(Step.ResultRegion))
         return fail("T9: result region missing from H");
       return success();
     }
     // Other rules: structural checks (well-formedness, children) already
     // ran; result-region sanity where applicable.
     if (Step.ResultType.isRegionful() && Step.ResultRegion.isValid() &&
-        !Step.After.Heap.hasRegion(Step.ResultRegion))
+        !Step.After->Heap.hasRegion(Step.ResultRegion))
       return fail(Step.Rule + ": result region missing from H");
     return success();
   }

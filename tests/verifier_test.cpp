@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 using namespace fearless;
 
 namespace {
@@ -47,6 +49,23 @@ DerivStep *findStep(DerivStep &Root, const char *Rule) {
   return nullptr;
 }
 
+/// An editable copy of \p Snapshot. Steps share their context snapshots,
+/// so a test corrupts a private copy and swaps it into the one step it
+/// targets; editing the shared snapshot would corrupt its neighbours too.
+std::shared_ptr<Contexts>
+privateCopy(const std::shared_ptr<const Contexts> &Snapshot) {
+  return std::make_shared<Contexts>(*Snapshot);
+}
+
+/// Collects the distinct snapshots a derivation refers to.
+void collectSnapshots(const DerivStep &Step,
+                      std::set<const Contexts *> &Out) {
+  Out.insert(Step.Before.get());
+  Out.insert(Step.After.get());
+  for (const auto &Child : Step.Children)
+    collectSnapshots(*Child, Out);
+}
+
 TEST(Verifier, CatchesCorruptedFocus) {
   Pipeline P = mustCompile(programs::SllSuite);
   Symbol Sum = P.Prog->Names.intern("sum_node");
@@ -55,11 +74,10 @@ TEST(Verifier, CatchesCorruptedFocus) {
   ASSERT_NE(Focus, nullptr);
   // Corrupt: pretend the focused region was already tracking a variable.
   Symbol Ghost = P.Prog->Names.intern("ghost");
-  for (auto &[Region, Track] : Focus->Before.Heap.entries()) {
-    (void)Region;
-    const_cast<RegionTrack &>(Track).Vars[Ghost];
-    break;
-  }
+  std::shared_ptr<Contexts> Corrupt = privateCopy(Focus->Before);
+  ASSERT_FALSE(Corrupt->Heap.entries().empty());
+  Corrupt->Heap.lookup(Corrupt->Heap.entries().begin()->first)->Vars[Ghost];
+  Focus->Before = Corrupt;
   Expected<VerifyStats> Stats = verifyFunction(P.Checked, Fn);
   ASSERT_FALSE(Stats.hasValue());
 }
@@ -72,13 +90,15 @@ TEST(Verifier, CatchesCorruptedExploreTarget) {
   ASSERT_NE(Explore, nullptr);
   // Corrupt: make the "fresh" target region pre-exist in the Before
   // context.
-  for (auto &[Region, Track] : Explore->After.Heap.entries()) {
-    if (!Explore->Before.Heap.hasRegion(Region)) {
-      Explore->Before.Heap.addRegion(Region);
+  std::shared_ptr<Contexts> Corrupt = privateCopy(Explore->Before);
+  for (auto &[Region, Track] : Explore->After->Heap.entries()) {
+    if (!Corrupt->Heap.hasRegion(Region)) {
+      Corrupt->Heap.addRegion(Region);
       break;
     }
     (void)Track;
   }
+  Explore->Before = Corrupt;
   Expected<VerifyStats> Stats = verifyFunction(P.Checked, Fn);
   ASSERT_FALSE(Stats.hasValue());
   EXPECT_NE(Stats.error().Message.find("V3"), std::string::npos);
@@ -92,8 +112,10 @@ TEST(Verifier, CatchesIllFormedContext) {
   // region.
   DerivStep *Step = findStep(*Fn.Derivation, rules::V1Focus);
   ASSERT_NE(Step, nullptr);
-  Step->After.Vars.renameRegion(
-      Step->After.Vars.entries().begin()->second.Region, RegionId{9999});
+  std::shared_ptr<Contexts> Corrupt = privateCopy(Step->After);
+  Corrupt->Vars.renameRegion(Corrupt->Vars.entries().begin()->second.Region,
+                             RegionId{9999});
+  Step->After = Corrupt;
   Expected<VerifyStats> Stats = verifyFunction(P.Checked, Fn);
   ASSERT_FALSE(Stats.hasValue());
 }
@@ -103,11 +125,31 @@ TEST(Verifier, CatchesWrongFinalContext) {
   Symbol Length = P.Prog->Names.intern("length");
   CheckedFunction &Fn = P.Checked.Functions.at(Length);
   // Corrupt the root's final context: drop the parameter's region.
-  ASSERT_FALSE(Fn.Derivation->After.Heap.entries().empty());
-  RegionId First = Fn.Derivation->After.Heap.entries().begin()->first;
-  Fn.Derivation->After.Heap.removeRegion(First);
+  std::shared_ptr<Contexts> Corrupt = privateCopy(Fn.Derivation->After);
+  ASSERT_FALSE(Corrupt->Heap.entries().empty());
+  Corrupt->Heap.removeRegion(Corrupt->Heap.entries().begin()->first);
+  Fn.Derivation->After = Corrupt;
   Expected<VerifyStats> Stats = verifyFunction(P.Checked, Fn);
   ASSERT_FALSE(Stats.hasValue());
+}
+
+TEST(Verifier, UnchangedStepsShareSnapshots) {
+  Pipeline P = mustCompile(programs::SllSuite);
+  Symbol Sum = P.Prog->Names.intern("sum_node");
+  const CheckedFunction &Fn = P.Checked.Functions.at(Sum);
+  // A variable reference leaves H;Γ unchanged: one snapshot serves both.
+  DerivStep *VarRef = findStep(*Fn.Derivation, "T2-Variable-Ref");
+  ASSERT_NE(VarRef, nullptr);
+  EXPECT_EQ(VarRef->Before.get(), VarRef->After.get());
+  // A focus changes H: its output is a snapshot of its own.
+  DerivStep *Focus = findStep(*Fn.Derivation, rules::V1Focus);
+  ASSERT_NE(Focus, nullptr);
+  EXPECT_NE(Focus->Before.get(), Focus->After.get());
+  // Copying H;Γ twice per step would make twice as many snapshots as
+  // steps.
+  std::set<const Contexts *> Snapshots;
+  collectSnapshots(*Fn.Derivation, Snapshots);
+  EXPECT_LT(Snapshots.size(), 2 * countSteps(*Fn.Derivation));
 }
 
 TEST(Verifier, DerivationPrintingMentionsRules) {

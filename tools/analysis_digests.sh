@@ -5,16 +5,21 @@
 #
 #===----------------------------------------------------------------------===#
 #
-# Prints one line per (program, mode): the sha256 of `fearlessc analyze`
-# stdout, the program and the exit status. The programs are the 15
-# corpus-smoke programs (gen_corpus.py, 60 functions, seeds 7/21/42 x
-# five shapes), examples/*.fls, tests/fixtures/*.fls and the embedded
-# samples; the modes are `--json` and `--summaries`.
+# Prints one line per (program, command): the sha256 of the `fearlessc`
+# command's stdout, the program, the command and the exit status. The
+# programs are the 15 corpus-smoke programs (gen_corpus.py, 60
+# functions, seeds 7/21/42 x five shapes), examples/*.fls,
+# tests/fixtures/*.fls and the embedded samples. The commands are:
+#   - `analyze --json` and `analyze --summaries` for every program;
+#   - `check --stats` for every program file (run in the file's
+#     directory, since the output names the file as given);
+#   - `derive FILE FN` for every `def` in examples/*.fls.
 #
 # tools/ci.sh diffs this output against the committed
-# tests/fixtures/analysis_digests.sha256, which pins the analysis output
-# byte for byte across changes to the analyzer. Regenerate the file only
-# for an intended output change:
+# tests/fixtures/analysis_digests.sha256, which pins the analysis
+# output, the checker's and verifier's counts and the typing
+# derivations byte for byte across changes to the analyzer, checker and
+# verifier. Regenerate the file only for an intended output change:
 #
 #   tools/analysis_digests.sh build > tests/fixtures/analysis_digests.sha256
 #
@@ -24,14 +29,16 @@ set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${1:?usage: tools/analysis_digests.sh BUILD_DIR}"
-FC="$BUILD/tools/fearlessc"
+FC="$(cd "$BUILD" && pwd)/tools/fearlessc"
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
+# digest LABEL DIR ARGS...: digests the stdout of `fearlessc ARGS` run in
+# DIR.
 digest() {
-  local label="$1" status=0 out
-  shift
-  out="$("$FC" analyze "$@")" || status=$?
+  local label="$1" dir="$2" status=0 out
+  shift 2
+  out="$(cd "$dir" && "$FC" "$@" 2>/dev/null)" || status=$?
   printf '%s  %s exit=%d\n' \
     "$(printf '%s\n' "$out" | sha256sum | cut -d' ' -f1)" "$label" "$status"
 }
@@ -51,7 +58,21 @@ for src in "${progs[@]}"; do
   rel="${src#"$WORK/"}"
   rel="${rel#"$ROOT/"}"
   for mode in --json --summaries; do
-    digest "$rel analyze $mode" "$mode" "$src"
+    digest "$rel analyze $mode" "$WORK" analyze "$mode" "$src"
   done
 done
-digest "samples analyze --summaries" --summaries --samples
+digest "samples analyze --summaries" "$WORK" analyze --summaries --samples
+
+for src in "${progs[@]}"; do
+  rel="${src#"$WORK/"}"
+  rel="${rel#"$ROOT/"}"
+  digest "$rel check --stats" "$(dirname "$src")" \
+    check --stats "$(basename "$src")"
+done
+
+for src in "$ROOT"/examples/*.fls; do
+  rel="${src#"$ROOT/"}"
+  for fn in $(sed -n 's/^def \([A-Za-z_][A-Za-z0-9_]*\).*/\1/p' "$src"); do
+    digest "$rel derive $fn" "$WORK" derive "$src" "$fn"
+  done
+done

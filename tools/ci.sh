@@ -14,12 +14,14 @@
 # fixed seeds), a generated-corpus analysis smoke with an
 # interprocedural precision gate and a byte-identity gate on the
 # analyzer's output (tools/analysis_digests.sh against
-# tests/fixtures/analysis_digests.sha256), a parser nesting-cap smoke, a
-# model-checker smoke (the erasure-soundness gate: `fearlessc mc
-# --mc-checks=off` over the examples and corpus, plus a deadlock fixture
-# whose counterexample schedule must replay deterministically), then the
-# same test suite, server smoke, and chaos smoke under ThreadSanitizer
-# plus the corpus and nesting-cap smokes under AddressSanitizer. The
+# tests/fixtures/analysis_digests.sha256, which also pins `check
+# --stats` and every example's typing derivation), a parser nesting-cap
+# smoke, a 20k-statement long-block smoke, a model-checker smoke (the
+# erasure-soundness gate: `fearlessc mc --mc-checks=off` over the
+# examples and corpus, plus a deadlock fixture whose counterexample
+# schedule must replay deterministically), then the same test suite,
+# server smoke, and chaos smoke under ThreadSanitizer plus the corpus,
+# nesting-cap and long-block smokes under AddressSanitizer. The
 # concurrent runtime (ParallelExec, ChannelSet) is the part of this repo
 # most likely to rot silently — TSan and chaos keep the "fearless" claim
 # honest.
@@ -324,6 +326,34 @@ PYEOF
   done
 }
 
+# Long-block smoke: a flat block is not nesting, so no cap applies, and
+# every stage must stay linear in its length. A 20k-statement `main`
+# must check, analyze and run within 10 s each; a stage quadratic in the
+# block length takes tens of seconds here.
+run_long_block_smoke() {
+  local name="$1" dir="$2"
+  local fc="$dir/tools/fearlessc"
+  local src="$dir/ci_long_block.fls"
+  echo "==> [$name] long-block smoke"
+  python3 - "$src" <<'PYEOF'
+import sys
+with open(sys.argv[1], "w") as f:
+    f.write("def main() : int {\nlet x = 0;\nlet y = 1;\n")
+    f.write("x = x + y;\ny = y + 1;\n" * 10000)
+    f.write("x\n}\n")
+PYEOF
+  expect_exit 0 "20k-statement block: check" timeout 10 "$fc" check "$src"
+  expect_exit 0 "20k-statement block: analyze" \
+    timeout 10 "$fc" analyze "$src"
+  local out
+  out="$(timeout 10 "$fc" run "$src" main)"
+  if [[ "$out" != "main(...) = 50005000" ]]; then
+    echo "==> FAIL: 20k-statement block: run printed '$out'" >&2
+    exit 1
+  fi
+  echo "    20k-statement block: run: $out"
+}
+
 # Model-checker smoke: the erasure-soundness gate (docs/MODELCHECK.md).
 # `fearlessc mc` explores the bounded schedule space of every checkable
 # example and three generated corpus programs with the dynamic
@@ -456,6 +486,7 @@ run_vm_smoke "default" "$ROOT/build"
 run_server_smoke "default" "$ROOT/build"
 run_corpus_smoke "default" "$ROOT/build"
 run_depth_smoke "default" "$ROOT/build"
+run_long_block_smoke "default" "$ROOT/build"
 run_mc_smoke "default" "$ROOT/build"
 run_sched_smoke "default" "$ROOT/build"
 run_chaos_smoke "default" "$ROOT/build"
@@ -477,6 +508,7 @@ cmake -B "$ROOT/build-asan" -S "$ROOT" -DFEARLESS_SANITIZE=address >/dev/null
 cmake --build "$ROOT/build-asan" -j "$JOBS" --target fearlessc
 run_corpus_smoke "asan" "$ROOT/build-asan"
 run_depth_smoke "asan" "$ROOT/build-asan"
+run_long_block_smoke "asan" "$ROOT/build-asan"
 
 # Compile-out pass: the tracing layer must build with FEARLESS_TRACE=OFF
 # (stub API) and the trace suite must still pass (it guards its
