@@ -131,7 +131,7 @@ void BM_Mc_ScheduleReplay(benchmark::State &State) {
   mc::Schedule Sched;
   {
     std::unique_ptr<Machine> M = freshMachine(P);
-    if (!mc::runRecording(*M, 7, Sched))
+    if (!M->run(7, &Sched.Choices))
       std::abort();
   }
   uint64_t Steps = 0;

@@ -7,6 +7,7 @@
 #include "concurrency/TaskScheduler.h"
 
 #include "concurrency/Backoff.h"
+#include "runtime/StepOps.h"
 #include "support/FaultInjector.h"
 
 #include <algorithm>
@@ -175,9 +176,7 @@ void TaskScheduler::resume(size_t W, Task &T) {
     // peer could see it.
     T.T = ThreadState();
     T.T.Id = static_cast<ThreadId>(T.Index);
-    for (size_t A = 0; A < T.E->Args.size(); ++A)
-      T.T.Env.emplace_back(T.Fn->Params[A].Name, T.E->Args[A]);
-    T.T.ControlExpr = T.Fn->Body.get();
+    enterThread(T.T, *T.Fn, T.E->Args);
     // Pre-size the `if disconnected` scratch to the graphs built before
     // run(), keeping growth out of the measured region.
     T.T.Scratch.reserve(TheHeap.size());
@@ -189,9 +188,7 @@ void TaskScheduler::resume(size_t W, Task &T) {
     // thread.start fault point: the attempt dies before its first step
     // (always effect-free, so always retryable).
     if (Faults && Faults->shouldFire(FaultPoint::ThreadStart)) {
-      T.R.Fault = RuntimeFault{RuntimeFaultKind::Injected, Loc::invalid(),
-                               static_cast<uint32_t>(FaultPoint::ThreadStart),
-                               static_cast<uint32_t>(T.Index)};
+      T.R.Fault = injectedFault(FaultPoint::ThreadStart, T.T.Id);
       T.R.Error = T.R.Fault->render();
       T.R.Out = ThreadRunOutcome::Errored;
       supervise(W, T);
@@ -215,9 +212,7 @@ void TaskScheduler::resume(size_t W, Task &T) {
     }
     // sched.step fault point: the scheduler's per-step pulse.
     if (Faults && Faults->shouldFire(FaultPoint::SchedStep)) {
-      T.R.Fault = RuntimeFault{RuntimeFaultKind::Injected, Loc::invalid(),
-                               static_cast<uint32_t>(FaultPoint::SchedStep),
-                               static_cast<uint32_t>(T.Index)};
+      T.R.Fault = injectedFault(FaultPoint::SchedStep, T.T.Id);
       T.R.Error = T.R.Fault->render();
       T.R.Out = ThreadRunOutcome::Errored;
       supervise(W, T);

@@ -147,54 +147,52 @@ int fearless::exitCodeForStage(DiagnosticStage Stage) {
   return 1;
 }
 
+Expected<EntryCall>
+fearless::resolveEntryCall(const Pipeline &P, const std::string &Fn,
+                           const std::vector<int64_t> &Args) {
+  EntryCall Call;
+  Call.Fn = P.Prog->Names.intern(Fn);
+  const FnDecl *Decl = P.Prog->findFunction(Call.Fn);
+  if (!Decl)
+    return fail("no function '" + Fn + "'");
+  if (Decl->Params.size() != Args.size())
+    return fail("'" + Fn + "' takes " +
+                std::to_string(Decl->Params.size()) + " arguments, got " +
+                std::to_string(Args.size()) +
+                " (only int arguments are supported from the CLI)");
+  for (size_t I = 0; I < Args.size(); ++I) {
+    if (!(Decl->Params[I].ParamType == Type::intTy()))
+      return fail("parameter " + std::to_string(I) + " of '" + Fn +
+                  "' is not int");
+    Call.Args.push_back(Value::intVal(Args[I]));
+  }
+  return Call;
+}
+
 RunOutcome fearless::runArtifact(const CompiledArtifact &A,
                                  const RunSpec &Spec) {
   RunOutcome O;
   const Pipeline &P = A.P;
 
-  // Entry and --spawn functions share the same lookup and int-argument
-  // validation.
-  auto ResolveCall = [&](const std::string &Fn,
-                         const std::vector<int64_t> &Args, Symbol &SymOut,
-                         std::vector<Value> &ValuesOut) -> bool {
-    SymOut = P.Prog->Names.intern(Fn);
-    const FnDecl *Decl = P.Prog->findFunction(SymOut);
-    if (!Decl) {
-      O.Err = "no function '" + Fn + "'\n";
+  // The entry first, then every --spawn.
+  std::vector<EntryCall> Calls;
+  auto Resolve = [&](const std::string &Fn,
+                     const std::vector<int64_t> &Args) {
+    Expected<EntryCall> C = resolveEntryCall(P, Fn, Args);
+    if (!C) {
+      O.Err = C.error().Message + "\n";
       O.Exit = 1;
       return false;
     }
-    if (Decl->Params.size() != Args.size()) {
-      O.Err = "'" + Fn + "' takes " + std::to_string(Decl->Params.size()) +
-              " arguments, got " + std::to_string(Args.size()) +
-              " (only int arguments are supported from the CLI)\n";
-      O.Exit = 1;
-      return false;
-    }
-    for (size_t I = 0; I < Args.size(); ++I) {
-      if (!(Decl->Params[I].ParamType == Type::intTy())) {
-        O.Err = "parameter " + std::to_string(I) + " of '" + Fn +
-                "' is not int\n";
-        O.Exit = 1;
-        return false;
-      }
-      ValuesOut.push_back(Value::intVal(Args[I]));
-    }
+    Calls.push_back(C.take());
     return true;
   };
-
-  Symbol Entry;
-  std::vector<Value> Values;
-  if (!ResolveCall(Spec.Fn, Spec.Args, Entry, Values))
+  if (!Resolve(Spec.Fn, Spec.Args))
     return O;
-  std::vector<std::pair<Symbol, std::vector<Value>>> ExtraSpawns;
-  for (const auto &[Fn, Args] : Spec.Spawns) {
-    Symbol S;
-    std::vector<Value> V;
-    if (!ResolveCall(Fn, Args, S, V))
+  for (const auto &[Fn, Args] : Spec.Spawns)
+    if (!Resolve(Fn, Args))
       return O;
-    ExtraSpawns.emplace_back(S, std::move(V));
-  }
+  const EntryCall &Entry = Calls.front();
   if (Spec.WorkersSet && (!Spec.Spawns.empty() || Spec.Schedule)) {
     O.Err = "--spawn and --schedule drive the deterministic machine and "
             "cannot combine with --workers\n";
@@ -222,7 +220,7 @@ RunOutcome fearless::runArtifact(const CompiledArtifact &A,
     PO.VmCode = &*A.VmCode;
     PO.Trace = Spec.Trace;
     ParallelExec Exec(P.Checked, PO);
-    Exec.spawn(Entry, std::move(Values));
+    Exec.spawn(Entry.Fn, Entry.Args);
     Expected<std::vector<Value>> R = Exec.run();
     O.Metrics = WithAnalysis(Exec.metrics());
     O.HasMetrics = true;
@@ -247,10 +245,8 @@ RunOutcome fearless::runArtifact(const CompiledArtifact &A,
   MO.VmCode = &*A.VmCode;
   MO.Trace = Spec.Trace;
   Machine M(P.Checked, MO);
-  std::vector<Value> InterpValues = Values; // for the debug cross-check
-  M.spawn(Entry, std::move(Values));
-  for (auto &[S, V] : ExtraSpawns)
-    M.spawn(S, std::move(V));
+  for (const EntryCall &C : Calls)
+    M.spawn(C.Fn, C.Args);
   Expected<MachineSummary> R =
       Spec.Schedule ? mc::runSchedule(M, *Spec.Schedule)
                     : M.run(Spec.Seed);
@@ -263,13 +259,12 @@ RunOutcome fearless::runArtifact(const CompiledArtifact &A,
   // --spawn/--schedule (the evaluators batch decision points
   // differently, so a recorded schedule only replays on the VM, and
   // multi-root results are schedule-relative).
-  if (R && !Spec.Faults && !Spec.Schedule &&
-      ExtraSpawns.empty()) {
+  if (R && !Spec.Faults && !Spec.Schedule && Spec.Spawns.empty()) {
     MachineOptions IO = MO;
     IO.VmCode = nullptr;
     IO.Trace = nullptr;
     Machine IM(P.Checked, IO);
-    IM.spawn(Entry, std::move(InterpValues));
+    IM.spawn(Entry.Fn, Entry.Args);
     Expected<MachineSummary> IR = IM.run(Spec.Seed);
     if (!IR || !(IR->ThreadResults[0] == R->ThreadResults[0])) {
       O.Err = "fearlessc: engine divergence: vm produced " +

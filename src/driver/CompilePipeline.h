@@ -134,6 +134,20 @@ struct RunSpec {
   const mc::Schedule *Schedule = nullptr;
 };
 
+/// A command-line call resolved against a program.
+struct EntryCall {
+  Symbol Fn;
+  std::vector<Value> Args;
+};
+
+/// Resolves `Fn(Args...)` the way `fearlessc run` and `mc` accept it
+/// (entry and --spawn alike): \p Fn must name a function whose
+/// parameters are exactly \p Args.size() ints. The failure message is
+/// the one-line diagnostic both print.
+Expected<EntryCall> resolveEntryCall(const Pipeline &P,
+                                     const std::string &Fn,
+                                     const std::vector<int64_t> &Args);
+
 /// One executed request: the exact bytes the CLI would print to stdout
 /// (Out) and stderr (Err), the documented exit code, and the run's
 /// metrics (valid when HasMetrics — compile-stage failures have none).

@@ -139,37 +139,3 @@ Expected<MachineSummary> mc::runSchedule(Machine &M, const Schedule &S) {
                 "not match this program/flags)");
   return M.finishStepping();
 }
-
-Expected<MachineSummary> mc::runRecording(Machine &M, uint64_t Seed,
-                                          Schedule &Out) {
-  if (ExpectedVoid B = M.beginStepping(); !B)
-    return B.takeFailure();
-  // Decision-for-decision mirror of Machine::run: the xorshift advances
-  // (and the round-robin counter increments) on every turn, branching or
-  // not, so the recorded schedule replays the seed's exact interleaving.
-  uint64_t Rng = Seed ? Seed : 0;
-  auto NextRandom = [&Rng]() {
-    Rng ^= Rng << 13;
-    Rng ^= Rng >> 7;
-    Rng ^= Rng << 17;
-    return Rng;
-  };
-  size_t RoundRobin = 0;
-  while (true) {
-    Expected<MachineProgress> P = M.checkProgress();
-    if (!P)
-      return P.takeFailure();
-    if (*P == MachineProgress::Done)
-      break;
-    if (*P == MachineProgress::Deadlock)
-      return fail(M.deadlockMessage());
-    const std::vector<size_t> &Runnable = M.runnableThreads();
-    size_t Pick = Seed ? Runnable[NextRandom() % Runnable.size()]
-                       : Runnable[RoundRobin++ % Runnable.size()];
-    if (Runnable.size() >= 2)
-      Out.Choices.push_back(static_cast<uint32_t>(Pick));
-    if (Expected<McStepRecord> R = M.stepChosen(Pick); !R)
-      return R.takeFailure();
-  }
-  return M.finishStepping();
-}

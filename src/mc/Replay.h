@@ -62,13 +62,6 @@ struct Schedule {
 /// as-is, which is exactly how a counterexample reproduces.
 Expected<MachineSummary> runSchedule(Machine &M, const Schedule &S);
 
-/// Reproduces Machine::run(\p Seed)'s interleaving decision-for-decision
-/// while recording the branching choices into \p Out, so a failing
-/// seed-sweep run can be re-run from a schedule file instead of hoping
-/// the seed logic never changes.
-Expected<MachineSummary> runRecording(Machine &M, uint64_t Seed,
-                                      Schedule &Out);
-
 } // namespace mc
 } // namespace fearless
 

@@ -6,7 +6,7 @@
 
 #include "runtime/Interp.h"
 
-#include "runtime/Disconnected.h"
+#include "runtime/StepOps.h"
 #include "vm/Vm.h"
 
 #include <cassert>
@@ -39,36 +39,13 @@ private:
   //===--------------------------------------------------------------------===
 
   StepOutcome stuck(std::string Why) {
-    T.Error = std::move(Why);
-    T.Status = ThreadStatus::Failed;
-    return StepOutcome::Stuck;
-  }
-
-  /// Throws an injected fault for point \p P; stepThread's trap handler
-  /// converts it into a Stuck outcome with T.Fault set. Call sites guard
-  /// on S.Faults themselves so the disabled cost stays one branch.
-  [[noreturn]] void injectFault(FaultPoint P) {
-    RuntimeFault F;
-    F.Kind = RuntimeFaultKind::Injected;
-    F.Detail = static_cast<uint32_t>(P);
-    F.Thread = T.Id;
-    raiseInjectedFault(F);
-  }
-
-  /// The dynamic reservation check of the E-rules.
-  bool inReservation(Loc L) {
-    if (!S.CheckReservations)
-      return true;
-    ++S.Stats->ReservationChecks;
-    return T.Reservation.count(L.Index) != 0;
+    return failThread(T, std::move(Why));
   }
 
   /// Checks a value about to flow from a variable or field (E2/E5a).
   StepOutcome checkValue(const Value &V, const char *What) {
-    if (V.isLoc() && !inReservation(V.asLoc()))
-      return stuck(std::string("reservation violation: ") + What +
-                   " yielded " + toString(V) +
-                   " outside this thread's reservation");
+    if (V.isLoc() && !inReservation(T, S, V.asLoc()))
+      return valueViolation(T, V, What);
     return StepOutcome::Progress;
   }
 
@@ -94,28 +71,6 @@ private:
   const FieldInfo *fieldOf(Loc Base, Symbol Field) {
     const Object &O = S.TheHeap->get(Base);
     return O.Struct->findField(Field);
-  }
-
-  Loc allocateDefault(Symbol StructName) {
-    if (S.Faults && S.Faults->shouldFire(FaultPoint::HeapAlloc))
-      injectFault(FaultPoint::HeapAlloc);
-    Loc L = S.TheHeap->allocate(StructName);
-    if (!L.isValid())
-      return L; // heap exhausted; the caller reports
-    ++S.Stats->Allocations;
-    T.Reservation.insert(L.Index);
-    return L;
-  }
-
-  StepOutcome heapExhausted() {
-    RuntimeFault F;
-    F.Kind = RuntimeFaultKind::HeapExhausted;
-    F.Thread = T.Id;
-    T.Fault = F;
-    return stuck("heap exhausted: allocation failed at " +
-                 std::to_string(S.TheHeap->size()) + " live objects "
-                 "(capacity " + std::to_string(S.TheHeap->capacity()) +
-                 ")");
   }
 
   //===--------------------------------------------------------------------===
@@ -204,9 +159,9 @@ private:
     case ExprKind::New: {
       const auto &N = cast<NewExpr>(E);
       if (N.Args.empty()) {
-        Loc L = allocateDefault(N.StructName);
+        Loc L = allocateObject(T, S, N.StructName);
         if (!L.isValid())
-          return heapExhausted();
+          return heapExhausted(T, S);
         produce(Value::locVal(L));
         return StepOutcome::Progress;
       }
@@ -229,18 +184,8 @@ private:
       evaluate(Send.Operand.get());
       return StepOutcome::Progress;
     }
-    case ExprKind::Recv: {
-      const auto &R = cast<RecvExpr>(E);
-      if (S.Faults && S.Faults->shouldFire(FaultPoint::ChanRecv))
-        injectFault(FaultPoint::ChanRecv);
-      T.CommType = R.ValueType;
-      T.Status = ThreadStatus::BlockedRecv;
-      if (T.Trace) {
-        T.TraceBlockStartNs = T.Trace->now();
-        T.Trace->instant("recv.block", "channel");
-      }
-      return StepOutcome::BlockedRecv;
-    }
+    case ExprKind::Recv:
+      return blockRecv(T, S, cast<RecvExpr>(E).ValueType);
     case ExprKind::Call: {
       const auto &C = cast<CallExpr>(E);
       if (C.Args.empty())
@@ -270,60 +215,19 @@ private:
     const auto *SlotB = findSlot(E.VarB);
     if (!SlotA || !SlotB)
       return stuck("unbound 'if disconnected' argument (checker bug)");
-    if (!SlotA->second.isLoc() || !SlotB->second.isLoc())
-      return stuck("'if disconnected' arguments must be objects");
-    Loc A = SlotA->second.asLoc();
-    Loc B = SlotB->second.asLoc();
-    if (!inReservation(A) || !inReservation(B))
-      return stuck("reservation violation: 'if disconnected' argument "
-                   "outside the reservation");
-    if (S.Faults && S.Faults->shouldFire(FaultPoint::DisconnectTraverse))
-      injectFault(FaultPoint::DisconnectTraverse);
-    ++S.Stats->DisconnectChecks;
-
-    // Elision: when the static region-graph analysis proved this site's
-    // outcome, skip the traversal entirely (the whole point of the
-    // must-* verdicts). The cross-check re-runs the real traversal and
-    // treats disagreement as a stuck state — it must never fire on
-    // sound verdicts, and the property tests lean on that.
+    DisconnectVerdict Verdict = DisconnectVerdict::Unknown;
     if (S.ElideDisconnect && S.StaticVerdicts) {
       auto It = S.StaticVerdicts->find(&E);
-      if (It != S.StaticVerdicts->end() &&
-          It->second != DisconnectVerdict::Unknown) {
-        bool Disc = It->second == DisconnectVerdict::MustDisconnected;
-        if (S.CrossCheckElision) {
-          DisconnectOutcome Real =
-              S.UseNaiveDisconnect
-                  ? checkDisconnectedNaive(*S.TheHeap, A, B, T.Scratch)
-                  : checkDisconnectedRefCount(*S.TheHeap, A, B, T.Scratch);
-          if (Real.Disconnected != Disc)
-            return stuck("static 'if disconnected' verdict contradicts "
-                         "the runtime traversal (analysis bug)");
-        }
-        ++S.Stats->DisconnectElided;
-        if (Disc)
-          ++S.Stats->DisconnectTaken;
-        if (T.Trace)
-          T.Trace->instant("disconnect.elided", "disconnect");
-        evaluate(Disc ? E.Then.get() : E.Else.get());
-        return StepOutcome::Progress;
-      }
+      if (It != S.StaticVerdicts->end())
+        Verdict = It->second;
     }
-
-    uint64_t TraceStart = T.Trace ? T.Trace->now() : 0;
-    DisconnectOutcome Out =
-        S.UseNaiveDisconnect
-            ? checkDisconnectedNaive(*S.TheHeap, A, B, T.Scratch)
-            : checkDisconnectedRefCount(*S.TheHeap, A, B, T.Scratch);
-    if (T.Trace)
-      T.Trace->record("disconnect.traverse", "disconnect", 'X', TraceStart,
-                      T.Trace->now() - TraceStart, "objects_visited",
-                      Out.ObjectsVisited);
-    S.Stats->DisconnectObjectsVisited += Out.ObjectsVisited;
-    S.Stats->DisconnectEdgesTraversed += Out.EdgesTraversed;
-    if (Out.Disconnected)
-      ++S.Stats->DisconnectTaken;
-    evaluate(Out.Disconnected ? E.Then.get() : E.Else.get());
+    bool Taken = false;
+    if (StepOutcome R = ifDisconnected(T, S, SlotA->second, SlotB->second,
+                                       /*CheckReservation=*/true, Verdict,
+                                       S.CrossCheckElision, Taken);
+        R != StepOutcome::Progress)
+      return R;
+    evaluate(Taken ? E.Then.get() : E.Else.get());
     return StepOutcome::Progress;
   }
 
@@ -384,9 +288,8 @@ private:
       if (!V.isLoc())
         return stuck("field read on a non-object value");
       Loc Base = V.asLoc();
-      if (!inReservation(Base))
-        return stuck("reservation violation: field read on " +
-                     toString(V));
+      if (!inReservation(T, S, Base))
+        return baseViolation(T, V, "field read");
       const FieldInfo *Field = fieldOf(Base, Read->Field);
       if (!Field)
         return stuck("no such field at runtime (checker bug)");
@@ -402,9 +305,8 @@ private:
       if (!V.isLoc())
         return stuck("field write on a non-object value");
       Loc Base = V.asLoc();
-      if (!inReservation(Base))
-        return stuck("reservation violation: field write on " +
-                     toString(V));
+      if (!inReservation(T, S, Base))
+        return baseViolation(T, V, "field write");
       T.Konts.push_back(frames::FieldWriteVal{Base, WriteBase->Field});
       evaluate(WriteBase->ValueExpr);
       return StepOutcome::Progress;
@@ -487,44 +389,15 @@ private:
       return StepOutcome::Progress;
     }
     if (auto *SendF = std::get_if<frames::Send>(&F)) {
-      if (S.Faults && S.Faults->shouldFire(FaultPoint::ChanSend))
-        injectFault(FaultPoint::ChanSend);
-      // Resolve the send's τ: statically recorded by the checker, or
-      // derived from the runtime value for unchecked programs.
+      // τ as the checker recorded it; blockSend derives it from the
+      // runtime value for unchecked programs.
       Type Ty;
       if (S.SendTypes) {
         auto It = S.SendTypes->find(SendF->E);
         if (It != S.SendTypes->end())
           Ty = It->second;
       }
-      if (!Ty.isValid()) {
-        switch (V.kind()) {
-        case Value::Kind::Unit:
-          Ty = Type::unitTy();
-          break;
-        case Value::Kind::Int:
-          Ty = Type::intTy();
-          break;
-        case Value::Kind::Bool:
-          Ty = Type::boolTy();
-          break;
-        case Value::Kind::Location:
-          Ty = Type::structTy(S.TheHeap->get(V.asLoc()).Struct->Name);
-          break;
-        case Value::Kind::None:
-          return stuck("cannot derive the type of a sent 'none' without "
-                       "checker information");
-        }
-      }
-      // Block; the machine pairs senders and receivers (EC3).
-      T.PendingSend = V;
-      T.CommType = Ty;
-      T.Status = ThreadStatus::BlockedSend;
-      if (T.Trace) {
-        T.TraceBlockStartNs = T.Trace->now();
-        T.Trace->instant("send.block", "channel");
-      }
-      return StepOutcome::BlockedSend;
+      return blockSend(T, S, V, Ty);
     }
     if (auto *LS = std::get_if<frames::LetSome>(&F)) {
       if (V.isNone()) {
@@ -546,9 +419,9 @@ private:
         evaluate(N->Args[Next].get());
         return StepOutcome::Progress;
       }
-      Loc L = allocateDefault(Args.N->StructName);
+      Loc L = allocateObject(T, S, Args.N->StructName);
       if (!L.isValid())
-        return heapExhausted();
+        return heapExhausted(T, S);
       const Object &O = S.TheHeap->get(L);
       // Full form (one argument per field) or required form (one per
       // non-defaultable field).
@@ -561,9 +434,9 @@ private:
       }
       assert(Args.Done.size() == ArgFields.size() && "new-arity checked");
       for (size_t I = 0; I < Args.Done.size(); ++I) {
-        if (Args.Done[I].isLoc() && !inReservation(Args.Done[I].asLoc()))
-          return stuck("reservation violation: 'new' initializer outside "
-                       "the reservation");
+        if (Args.Done[I].isLoc() &&
+            !inReservation(T, S, Args.Done[I].asLoc()))
+          return initializerViolation(T);
         S.TheHeap->setField(L, ArgFields[I], Args.Done[I]);
       }
       produce(Value::locVal(L));

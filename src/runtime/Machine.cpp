@@ -6,6 +6,7 @@
 
 #include "runtime/Machine.h"
 
+#include "runtime/StepOps.h"
 #include "vm/Bytecode.h"
 
 #include <cassert>
@@ -39,12 +40,7 @@ void Machine::startThread(ThreadId Id, Symbol FnName,
   const FnDecl *Fn = Checked.Prog->findFunction(FnName);
   assert(Fn && "spawning an unknown function");
   assert(Args.size() == Fn->Params.size() && "spawn arity mismatch");
-  ThreadState &T = Threads[Id];
-  for (size_t I = 0; I < Args.size(); ++I)
-    T.Env.emplace_back(Fn->Params[I].Name, Args[I]);
-  T.ControlExpr = Fn->Body.get();
-  T.HasValue = false;
-  T.Status = ThreadStatus::Runnable;
+  enterThread(Threads[Id], *Fn, Args);
 }
 
 Loc Machine::hostAlloc(ThreadId T, Symbol StructName) {
@@ -229,12 +225,8 @@ ExpectedVoid Machine::beginStepping() {
       if (T.Status == ThreadStatus::Finished)
         continue;
       if (Opts.Faults->shouldFire(FaultPoint::ThreadStart)) {
-        RuntimeFault F;
-        F.Kind = RuntimeFaultKind::Injected;
-        F.Detail = static_cast<uint32_t>(FaultPoint::ThreadStart);
-        F.Thread = T.Id;
-        LastFault = F;
-        return fail(F.render());
+        LastFault = injectedFault(FaultPoint::ThreadStart, T.Id);
+        return fail(LastFault->render());
       }
     }
   }
@@ -297,12 +289,8 @@ Expected<McStepRecord> Machine::stepChosen(size_t Pick) {
   };
 
   if (Opts.Faults && Opts.Faults->shouldFire(FaultPoint::SchedStep)) {
-    RuntimeFault F;
-    F.Kind = RuntimeFaultKind::Injected;
-    F.Detail = static_cast<uint32_t>(FaultPoint::SchedStep);
-    F.Thread = T.Id;
-    LastFault = F;
-    return fail(F.render());
+    LastFault = injectedFault(FaultPoint::SchedStep, T.Id);
+    return fail(LastFault->render());
   }
   StepOutcome Out = stepThread(T, S.Services);
   ++S.Steps;
@@ -468,7 +456,8 @@ uint64_t Machine::resultFingerprint() const {
   return H;
 }
 
-Expected<MachineSummary> Machine::run(uint64_t Seed) {
+Expected<MachineSummary> Machine::run(uint64_t Seed,
+                                      std::vector<uint32_t> *Choices) {
   if (ExpectedVoid B = beginStepping(); !B)
     return B.takeFailure();
 
@@ -492,6 +481,8 @@ Expected<MachineSummary> Machine::run(uint64_t Seed) {
     const std::vector<size_t> &Runnable = runnableThreads();
     size_t Pick = Seed ? Runnable[NextRandom() % Runnable.size()]
                        : Runnable[RoundRobin++ % Runnable.size()];
+    if (Choices && Runnable.size() >= 2)
+      Choices->push_back(static_cast<uint32_t>(Pick));
     if (Expected<McStepRecord> R = stepChosen(Pick); !R)
       return R.takeFailure();
   }

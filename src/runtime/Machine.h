@@ -158,8 +158,12 @@ public:
   /// threads. Fails on stuck threads (reservation violations / runtime
   /// faults), deadlock, or step exhaustion. Implemented on the stepping
   /// API below, so run() and externally driven schedules share one code
-  /// path.
-  Expected<MachineSummary> run(uint64_t Seed = 0);
+  /// path. When \p Choices is set, every pick made while two or more
+  /// threads were runnable is appended to it, up to a failure if there
+  /// is one: the schedule (mc::Schedule::Choices) that mc::runSchedule
+  /// replays.
+  Expected<MachineSummary> run(uint64_t Seed = 0,
+                               std::vector<uint32_t> *Choices = nullptr);
 
   //===--------------------------------------------------------------------===
   // Incremental stepping (the model checker / schedule replay drive the

@@ -3,18 +3,10 @@
 // Part of the fearless-concurrency reproduction.
 //
 //===----------------------------------------------------------------------===//
-//
-// The dispatch loop mirrors the tree-walking interpreter's observable
-// semantics exactly — same stuck messages, same counter increments, same
-// fault points, same blocking protocol — so the two engines are
-// bit-identical differential oracles for each other. Deviations are
-// bugs; tests/vm_test.cpp enforces this.
-//
-//===----------------------------------------------------------------------===//
 
 #include "vm/Vm.h"
 
-#include "runtime/Disconnected.h"
+#include "runtime/StepOps.h"
 
 #include <cassert>
 
@@ -37,14 +29,6 @@ namespace {
 /// fault injection) at a bounded latency while the hot loop stays inside
 /// the dispatcher.
 constexpr int BatchSize = 128;
-
-[[noreturn]] void injectFaultVm(FaultPoint P, ThreadId Id) {
-  RuntimeFault F;
-  F.Kind = RuntimeFaultKind::Injected;
-  F.Detail = static_cast<uint32_t>(P);
-  F.Thread = Id;
-  raiseInjectedFault(F);
-}
 
 const char *checkWhatStr(CheckWhat W) {
   switch (W) {
@@ -79,16 +63,12 @@ StepOutcome vm::stepThreadVm(ThreadState &T, const InterpServices &S) {
   ++S.Stats->Steps;
 
   if (!T.Vm) {
-    // First step: map the executor-provided entry body to its chunk and
-    // build the register file, seeding parameters from the Env slots the
-    // executor populated (the same startThread path the interpreter
-    // uses).
+    // First step: map the entry body to its chunk and build the register
+    // file, seeding parameters from the Env slots enterThread bound.
     auto EntryIt = P.ByBody.find(T.ControlExpr);
-    if (EntryIt == P.ByBody.end()) {
-      T.Error = "no compiled chunk for thread entry (vm compiler bug)";
-      T.Status = ThreadStatus::Failed;
-      return StepOutcome::Stuck;
-    }
+    if (EntryIt == P.ByBody.end())
+      return failThread(T, "no compiled chunk for thread entry (vm "
+                           "compiler bug)");
     T.Vm = std::make_shared<VmState>();
     VmState &Init = *T.Vm;
     const Chunk &Entry = P.Chunks[EntryIt->second];
@@ -132,24 +112,14 @@ StepOutcome vm::stepThreadVm(ThreadState &T, const InterpServices &S) {
                       T.Trace->now() - BatchStart, "instructions",
                       Executed);
   };
-  auto Fail = [&](std::string Why) {
+  // Leaves the batch with \p Out, which a runtime/StepOps.h operation
+  // returned (a stuck one has already failed the thread).
+  auto Stop = [&](StepOutcome Out) {
     Flush();
-    T.Error = std::move(Why);
-    T.Status = ThreadStatus::Failed;
-    return StepOutcome::Stuck;
+    return Out;
   };
-  // The dynamic reservation check of the E-rules (same gating and
-  // counter as the interpreter's inReservation).
-  auto InReservation = [&](Loc L) {
-    if (!S.CheckReservations)
-      return true;
-    ++Stats.ReservationChecks;
-    return T.Reservation.count(L.Index) != 0;
-  };
-  auto ValueViolation = [](const Value &Val, const char *What) {
-    return std::string("reservation violation: ") + What + " yielded " +
-           fearless::toString(Val) +
-           " outside this thread's reservation";
+  auto Fail = [&](std::string Why) {
+    return Stop(failThread(T, std::move(Why)));
   };
   // IC-accelerated (struct, field-symbol) → field-index resolution;
   // UINT32_MAX = no such field.
@@ -168,25 +138,6 @@ StepOutcome vm::stepThreadVm(ThreadState &T, const InterpServices &S) {
     E.Struct = O.Struct;
     E.Field = F->Index;
     return F->Index;
-  };
-  auto Allocate = [&](Symbol StructName) {
-    if (S.Faults && S.Faults->shouldFire(FaultPoint::HeapAlloc))
-      injectFaultVm(FaultPoint::HeapAlloc, T.Id);
-    Loc L = H.allocate(StructName);
-    if (L.isValid()) {
-      ++Stats.Allocations;
-      T.Reservation.insert(L.Index);
-    }
-    return L;
-  };
-  auto HeapExhausted = [&] {
-    RuntimeFault F;
-    F.Kind = RuntimeFaultKind::HeapExhausted;
-    F.Thread = T.Id;
-    T.Fault = F;
-    return Fail("heap exhausted: allocation failed at " +
-                std::to_string(H.size()) + " live objects (capacity " +
-                std::to_string(H.capacity()) + ")");
   };
 
 #ifdef FEARLESS_VM_COMPUTED_GOTO
@@ -256,9 +207,9 @@ StepOutcome vm::stepThreadVm(ThreadState &T, const InterpServices &S) {
 
   VM_CASE(ChkVal) {
     const Value &Val = Regs[Base + In->A];
-    if (Val.isLoc() && !InReservation(Val.asLoc()))
-      return Fail(ValueViolation(
-          Val, checkWhatStr(static_cast<CheckWhat>(In->C))));
+    if (Val.isLoc() && !inReservation(T, S, Val.asLoc()))
+      return Stop(valueViolation(
+          T, Val, checkWhatStr(static_cast<CheckWhat>(In->C))));
   }
   VM_NEXT();
 
@@ -266,9 +217,8 @@ StepOutcome vm::stepThreadVm(ThreadState &T, const InterpServices &S) {
     const Value &BV = Regs[Base + In->A];
     if (!BV.isLoc())
       return Fail("field write on a non-object value");
-    if (!InReservation(BV.asLoc()))
-      return Fail("reservation violation: field write on " +
-                  fearless::toString(BV));
+    if (!inReservation(T, S, BV.asLoc()))
+      return Stop(baseViolation(T, BV, "field write"));
   }
   VM_NEXT();
 
@@ -288,17 +238,16 @@ StepOutcome vm::stepThreadVm(ThreadState &T, const InterpServices &S) {
     const Value &BV = Regs[Base + In->B];
     if (!BV.isLoc())
       return Fail("field read on a non-object value");
-    if (!InReservation(BV.asLoc()))
-      return Fail("reservation violation: field read on " +
-                  fearless::toString(BV));
+    if (!inReservation(T, S, BV.asLoc()))
+      return Stop(baseViolation(T, BV, "field read"));
     uint32_t FI = ResolveField(BV.asLoc(), In->C,
                                Symbol{static_cast<uint32_t>(In->Imm)});
     if (FI == UINT32_MAX)
       return Fail("no such field at runtime (checker bug)");
     Value Out = H.getField(BV.asLoc(), FI);
     // E5a: the read result must be within the reservation.
-    if (Out.isLoc() && !InReservation(Out.asLoc()))
-      return Fail(ValueViolation(Out, "field read"));
+    if (Out.isLoc() && !inReservation(T, S, Out.asLoc()))
+      return Stop(valueViolation(T, Out, "field read"));
     Regs[Base + In->A] = Out;
   }
   VM_NEXT();
@@ -316,23 +265,22 @@ StepOutcome vm::stepThreadVm(ThreadState &T, const InterpServices &S) {
   VM_NEXT();
 
   VM_CASE(NewDefault) {
-    Loc L = Allocate(Symbol{static_cast<uint32_t>(In->Imm)});
+    Loc L = allocateObject(T, S, Symbol{static_cast<uint32_t>(In->Imm)});
     if (!L.isValid())
-      return HeapExhausted();
+      return Stop(heapExhausted(T, S));
     Regs[Base + In->A] = Value::locVal(L);
   }
   VM_NEXT();
 
   VM_CASE(NewInit) {
     const NewInitInfo &Info = P.NewTables[In->Imm];
-    Loc L = Allocate(Info.Struct);
+    Loc L = allocateObject(T, S, Info.Struct);
     if (!L.isValid())
-      return HeapExhausted();
+      return Stop(heapExhausted(T, S));
     for (size_t I = 0; I < Info.ArgFields.size(); ++I) {
       const Value &Arg = Regs[Base + In->B + I];
-      if (Info.Checked && Arg.isLoc() && !InReservation(Arg.asLoc()))
-        return Fail("reservation violation: 'new' initializer outside "
-                    "the reservation");
+      if (Info.Checked && Arg.isLoc() && !inReservation(T, S, Arg.asLoc()))
+        return Stop(initializerViolation(T));
       H.setField(L, Info.ArgFields[I], Arg);
     }
     Regs[Base + In->A] = Value::locVal(L);
@@ -491,126 +439,51 @@ StepOutcome vm::stepThreadVm(ThreadState &T, const InterpServices &S) {
   VM_NEXT();
 
   VM_CASE(Send) {
-    if (S.Faults && S.Faults->shouldFire(FaultPoint::ChanSend))
-      injectFaultVm(FaultPoint::ChanSend, T.Id);
-    const Value &Val = Regs[Base + In->B];
-    // τ statically recorded by the checker, or derived from the runtime
-    // value for unchecked programs (same fallback as the interpreter).
-    Type Ty;
-    if (In->Imm >= 0) {
-      Ty = P.TypePool[In->Imm];
-    } else {
-      switch (Val.kind()) {
-      case Value::Kind::Unit:
-        Ty = Type::unitTy();
-        break;
-      case Value::Kind::Int:
-        Ty = Type::intTy();
-        break;
-      case Value::Kind::Bool:
-        Ty = Type::boolTy();
-        break;
-      case Value::Kind::Location:
-        Ty = Type::structTy(H.get(Val.asLoc()).Struct->Name);
-        break;
-      case Value::Kind::None:
-        return Fail("cannot derive the type of a sent 'none' without "
-                    "checker information");
-      }
+    // The executor pairs the blocked sender (EC3) and resumes it with
+    // unit into register A.
+    StepOutcome Out =
+        blockSend(T, S, Regs[Base + In->B],
+                  In->Imm >= 0 ? P.TypePool[In->Imm] : Type());
+    if (Out != StepOutcome::Stuck) {
+      V.ResumeReg = Base + In->A;
+      V.Frames.back().Pc = Pc;
     }
-    // Block; the machine pairs senders and receivers (EC3) and resumes
-    // us with unit into register A.
-    T.PendingSend = Val;
-    T.CommType = Ty;
-    T.Status = ThreadStatus::BlockedSend;
-    if (T.Trace) {
-      T.TraceBlockStartNs = T.Trace->now();
-      T.Trace->instant("send.block", "channel");
-    }
-    V.ResumeReg = Base + In->A;
-    V.Frames.back().Pc = Pc;
-    Flush();
-    return StepOutcome::BlockedSend;
+    return Stop(Out);
   }
 
   VM_CASE(Recv) {
-    if (S.Faults && S.Faults->shouldFire(FaultPoint::ChanRecv))
-      injectFaultVm(FaultPoint::ChanRecv, T.Id);
-    T.CommType = P.TypePool[In->Imm];
-    T.Status = ThreadStatus::BlockedRecv;
-    if (T.Trace) {
-      T.TraceBlockStartNs = T.Trace->now();
-      T.Trace->instant("recv.block", "channel");
-    }
+    StepOutcome Out = blockRecv(T, S, P.TypePool[In->Imm]);
     V.ResumeReg = Base + In->A;
     V.Frames.back().Pc = Pc;
-    Flush();
-    return StepOutcome::BlockedRecv;
+    return Stop(Out);
   }
 
   VM_CASE(Disconn) {
-    const Value &VA = Regs[Base + In->A];
-    const Value &VB = Regs[Base + In->B];
-    if (!VA.isLoc() || !VB.isLoc())
-      return Fail("'if disconnected' arguments must be objects");
-    Loc A = VA.asLoc(), B = VB.asLoc();
-    if ((In->C & DisconnCheckReservation) &&
-        (!InReservation(A) || !InReservation(B)))
-      return Fail("reservation violation: 'if disconnected' argument "
-                  "outside the reservation");
-    if (S.Faults && S.Faults->shouldFire(FaultPoint::DisconnectTraverse))
-      injectFaultVm(FaultPoint::DisconnectTraverse, T.Id);
-    ++Stats.DisconnectChecks;
-    uint64_t TraceStart = T.Trace ? T.Trace->now() : 0;
-    DisconnectOutcome Out =
-        S.UseNaiveDisconnect
-            ? checkDisconnectedNaive(H, A, B, T.Scratch)
-            : checkDisconnectedRefCount(H, A, B, T.Scratch);
-    if (T.Trace)
-      T.Trace->record("disconnect.traverse", "disconnect", 'X',
-                      TraceStart, T.Trace->now() - TraceStart,
-                      "objects_visited", Out.ObjectsVisited);
-    Stats.DisconnectObjectsVisited += Out.ObjectsVisited;
-    Stats.DisconnectEdgesTraversed += Out.EdgesTraversed;
-    if (Out.Disconnected)
-      ++Stats.DisconnectTaken;
-    else
+    bool Taken = false;
+    if (StepOutcome Out = ifDisconnected(
+            T, S, Regs[Base + In->A], Regs[Base + In->B],
+            In->C & DisconnCheckReservation, DisconnectVerdict::Unknown,
+            /*CrossCheck=*/false, Taken);
+        Out != StepOutcome::Progress)
+      return Stop(Out);
+    if (!Taken)
       Pc = static_cast<uint32_t>(In->Imm); // else branch
   }
   VM_NEXT();
 
   VM_CASE(DisconnElided) {
-    // The analysis proved this site's outcome at compile time; only the
-    // proven branch was emitted. This op keeps the site's checks,
-    // counters, fault point, and optional cross-check identical to the
-    // interpreter's elision path, then falls through.
-    const Value &VA = Regs[Base + In->A];
-    const Value &VB = Regs[Base + In->B];
-    if (!VA.isLoc() || !VB.isLoc())
-      return Fail("'if disconnected' arguments must be objects");
-    Loc A = VA.asLoc(), B = VB.asLoc();
-    if ((In->C & DisconnCheckReservation) &&
-        (!InReservation(A) || !InReservation(B)))
-      return Fail("reservation violation: 'if disconnected' argument "
-                  "outside the reservation");
-    if (S.Faults && S.Faults->shouldFire(FaultPoint::DisconnectTraverse))
-      injectFaultVm(FaultPoint::DisconnectTraverse, T.Id);
-    ++Stats.DisconnectChecks;
-    bool Taken = (In->C & DisconnFoldedTaken) != 0;
-    if (In->C & DisconnCrossCheck) {
-      DisconnectOutcome Real =
-          S.UseNaiveDisconnect
-              ? checkDisconnectedNaive(H, A, B, T.Scratch)
-              : checkDisconnectedRefCount(H, A, B, T.Scratch);
-      if (Real.Disconnected != Taken)
-        return Fail("static 'if disconnected' verdict contradicts the "
-                    "runtime traversal (analysis bug)");
-    }
-    ++Stats.DisconnectElided;
-    if (Taken)
-      ++Stats.DisconnectTaken;
-    if (T.Trace)
-      T.Trace->instant("disconnect.elided", "disconnect");
+    // The analysis proved this site's outcome at compile time and only
+    // the proven branch was emitted: the site keeps its checks, counters,
+    // fault point and optional cross-check, then falls through.
+    bool Taken = false;
+    if (StepOutcome Out = ifDisconnected(
+            T, S, Regs[Base + In->A], Regs[Base + In->B],
+            In->C & DisconnCheckReservation,
+            (In->C & DisconnFoldedTaken) ? DisconnectVerdict::MustDisconnected
+                                         : DisconnectVerdict::MustConnected,
+            In->C & DisconnCrossCheck, Taken);
+        Out != StepOutcome::Progress)
+      return Stop(Out);
   }
   VM_NEXT();
 

@@ -7,8 +7,10 @@
 #ifndef FEARLESS_TESTS_TESTUTIL_H
 #define FEARLESS_TESTS_TESTUTIL_H
 
+#include "analysis/StaticDisconnect.h"
 #include "driver/Driver.h"
 #include "runtime/Machine.h"
+#include "vm/Compiler.h"
 
 #include <gtest/gtest.h>
 
@@ -116,6 +118,19 @@ inline std::vector<int64_t> readSll(Pipeline &P, const Machine &M,
     Cur = FieldByName(Cur.asLoc(), NextSym);
   }
   return Out;
+}
+
+/// Lowers \p P to the bytecode `fearlessc run` executes by default:
+/// checked, with the sites the analysis proves folded.
+inline vm::CompiledProgram shippedBytecode(const Pipeline &P) {
+  DisconnectVerdictTable Verdicts =
+      analyzeProgram(P.Checked).verdictTable();
+  vm::CompileOptions VO;
+  VO.EmitChecks = true;
+  VO.Verdicts = &Verdicts;
+  Expected<vm::CompiledProgram> Code = vm::compileProgram(P.Checked, VO);
+  EXPECT_TRUE(Code.hasValue()) << (Code ? "" : Code.error().render());
+  return Code ? Code.take() : vm::CompiledProgram{};
 }
 
 } // namespace fearless::testutil

@@ -223,8 +223,15 @@ TEST(Mc, RecordedScheduleReplaysBitIdenticalTwice) {
   // be byte-identical.
   mc::Schedule Recorded;
   std::unique_ptr<Machine> M0 = Fresh();
-  Expected<MachineSummary> R0 = mc::runRecording(*M0, 7, Recorded);
+  Expected<MachineSummary> R0 = M0->run(7, &Recorded.Choices);
   ASSERT_TRUE(R0.hasValue()) << R0.error().Message;
+  // Recording is an observer: the same seed without it picks the same
+  // interleaving.
+  std::unique_ptr<Machine> Plain = Fresh();
+  Expected<MachineSummary> RPlain = Plain->run(7);
+  ASSERT_TRUE(RPlain.hasValue()) << RPlain.error().Message;
+  EXPECT_EQ(R0->Steps, RPlain->Steps);
+  EXPECT_EQ(R0->ThreadResults, RPlain->ThreadResults);
   Expected<mc::Schedule> Reparsed =
       mc::Schedule::parse(Recorded.render());
   ASSERT_TRUE(Reparsed.hasValue()) << Reparsed.error().Message;
@@ -265,7 +272,7 @@ TEST(Mc, ReplayComposesWithFaultInjection) {
   mc::Schedule Recorded;
   FaultInjector FI0(*Plan);
   std::unique_ptr<Machine> M0 = Fresh(FI0);
-  Expected<MachineSummary> R0 = mc::runRecording(*M0, 3, Recorded);
+  Expected<MachineSummary> R0 = M0->run(3, &Recorded.Choices);
   ASSERT_FALSE(R0.hasValue()); // the injected fault killed the run
   ASSERT_TRUE(M0->lastFault().has_value());
 

@@ -7,7 +7,8 @@
 // The register bytecode VM (vm/Compiler.h, vm/Vm.h) against its
 // differential oracle, the tree-walking interpreter. The two engines
 // must be bit-identical: same results, same error messages, same
-// allocation order, same blocking protocol — over the example programs,
+// counters, same per-thread trace events, same fault points — over the
+// example programs,
 // the embedded sample suites, host-built graphs, randomized scheduler
 // sweeps, and fault-injection/supervision runs. Erased-mode codegen
 // (the Theorem 6.1/6.2 payoff) must additionally retire zero dynamic
@@ -40,7 +41,9 @@ void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
 
 #include "analysis/StaticDisconnect.h"
 #include "concurrency/ParallelExec.h"
+#include "server/Json.h"
 #include "support/FaultInjector.h"
+#include "support/Trace.h"
 #include "vm/Compiler.h"
 
 #include <gtest/gtest.h>
@@ -48,6 +51,7 @@ void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -72,20 +76,47 @@ vm::CompiledProgram mustCompileVm(Pipeline &P, bool EmitChecks,
 }
 
 /// One engine run over a Machine: results on success, the exact error
-/// message on failure, and the aggregated counters either way.
+/// message on failure, and the aggregated counters and per-thread trace
+/// event names either way.
 struct Outcome {
   bool Ok = false;
   std::vector<Value> Results;
   std::string Error;
   RuntimeMetrics Metrics;
+  /// Trace lane (tid) → event names in order, without each engine's
+  /// progress events (`interp.steps`, `vm.dispatch`).
+  std::map<int64_t, std::vector<std::string>> Events;
 };
 
 using Setup = std::function<void(Pipeline &, Machine &)>;
 
+std::map<int64_t, std::vector<std::string>>
+eventsByLane(const TraceSession &Trace) {
+  std::map<int64_t, std::vector<std::string>> Lanes;
+  Expected<server::Json> Doc = server::parseJson(Trace.toChromeJson());
+  EXPECT_TRUE(Doc.hasValue());
+  if (!Doc)
+    return Lanes;
+  for (const server::Json &E : Doc->find("traceEvents")->items()) {
+    std::string Name = E.getString("name", "");
+    if (E.getString("ph", "") == "M" || Name == "interp.steps" ||
+        Name == "vm.dispatch")
+      continue;
+    Lanes[E.getInt("tid", -1)].push_back(Name);
+  }
+  return Lanes;
+}
+
+/// Runs with tracing on. \p Verdicts, when set, lets the interpreter
+/// elide the `if disconnected` sites an erased build folds.
 Outcome runMachine(Pipeline &P, const vm::CompiledProgram *Code,
-                   const Setup &S, uint64_t Seed = 0) {
+                   const Setup &S, uint64_t Seed = 0,
+                   const DisconnectVerdictTable *Verdicts = nullptr) {
+  TraceSession Trace;
   MachineOptions MO;
   MO.VmCode = Code;
+  MO.StaticVerdicts = Verdicts;
+  MO.Trace = &Trace;
   Machine M(P.Checked, MO);
   S(P, M);
   Expected<MachineSummary> R = M.run(Seed);
@@ -97,14 +128,35 @@ Outcome runMachine(Pipeline &P, const vm::CompiledProgram *Code,
   } else {
     O.Error = R.error().Message;
   }
+  EXPECT_EQ(Trace.droppedEvents(), 0u);
+  O.Events = eventsByLane(Trace);
   return O;
+}
+
+/// Every counter except the ones that measure the engine itself: steps
+/// (the VM batches instructions), the VM's instruction, inline-cache and
+/// erased-check counts, and wall time. Reservation checks compare only
+/// when both runs perform them.
+std::map<std::string, uint64_t>
+semanticCounters(const RuntimeMetrics &M, bool WithReservationChecks) {
+  std::map<std::string, uint64_t> Out;
+  M.forEach([&](const char *Key, uint64_t V) {
+    std::string K = Key;
+    if (K == "steps" || K == "vm_instructions" || K.rfind("ic_", 0) == 0 ||
+        K == "checks_erased" || K == "wall_micros" ||
+        (K == "reservation_checks" && !WithReservationChecks))
+      return;
+    Out[K] = V;
+  });
+  return Out;
 }
 
 /// Asserts the observable equivalence the VM promises: identical
 /// success/failure, identical results or error text, identical
-/// allocation and communication counts.
+/// counters and identical per-thread trace events.
 void expectSameOutcome(const Outcome &Interp, const Outcome &Vm,
-                       const std::string &What) {
+                       const std::string &What,
+                       bool WithReservationChecks) {
   EXPECT_EQ(Interp.Ok, Vm.Ok) << What << ": " << Interp.Error << " vs "
                               << Vm.Error;
   if (Interp.Ok && Vm.Ok) {
@@ -115,13 +167,15 @@ void expectSameOutcome(const Outcome &Interp, const Outcome &Vm,
   } else {
     EXPECT_EQ(Interp.Error, Vm.Error) << What;
   }
-  EXPECT_EQ(Interp.Metrics.Allocations, Vm.Metrics.Allocations) << What;
-  EXPECT_EQ(Interp.Metrics.Sends, Vm.Metrics.Sends) << What;
-  EXPECT_EQ(Interp.Metrics.Recvs, Vm.Metrics.Recvs) << What;
+  EXPECT_EQ(semanticCounters(Interp.Metrics, WithReservationChecks),
+            semanticCounters(Vm.Metrics, WithReservationChecks))
+      << What;
+  EXPECT_EQ(Interp.Events, Vm.Events) << What;
 }
 
-/// Runs interp, VM-checked, and VM-erased over the same spawn set and
-/// requires all three to agree.
+/// Runs the interpreter against the checked VM, and the interpreter with
+/// the verdict table against the erased VM that folded it, over the same
+/// spawn set, and requires each pair to agree.
 void differential(Pipeline &P, const Setup &S, const std::string &What,
                   uint64_t Seed = 0) {
   AnalysisReport Report = analyzeProgram(P.Checked);
@@ -131,10 +185,13 @@ void differential(Pipeline &P, const Setup &S, const std::string &What,
       mustCompileVm(P, /*EmitChecks=*/false, &Verdicts);
 
   Outcome Interp = runMachine(P, nullptr, S, Seed);
+  Outcome InterpFolded = runMachine(P, nullptr, S, Seed, &Verdicts);
   Outcome VmChecked = runMachine(P, &Checked, S, Seed);
   Outcome VmErased = runMachine(P, &Erased, S, Seed);
-  expectSameOutcome(Interp, VmChecked, What + " [checked]");
-  expectSameOutcome(Interp, VmErased, What + " [erased]");
+  expectSameOutcome(Interp, VmChecked, What + " [checked]",
+                    /*WithReservationChecks=*/true);
+  expectSameOutcome(InterpFolded, VmErased, What + " [erased]",
+                    /*WithReservationChecks=*/false);
   // Erasability: the erased build retires no dynamic reservation checks
   // and records what it compiled out.
   EXPECT_EQ(VmErased.Metrics.ReservationChecks, 0u) << What;
@@ -416,31 +473,53 @@ TEST(VmScheduler, SeedSweepMatchesMachineBaseline) {
 //===----------------------------------------------------------------------===//
 
 TEST(VmFaults, InjectedHeapFaultMatchesInterpreter) {
+  // Every fault point the evaluators own, each reached exactly once or
+  // (heap.alloc) at a fixed occurrence whatever the interleaving.
   Pipeline P = mustCompile(R"(
+struct item { value : int; }
 struct gnode { next : gnode; }
-def main() : int {
+def producer(n : int) : int {
   let a = new gnode();
   let b = new gnode();
-  let c = new gnode();
-  let d = new gnode();
-  4
+  a.next = b;
+  a.next = a;
+  let r = if disconnected(a, b) { 1 } else { 0 };
+  let d = new item(n) in { send(d) };
+  r
+}
+def consumer() : int {
+  let d = recv<item>() in { d.value }
 }
 )");
-  auto RunWithFaults = [&](const vm::CompiledProgram *Code) {
-    FaultPlan Plan = *parseFaultSpec("heap.alloc=nth:3,seed=7");
-    FaultInjector FI(Plan);
-    MachineOptions MO;
-    MO.VmCode = Code;
-    MO.Faults = &FI;
-    Machine M(P.Checked, MO);
-    M.spawn(sym(P, "main"));
-    Expected<MachineSummary> R = M.run();
-    EXPECT_FALSE(R.hasValue());
-    EXPECT_TRUE(M.lastFault().has_value());
-    return R ? std::string() : R.error().Message;
+  const std::pair<const char *, FaultPoint> Points[] = {
+      {"heap.alloc=nth:3,seed=7", FaultPoint::HeapAlloc},
+      {"chan.send=nth:1,seed=7", FaultPoint::ChanSend},
+      {"chan.recv=nth:1,seed=7", FaultPoint::ChanRecv},
+      {"disconnect.traverse=nth:1,seed=7", FaultPoint::DisconnectTraverse},
   };
   vm::CompiledProgram Code = mustCompileVm(P, false);
-  EXPECT_EQ(RunWithFaults(nullptr), RunWithFaults(&Code));
+  for (const auto &[Spec, Point] : Points) {
+    auto RunWithFaults = [&](const vm::CompiledProgram *VmCode) {
+      FaultPlan Plan = *parseFaultSpec(Spec);
+      FaultInjector FI(Plan);
+      MachineOptions MO;
+      MO.VmCode = VmCode;
+      MO.Faults = &FI;
+      Machine M(P.Checked, MO);
+      M.spawn(sym(P, "producer"), {Value::intVal(4)});
+      M.spawn(sym(P, "consumer"));
+      Expected<MachineSummary> R = M.run();
+      EXPECT_FALSE(R.hasValue()) << Spec;
+      EXPECT_TRUE(M.lastFault().has_value()) << Spec;
+      if (M.lastFault()) {
+        EXPECT_EQ(M.lastFault()->Kind, RuntimeFaultKind::Injected) << Spec;
+        EXPECT_EQ(M.lastFault()->Detail, static_cast<uint32_t>(Point))
+            << Spec;
+      }
+      return R ? std::string() : R.error().Message;
+    };
+    EXPECT_EQ(RunWithFaults(nullptr), RunWithFaults(&Code)) << Spec;
+  }
 }
 
 TEST(VmFaults, SupervisedRecoveryMatchesFaultFreeRun) {

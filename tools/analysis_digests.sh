@@ -13,13 +13,15 @@
 #   - `analyze --json` and `analyze --summaries` for every program;
 #   - `check --stats` for every program file (run in the file's
 #     directory, since the output names the file as given);
-#   - `derive FILE FN` for every `def` in examples/*.fls.
+#   - `derive FILE FN` for every `def` in examples/*.fls;
+#   - `run FILE main --stats` and `run FILE main --no-checks --stats`
+#     for every program that defines `main`.
 #
 # tools/ci.sh diffs this output against the committed
 # tests/fixtures/analysis_digests.sha256, which pins the analysis
-# output, the checker's and verifier's counts and the typing
-# derivations byte for byte across changes to the analyzer, checker and
-# verifier. Regenerate the file only for an intended output change:
+# output, the checker's and verifier's counts, the typing derivations
+# and the run results and runtime counts byte for byte across changes
+# to the analyzer, checker, verifier and runtime. Regenerate the file only for an intended output change:
 #
 #   tools/analysis_digests.sh build > tests/fixtures/analysis_digests.sha256
 #
@@ -75,4 +77,13 @@ for src in "$ROOT"/examples/*.fls; do
   for fn in $(sed -n 's/^def \([A-Za-z_][A-Za-z0-9_]*\).*/\1/p' "$src"); do
     digest "$rel derive $fn" "$WORK" derive "$src" "$fn"
   done
+done
+
+for src in "${progs[@]}"; do
+  grep -q '^def main(' "$src" || continue
+  rel="${src#"$WORK/"}"
+  rel="${rel#"$ROOT/"}"
+  digest "$rel run main --stats" "$WORK" run "$src" main --stats
+  digest "$rel run main --no-checks --stats" "$WORK" \
+    run "$src" main --no-checks --stats
 done

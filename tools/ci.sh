@@ -15,7 +15,8 @@
 # interprocedural precision gate and a byte-identity gate on the
 # analyzer's output (tools/analysis_digests.sh against
 # tests/fixtures/analysis_digests.sha256, which also pins `check
-# --stats` and every example's typing derivation), a parser nesting-cap
+# --stats`, every example's typing derivation and `run --stats` for
+# every program with a `main`), a parser nesting-cap
 # smoke, a 20k-statement long-block smoke, a model-checker smoke (the
 # erasure-soundness gate: `fearlessc mc --mc-checks=off` over the
 # examples and corpus, plus a deadlock fixture whose counterexample
@@ -148,6 +149,20 @@ EOF
   expect_exit 5 "runtime fault" \
     "$fc" run "$ROOT/examples/dll_remove.fls" main \
     --faults 'heap.alloc=nth:3,seed=7'
+  # `run` and `mc` resolve their entry function through one resolver: a
+  # missing function is the same diagnostic and exit 1 from both.
+  local run_err mc_err run_exit=0 mc_exit=0
+  run_err="$("$fc" run "$ROOT/examples/dll_remove.fls" no_such_fn \
+    2>&1 >/dev/null)" || run_exit=$?
+  mc_err="$("$fc" mc "$ROOT/examples/dll_remove.fls" no_such_fn \
+    2>&1 >/dev/null)" || mc_exit=$?
+  if [[ "$run_exit" != 1 || "$mc_exit" != 1 || "$run_err" != "$mc_err" ]]
+  then
+    echo "==> FAIL: missing entry function: run exit $run_exit" \
+         "('$run_err') vs mc exit $mc_exit ('$mc_err')" >&2
+    exit 1
+  fi
+  echo "    missing entry function: exit 1, run and mc agree ('$run_err')"
 }
 
 # VM disasm smoke: `disasm` must print the chunks and the statically

@@ -554,44 +554,23 @@ int cmdMc(const char *Path, const char *Fn,
   const CompiledArtifact &Art = **A;
   const Pipeline &P = Art.P;
 
-  // Resolve the entry and every --spawn up front (same int-argument
-  // rule as `run`).
-  auto Resolve =
-      [&](const std::string &FnName, const std::vector<int64_t> &IntArgs,
-          std::pair<Symbol, std::vector<Value>> &Out) -> bool {
-    Out.first = P.Prog->Names.intern(FnName);
-    const FnDecl *Decl = P.Prog->findFunction(Out.first);
-    if (!Decl) {
-      std::fprintf(stderr, "no function '%s'\n", FnName.c_str());
+  // Resolve the entry and every --spawn up front, as `run` does.
+  std::vector<EntryCall> Roots;
+  auto Resolve = [&](const std::string &FnName,
+                     const std::vector<int64_t> &IntArgs) {
+    Expected<EntryCall> C = resolveEntryCall(P, FnName, IntArgs);
+    if (!C) {
+      std::fprintf(stderr, "%s\n", C.error().Message.c_str());
       return false;
     }
-    if (Decl->Params.size() != IntArgs.size()) {
-      std::fprintf(stderr,
-                   "'%s' takes %zu arguments, got %zu (only int "
-                   "arguments are supported from the CLI)\n",
-                   FnName.c_str(), Decl->Params.size(), IntArgs.size());
-      return false;
-    }
-    Out.second.clear();
-    for (size_t I = 0; I < IntArgs.size(); ++I) {
-      if (!(Decl->Params[I].ParamType == Type::intTy())) {
-        std::fprintf(stderr, "parameter %zu of '%s' is not int\n", I,
-                     FnName.c_str());
-        return false;
-      }
-      Out.second.push_back(Value::intVal(IntArgs[I]));
-    }
+    Roots.push_back(C.take());
     return true;
   };
-  std::vector<std::pair<Symbol, std::vector<Value>>> Roots;
-  Roots.emplace_back();
-  if (!Resolve(Fn, Args, Roots.back()))
+  if (!Resolve(Fn, Args))
     return ExitError;
-  for (const auto &[SpawnFn, SpawnArgs] : Spawns) {
-    Roots.emplace_back();
-    if (!Resolve(SpawnFn, SpawnArgs, Roots.back()))
+  for (const auto &[SpawnFn, SpawnArgs] : Spawns)
+    if (!Resolve(SpawnFn, SpawnArgs))
       return ExitError;
-  }
 
   // Every execution gets a fresh machine and (when faults are armed) a
   // fresh injector — the injector's occurrence counters are run-local
@@ -618,8 +597,8 @@ int cmdMc(const char *Path, const char *Fn,
       return std::nullopt;
     };
     auto M = std::make_unique<Machine>(P.Checked, MO);
-    for (const auto &[S, V] : Roots)
-      M->spawn(S, std::vector<Value>(V));
+    for (const EntryCall &Root : Roots)
+      M->spawn(Root.Fn, Root.Args);
     return M;
   };
 
