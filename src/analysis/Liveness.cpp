@@ -9,8 +9,8 @@
 using namespace fearless;
 
 void UseSet::merge(const UseSet &Other) {
-  Vars.insert(Other.Vars.begin(), Other.Vars.end());
-  FieldUses.insert(Other.FieldUses.begin(), Other.FieldUses.end());
+  Vars.merge(Other.Vars);
+  FieldUses.merge(Other.FieldUses);
 }
 
 const UseSet &UseCache::uses(const Expr &E) {

@@ -23,17 +23,18 @@
 #define FEARLESS_ANALYSIS_LIVENESS_H
 
 #include "ast/Ast.h"
+#include "support/FlatMap.h"
 
-#include <map>
-#include <set>
+#include <unordered_map>
 #include <utility>
 
 namespace fearless {
 
-/// Variables and field slots an expression (sub)tree may use.
+/// Variables and field slots an expression (sub)tree may use, as sorted
+/// flat vectors: merging is one linear set union.
 struct UseSet {
-  std::set<Symbol> Vars;
-  std::set<std::pair<Symbol, Symbol>> FieldUses; ///< (var, field)
+  FlatSet<Symbol> Vars;
+  FlatSet<std::pair<Symbol, Symbol>> FieldUses; ///< (var, field)
 
   void merge(const UseSet &Other);
   bool usesVar(Symbol Var) const { return Vars.count(Var) != 0; }
@@ -50,7 +51,7 @@ struct Continuation {
   /// Variables whose region capability must survive merges even when the
   /// variable itself is dead: function parameters (the signature's output
   /// context mentions them) — the "wanted" set of the unification oracle.
-  std::set<Symbol> AlwaysValid;
+  FlatSet<Symbol> AlwaysValid;
 
   /// True when the continuation (or the function contract) still cares
   /// about \p Var's capability.
@@ -69,18 +70,23 @@ struct Continuation {
 
 /// Memoizing computer of UseSets. Calls contribute the callee's `after`
 /// field paths applied to the actual argument variables.
+///
+/// One cache serves one function check: only that function's expressions
+/// are ever queried, so the checker builds a cache per function and the
+/// memory is released as soon as the function is done.
 class UseCache {
 public:
   explicit UseCache(const Program &P) : P(P) {}
 
-  /// The uses of \p E (computed once, cached by node identity).
+  /// The uses of \p E (computed once, cached by node identity). The
+  /// reference stays valid for the cache's lifetime.
   const UseSet &uses(const Expr &E);
 
 private:
   UseSet compute(const Expr &E);
 
   const Program &P;
-  std::map<const Expr *, UseSet> Cache;
+  std::unordered_map<const Expr *, UseSet> Cache;
 };
 
 } // namespace fearless

@@ -1117,8 +1117,8 @@ Expected<CheckedProgram> fearless::checkProgram(const Program &P,
     Out.Signatures.emplace(F.Name, Sig.take());
   }
 
-  UseCache Uses(P);
   for (const FnDecl &F : P.Functions) {
+    UseCache Uses(P);
     FnChecker Checker(P, Out.Structs, Out.Signatures, Opts, Uses, Supply,
                       Out.SendTypes);
     Expected<CheckedFunction> Checked = Checker.run(F);

@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <map>
+#include <set>
 
 using namespace fearless;
 

@@ -7,17 +7,17 @@
 #include "regions/Canonical.h"
 
 #include <cassert>
-#include <deque>
+#include <vector>
 
 using namespace fearless;
 
 void fearless::dropUnreachableRegions(Contexts &Ctx, RegionId ExtraRoot) {
   // Iterate to a fixpoint: dropping a region never makes another region
   // reachable, so a single pass over a recomputed reachable set suffices.
-  std::map<RegionId, bool> Reachable;
+  FlatMap<RegionId, bool> Reachable;
   for (const auto &[Region, Track] : Ctx.Heap.entries()) {
     (void)Track;
-    Reachable[Region] = false;
+    Reachable.emplace(Region, false);
   }
   auto MarkIfPresent = [&](RegionId R) {
     auto It = Reachable.find(R);
@@ -56,7 +56,9 @@ CanonicalForm fearless::canonicalize(const Contexts &Ctx,
                                      RegionId ExtraRoot) {
   CanonicalForm Result;
   uint32_t Next = 0;
-  std::deque<RegionId> Worklist;
+  // Breadth-first queue: Worklist[Head..] is still to be visited.
+  std::vector<RegionId> Worklist;
+  size_t Head = 0;
 
   auto Assign = [&](RegionId R) -> RegionId {
     if (!R.isValid())
@@ -84,9 +86,8 @@ CanonicalForm fearless::canonicalize(const Contexts &Ctx,
     Assign(ExtraRoot);
 
   // Breadth-first over tracked-field targets.
-  while (!Worklist.empty()) {
-    RegionId R = Worklist.front();
-    Worklist.pop_front();
+  while (Head < Worklist.size()) {
+    RegionId R = Worklist[Head++];
     const RegionTrack *Track = Ctx.Heap.lookup(R);
     assert(Track && "worklist region vanished");
     for (const auto &[Var, VTrack] : Track->Vars) {
@@ -117,10 +118,12 @@ CanonicalForm fearless::canonicalize(const Contexts &Ctx,
     for (const auto &[Var, VTrack] : Track.Vars) {
       VarTrack NewVTrack;
       NewVTrack.Pinned = VTrack.Pinned;
-      for (const auto &[Field, Target] : VTrack.Fields)
-        NewVTrack.Fields[Field] = Result.Renaming.count(Target)
-                                      ? Result.Renaming.at(Target)
-                                      : RegionId{DeadCanonicalRegion};
+      for (const auto &[Field, Target] : VTrack.Fields) {
+        auto It = Result.Renaming.find(Target);
+        NewVTrack.Fields.emplace(Field, It != Result.Renaming.end()
+                                            ? It->second
+                                            : RegionId{DeadCanonicalRegion});
+      }
       NewTrack.Vars.emplace(Var, std::move(NewVTrack));
     }
     // Canonical ids are unique per original region, so no clash.

@@ -19,8 +19,6 @@
 
 #include "regions/Contexts.h"
 
-#include <map>
-
 namespace fearless {
 
 /// The canonical id assigned to every *dead* field target (a region absent
@@ -38,7 +36,7 @@ void dropUnreachableRegions(Contexts &Ctx, RegionId ExtraRoot = RegionId());
 /// A canonicalized context plus the renaming that produced it.
 struct CanonicalForm {
   Contexts Ctx;
-  std::map<RegionId, RegionId> Renaming; ///< original -> canonical
+  FlatMap<RegionId, RegionId> Renaming; ///< original -> canonical
 };
 
 /// Renames regions to 1..n in deterministic discovery order: first the

@@ -136,15 +136,15 @@ bool HeapCtx::isFieldTarget(RegionId R) const {
 
 std::optional<std::string>
 fearless::checkWellFormed(const Contexts &Ctx, const Interner &Names) {
-  std::map<Symbol, RegionId> Seen;
+  FlatMap<Symbol, RegionId> Seen;
   for (const auto &[Region, Track] : Ctx.Heap.entries()) {
     for (const auto &[Var, VTrack] : Track.Vars) {
       (void)VTrack;
-      if (Seen.count(Var))
+      auto [It, Inserted] = Seen.emplace(Var, Region);
+      if (!Inserted)
         return "variable '" + Names.spelling(Var) +
-               "' tracked in two regions (" + toString(Seen[Var]) +
+               "' tracked in two regions (" + toString(It->second) +
                " and " + toString(Region) + ")";
-      Seen[Var] = Region;
       const VarBinding *Binding = Ctx.Vars.lookup(Var);
       if (!Binding)
         return "tracked variable '" + Names.spelling(Var) +

@@ -26,10 +26,10 @@
 #define FEARLESS_REGIONS_CONTEXTS_H
 
 #include "ast/Types.h"
+#include "support/FlatMap.h"
 #include "support/Interner.h"
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -72,11 +72,13 @@ struct VarBinding {
   bool operator==(const VarBinding &) const = default;
 };
 
-/// Γ: an ordered map from variable symbols to bindings. Ordered so that
-/// printing and canonicalization are deterministic.
+/// Γ: a sorted flat vector from variable symbols to bindings. Ordered so
+/// that printing and canonicalization are deterministic; flat because
+/// every derivation snapshot copies and compares it whole. Binding a new
+/// variable or erasing one invalidates pointers returned by lookup().
 class VarCtx {
 public:
-  using MapTy = std::map<Symbol, VarBinding>;
+  using MapTy = FlatMap<Symbol, VarBinding>;
 
   bool contains(Symbol Var) const { return Vars.count(Var) != 0; }
   const VarBinding *lookup(Symbol Var) const;
@@ -106,7 +108,7 @@ struct VarTrack {
   /// no longer present in H denotes an *invalidated* field (e.g. after the
   /// region split of `if disconnected`): the field must be reassigned
   /// before it can be read or retracted.
-  std::map<Symbol, RegionId> Fields;
+  FlatMap<Symbol, RegionId> Fields;
 
   bool operator==(const VarTrack &) const = default;
 };
@@ -114,16 +116,18 @@ struct VarTrack {
 /// Tracking context for one region: r°⟨X⟩.
 struct RegionTrack {
   bool Pinned = false;
-  std::map<Symbol, VarTrack> Vars;
+  FlatMap<Symbol, VarTrack> Vars;
 
   bool empty() const { return Vars.empty(); }
   bool operator==(const RegionTrack &) const = default;
 };
 
-/// H: an ordered map from region capabilities to tracking contexts.
+/// H: a sorted flat vector from region capabilities to tracking contexts.
+/// Adding or removing a region, or a tracked variable or field, moves
+/// entries: pointers from lookup() and trackedVar() do not survive it.
 class HeapCtx {
 public:
-  using MapTy = std::map<RegionId, RegionTrack>;
+  using MapTy = FlatMap<RegionId, RegionTrack>;
 
   bool hasRegion(RegionId R) const { return Regions.count(R) != 0; }
   const RegionTrack *lookup(RegionId R) const;

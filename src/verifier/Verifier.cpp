@@ -8,8 +8,12 @@
 
 #include "regions/Canonical.h"
 
+#include <algorithm>
 #include <cassert>
-#include <set>
+#include <iterator>
+#include <tuple>
+#include <unordered_set>
+#include <vector>
 
 using namespace fearless;
 
@@ -42,12 +46,21 @@ public:
   }
 
 private:
+  /// Well-formedness of \p Snapshot, checked once per distinct snapshot:
+  /// derivation steps share immutable snapshots, so one already checked
+  /// in this function needs no second look.
+  std::optional<std::string> checkSnapshot(const Contexts &Snapshot) {
+    if (!CheckedSnapshots.insert(&Snapshot).second)
+      return std::nullopt;
+    return checkWellFormed(Snapshot, Names);
+  }
+
   ExpectedVoid verifyStep(const DerivStep &Step) {
     ++Stats.StepsChecked;
-    if (auto Problem = checkWellFormed(*Step.Before, Names))
+    if (auto Problem = checkSnapshot(*Step.Before))
       return fail("ill-formed context before " + Step.Rule + ": " +
                   *Problem);
-    if (auto Problem = checkWellFormed(*Step.After, Names))
+    if (auto Problem = checkSnapshot(*Step.After))
       return fail("ill-formed context after " + Step.Rule + ": " +
                   *Problem);
 
@@ -82,25 +95,27 @@ private:
   static bool
   diffTrackedVars(const HeapCtx &Before, const HeapCtx &After,
                   RegionId &Region, Symbol &Var, bool &AddedInAfter) {
-    // Collect (region, var) keys on both sides.
-    std::set<std::pair<RegionId, Symbol>> BeforeKeys, AfterKeys;
-    for (const auto &[R, Track] : Before.entries())
-      for (const auto &[V, VT] : Track.Vars) {
-        (void)VT;
-        BeforeKeys.insert({R, V});
-      }
-    for (const auto &[R, Track] : After.entries())
-      for (const auto &[V, VT] : Track.Vars) {
-        (void)VT;
-        AfterKeys.insert({R, V});
-      }
-    std::vector<std::pair<RegionId, Symbol>> OnlyBefore, OnlyAfter;
-    for (const auto &Key : BeforeKeys)
-      if (!AfterKeys.count(Key))
-        OnlyBefore.push_back(Key);
-    for (const auto &Key : AfterKeys)
-      if (!BeforeKeys.count(Key))
-        OnlyAfter.push_back(Key);
+    // Collect (region, var) keys on both sides. H iterates in region,
+    // then variable order, so each list comes out sorted.
+    using Key = std::pair<RegionId, Symbol>;
+    auto Collect = [](const HeapCtx &H) {
+      std::vector<Key> Keys;
+      for (const auto &[R, Track] : H.entries())
+        for (const auto &[V, VT] : Track.Vars) {
+          (void)VT;
+          Keys.push_back({R, V});
+        }
+      return Keys;
+    };
+    std::vector<Key> BeforeKeys = Collect(Before);
+    std::vector<Key> AfterKeys = Collect(After);
+    std::vector<Key> OnlyBefore, OnlyAfter;
+    std::set_difference(BeforeKeys.begin(), BeforeKeys.end(),
+                        AfterKeys.begin(), AfterKeys.end(),
+                        std::back_inserter(OnlyBefore));
+    std::set_difference(AfterKeys.begin(), AfterKeys.end(),
+                        BeforeKeys.begin(), BeforeKeys.end(),
+                        std::back_inserter(OnlyAfter));
     if (OnlyBefore.size() + OnlyAfter.size() != 1)
       return false;
     AddedInAfter = !OnlyAfter.empty();
@@ -162,23 +177,30 @@ private:
                                 RegionId &Region, Symbol &Var,
                                 Symbol &Field, RegionId &Target,
                                 bool &AddedInAfter) {
+    // (region, var, field) -> target on both sides, sorted by key as H
+    // iterates; the diff compares keys only.
     using Key = std::tuple<RegionId, Symbol, Symbol>;
-    std::map<Key, RegionId> BeforeFields, AfterFields;
-    auto Collect = [](const HeapCtx &H, std::map<Key, RegionId> &Out) {
+    using Entry = std::pair<Key, RegionId>;
+    auto Collect = [](const HeapCtx &H) {
+      std::vector<Entry> Entries;
       for (const auto &[R, Track] : H.entries())
         for (const auto &[V, VT] : Track.Vars)
           for (const auto &[F, T] : VT.Fields)
-            Out[{R, V, F}] = T;
+            Entries.push_back({Key{R, V, F}, T});
+      return Entries;
     };
-    Collect(Before, BeforeFields);
-    Collect(After, AfterFields);
-    std::vector<std::pair<Key, RegionId>> OnlyBefore, OnlyAfter;
-    for (const auto &[K, T] : BeforeFields)
-      if (!AfterFields.count(K))
-        OnlyBefore.push_back({K, T});
-    for (const auto &[K, T] : AfterFields)
-      if (!BeforeFields.count(K))
-        OnlyAfter.push_back({K, T});
+    auto KeyLess = [](const Entry &A, const Entry &B) {
+      return A.first < B.first;
+    };
+    std::vector<Entry> BeforeFields = Collect(Before);
+    std::vector<Entry> AfterFields = Collect(After);
+    std::vector<Entry> OnlyBefore, OnlyAfter;
+    std::set_difference(BeforeFields.begin(), BeforeFields.end(),
+                        AfterFields.begin(), AfterFields.end(),
+                        std::back_inserter(OnlyBefore), KeyLess);
+    std::set_difference(AfterFields.begin(), AfterFields.end(),
+                        BeforeFields.begin(), BeforeFields.end(),
+                        std::back_inserter(OnlyAfter), KeyLess);
     if (OnlyBefore.size() + OnlyAfter.size() != 1)
       return false;
     AddedInAfter = !OnlyAfter.empty();
@@ -424,6 +446,8 @@ private:
   const Interner &Names;
   VerifyStats Stats;
   std::string CurrentExpr;
+  /// Snapshots whose well-formedness this walk already established.
+  std::unordered_set<const Contexts *> CheckedSnapshots;
 };
 
 } // namespace

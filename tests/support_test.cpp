@@ -5,9 +5,16 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/Expected.h"
+#include "support/FlatMap.h"
 #include "support/Interner.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <random>
+#include <set>
+#include <string>
+#include <vector>
 
 using namespace fearless;
 
@@ -80,6 +87,148 @@ TEST(Interner, InvalidSymbolIsDistinct) {
 TEST(SourceLoc, Rendering) {
   EXPECT_EQ(toString(SourceLoc{}), "<unknown>");
   EXPECT_EQ(toString(SourceLoc{12, 34}), "12:34");
+}
+
+//===----------------------------------------------------------------------===//
+// FlatMap / FlatSet: differential tests against std::map / std::set
+//===----------------------------------------------------------------------===//
+
+template <typename Map>
+std::vector<std::pair<int, std::string>> entriesOf(const Map &M) {
+  std::vector<std::pair<int, std::string>> Out;
+  for (const auto &[Key, Value] : M)
+    Out.push_back({Key, Value});
+  return Out;
+}
+
+template <typename Set> std::vector<int> elementsOf(const Set &S) {
+  return std::vector<int>(S.begin(), S.end());
+}
+
+// Seeded random sequences of insert, operator[], erase, find, at and
+// lower_bound on two FlatMaps and two std::maps side by side. A small key
+// space makes hits, misses and equal maps all common. After every
+// operation both implementations must hold the same entries in the same
+// order and agree on ==.
+TEST(FlatMap, MatchesStdMapOnRandomOperations) {
+  for (unsigned Seed = 1; Seed <= 25; ++Seed) {
+    std::mt19937 Rng(Seed);
+    auto Draw = [&](int N) {
+      return std::uniform_int_distribution<int>(0, N - 1)(Rng);
+    };
+    FlatMap<int, std::string> Flat[2];
+    std::map<int, std::string> Ref[2];
+    for (int Step = 0; Step < 1500; ++Step) {
+      int Which = Draw(2);
+      FlatMap<int, std::string> &F = Flat[Which];
+      std::map<int, std::string> &R = Ref[Which];
+      int Key = Draw(12);
+      std::string Value(static_cast<size_t>(Draw(3)), 'v');
+      switch (Draw(7)) {
+      case 0:
+        F[Key] = Value;
+        R[Key] = Value;
+        break;
+      case 1: {
+        auto [FIt, FNew] = F.emplace(Key, Value);
+        auto [RIt, RNew] = R.emplace(Key, Value);
+        ASSERT_EQ(FNew, RNew);
+        ASSERT_EQ(FIt->first, RIt->first);
+        ASSERT_EQ(FIt->second, RIt->second);
+        break;
+      }
+      case 2:
+        ASSERT_EQ(F.erase(Key), R.erase(Key));
+        break;
+      case 3: {
+        auto FIt = F.find(Key);
+        auto RIt = R.find(Key);
+        ASSERT_EQ(FIt == F.end(), RIt == R.end());
+        if (FIt != F.end()) {
+          ASSERT_EQ(FIt->second, RIt->second);
+        }
+        break;
+      }
+      case 4:
+        ASSERT_EQ(F.count(Key), R.count(Key));
+        if (R.count(Key)) {
+          ASSERT_EQ(F.at(Key), R.at(Key));
+        }
+        break;
+      case 5: {
+        auto FIt = F.lower_bound(Key);
+        auto RIt = R.lower_bound(Key);
+        ASSERT_EQ(FIt == F.end(), RIt == R.end());
+        if (FIt != F.end()) {
+          ASSERT_EQ(FIt->first, RIt->first);
+        }
+        break;
+      }
+      case 6:
+        // Assigning through a found entry must not reorder anything.
+        if (auto It = F.find(Key); It != F.end()) {
+          It->second = Value;
+          R[Key] = Value;
+        }
+        break;
+      }
+      ASSERT_EQ(entriesOf(F), entriesOf(R)) << "seed " << Seed;
+      ASSERT_EQ(F.size(), R.size());
+      ASSERT_EQ(F.empty(), R.empty());
+      ASSERT_EQ(Flat[0] == Flat[1], Ref[0] == Ref[1]) << "seed " << Seed;
+    }
+  }
+}
+
+// The same for FlatSet, with merge (set union) checked against
+// std::set's range insert.
+TEST(FlatSet, MatchesStdSetOnRandomOperations) {
+  for (unsigned Seed = 1; Seed <= 25; ++Seed) {
+    std::mt19937 Rng(Seed);
+    auto Draw = [&](int N) {
+      return std::uniform_int_distribution<int>(0, N - 1)(Rng);
+    };
+    FlatSet<int> Flat[2];
+    std::set<int> Ref[2];
+    for (int Step = 0; Step < 1500; ++Step) {
+      int Which = Draw(2);
+      FlatSet<int> &F = Flat[Which];
+      std::set<int> &R = Ref[Which];
+      int Key = Draw(16);
+      switch (Draw(5)) {
+      case 0: {
+        auto [FIt, FNew] = F.insert(Key);
+        auto [RIt, RNew] = R.insert(Key);
+        ASSERT_EQ(FNew, RNew);
+        ASSERT_EQ(*FIt, *RIt);
+        break;
+      }
+      case 1:
+        ASSERT_EQ(F.erase(Key), R.erase(Key));
+        break;
+      case 2:
+        ASSERT_EQ(F.count(Key), R.count(Key));
+        ASSERT_EQ(F.find(Key) == F.end(), R.find(Key) == R.end());
+        break;
+      case 3: {
+        auto FIt = F.lower_bound(Key);
+        auto RIt = R.lower_bound(Key);
+        ASSERT_EQ(FIt == F.end(), RIt == R.end());
+        if (FIt != F.end()) {
+          ASSERT_EQ(*FIt, *RIt);
+        }
+        break;
+      }
+      case 4:
+        F.merge(Flat[1 - Which]);
+        R.insert(Ref[1 - Which].begin(), Ref[1 - Which].end());
+        break;
+      }
+      ASSERT_EQ(elementsOf(F), elementsOf(R)) << "seed " << Seed;
+      ASSERT_EQ(F.size(), R.size());
+      ASSERT_EQ(Flat[0] == Flat[1], Ref[0] == Ref[1]) << "seed " << Seed;
+    }
+  }
 }
 
 } // namespace

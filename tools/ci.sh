@@ -21,8 +21,9 @@
 # erasure-soundness gate: `fearlessc mc --mc-checks=off` over the
 # examples and corpus, plus a deadlock fixture whose counterexample
 # schedule must replay deterministically), then the same test suite,
-# server smoke, and chaos smoke under ThreadSanitizer plus the corpus,
-# nesting-cap and long-block smokes under AddressSanitizer. The
+# server smoke, and chaos smoke under ThreadSanitizer plus the
+# checker-side unit tests and the corpus, nesting-cap and long-block
+# smokes under AddressSanitizer. The
 # concurrent runtime (ParallelExec, ChannelSet) is the part of this repo
 # most likely to rot silently — TSan and chaos keep the "fearless" claim
 # honest.
@@ -514,13 +515,23 @@ run_server_smoke "tsan" "$ROOT/build-tsan"
 run_sched_smoke "tsan" "$ROOT/build-tsan"
 run_chaos_smoke "tsan" "$ROOT/build-tsan"
 
-# ASan pass over the analysis front end: the summary engine and the
-# corpus generator push the analyzer over thousands of functions;
-# AddressSanitizer on the same corpus smoke catches lifetime bugs the
-# default pass would miss. Only fearlessc is needed.
+# ASan pass over the analysis front end and the checker: the summary
+# engine and the corpus generator push the analyzer over thousands of
+# functions, and the typing contexts are sorted flat vectors whose
+# inserts and erases invalidate references into them. AddressSanitizer
+# on the checker-side unit tests and on the same corpus smoke catches
+# lifetime bugs the default pass would miss.
+ASAN_TESTS=(support_test regions_test checker_test verifier_test unify_test
+            virtual_test signature_test analysis_test soundness_test
+            property_test)
 echo "==> [asan] configure + build (FEARLESS_SANITIZE=address)"
 cmake -B "$ROOT/build-asan" -S "$ROOT" -DFEARLESS_SANITIZE=address >/dev/null
-cmake --build "$ROOT/build-asan" -j "$JOBS" --target fearlessc
+cmake --build "$ROOT/build-asan" -j "$JOBS" --target fearlessc \
+  "${ASAN_TESTS[@]}"
+echo "==> [asan] checker-side unit tests"
+(cd "$ROOT/build-asan" &&
+  ctest --output-on-failure -j "$JOBS" \
+    -R "^($(IFS='|'; echo "${ASAN_TESTS[*]}"))\$" "${CTEST_ARGS[@]}")
 run_corpus_smoke "asan" "$ROOT/build-asan"
 run_depth_smoke "asan" "$ROOT/build-asan"
 run_long_block_smoke "asan" "$ROOT/build-asan"
