@@ -109,7 +109,7 @@ BENCHMARK(BM_ParallelListPipeline)
     ->UseRealTime();
 
 /// Baseline: the same single-item pipeline on the deterministic abstract
-/// machine (checks on, one interpreter, no parallelism).
+/// machine (checked bytecode, one thread at a time, no parallelism).
 void BM_AbstractMachineItemPipeline(benchmark::State &State) {
   Expected<Pipeline> P = compile(programs::MessagePassing);
   if (!P) {

@@ -17,7 +17,7 @@
 //    large (losing) side, making that claim a number instead of prose.
 //
 // Every benchmark drives the checks through one reused DisconnectScratch
-// (exactly how the interpreter's per-thread scratch behaves), and the
+// (exactly how the VM's per-thread scratch behaves), and the
 // binary replaces global operator new to export `allocs_per_iter`: the
 // steady-state allocation count per check, which must be 0.
 //
@@ -72,7 +72,7 @@ struct Workload {
   Loc DetachedRoot; // root of the k-node ring
   Symbol NextSym, PrevSym;
   /// Reused across every check in the benchmark loop, mirroring the
-  /// interpreter's per-thread scratch ownership.
+  /// VM's per-thread scratch ownership.
   DisconnectScratch Scratch;
 
   Workload(size_t N, size_t K, bool Connected) {
@@ -193,12 +193,12 @@ BENCHMARK(BM_RefCount_DetachSubgraph)
 
 //===----------------------------------------------------------------------===//
 // Elision: the static analysis proved the site must-disconnected, so the
-// interpreter answers from the verdict table without touching the heap.
+// site is answered from the verdict table without touching the heap.
 //===----------------------------------------------------------------------===//
 
 /// A checked program whose single `if disconnected` site the static
 /// analysis classifies as must-disconnected, plus its verdict table —
-/// the exact inputs the interpreter's elision path consults.
+/// the exact inputs the VM lowering folds.
 struct ElisionOracle {
   FrontendResult Front;
   AnalysisReport Report;
@@ -238,7 +238,7 @@ def detach(unused : int) : int {
 void BM_Elided_DetachSubgraph(benchmark::State &State) {
   // Same shape as BM_RefCount_DetachSubgraph — a k-object subgraph
   // detached from a 2^18-object region — but the check is answered from
-  // the static verdict table, the way Interp does for must-* sites. The
+  // the static verdict table, the way folded must-* sites are. The
   // heap is live but untouched: ns/op must be flat in k and every
   // traversal counter must be exactly zero.
   size_t K = static_cast<size_t>(State.range(0));

@@ -9,10 +9,11 @@
 // overhead of replaying a recorded schedule vs running the seeded
 // scheduler directly.
 //
-// Workload: the MessagePassing producer/consumer pipeline at interpreter
-// step granularity — every step of a 2-thread run is a potential branch
-// point, so naive DFS faces a combinatorial space while DPOR's
-// persistent/sleep sets collapse it to a handful of representatives.
+// Workload: the MessagePassing producer/consumer pipeline, 9 items, at
+// VM batch granularity — every step of a 2-thread run is a potential
+// branch point, so naive DFS faces a space exponential in the item count
+// (about 2^n schedules) while DPOR's persistent/sleep sets collapse it
+// to about fib(n) representatives.
 //
 // Counters exported per benchmark (into BENCH_pr10.json via
 // tools/bench.sh):
@@ -39,7 +40,7 @@ using namespace fearless;
 
 namespace {
 
-constexpr int64_t PipelineCount = 3;
+constexpr int64_t PipelineCount = 9;
 constexpr uint64_t NaiveBudget = 500;
 
 Pipeline &pipeline() {

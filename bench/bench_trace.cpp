@@ -154,7 +154,7 @@ BENCHMARK(BM_ExportChromeJson)->Arg(1024)->Arg(16384);
 
 //===----------------------------------------------------------------------===//
 // End to end: a whole Machine run traced vs untraced (the Fig. 5 dll
-// workload from bench_runtime, including its runtime `if disconnected`).
+// workload, including its runtime `if disconnected`).
 //===----------------------------------------------------------------------===//
 
 const char *DllDriver = R"prog(

@@ -4,14 +4,14 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// E11 — the register bytecode VM vs the tree-walking interpreter. Three
-// engine configurations per workload: the interpreter (checks on, the
-// differential baseline), the VM with reservation-check ops compiled in
-// (checked), and the VM with every check compiled out on the strength of
-// Theorems 6.1/6.2 (erased). The erased VM is the shipping
-// configuration; the acceptance bar is >=2x over the interpreter on the
-// bench_runtime hot loops and an allocation-free steady-state dispatch
-// loop (allocs_per_iter, measured differentially).
+// E6/E11 — the register bytecode VM, checked vs erased. Two engine
+// configurations per workload: the VM with reservation-check ops
+// compiled in (checked, every dynamic check of §3.2), and the VM with
+// every check compiled out on the strength of Theorems 6.1/6.2 (erased,
+// the shipping configuration). The delta is exactly the cost a naive
+// implementation would pay, and what the type system saves. The erased
+// VM must also keep an allocation-free steady-state dispatch loop
+// (allocs_per_iter, measured differentially).
 //
 // Counters exported per benchmark (into BENCH_pr7.json via
 // tools/bench.sh): vm_instructions, ic_hits, ic_misses, checks_erased,
@@ -50,11 +50,10 @@ using namespace fearless;
 
 namespace {
 
-enum class Engine { Interp, VmChecked, VmErased };
+enum class Engine { VmChecked, VmErased };
 
 /// Pure dispatch cost: a counted loop with no heap traffic. The VM
-/// retires it as five bytecode ops per iteration; the interpreter
-/// re-walks the while/assign/binop trees.
+/// retires it as five bytecode ops per iteration.
 const char *SpinProgram = R"prog(
 def drive(n : int) : int {
   let i = 0;
@@ -63,8 +62,8 @@ def drive(n : int) : int {
 }
 )prog";
 
-/// The bench_runtime sll hot loop: build a list, then sum it repeatedly
-/// (field reads through the inline caches dominate).
+/// The sll hot loop: build a list, then sum it repeatedly (field reads
+/// through the inline caches and their reservation checks dominate).
 const char *SllDriver = R"prog(
 def drive(n, rounds : int) : int {
   let l = sll_new();
@@ -90,23 +89,18 @@ void runWorkload(benchmark::State &State, const std::string &Source,
     State.SkipWithError(P.error().Message.c_str());
     return;
   }
-  vm::CompiledProgram Code;
-  if (E != Engine::Interp) {
-    vm::CompileOptions VO;
-    VO.EmitChecks = E == Engine::VmChecked;
-    Expected<vm::CompiledProgram> C = vm::compileProgram(P->Checked, VO);
-    if (!C) {
-      State.SkipWithError(C.error().Message.c_str());
-      return;
-    }
-    Code = std::move(*C);
+  vm::CompileOptions VO;
+  VO.EmitChecks = E == Engine::VmChecked;
+  Expected<vm::CompiledProgram> Code = vm::compileProgram(P->Checked, VO);
+  if (!Code) {
+    State.SkipWithError(Code.error().Message.c_str());
+    return;
   }
   Symbol Drive = P->Prog->Names.intern("drive");
   RuntimeMetrics Last;
   for (auto _ : State) {
     MachineOptions Opts;
-    if (E != Engine::Interp)
-      Opts.VmCode = &Code;
+    Opts.VmCode = &*Code;
     Machine M(P->Checked, Opts);
     M.spawn(Drive, Args);
     Expected<MachineSummary> R = M.run();
@@ -129,12 +123,6 @@ void runWorkload(benchmark::State &State, const std::string &Source,
                             static_cast<int64_t>(Last.VmInstructions));
 }
 
-void BM_Spin_Interp(benchmark::State &State) {
-  runWorkload(State, SpinProgram, {Value::intVal(State.range(0))},
-              Engine::Interp);
-}
-BENCHMARK(BM_Spin_Interp)->Arg(4096)->Arg(65536);
-
 void BM_Spin_VmChecked(benchmark::State &State) {
   runWorkload(State, SpinProgram, {Value::intVal(State.range(0))},
               Engine::VmChecked);
@@ -146,13 +134,6 @@ void BM_Spin_VmErased(benchmark::State &State) {
               Engine::VmErased);
 }
 BENCHMARK(BM_Spin_VmErased)->Arg(4096)->Arg(65536);
-
-void BM_SllWalk_Interp(benchmark::State &State) {
-  runWorkload(State, std::string(programs::SllSuite) + SllDriver,
-              {Value::intVal(State.range(0)), Value::intVal(50)},
-              Engine::Interp);
-}
-BENCHMARK(BM_SllWalk_Interp)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_SllWalk_VmChecked(benchmark::State &State) {
   runWorkload(State, std::string(programs::SllSuite) + SllDriver,

@@ -67,7 +67,7 @@ int main() {
     double Ms =
         std::chrono::duration<double, std::milli>(End - Start).count();
     std::printf("consumer total = %lld over %d producer threads in "
-                "%.2f ms (%llu interpreter steps)\n",
+                "%.2f ms (%llu steps)\n",
                 static_cast<long long>((*R)[Pipelines].asInt()),
                 Pipelines, Ms,
                 static_cast<unsigned long long>(Exec.totalSteps()));

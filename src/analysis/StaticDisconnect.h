@@ -12,8 +12,8 @@
 /// (use-after-`consumes`, regions created but never populated).
 ///
 /// Verdicts are sound with respect to *both* runtime disconnect algorithms
-/// (naive exact reachability and the §5.2 refcount check) so the
-/// interpreter may skip the dynamic traversal for must-* sites and a debug
+/// (naive exact reachability and the §5.2 refcount check) so the VM
+/// lowering may fold must-* sites, skipping the traversal, and a debug
 /// cross-check re-running the real traversal never disagrees. The
 /// soundness argument lives in docs/ANALYSIS.md.
 ///

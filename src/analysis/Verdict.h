@@ -40,8 +40,8 @@ enum class DisconnectVerdict { Unknown, MustDisconnected, MustConnected };
 /// Renders "unknown", "must-disconnected", or "must-connected".
 const char *toString(DisconnectVerdict V);
 
-/// Per-site verdicts keyed by the IfDisconnectedExpr node. The runtime
-/// skips the dynamic traversal for must-* entries (Interp's elision hook).
+/// Per-site verdicts keyed by the IfDisconnectedExpr node. The VM
+/// lowering folds must-* entries, skipping the dynamic traversal.
 using DisconnectVerdictTable = std::map<const Expr *, DisconnectVerdict>;
 
 } // namespace fearless

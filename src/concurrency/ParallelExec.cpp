@@ -7,7 +7,7 @@
 #include "concurrency/ParallelExec.h"
 
 #include "concurrency/TaskScheduler.h"
-#include "vm/Bytecode.h"
+#include "vm/Compiler.h"
 
 #include <cassert>
 #include <chrono>
@@ -16,7 +16,15 @@ using namespace fearless;
 
 ParallelExec::ParallelExec(const CheckedProgram &Checked,
                            ParallelExecOptions Opts)
-    : Checked(Checked), Opts(Opts), TheHeap(Checked.Structs) {}
+    : Opts(Opts), TheHeap(Checked.Structs) {
+  if (Opts.VmCode)
+    return;
+  // Erased, as the checker's Theorems 6.1/6.2 allow; no verdict table,
+  // so every `if disconnected` site traverses.
+  Lowered.emplace(vm::compileProgram(Checked, vm::CompileOptions()));
+  if (*Lowered)
+    this->Opts.VmCode = &**Lowered;
+}
 
 void ParallelExec::spawn(Symbol FnName, std::vector<Value> Args) {
   assert(!Ran && "spawn after run(): the entry list is already snapshot");
@@ -30,13 +38,15 @@ Expected<std::vector<Value>> ParallelExec::run() {
     return fail("ParallelExec::run() may be called at most once per "
                 "executor");
   Ran = true;
+  if (Lowered && !*Lowered)
+    return Lowered->takeFailure();
   // Snapshot the entries: the scheduler indexes a vector that can no
   // longer grow or reallocate under it.
   const std::vector<SpawnEntry> Work = std::move(Entries);
   Entries.clear();
 
   auto Started = std::chrono::steady_clock::now();
-  TaskScheduler Sched(Checked, TheHeap, Channels, Opts);
+  TaskScheduler Sched(TheHeap, Channels, Opts);
   TaskScheduler::RunStats SStats;
   std::vector<ThreadRunResult> Slots = Sched.run(Work, SStats);
 
@@ -49,8 +59,7 @@ Expected<std::vector<Value>> ParallelExec::run() {
   Metrics.ThreadsSpawned = Work.size();
   Metrics.WatchdogFired = SStats.WatchdogFired ? 1 : 0;
   Metrics.HeapObjects = TheHeap.size();
-  if (Opts.VmCode)
-    Metrics.ChecksErased = Opts.VmCode->ChecksErased;
+  Metrics.ChecksErased = Opts.VmCode->ChecksErased;
   Metrics.WallMicros = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - Started)

@@ -50,9 +50,12 @@
 #include "checker/Checker.h"
 #include "concurrency/Channel.h"
 #include "runtime/Heap.h"
-#include "runtime/Interp.h"
+#include "runtime/StepOps.h"
 #include "support/Expected.h"
 #include "support/Metrics.h"
+#include "vm/Bytecode.h"
+
+#include <optional>
 
 namespace fearless {
 
@@ -71,8 +74,8 @@ struct ParallelExecOptions {
   uint64_t WatchdogGraceMillis = 50;
   /// Deterministic fault injection (support/FaultInjector.h): consulted
   /// per attempt start (`thread.start`), per worker step (`sched.step`),
-  /// and by the interpreter's instrumented sites. Null = disabled (one
-  /// pointer test per site). Shared by all workers; must outlive run().
+  /// and by the VM's instrumented sites. Null = disabled (one pointer
+  /// test per site). Shared by all workers; must outlive run().
   FaultInjector *Faults = nullptr;
   /// Supervision: restart budget per thread for attempts that die to a
   /// structured fault before externalizing any effect. 0 disables
@@ -105,10 +108,11 @@ struct ParallelExecOptions {
   /// Steps a task may run before it is preempted back to the
   /// run queue, bounding how long a spinner can monopolize a worker.
   uint32_t PreemptQuantum = 128;
-  /// When set, threads execute this compiled bytecode (vm/Vm.h) instead
-  /// of tree-walking the AST. Must be lowered from the same
-  /// CheckedProgram and outlive run(). The VM's per-thread state lives
-  /// in the ThreadState, so parking, supervision resets, and preemption
+  /// The bytecode threads execute (vm/Vm.h). Must be lowered from the
+  /// same CheckedProgram and outlive run(). Null = the executor lowers
+  /// the program itself at construction, with checks erased and every
+  /// `if disconnected` site dynamic. The VM's per-thread state lives in
+  /// the ThreadState, so parking, supervision resets, and preemption
   /// work unchanged.
   const vm::CompiledProgram *VmCode = nullptr;
 };
@@ -122,8 +126,13 @@ struct SpawnEntry {
 /// Runs a set of entry functions on the task pool until all finish.
 class ParallelExec {
 public:
+  /// Without Opts.VmCode the program is lowered here; a lowering failure
+  /// is reported by run().
   explicit ParallelExec(const CheckedProgram &Checked,
                         ParallelExecOptions Opts = {});
+  /// Opts.VmCode may point into the executor itself.
+  ParallelExec(const ParallelExec &) = delete;
+  ParallelExec &operator=(const ParallelExec &) = delete;
 
   /// Registers a thread that will run \p FnName(\p Args). Must not be
   /// called after run().
@@ -145,8 +154,9 @@ public:
   const RuntimeMetrics &metrics() const { return Metrics; }
 
 private:
-  const CheckedProgram &Checked;
   ParallelExecOptions Opts;
+  /// The executor's own lowering, when Opts.VmCode was not given.
+  std::optional<Expected<vm::CompiledProgram>> Lowered;
   Heap TheHeap;
   ChannelSet Channels;
   std::vector<SpawnEntry> Entries;

@@ -28,10 +28,9 @@ uint64_t mix64(uint64_t X) {
 
 } // namespace
 
-TaskScheduler::TaskScheduler(const CheckedProgram &Checked, Heap &TheHeap,
-                             ChannelSet &Channels,
+TaskScheduler::TaskScheduler(Heap &TheHeap, ChannelSet &Channels,
                              const ParallelExecOptions &Opts)
-    : Checked(Checked), TheHeap(TheHeap), Channels(Channels), Opts(Opts) {}
+    : TheHeap(TheHeap), Channels(Channels), Opts(Opts) {}
 
 void TaskScheduler::unpark(ChannelWaiter &W) {
   // Called with the channel-set mutex held (set -> sched is the permitted
@@ -45,13 +44,10 @@ void TaskScheduler::unpark(ChannelWaiter &W) {
   WorkCV.notify_one();
 }
 
-InterpServices TaskScheduler::services(Task &T) {
-  InterpServices Services;
+StepServices TaskScheduler::services(Task &T) {
+  StepServices Services;
   Services.TheHeap = &TheHeap;
-  Services.Prog = Checked.Prog;
   Services.Stats = &T.AttemptStats;
-  Services.SendTypes = &Checked.SendTypes;
-  Services.CheckReservations = false; // erased: checker proved them
   Services.Faults = Opts.Faults;
   Services.VmCode = Opts.VmCode;
   return Services;
@@ -139,10 +135,8 @@ void TaskScheduler::resume(size_t W, Task &T) {
     switch (T.WakeResult) {
     case RecvResult::Ok:
       ++T.AttemptStats.Recvs;
-      T.T.ControlValue = T.Handoff;
+      resumeThread(T.T, T.Handoff);
       T.Handoff = Value();
-      T.T.HasValue = true;
-      T.T.Status = ThreadStatus::Runnable;
       break;
     case RecvResult::Closed:
     case RecvResult::Aborted:
@@ -176,7 +170,7 @@ void TaskScheduler::resume(size_t W, Task &T) {
     // peer could see it.
     T.T = ThreadState();
     T.T.Id = static_cast<ThreadId>(T.Index);
-    enterThread(T.T, *T.Fn, T.E->Args);
+    enterThread(T.T, *Opts.VmCode, T.E->Fn, T.E->Args);
     // Pre-size the `if disconnected` scratch to the graphs built before
     // run(), keeping growth out of the measured region.
     T.T.Scratch.reserve(TheHeap.size());
@@ -200,7 +194,7 @@ void TaskScheduler::resume(size_t W, Task &T) {
   // exactly one worker runs a task at a time, so the single-writer rule
   // holds even as the task migrates.
   T.T.Trace = Me.TB;
-  InterpServices Services = services(T);
+  StepServices Services = services(T);
 
   for (uint32_t Step = 0; Step < Opts.PreemptQuantum; ++Step) {
     if (AbortFlag.load(std::memory_order_relaxed)) {
@@ -233,9 +227,7 @@ void TaskScheduler::resume(size_t W, Task &T) {
       Channels.channelFor(T.T.CommType).send(T.T.PendingSend);
       ++T.AttemptStats.Sends;
       T.T.PendingSend = Value();
-      T.T.ControlValue = Value::unitVal();
-      T.T.HasValue = true;
-      T.T.Status = ThreadStatus::Runnable;
+      resumeThread(T.T, Value::unitVal());
       break;
     }
     case StepOutcome::BlockedRecv: {
@@ -266,9 +258,7 @@ void TaskScheduler::resume(size_t W, Task &T) {
                       Me.TB->now() - RecvStart);
       if (A == RecvAttempt::Got) {
         ++T.AttemptStats.Recvs;
-        T.T.ControlValue = Received;
-        T.T.HasValue = true;
-        T.T.Status = ThreadStatus::Runnable;
+        resumeThread(T.T, Received);
         break;
       }
       // Closed / Aborted: clean stop (see the parked-wake case above).
@@ -398,10 +388,6 @@ TaskScheduler::run(const std::vector<SpawnEntry> &Work, RunStats &Stats) {
     Task &T = Tasks[I];
     T.Index = I;
     T.E = &Work[I];
-    T.Fn = Checked.Prog->findFunction(Work[I].Fn);
-    assert(T.Fn && "spawning an unknown function");
-    assert(Work[I].Args.size() == T.Fn->Params.size() && "spawn arity");
-    (void)T;
   }
   Inject.init(Work.size());
   Timers.reserve(Work.size());

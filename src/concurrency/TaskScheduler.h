@@ -6,19 +6,19 @@
 ///
 /// \file
 /// The M:N green-thread engine behind ParallelExec: language threads are
-/// resumable tasks — the small-step
-/// interpreter (runtime/Interp.h) already yields at step boundaries, so
-/// a task is just a ThreadState plus supervision bookkeeping — scheduled
-/// onto a fixed pool of OS workers. Each worker owns a run queue;
-/// work is taken own-queue first and stolen from peers when empty, with
-/// a global inject queue for unparked tasks and a timer heap for
-/// supervision backoff. Channel recv parks the *task* (an intrusive
-/// ChannelWaiter — no allocation) instead of blocking an OS thread;
-/// send hands values directly to parked waiters and unparks them.
+/// resumable tasks — the VM (runtime/StepOps.h) already yields at step
+/// boundaries, so a task is just a ThreadState plus supervision
+/// bookkeeping — scheduled onto a fixed pool of OS workers. Each worker
+/// owns a run queue; work is taken own-queue first and stolen from peers
+/// when empty, with a global inject queue for unparked tasks and a timer
+/// heap for supervision backoff. Channel recv parks the *task* (an
+/// intrusive ChannelWaiter — no allocation) instead of blocking an OS
+/// thread; send hands values directly to parked waiters and unparks
+/// them.
 ///
 /// It implements the executor's whole observable surface: the quiescence
 /// shutdown and two-stage watchdog, the fault-injection points
-/// (`thread.start`, `sched.step`, plus the interpreter's instrumented
+/// (`thread.start`, `sched.step`, plus the VM's instrumented
 /// sites), supervised restart with saturating backoff (Backoff.h), the
 /// trace event vocabulary (`thread.run`, `chan.send`, `chan.recv`,
 /// `thread.restart`, `fault.escalated`, `watchdog.*`), and the
@@ -73,8 +73,9 @@ struct ThreadRunResult {
 /// per run and enforces its own single-use contract on top).
 class TaskScheduler final : public TaskUnparkSink {
 public:
-  TaskScheduler(const CheckedProgram &Checked, Heap &TheHeap,
-                ChannelSet &Channels, const ParallelExecOptions &Opts);
+  /// Opts.VmCode must be set: the tasks run that bytecode.
+  TaskScheduler(Heap &TheHeap, ChannelSet &Channels,
+                const ParallelExecOptions &Opts);
 
   /// Scheduler-level counters of one run.
   struct RunStats {
@@ -110,7 +111,6 @@ private:
     ThreadState T;
     size_t Index = 0;
     const SpawnEntry *E = nullptr;
-    const FnDecl *Fn = nullptr;
     /// Counters of the in-flight attempt; folded into Lifetime when the
     /// attempt ends. The supervisor reads it to decide restartability
     /// (an attempt that externalized a send/recv must not be replayed).
@@ -183,9 +183,8 @@ private:
   /// timer heap) or escalate to a run abort.
   void supervise(size_t W, Task &T);
   void finish(size_t W, Task &T);
-  InterpServices services(Task &T);
+  StepServices services(Task &T);
 
-  const CheckedProgram &Checked;
   Heap &TheHeap;
   ChannelSet &Channels;
   const ParallelExecOptions &Opts;

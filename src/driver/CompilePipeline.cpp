@@ -251,33 +251,6 @@ RunOutcome fearless::runArtifact(const CompiledArtifact &A,
       Spec.Schedule ? mc::runSchedule(M, *Spec.Schedule)
                     : M.run(Spec.Seed);
 
-#ifndef NDEBUG
-  // Debug builds: re-run the VM result through the tree-walking
-  // interpreter, the reference evaluator, and fail loudly on divergence.
-  // Skipped under fault injection (the injector's triggers are stateful
-  // and would fire differently on the second run) and under
-  // --spawn/--schedule (the evaluators batch decision points
-  // differently, so a recorded schedule only replays on the VM, and
-  // multi-root results are schedule-relative).
-  if (R && !Spec.Faults && !Spec.Schedule && Spec.Spawns.empty()) {
-    MachineOptions IO = MO;
-    IO.VmCode = nullptr;
-    IO.Trace = nullptr;
-    Machine IM(P.Checked, IO);
-    IM.spawn(Entry.Fn, Entry.Args);
-    Expected<MachineSummary> IR = IM.run(Spec.Seed);
-    if (!IR || !(IR->ThreadResults[0] == R->ThreadResults[0])) {
-      O.Err = "fearlessc: engine divergence: vm produced " +
-              (R ? toString(R->ThreadResults[0]) : std::string("<error>")) +
-              ", interpreter produced " +
-              (IR ? toString(IR->ThreadResults[0])
-                  : IR.error().render()) +
-              "\n";
-      O.Exit = 1;
-      return O;
-    }
-  }
-#endif
   O.Metrics = WithAnalysis(M.metrics());
   O.HasMetrics = true;
   if (!R) {

@@ -39,17 +39,15 @@ reachableFrom(const Heap &H, const std::vector<Loc> &Roots,
   return Seen;
 }
 
-/// Locations referenced by a thread's stack, control value, and pending
-/// communication.
-std::vector<Loc> threadRoots(const ThreadState &T) {
+/// Locations referenced by the register windows of a thread's live
+/// frames, its pending communication and its result.
+std::vector<Loc> threadRoots(const ThreadState &T,
+                             const vm::CompiledProgram &Code) {
   std::vector<Loc> Roots;
-  for (const auto &[Name, V] : T.Env) {
-    (void)Name;
-    if (V.isLoc())
-      Roots.push_back(V.asLoc());
-  }
-  if (T.HasValue && T.ControlValue.isLoc())
-    Roots.push_back(T.ControlValue.asLoc());
+  for (const vm::VmFrame &F : T.Vm.Frames)
+    for (uint32_t R = 0; R < Code.Chunks[F.Chunk].NumRegs; ++R)
+      if (const Value &V = T.Vm.Regs[F.Base + R]; V.isLoc())
+        Roots.push_back(V.asLoc());
   if (T.PendingSend.isLoc())
     Roots.push_back(T.PendingSend.asLoc());
   if (T.Result.isLoc())
@@ -79,7 +77,7 @@ fearless::checkReservationClosure(const Machine &M) {
   for (const ThreadState &T : M.threads()) {
     if (T.Status == ThreadStatus::Finished)
       continue; // finished results may have been conceptually returned
-    auto Reach = reachableFrom(M.heap(), threadRoots(T));
+    auto Reach = reachableFrom(M.heap(), threadRoots(T, *M.code()));
     for (uint32_t Index : Reach)
       if (!T.Reservation.count(Index))
         return "thread " + std::to_string(T.Id) + " can reach loc#" +

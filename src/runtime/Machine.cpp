@@ -6,8 +6,7 @@
 
 #include "runtime/Machine.h"
 
-#include "runtime/StepOps.h"
-#include "vm/Bytecode.h"
+#include "vm/Compiler.h"
 
 #include <cassert>
 #include <functional>
@@ -16,7 +15,18 @@
 using namespace fearless;
 
 Machine::Machine(const CheckedProgram &Checked, MachineOptions Opts)
-    : Checked(Checked), Opts(Opts), TheHeap(Checked.Structs) {}
+    : Checked(Checked), Opts(Opts), TheHeap(Checked.Structs) {
+  if (Opts.VmCode)
+    return;
+  vm::CompileOptions CO;
+  CO.EmitChecks = Opts.CheckReservations;
+  CO.Verdicts = Opts.StaticVerdicts;
+  CO.ElideDisconnect = Opts.ElideDisconnect;
+  CO.CrossCheckElision = Opts.CrossCheckElision;
+  Lowered.emplace(vm::compileProgram(Checked, CO));
+  if (*Lowered)
+    this->Opts.VmCode = &**Lowered;
+}
 
 ThreadId Machine::spawn(Symbol FnName, std::vector<Value> Args) {
   ThreadId T = createThread();
@@ -37,10 +47,10 @@ ThreadId Machine::createThread() {
 void Machine::startThread(ThreadId Id, Symbol FnName,
                           std::vector<Value> Args) {
   assert(Id < Threads.size() && "bad thread id");
-  const FnDecl *Fn = Checked.Prog->findFunction(FnName);
-  assert(Fn && "spawning an unknown function");
-  assert(Args.size() == Fn->Params.size() && "spawn arity mismatch");
-  enterThread(Threads[Id], *Fn, Args);
+  // Without code (lowering failed) the thread never starts; run()
+  // reports the lowering error.
+  if (Opts.VmCode)
+    enterThread(Threads[Id], *Opts.VmCode, FnName, Args);
 }
 
 Loc Machine::hostAlloc(ThreadId T, Symbol StructName) {
@@ -144,13 +154,9 @@ bool Machine::tryCommunicate(std::string &Error) {
             Receiver.Trace->now() - Receiver.TraceBlockStartNs);
 
       // Sender resumes with unit; receiver resumes with the root.
-      Sender.ControlValue = Value::unitVal();
-      Sender.HasValue = true;
       Sender.PendingSend = Value();
-      Sender.Status = ThreadStatus::Runnable;
-      Receiver.ControlValue = Sent;
-      Receiver.HasValue = true;
-      Receiver.Status = ThreadStatus::Runnable;
+      resumeThread(Sender, Value::unitVal());
+      resumeThread(Receiver, Sent);
       return true;
     }
   }
@@ -189,6 +195,8 @@ bool Machine::communicate(std::string &Error) {
 
 ExpectedVoid Machine::beginStepping() {
   LastFault.reset();
+  if (Lowered && !*Lowered)
+    return Lowered->takeFailure();
   Stepping.emplace();
   SteppingState &S = *Stepping;
 
@@ -204,18 +212,11 @@ ExpectedVoid Machine::beginStepping() {
   S.TraceRunStart = S.TraceCtl ? S.TraceCtl->now() : 0;
 
   S.Services.TheHeap = &TheHeap;
-  S.Services.Prog = Checked.Prog;
   S.Services.Stats = &Stats;
-  S.Services.SendTypes = &Checked.SendTypes;
-  S.Services.CheckReservations = Opts.CheckReservations;
-  S.Services.UseNaiveDisconnect = Opts.UseNaiveDisconnect;
-  S.Services.StaticVerdicts = Opts.StaticVerdicts;
-  S.Services.ElideDisconnect = Opts.ElideDisconnect;
-  S.Services.CrossCheckElision = Opts.CrossCheckElision;
   S.Services.Faults = Opts.Faults;
   S.Services.VmCode = Opts.VmCode;
 
-  // Fault points the interpreter cannot see: thread.start fires once per
+  // Fault points the VM cannot see: thread.start fires once per
   // started thread (before its first step), sched.step per scheduler
   // pulse in stepChosen. The machine has no supervision — an injected
   // fault here fails the run with a typed diagnostic (exit-code 5 on the

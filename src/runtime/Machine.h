@@ -23,9 +23,10 @@
 
 #include "checker/Checker.h"
 #include "runtime/Heap.h"
-#include "runtime/Interp.h"
+#include "runtime/StepOps.h"
 #include "support/Expected.h"
 #include "support/Metrics.h"
+#include "vm/Bytecode.h"
 
 #include <deque>
 #include <functional>
@@ -38,11 +39,8 @@ class Machine;
 /// Machine configuration.
 struct MachineOptions {
   /// Dynamic reservation checks (§3.2). Erasable for well-typed programs;
-  /// bench_runtime measures exactly this toggle.
+  /// bench_vm measures exactly this toggle (checked vs erased bytecode).
   bool CheckReservations = true;
-  /// Use the naive exact `if disconnected` instead of the §5.2 refcount
-  /// algorithm (for cross-validation and the bench baseline).
-  bool UseNaiveDisconnect = false;
   /// Per-site verdicts from the static region-graph analysis; must
   /// outlive the machine. Null disables elision regardless of
   /// ElideDisconnect.
@@ -61,25 +59,26 @@ struct MachineOptions {
   uint64_t MaxSteps = 500'000'000;
   /// Deterministic fault injection (support/FaultInjector.h): consulted
   /// at thread start, per scheduler pulse (`sched.step`), and by the
-  /// interpreter's instrumented sites. Null = disabled (one pointer test
-  /// per site). Must outlive run().
+  /// VM's instrumented sites. Null = disabled (one pointer test per
+  /// site). Must outlive run().
   FaultInjector *Faults = nullptr;
   /// Structured tracing (support/Trace.h): when set, run() registers one
   /// ring buffer per language thread (plus a machine control buffer) and
   /// records send/recv wait spans, `if disconnected` traversal spans,
-  /// and interpreter progress ticks. Null = disabled (no overhead beyond
-  /// a pointer test per site). Must outlive the machine's run().
+  /// and VM dispatch batches. Null = disabled (no overhead beyond a
+  /// pointer test per site). Must outlive the machine's run().
   TraceSession *Trace = nullptr;
   /// Soundness-testing hook: run after every small step; a returned
   /// message aborts the run. Tests install the §6 invariant validators
   /// here to check I1/I2-style properties at *every* intermediate state.
   std::function<std::optional<std::string>(const Machine &)>
       StepValidator;
-  /// When set, threads execute this compiled bytecode (vm/Vm.h) instead
-  /// of tree-walking the AST. Must be lowered from the same
-  /// CheckedProgram and outlive run(). Note the VM batches instructions,
-  /// so one "step" (MaxSteps, StepValidator, scheduler pulse) covers up
-  /// to a batch of ops.
+  /// The bytecode threads execute (vm/Vm.h). Must be lowered from the
+  /// same CheckedProgram and outlive run(). Null = the machine lowers
+  /// the program itself at construction, from CheckReservations,
+  /// StaticVerdicts, ElideDisconnect and CrossCheckElision. The VM
+  /// batches instructions, so one "step" (MaxSteps, StepValidator,
+  /// scheduler pulse) covers up to a batch of ops.
   const vm::CompiledProgram *VmCode = nullptr;
 };
 
@@ -124,8 +123,13 @@ class Machine {
 public:
   /// \p Checked must outlive the machine. The program is expected to have
   /// passed the checker; running unchecked programs is possible (tests use
-  /// it for failure injection) and surfaces violations as errors.
+  /// it for failure injection) and surfaces violations as errors. Without
+  /// Opts.VmCode the program is lowered here; a lowering failure is
+  /// reported by run() / beginStepping().
   explicit Machine(const CheckedProgram &Checked, MachineOptions Opts = {});
+  /// Opts.VmCode may point into the machine itself.
+  Machine(const Machine &) = delete;
+  Machine &operator=(const Machine &) = delete;
 
   /// Creates a thread that will run \p FnName(\p Args). Regionful
   /// arguments must reference graphs previously built into this thread's
@@ -170,9 +174,10 @@ public:
   // scheduler choice themselves)
   //===--------------------------------------------------------------------===
 
-  /// Opens a stepping session: trace buffers, interpreter services, and
-  /// the thread.start fault points (which fire before any choice is
-  /// made). Fails when an injected thread.start fault aborts the run.
+  /// Opens a stepping session: trace buffers, step services, and the
+  /// thread.start fault points (which fire before any choice is made).
+  /// Fails when the program could not be lowered or an injected
+  /// thread.start fault aborts the run.
   ExpectedVoid beginStepping();
   /// Classifies the current configuration. Attempts EC3 pairing first
   /// when no thread is runnable (mirroring run()), so Deadlock really
@@ -211,6 +216,8 @@ public:
   /// registry the parallel executor reports).
   RuntimeMetrics metrics() const;
   const std::vector<ThreadState> &threads() const { return Threads; }
+  /// The bytecode the threads run; null when lowering failed.
+  const vm::CompiledProgram *code() const { return Opts.VmCode; }
   /// The structured fault that failed the last run(), when the failure
   /// was a runtime trap or an injected fault (empty for plain errors
   /// such as deadlock or a reservation violation). fearlessc maps this
@@ -235,7 +242,7 @@ private:
 
   /// Per-session state of the incremental stepping API.
   struct SteppingState {
-    InterpServices Services;
+    StepServices Services;
     TraceBuffer *TraceCtl = nullptr;
     uint64_t TraceRunStart = 0;
     uint64_t Steps = 0;
@@ -246,6 +253,8 @@ private:
 
   const CheckedProgram &Checked;
   MachineOptions Opts;
+  /// The machine's own lowering, when Opts.VmCode was not given.
+  std::optional<Expected<vm::CompiledProgram>> Lowered;
   Heap TheHeap;
   MachineStats Stats;
   std::vector<ThreadState> Threads;

@@ -7,7 +7,7 @@
 /// \file
 /// Structured runtime faults: the typed description of a runtime trap
 /// (invalid heap/field access, heap exhaustion, injected fault) and the
-/// carrier that unwinds it from deep inside the interpreter or heap to
+/// carrier that unwinds it from deep inside the VM or heap to
 /// the owning executor.
 ///
 /// Historically a bad heap access called `std::abort` even in release

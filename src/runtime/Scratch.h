@@ -7,7 +7,7 @@
 /// \file
 /// Epoch-stamped dense scratch structures for the runtime's hot paths.
 ///
-/// The three operations the interpreter performs on (nearly) every step —
+/// The three operations the VM performs on (nearly) every step —
 /// reservation membership, `if disconnected`, and live-set collection for
 /// `send` — are all set problems over heap locations, and heap locations
 /// are dense `uint32_t` indices that are never freed. That makes the
@@ -84,7 +84,7 @@ private:
 
 /// Reusable state for one `if disconnected` evaluation (both the §5.2
 /// refcount algorithm and the naive exact baseline). Owned per-thread
-/// (ThreadState) so concurrent interpreters never share scratch; in
+/// (ThreadState) so concurrent threads never share scratch; in
 /// steady state a check touches only pre-grown arrays.
 class DisconnectScratch {
 public:

@@ -47,7 +47,7 @@ StepOutcome fearless::initializerViolation(ThreadState &T) {
 }
 
 StepOutcome fearless::heapExhausted(ThreadState &T,
-                                    const InterpServices &S) {
+                                    const StepServices &S) {
   RuntimeFault F;
   F.Kind = RuntimeFaultKind::HeapExhausted;
   F.Thread = T.Id;
@@ -58,7 +58,7 @@ StepOutcome fearless::heapExhausted(ThreadState &T,
                            std::to_string(S.TheHeap->capacity()) + ")");
 }
 
-StepOutcome fearless::blockSend(ThreadState &T, const InterpServices &S,
+StepOutcome fearless::blockSend(ThreadState &T, const StepServices &S,
                                 const Value &V, Type Ty) {
   if (S.Faults && S.Faults->shouldFire(FaultPoint::ChanSend))
     injectFault(FaultPoint::ChanSend, T.Id);
@@ -91,7 +91,7 @@ StepOutcome fearless::blockSend(ThreadState &T, const InterpServices &S,
   return StepOutcome::BlockedSend;
 }
 
-StepOutcome fearless::blockRecv(ThreadState &T, const InterpServices &S,
+StepOutcome fearless::blockRecv(ThreadState &T, const StepServices &S,
                                 Type Ty) {
   if (S.Faults && S.Faults->shouldFire(FaultPoint::ChanRecv))
     injectFault(FaultPoint::ChanRecv, T.Id);
@@ -105,7 +105,7 @@ StepOutcome fearless::blockRecv(ThreadState &T, const InterpServices &S,
 }
 
 StepOutcome fearless::ifDisconnected(ThreadState &T,
-                                     const InterpServices &S,
+                                     const StepServices &S,
                                      const Value &VA, const Value &VB,
                                      bool CheckReservation,
                                      DisconnectVerdict Verdict,
@@ -122,9 +122,7 @@ StepOutcome fearless::ifDisconnected(ThreadState &T,
   ++S.Stats->DisconnectChecks;
 
   auto Traverse = [&] {
-    return S.UseNaiveDisconnect
-               ? checkDisconnectedNaive(*S.TheHeap, A, B, T.Scratch)
-               : checkDisconnectedRefCount(*S.TheHeap, A, B, T.Scratch);
+    return checkDisconnectedRefCount(*S.TheHeap, A, B, T.Scratch);
   };
 
   // A proven site skips the traversal entirely (the point of the must-*
@@ -157,13 +155,4 @@ StepOutcome fearless::ifDisconnected(ThreadState &T,
     ++S.Stats->DisconnectTaken;
   Taken = Out.Disconnected;
   return StepOutcome::Progress;
-}
-
-void fearless::enterThread(ThreadState &T, const FnDecl &Fn,
-                           const std::vector<Value> &Args) {
-  for (size_t I = 0; I < Args.size(); ++I)
-    T.Env.emplace_back(Fn.Params[I].Name, Args[I]);
-  T.ControlExpr = Fn.Body.get();
-  T.HasValue = false;
-  T.Status = ThreadStatus::Runnable;
 }

@@ -7,8 +7,8 @@
 /// \file
 /// Deterministic, seeded fault injection for the runtime: a fixed set of
 /// named fault points (channel send/recv, heap allocation, thread start,
-/// scheduler step, disconnect traversal) that the executors and the
-/// interpreter consult on their hot paths, with per-point triggers
+/// scheduler step, disconnect traversal) that the executors and the VM
+/// consult on their hot paths, with per-point triggers
 /// (nth-occurrence, every-k, seeded probability) parsed from a compact
 /// spec string (`fearlessc run --faults SPEC`, or the FEARLESS_FAULTS
 /// environment hook used by benches and CI chaos runs).

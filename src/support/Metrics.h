@@ -23,7 +23,7 @@
 
 namespace fearless {
 
-/// Per-thread interpreter counters. Each thread owns one instance and
+/// Per-thread runtime counters. Each thread owns one instance and
 /// updates it lock-free; a machine aggregates them at join.
 struct MachineStats {
   uint64_t Steps = 0;
@@ -38,10 +38,9 @@ struct MachineStats {
   uint64_t Sends = 0;
   uint64_t Recvs = 0;
   uint64_t Allocations = 0;
-  /// Bytecode instructions retired by the VM engine (zero under the
-  /// tree-walking interpreter).
+  /// Bytecode instructions retired by the VM.
   uint64_t VmInstructions = 0;
-  /// Field-access inline-cache hits/misses (VM engine only).
+  /// Field-access inline-cache hits/misses.
   uint64_t IcHits = 0;
   uint64_t IcMisses = 0;
 
@@ -51,11 +50,11 @@ struct MachineStats {
 };
 
 /// Aggregated counters for one runtime execution (one Machine::run or
-/// ParallelExec::run). Interpreter counters are merged from the
+/// ParallelExec::run). Per-thread counters are merged from the
 /// per-thread MachineStats at join; executor and channel counters are
 /// filled in by the owning machine.
 struct RuntimeMetrics {
-  // Interpreter counters (sum over threads).
+  // Per-thread counters (sum over threads).
   uint64_t Steps = 0;
   uint64_t Sends = 0;
   uint64_t Recvs = 0;
@@ -67,14 +66,14 @@ struct RuntimeMetrics {
   uint64_t DisconnectObjectsVisited = 0;
   uint64_t DisconnectEdgesTraversed = 0;
 
-  // VM engine counters (zero under the tree-walking interpreter).
+  // VM engine counters.
   /// Bytecode instructions retired across all threads.
   uint64_t VmInstructions = 0;
   /// Field-access inline-cache hits and misses.
   uint64_t IcHits = 0;
   uint64_t IcMisses = 0;
-  /// Dynamic checks the erased-mode codegen omitted (compile-time count;
-  /// zero in checked mode and under the interpreter).
+  /// Dynamic checks the codegen omitted (compile-time count): erased
+  /// reservation checks plus folded `if disconnected` sites.
   uint64_t ChecksErased = 0;
 
   // Static-analysis counters (filled at analyze/compile time by the
@@ -151,7 +150,7 @@ struct RuntimeMetrics {
   /// pending-session queue was full.
   uint64_t RequestsRejected = 0;
 
-  /// Accumulates one thread's interpreter counters (called at join).
+  /// Accumulates one thread's counters (called at join).
   void mergeThread(const MachineStats &S);
 
   /// Accumulates a whole run's metrics — every counter summed. The

@@ -11,9 +11,9 @@
 /// set:
 ///
 ///  - **checked**: explicit reservation-check ops (ChkVal, ChkWriteBase,
-///    the *Chk field flavors) mirror every dynamic check the tree-walking
-///    interpreter performs, making the checked VM a faithful differential
-///    baseline for the erased one.
+///    the *Chk field flavors) perform every dynamic check of the §3.2
+///    E-rules, making the checked VM the differential baseline for the
+///    erased one.
 ///  - **erased**: the erasability theorem (Theorems 6.1/6.2) says checked
 ///    programs never fail those checks, so the compiler simply does not
 ///    emit them — checks are compiled out, not branched over. The PR 3
@@ -41,9 +41,6 @@
 #include <vector>
 
 namespace fearless {
-
-class Expr;
-
 namespace vm {
 
 /// Opcodes. A/B/C are register (or small-operand) fields; Imm is a
@@ -61,7 +58,7 @@ enum class Op : uint8_t {
   ChkVal,
   /// Checked mode only: field-write base check on A — must be a location
   /// inside the reservation. Emitted after the base evaluates and before
-  /// the value expression, preserving the interpreter's check order.
+  /// the value expression, preserving the E-rules' check order.
   ChkWriteBase,
 
   GetField,    ///< A = B.field(Imm), inline cache slot C
@@ -148,10 +145,6 @@ struct NewInitInfo {
 /// One compiled function.
 struct Chunk {
   Symbol FnName;
-  /// The function's body expression; executors hand stepThread a
-  /// ThreadState whose ControlExpr is this body, and the VM maps it back
-  /// to the chunk (CompiledProgram::ByBody).
-  const Expr *Body = nullptr;
   uint16_t NumParams = 0;
   /// Register-file size: parameters in r0..NumParams-1, then lets and
   /// expression temporaries under a stack discipline.
@@ -172,9 +165,7 @@ struct SiteDecision {
 /// A whole compiled program.
 struct CompiledProgram {
   std::vector<Chunk> Chunks;
-  /// Function-body expression → chunk index (VM entry resolution).
-  std::map<const Expr *, uint32_t> ByBody;
-  /// Function name → chunk index (disasm, tests).
+  /// Function name → chunk index (thread entry, calls, disasm).
   std::map<Symbol, uint32_t> ByName;
   /// Deduplicated send/recv τ pool (send pairing is by exact type).
   std::vector<Type> TypePool;
@@ -203,8 +194,8 @@ struct CompileOptions {
   /// Per-site verdicts from the static region-graph analysis; null
   /// disables `if disconnected` folding.
   const DisconnectVerdictTable *Verdicts = nullptr;
-  /// Fold must-* sites to a constant branch (mirrors the interpreter's
-  /// ElideDisconnect elision, but at compile time).
+  /// Fold must-* sites to a constant branch
+  /// (MachineOptions::ElideDisconnect).
   bool ElideDisconnect = true;
   /// Folded sites re-run the real traversal and go stuck on disagreement
   /// with the static verdict (debug builds / property tests).

@@ -188,8 +188,8 @@ private:
       uint16_t Base = allocReg();
       if (!compileExpr(A.Base.get(), Base))
         return false;
-      // The interpreter checks the base before evaluating the value
-      // expression; ChkWriteBase preserves that order.
+      // The base is checked before the value expression evaluates;
+      // ChkWriteBase preserves that order.
       if (Opts.EmitChecks)
         emit(Op::ChkWriteBase, Base);
       else
@@ -387,7 +387,7 @@ private:
       const auto &B = cast<BinaryExpr>(*E);
       if (B.Op == BinaryOp::And || B.Op == BinaryOp::Or) {
         // Short-circuit: lhs lands in Dst and is the result when the
-        // jump fires; the rhs is not bool-checked (interp semantics).
+        // jump fires; the rhs is not bool-checked.
         if (!compileExpr(B.Lhs.get(), Dst))
           return false;
         size_t J = emit(B.Op == BinaryOp::And ? Op::JumpIfFalse
@@ -509,9 +509,7 @@ Expected<CompiledProgram> vm::compileProgram(const CheckedProgram &Checked,
     uint32_t Idx = static_cast<uint32_t>(Out.Chunks.size());
     Out.Chunks.emplace_back();
     Out.Chunks.back().FnName = Fn.Name;
-    Out.Chunks.back().Body = Fn.Body.get();
     Out.ByName[Fn.Name] = Idx;
-    Out.ByBody[Fn.Body.get()] = Idx;
   }
 
   for (size_t I = 0; I < Checked.Prog->Functions.size(); ++I) {

@@ -7,7 +7,9 @@
 #include "vm/Vm.h"
 
 #include "runtime/StepOps.h"
+#include "vm/Bytecode.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace fearless;
@@ -56,41 +58,13 @@ const char *boolCheckMsg(CheckWhat W) {
   }
 }
 
-} // namespace
-
-StepOutcome vm::stepThreadVm(ThreadState &T, const InterpServices &S) {
+/// One bounded batch of \p T's instructions; RuntimeFaultError
+/// propagates to stepThread's trap handler.
+StepOutcome runBatch(ThreadState &T, const StepServices &S) {
   const CompiledProgram &P = *S.VmCode;
   ++S.Stats->Steps;
 
-  if (!T.Vm) {
-    // First step: map the entry body to its chunk and build the register
-    // file, seeding parameters from the Env slots enterThread bound.
-    auto EntryIt = P.ByBody.find(T.ControlExpr);
-    if (EntryIt == P.ByBody.end())
-      return failThread(T, "no compiled chunk for thread entry (vm "
-                           "compiler bug)");
-    T.Vm = std::make_shared<VmState>();
-    VmState &Init = *T.Vm;
-    const Chunk &Entry = P.Chunks[EntryIt->second];
-    Init.Frames.push_back(VmFrame{EntryIt->second, 0, 0, UINT32_MAX});
-    Init.Regs.resize(Entry.NumRegs);
-    size_t EnvBase = T.FrameBases.back();
-    assert(T.Env.size() - EnvBase >= Entry.NumParams && "arity checked");
-    for (uint16_t I = 0; I < Entry.NumParams; ++I)
-      Init.Regs[I] = T.Env[EnvBase + I].second;
-    Init.Ic.resize(P.NumIcSlots);
-  }
-
-  VmState &V = *T.Vm;
-  if (T.HasValue) {
-    // Resuming from a paired send/recv: the executor parked us at a
-    // Send/Recv op and hands the value back through ControlValue.
-    if (V.ResumeReg != UINT32_MAX)
-      V.Regs[V.ResumeReg] = T.ControlValue;
-    V.ResumeReg = UINT32_MAX;
-    T.HasValue = false;
-  }
-
+  VmState &V = T.Vm;
   const Chunk *Ch = &P.Chunks[V.Frames.back().Chunk];
   const Instr *Code = Ch->Code.data();
   const Value *Consts = Ch->Constants.data();
@@ -499,4 +473,50 @@ BatchEnd:
   V.Frames.back().Pc = Pc;
   Flush();
   return StepOutcome::Progress;
+}
+
+} // namespace
+
+void fearless::enterThread(ThreadState &T, const CompiledProgram &Code,
+                           Symbol Fn, const std::vector<Value> &Args) {
+  auto It = Code.ByName.find(Fn);
+  assert(It != Code.ByName.end() && "spawning an unknown function");
+  const Chunk &Entry = Code.Chunks[It->second];
+  assert(Args.size() == Entry.NumParams && "arity checked");
+  T.Vm.Frames.assign(1, VmFrame{It->second, 0, 0, UINT32_MAX});
+  T.Vm.Regs.assign(Entry.NumRegs, Value());
+  std::copy(Args.begin(), Args.end(), T.Vm.Regs.begin());
+  T.Vm.Ic.assign(Code.NumIcSlots, VmState::IcEntry());
+  T.Status = ThreadStatus::Runnable;
+}
+
+void fearless::resumeThread(ThreadState &T, const Value &V) {
+  assert(T.Vm.ResumeReg != UINT32_MAX && "resuming a thread not blocked");
+  T.Vm.Regs[T.Vm.ResumeReg] = V;
+  T.Vm.ResumeReg = UINT32_MAX;
+  T.Status = ThreadStatus::Runnable;
+}
+
+StepOutcome fearless::stepThread(ThreadState &T,
+                                 const StepServices &Services) {
+  assert(T.Status == ThreadStatus::Runnable && "stepping a blocked thread");
+  // The step boundary is the trap frontier: a structured fault raised
+  // anywhere inside the batch (invalid heap/field access deep in the
+  // heap, heap exhaustion, an injected fault) unwinds to here and fails
+  // this one thread as a typed error. The executors then decide between
+  // supervision restart, escalation, and diagnostic reporting — the
+  // process never dies in release builds.
+  try {
+    return runBatch(T, Services);
+  } catch (const RuntimeFaultError &E) {
+    RuntimeFault F = E.Fault;
+    F.Thread = T.Id;
+    T.Fault = F;
+    T.Error = F.render();
+    T.Status = ThreadStatus::Failed;
+    if (T.Trace)
+      T.Trace->instant("fault.trapped", "fault", "kind",
+                       static_cast<uint64_t>(F.Kind));
+    return StepOutcome::Stuck;
+  }
 }

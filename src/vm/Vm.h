@@ -5,15 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The bytecode execution engine behind every `fearlessc run`: a
-/// computed-goto dispatch loop (switch fallback on non-GNU compilers)
-/// over the chunks of vm/Bytecode.h. It plugs into the executors through
-/// the exact stepThread contract the tree-walking interpreter satisfies —
-/// sends/recvs block the ThreadState and resume through
-/// ControlValue/HasValue, faults unwind as RuntimeFaultError to the
-/// step-boundary trap in stepThread, and all counters land in the same
-/// per-thread MachineStats — so the Machine and ParallelExec's task
-/// scheduler drive it unchanged.
+/// The per-thread state of the bytecode engine behind every executor:
+/// the register stack and the frames, which together are a thread's
+/// stack and control. stepThread (runtime/StepOps.h, defined in
+/// vm/Vm.cpp) executes a bounded batch of instructions over it with a
+/// computed-goto dispatch loop (switch fallback on non-GNU compilers);
+/// sends and recvs block the ThreadState and resume through
+/// resumeThread, faults unwind as RuntimeFaultError to the step-boundary
+/// trap, and all counters land in the per-thread MachineStats, so the
+/// Machine and ParallelExec's task scheduler drive it alike.
 ///
 /// One stepThread "step" executes a bounded batch of instructions, so
 /// executor-level concerns (deterministic interleaving, preemption
@@ -25,9 +25,8 @@
 #ifndef FEARLESS_VM_VM_H
 #define FEARLESS_VM_VM_H
 
-#include "runtime/Interp.h"
+#include "runtime/Value.h"
 #include "sema/StructTable.h"
-#include "vm/Bytecode.h"
 
 #include <vector>
 
@@ -43,10 +42,10 @@ struct VmFrame {
   uint32_t RetReg = UINT32_MAX;
 };
 
-/// Per-thread VM execution state, created lazily on the first step and
-/// owned by the ThreadState. The register stack and frame vector only
-/// grow (capacity is reused), so steady-state dispatch — including
-/// call/return and park/resume cycles — performs no heap allocations.
+/// Per-thread VM execution state, set up by enterThread and owned by the
+/// ThreadState. The register stack and frame vector only grow (capacity
+/// is reused), so steady-state dispatch — including call/return and
+/// park/resume cycles — performs no heap allocations.
 struct VmState {
   /// The register stack: every frame's window [Base, Base+NumRegs).
   std::vector<Value> Regs;
@@ -66,11 +65,6 @@ struct VmState {
   /// UINT32_MAX when not blocked.
   uint32_t ResumeReg = UINT32_MAX;
 };
-
-/// Executes one bounded batch of instructions for \p T. Same contract as
-/// stepThread (which dispatches here when Services.VmCode is set);
-/// RuntimeFaultError propagates to stepThread's trap handler.
-StepOutcome stepThreadVm(ThreadState &T, const InterpServices &Services);
 
 } // namespace vm
 } // namespace fearless

@@ -146,7 +146,7 @@ def main() : int {
   }
   EXPECT_TRUE(SawVerdict);
   EXPECT_TRUE(SawDeadBranch);
-  // The verdict table carries the must-* entry the interpreter consults.
+  // The verdict table carries the must-* entry the VM lowering folds.
   DisconnectVerdictTable T = R.verdictTable();
   ASSERT_EQ(R.Sites.size(), 1u);
   auto It = T.find(R.Sites[0].Site);

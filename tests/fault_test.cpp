@@ -324,39 +324,35 @@ TEST(MachineFaults, TracedRunMatchesUntracedUnderFaults) {
   // Tracing must not perturb the fault schedule: same plan, same machine
   // seed — identical outcome and identical fault, traced or not.
   Pipeline P = mustCompile(programs::MessagePassing);
+  // The bytecode `fearlessc run` uses.
   const vm::CompiledProgram Code = shippedBytecode(P);
-  // The reference interpreter, then the bytecode `fearlessc run` uses.
-  for (const vm::CompiledProgram *VmCode :
-       {static_cast<const vm::CompiledProgram *>(nullptr), &Code}) {
-    SCOPED_TRACE(VmCode ? "vm" : "interpreter");
-    auto Run = [&](TraceSession *Trace, RuntimeFault &FaultOut) {
-      FaultPlan Plan = *parseFaultSpec("chan.recv=nth:2,seed=5");
-      FaultInjector FI(Plan);
-      MachineOptions MO;
-      MO.Faults = &FI;
-      MO.Trace = Trace;
-      MO.VmCode = VmCode;
-      Machine M(P.Checked, MO);
-      M.spawn(sym(P, "producer"), {Value::intVal(6)});
-      M.spawn(sym(P, "consumer"), {Value::intVal(6)});
-      Expected<MachineSummary> R = M.run(11);
-      EXPECT_FALSE(R.hasValue());
-      EXPECT_TRUE(M.lastFault().has_value());
-      if (M.lastFault())
-        FaultOut = *M.lastFault();
-      return R ? "" : R.error().Message;
-    };
-    TraceSession Trace;
-    RuntimeFault Traced, Untraced;
-    std::string MsgTraced = Run(&Trace, Traced);
-    std::string MsgUntraced = Run(nullptr, Untraced);
-    EXPECT_EQ(MsgTraced, MsgUntraced);
-    EXPECT_EQ(Traced.Kind, Untraced.Kind);
-    EXPECT_EQ(Traced.Thread, Untraced.Thread);
-    // The trapped fault is visible in the trace.
-    EXPECT_NE(Trace.toChromeJson().find("fault.trapped"),
-              std::string::npos);
-  }
+  auto Run = [&](TraceSession *Trace, RuntimeFault &FaultOut) {
+    FaultPlan Plan = *parseFaultSpec("chan.recv=nth:2,seed=5");
+    FaultInjector FI(Plan);
+    MachineOptions MO;
+    MO.Faults = &FI;
+    MO.Trace = Trace;
+    MO.VmCode = &Code;
+    Machine M(P.Checked, MO);
+    M.spawn(sym(P, "producer"), {Value::intVal(6)});
+    M.spawn(sym(P, "consumer"), {Value::intVal(6)});
+    Expected<MachineSummary> R = M.run(11);
+    EXPECT_FALSE(R.hasValue());
+    EXPECT_TRUE(M.lastFault().has_value());
+    if (M.lastFault())
+      FaultOut = *M.lastFault();
+    return R ? "" : R.error().Message;
+  };
+  TraceSession Trace;
+  RuntimeFault Traced, Untraced;
+  std::string MsgTraced = Run(&Trace, Traced);
+  std::string MsgUntraced = Run(nullptr, Untraced);
+  EXPECT_EQ(MsgTraced, MsgUntraced);
+  EXPECT_EQ(Traced.Kind, Untraced.Kind);
+  EXPECT_EQ(Traced.Thread, Untraced.Thread);
+  // The trapped fault is visible in the trace.
+  EXPECT_NE(Trace.toChromeJson().find("fault.trapped"),
+            std::string::npos);
 }
 
 //===----------------------------------------------------------------------===//

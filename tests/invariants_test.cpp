@@ -102,6 +102,29 @@ TEST(Invariants, ReservationClosureCatchesEscapedReference) {
   auto Problem = checkReservationClosure(M);
   ASSERT_TRUE(Problem.has_value());
   EXPECT_NE(Problem->find("outside its reservation"), std::string::npos);
+
+  // Mid-run: a thread blocked in recv holds the object it allocated in a
+  // register of its frame, not in an entry argument.
+  Pipeline Q = mustCompile(R"(
+struct data { value : int; }
+def hold(n : int) : int {
+  let d = new data(n) in { recv<int>() + d.value }
+}
+)");
+  Machine Blocked(Q.Checked);
+  ThreadId H = Blocked.spawn(sym(Q, "hold"), {Value::intVal(7)});
+  ASSERT_FALSE(Blocked.run().hasValue()); // no sender: deadlock
+  const ThreadState &HS = Blocked.threads()[H];
+  ASSERT_EQ(HS.Status, ThreadStatus::BlockedRecv);
+  EXPECT_EQ(checkReservationClosure(Blocked), std::nullopt);
+  ASSERT_EQ(HS.Reservation.size(), 1u);
+  uint32_t Local = *HS.Reservation.begin();
+  const_cast<ThreadState &>(HS).Reservation.erase(Local);
+  Problem = checkReservationClosure(Blocked);
+  ASSERT_TRUE(Problem.has_value());
+  EXPECT_NE(Problem->find("can reach loc#" + std::to_string(Local)),
+            std::string::npos)
+      << *Problem;
 }
 
 TEST(Invariants, StuckStateOnInjectedReservationViolation) {

@@ -83,17 +83,18 @@ TEST(Mc, ExhaustiveProducerConsumerPipelineVerifiesClean) {
 }
 
 TEST(Mc, DporExploresFarFewerSchedulesThanNaive) {
-  // At interpreter step granularity the naive interleaving count is
-  // combinatorial (every step of a 2-thread run can branch), so naive
-  // DFS gets a schedule budget; DPOR exhausts the same space completely
-  // within it. Both find no violations.
+  // The naive interleaving count grows exponentially with the items
+  // sent (about 2^n schedules for n items at VM batch granularity), so
+  // naive DFS gets a schedule budget; DPOR exhausts the same space
+  // completely within it (about fib(n) schedules). Both find no
+  // violations.
   Pipeline P = mustCompile(programs::MessagePassing);
   mc::McOptions Dpor;
   Dpor.MaxSchedules = 500;
   mc::McOptions Naive = Dpor;
   Naive.UseDpor = false;
-  Expected<mc::McReport> RD = mc::explore(pipelineFactory(P, 2), Dpor);
-  Expected<mc::McReport> RN = mc::explore(pipelineFactory(P, 2), Naive);
+  Expected<mc::McReport> RD = mc::explore(pipelineFactory(P, 10), Dpor);
+  Expected<mc::McReport> RN = mc::explore(pipelineFactory(P, 10), Naive);
   ASSERT_TRUE(RD.hasValue()) << (RD ? "" : RD.error().render());
   ASSERT_TRUE(RN.hasValue()) << (RN ? "" : RN.error().render());
   EXPECT_FALSE(RD->Counterexample.has_value());
@@ -176,9 +177,20 @@ TEST(Mc, ScheduleDependentResultYieldsDivergenceCounterexample) {
       << CE.Reason;
 
   // The divergent schedule replays cleanly and really does produce a
-  // different fold than the baseline (first-explored) schedule.
+  // different fold than mc's baseline (first-explored) schedule. An
+  // end-state property that always fails hands that baseline back as
+  // the counterexample of the first completed schedule.
+  mc::McOptions FirstOnly;
+  FirstOnly.Validate = [](const Machine &) {
+    return std::optional<std::string>("baseline");
+  };
+  Expected<mc::McReport> Base = mc::explore(Factory, FirstOnly);
+  ASSERT_TRUE(Base.hasValue()) << (Base ? "" : Base.error().render());
+  ASSERT_TRUE(Base->Counterexample.has_value());
+  EXPECT_EQ(Base->SchedulesExplored, 1u);
   std::unique_ptr<Machine> MBase = Factory();
-  ASSERT_TRUE(MBase->run(0).hasValue());
+  ASSERT_TRUE(mc::runSchedule(*MBase, Base->Counterexample->Sched)
+                  .hasValue());
   std::unique_ptr<Machine> MDiv = Factory();
   Expected<MachineSummary> R = mc::runSchedule(*MDiv, CE.Sched);
   ASSERT_TRUE(R.hasValue()) << R.error().Message;

@@ -276,7 +276,7 @@ struct node {
   }
 
   // One scratch shared by every check below, across all rounds and both
-  // algorithms: exactly the reuse pattern of the interpreter's per-thread
+  // algorithms: exactly the reuse pattern of the VM's per-thread
   // scratch, on a graph that mutates between (and interleaved with) the
   // checks. Any stale-generation leak shows up as a disagreement with a
   // freshly-scratched run or as an unsound verdict vs the exact check.

@@ -134,7 +134,7 @@ def main() : int {
 }
 
 TEST(Runtime, HeapExhaustionIsDiagnosedNotUndefined) {
-  // A full heap must refuse the allocation (and the interpreter turn it
+  // A full heap must refuse the allocation (and the VM turn it
   // into a stuck-state diagnostic), not write past the block directory —
   // the old assert vanished under NDEBUG.
   Pipeline P = mustCompile("struct data { value : int; }\n"

@@ -8,9 +8,9 @@
 // the supervision-backoff fixes that shipped with it. Units cover the
 // saturating backoff math; rings, fan-in, and many-tasks-few-workers
 // workloads on the task executor; bit-identical results against the
-// deterministic abstract machine running the interpreter with checks on
-// (including an `if disconnected` oracle across eight scheduling seeds);
-// the supervision cases; and regressions for abort-aware backoff (a hard
+// deterministic abstract machine running checked bytecode (including
+// an `if disconnected` oracle across eight scheduling seeds); the
+// supervision cases; and regressions for abort-aware backoff (a hard
 // abort or channel shutdown must cancel a pending multi-second backoff
 // promptly and cleanly).
 //
@@ -248,8 +248,8 @@ std::vector<Value> runTasks(Pipeline &P, ParallelExecOptions O,
   return R.hasValue() ? *R : std::vector<Value>{};
 }
 
-/// The reference: the deterministic abstract machine, tree-walking the
-/// AST with every dynamic reservation check on.
+/// The reference: the deterministic abstract machine on checked
+/// bytecode (its own lowering), every dynamic reservation check on.
 std::vector<Value> runMachine(Pipeline &P, const SpawnSet &Spawns,
                               RuntimeMetrics &MetricsOut) {
   Machine M(P.Checked);

@@ -478,37 +478,33 @@ TEST(TraceAlloc, NullBufferSpanIsAllocationFree) {
 
 TEST(TraceExport, MachineTraceIsValidChromeJson) {
   Pipeline P = mustCompile(programs::MessagePassing);
+  // The bytecode `fearlessc run` uses.
   const vm::CompiledProgram Code = shippedBytecode(P);
-  // The reference interpreter, then the bytecode `fearlessc run` uses.
-  for (const vm::CompiledProgram *VmCode :
-       {static_cast<const vm::CompiledProgram *>(nullptr), &Code}) {
-    SCOPED_TRACE(VmCode ? "vm" : "interpreter");
-    TraceSession Trace;
-    MachineOptions Opts;
-    Opts.Trace = &Trace;
-    Opts.VmCode = VmCode;
-    Machine M(P.Checked, Opts);
-    M.spawn(sym(P, "producer"), {Value::intVal(10)});
-    M.spawn(sym(P, "consumer"), {Value::intVal(10)});
-    Expected<MachineSummary> R = M.run();
-    ASSERT_TRUE(R.hasValue()) << (R ? "" : R.error().render());
+  TraceSession Trace;
+  MachineOptions Opts;
+  Opts.Trace = &Trace;
+  Opts.VmCode = &Code;
+  Machine M(P.Checked, Opts);
+  M.spawn(sym(P, "producer"), {Value::intVal(10)});
+  M.spawn(sym(P, "consumer"), {Value::intVal(10)});
+  Expected<MachineSummary> R = M.run();
+  ASSERT_TRUE(R.hasValue()) << (R ? "" : R.error().render());
 
-    Json Doc;
-    validateChromeTrace(Trace.toChromeJson(), Doc);
+  Json Doc;
+  validateChromeTrace(Trace.toChromeJson(), Doc);
 #if FEARLESS_TRACING_ENABLED
-    // Machine control buffer + both language threads contribute.
-    EXPECT_GE(distinctTids(Doc), 2u);
-    EXPECT_TRUE(hasEvent(Doc, "machine.run"));
-    // EC3 pairing reconstructs both sides' wait spans.
-    EXPECT_TRUE(hasEvent(Doc, "send.block"));
-    EXPECT_TRUE(hasEvent(Doc, "recv.block"));
-    EXPECT_TRUE(hasEvent(Doc, "send.wait"));
-    EXPECT_TRUE(hasEvent(Doc, "recv.wait"));
-    EXPECT_TRUE(hasEvent(Doc, "send.transfer"));
+  // Machine control buffer + both language threads contribute.
+  EXPECT_GE(distinctTids(Doc), 2u);
+  EXPECT_TRUE(hasEvent(Doc, "machine.run"));
+  // EC3 pairing reconstructs both sides' wait spans.
+  EXPECT_TRUE(hasEvent(Doc, "send.block"));
+  EXPECT_TRUE(hasEvent(Doc, "recv.block"));
+  EXPECT_TRUE(hasEvent(Doc, "send.wait"));
+  EXPECT_TRUE(hasEvent(Doc, "recv.wait"));
+  EXPECT_TRUE(hasEvent(Doc, "send.transfer"));
 #else
-    EXPECT_EQ(Doc.at("traceEvents").Elems.size(), 0u);
+  EXPECT_EQ(Doc.at("traceEvents").Elems.size(), 0u);
 #endif
-  }
 }
 
 TEST(TraceExport, ParallelMergeIsValidJsonAcrossThreads) {
@@ -543,9 +539,9 @@ TEST(TraceExport, ParallelMergeIsValidJsonAcrossThreads) {
 
 TEST(TraceExport, ElidedAndTraversedChecksAreDistinguished) {
   // One site the static analysis proves must-disconnected: with the
-  // verdict table installed the interpreter answers without a traversal
-  // (disconnect.elided); without it the real traversal runs and its span
-  // carries the visit count.
+  // verdict table installed the machine's bytecode answers without a
+  // traversal (disconnect.elided); without it the real traversal runs
+  // and its span carries the visit count.
   auto FR = checkSource(R"(
 struct gnode { next : gnode; }
 
@@ -600,31 +596,27 @@ def detach(unused : int) : int {
 TEST(TraceExport, TracedRunMatchesUntraced) {
   Pipeline P = mustCompile(programs::MessagePassing);
   const vm::CompiledProgram Code = shippedBytecode(P);
-  for (const vm::CompiledProgram *VmCode :
-       {static_cast<const vm::CompiledProgram *>(nullptr), &Code}) {
-    SCOPED_TRACE(VmCode ? "vm" : "interpreter");
-    MachineOptions PlainOpts;
-    PlainOpts.VmCode = VmCode;
-    Machine Plain(P.Checked, PlainOpts);
-    Plain.spawn(sym(P, "producer"), {Value::intVal(25)});
-    Plain.spawn(sym(P, "consumer"), {Value::intVal(25)});
-    Expected<MachineSummary> R1 = Plain.run();
-    ASSERT_TRUE(R1.hasValue()) << (R1 ? "" : R1.error().render());
+  MachineOptions PlainOpts;
+  PlainOpts.VmCode = &Code;
+  Machine Plain(P.Checked, PlainOpts);
+  Plain.spawn(sym(P, "producer"), {Value::intVal(25)});
+  Plain.spawn(sym(P, "consumer"), {Value::intVal(25)});
+  Expected<MachineSummary> R1 = Plain.run();
+  ASSERT_TRUE(R1.hasValue()) << (R1 ? "" : R1.error().render());
 
-    TraceSession Trace;
-    MachineOptions Opts = PlainOpts;
-    Opts.Trace = &Trace;
-    Machine Traced(P.Checked, Opts);
-    Traced.spawn(sym(P, "producer"), {Value::intVal(25)});
-    Traced.spawn(sym(P, "consumer"), {Value::intVal(25)});
-    Expected<MachineSummary> R2 = Traced.run();
-    ASSERT_TRUE(R2.hasValue()) << (R2 ? "" : R2.error().render());
+  TraceSession Trace;
+  MachineOptions Opts = PlainOpts;
+  Opts.Trace = &Trace;
+  Machine Traced(P.Checked, Opts);
+  Traced.spawn(sym(P, "producer"), {Value::intVal(25)});
+  Traced.spawn(sym(P, "consumer"), {Value::intVal(25)});
+  Expected<MachineSummary> R2 = Traced.run();
+  ASSERT_TRUE(R2.hasValue()) << (R2 ? "" : R2.error().render());
 
-    EXPECT_EQ(R1->Steps, R2->Steps);
-    ASSERT_EQ(R1->ThreadResults.size(), R2->ThreadResults.size());
-    for (size_t I = 0; I < R1->ThreadResults.size(); ++I)
-      EXPECT_EQ(R1->ThreadResults[I], R2->ThreadResults[I]);
-  }
+  EXPECT_EQ(R1->Steps, R2->Steps);
+  ASSERT_EQ(R1->ThreadResults.size(), R2->ThreadResults.size());
+  for (size_t I = 0; I < R1->ThreadResults.size(); ++I)
+    EXPECT_EQ(R1->ThreadResults[I], R2->ThreadResults[I]);
 }
 
 TEST(TraceExport, WriteFailsCleanlyOnUnwritablePath) {

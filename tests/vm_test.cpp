@@ -4,16 +4,16 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The register bytecode VM (vm/Compiler.h, vm/Vm.h) against its
-// differential oracle, the tree-walking interpreter. The two engines
-// must be bit-identical: same results, same error messages, same
-// counters, same per-thread trace events, same fault points — over the
-// example programs,
-// the embedded sample suites, host-built graphs, randomized scheduler
-// sweeps, and fault-injection/supervision runs. Erased-mode codegen
-// (the Theorem 6.1/6.2 payoff) must additionally retire zero dynamic
-// reservation checks, and the steady-state dispatch loop must not
-// allocate.
+// The register bytecode VM (vm/Compiler.h, vm/Vm.h) against the
+// outcomes of its former differential oracle, the tree-walking
+// interpreter, recorded in tests/fixtures/vm_reference_outcomes.txt.
+// Checked and erased bytecode must reproduce them exactly: same results,
+// same error messages, same counters, same per-thread trace events, same
+// fault points — over the example programs, the embedded sample suites,
+// host-built graphs, paired communication and fault injection. Erased
+// codegen (the Theorem 6.1/6.2 payoff) must additionally retire zero
+// dynamic reservation checks, scheduler sweeps must match the checked
+// machine, and the steady-state dispatch loop must not allocate.
 //
 //===----------------------------------------------------------------------===//
 
@@ -52,6 +52,7 @@ void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
 #include <fstream>
 #include <functional>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -83,8 +84,8 @@ struct Outcome {
   std::vector<Value> Results;
   std::string Error;
   RuntimeMetrics Metrics;
-  /// Trace lane (tid) → event names in order, without each engine's
-  /// progress events (`interp.steps`, `vm.dispatch`).
+  /// Trace lane (tid) → event names in order, without the VM's progress
+  /// events (`vm.dispatch`).
   std::map<int64_t, std::vector<std::string>> Events;
 };
 
@@ -99,23 +100,20 @@ eventsByLane(const TraceSession &Trace) {
     return Lanes;
   for (const server::Json &E : Doc->find("traceEvents")->items()) {
     std::string Name = E.getString("name", "");
-    if (E.getString("ph", "") == "M" || Name == "interp.steps" ||
-        Name == "vm.dispatch")
+    if (E.getString("ph", "") == "M" || Name == "vm.dispatch")
       continue;
     Lanes[E.getInt("tid", -1)].push_back(Name);
   }
   return Lanes;
 }
 
-/// Runs with tracing on. \p Verdicts, when set, lets the interpreter
-/// elide the `if disconnected` sites an erased build folds.
+/// Runs with tracing on; a null \p Code lets the machine lower the
+/// program itself (checked, no verdicts).
 Outcome runMachine(Pipeline &P, const vm::CompiledProgram *Code,
-                   const Setup &S, uint64_t Seed = 0,
-                   const DisconnectVerdictTable *Verdicts = nullptr) {
+                   const Setup &S, uint64_t Seed = 0) {
   TraceSession Trace;
   MachineOptions MO;
   MO.VmCode = Code;
-  MO.StaticVerdicts = Verdicts;
   MO.Trace = &Trace;
   Machine M(P.Checked, MO);
   S(P, M);
@@ -131,6 +129,72 @@ Outcome runMachine(Pipeline &P, const vm::CompiledProgram *Code,
   EXPECT_EQ(Trace.droppedEvents(), 0u);
   O.Events = eventsByLane(Trace);
   return O;
+}
+
+/// One recorded reference outcome (see the fixture's header).
+struct Reference {
+  bool Ok = false;
+  std::vector<std::string> Results;
+  std::string Error;
+  std::map<std::string, uint64_t> Counters;
+  std::map<int64_t, std::vector<std::string>> Events;
+};
+
+/// The fixture, parsed once; a malformed record fails the test.
+const std::map<std::string, Reference> &references() {
+  static const std::map<std::string, Reference> Cases = [] {
+    std::map<std::string, Reference> Out;
+    std::ifstream In(FEARLESS_FIXTURES_DIR "/vm_reference_outcomes.txt");
+    EXPECT_TRUE(In.good()) << "missing vm_reference_outcomes.txt";
+    std::string Line, Key;
+    Reference Cur;
+    auto Rest = [&Line](size_t Skip) { return Line.substr(Skip); };
+    while (std::getline(In, Line)) {
+      if (Line.empty() || Line[0] == '#')
+        continue;
+      if (Line.rfind("case ", 0) == 0) {
+        Key = Rest(5);
+        Cur = Reference();
+      } else if (Line == "ok" || Line == "failed") {
+        Cur.Ok = Line == "ok";
+      } else if (Line.rfind("result ", 0) == 0) {
+        Cur.Results.push_back(Rest(7));
+      } else if (Line.rfind("error ", 0) == 0) {
+        for (size_t I = 6; I < Line.size(); ++I) {
+          if (Line[I] == '\\' && I + 1 < Line.size()) {
+            ++I;
+            Cur.Error += Line[I] == 'n' ? '\n' : Line[I];
+          } else {
+            Cur.Error += Line[I];
+          }
+        }
+      } else if (Line.rfind("counter ", 0) == 0 ||
+                 Line.rfind("lane ", 0) == 0) {
+        std::istringstream LS(Line);
+        std::string Tag, Name;
+        LS >> Tag;
+        if (Tag == "counter") {
+          uint64_t N = 0;
+          LS >> Name >> N;
+          Cur.Counters[Name] = N;
+        } else {
+          int64_t Tid = 0;
+          LS >> Tid;
+          std::vector<std::string> &Lane = Cur.Events[Tid];
+          while (LS >> Name)
+            Lane.push_back(Name);
+        }
+      } else if (Line == "end") {
+        EXPECT_TRUE(Out.emplace(Key, Cur).second) << "duplicate " << Key;
+        Key.clear();
+      } else {
+        ADD_FAILURE() << "malformed reference line: " << Line;
+      }
+    }
+    EXPECT_TRUE(Key.empty()) << "truncated record " << Key;
+    return Out;
+  }();
+  return Cases;
 }
 
 /// Every counter except the ones that measure the engine itself: steps
@@ -151,31 +215,48 @@ semanticCounters(const RuntimeMetrics &M, bool WithReservationChecks) {
   return Out;
 }
 
-/// Asserts the observable equivalence the VM promises: identical
-/// success/failure, identical results or error text, identical
-/// counters and identical per-thread trace events.
-void expectSameOutcome(const Outcome &Interp, const Outcome &Vm,
-                       const std::string &What,
-                       bool WithReservationChecks) {
-  EXPECT_EQ(Interp.Ok, Vm.Ok) << What << ": " << Interp.Error << " vs "
-                              << Vm.Error;
-  if (Interp.Ok && Vm.Ok) {
-    ASSERT_EQ(Interp.Results.size(), Vm.Results.size()) << What;
-    for (size_t I = 0; I < Interp.Results.size(); ++I)
-      EXPECT_EQ(Interp.Results[I], Vm.Results[I])
-          << What << ": thread " << I;
-  } else {
-    EXPECT_EQ(Interp.Error, Vm.Error) << What;
+/// The recorded outcome of case \p Key; fails the test when absent.
+const Reference *reference(const std::string &Key) {
+  auto It = references().find(Key);
+  if (It == references().end()) {
+    ADD_FAILURE() << "no reference outcome for " << Key;
+    return nullptr;
   }
-  EXPECT_EQ(semanticCounters(Interp.Metrics, WithReservationChecks),
-            semanticCounters(Vm.Metrics, WithReservationChecks))
-      << What;
-  EXPECT_EQ(Interp.Events, Vm.Events) << What;
+  return &It->second;
 }
 
-/// Runs the interpreter against the checked VM, and the interpreter with
-/// the verdict table against the erased VM that folded it, over the same
-/// spawn set, and requires each pair to agree.
+/// Asserts the observable equivalence the VM promises against the
+/// reference outcome \p Key: identical success/failure, identical
+/// results or error text, identical counters (every counter the
+/// reference recorded) and identical per-thread trace events.
+void expectMatchesReference(const std::string &Key, const Outcome &Vm,
+                            bool WithReservationChecks) {
+  const Reference *Ref = reference(Key);
+  if (!Ref)
+    return;
+  EXPECT_EQ(Ref->Ok, Vm.Ok) << Key << ": " << Ref->Error << " vs "
+                            << Vm.Error;
+  if (Ref->Ok && Vm.Ok) {
+    ASSERT_EQ(Ref->Results.size(), Vm.Results.size()) << Key;
+    for (size_t I = 0; I < Ref->Results.size(); ++I)
+      EXPECT_EQ(Ref->Results[I], toString(Vm.Results[I]))
+          << Key << ": thread " << I;
+  } else {
+    EXPECT_EQ(Ref->Error, Vm.Error) << Key;
+  }
+  std::map<std::string, uint64_t> Counters =
+      semanticCounters(Vm.Metrics, WithReservationChecks);
+  for (const auto &[Name, N] : Ref->Counters) {
+    auto It = Counters.find(Name);
+    ASSERT_NE(It, Counters.end()) << Key << ": counter " << Name;
+    EXPECT_EQ(N, It->second) << Key << ": counter " << Name;
+  }
+  EXPECT_EQ(Ref->Events, Vm.Events) << Key;
+}
+
+/// Runs the checked VM and the erased VM that folded the verdict table
+/// over the same spawn set, and requires each to reproduce its
+/// reference outcome.
 void differential(Pipeline &P, const Setup &S, const std::string &What,
                   uint64_t Seed = 0) {
   AnalysisReport Report = analyzeProgram(P.Checked);
@@ -184,14 +265,12 @@ void differential(Pipeline &P, const Setup &S, const std::string &What,
   vm::CompiledProgram Erased =
       mustCompileVm(P, /*EmitChecks=*/false, &Verdicts);
 
-  Outcome Interp = runMachine(P, nullptr, S, Seed);
-  Outcome InterpFolded = runMachine(P, nullptr, S, Seed, &Verdicts);
   Outcome VmChecked = runMachine(P, &Checked, S, Seed);
   Outcome VmErased = runMachine(P, &Erased, S, Seed);
-  expectSameOutcome(Interp, VmChecked, What + " [checked]",
-                    /*WithReservationChecks=*/true);
-  expectSameOutcome(InterpFolded, VmErased, What + " [erased]",
-                    /*WithReservationChecks=*/false);
+  expectMatchesReference(What + " [checked]", VmChecked,
+                         /*WithReservationChecks=*/true);
+  expectMatchesReference(What + " [erased]", VmErased,
+                         /*WithReservationChecks=*/false);
   // Erasability: the erased build retires no dynamic reservation checks
   // and records what it compiled out.
   EXPECT_EQ(VmErased.Metrics.ReservationChecks, 0u) << What;
@@ -221,14 +300,18 @@ TEST(VmDifferential, ExamplesMatchInterpreter) {
     (void)mustCompileVm(*P, false);
     if (!P->Prog->findFunction(P->Prog->Names.intern("main")))
       continue; // lint-only example: nothing to run
+    std::string Name = Entry.path().filename().string();
+    if (!references().count(Name + " [checked]"))
+      continue; // added after the reference outcomes were recorded
     differential(*P,
                  [](Pipeline &PL, Machine &M) {
                    M.spawn(sym(PL, "main"));
                  },
-                 Entry.path().filename().string());
+                 Name);
     ++Ran;
   }
-  EXPECT_GE(Ran, 2u); // disconnect_static.fls and dll_remove.fls at least
+  // Every recorded example: disconnect_static, dll_remove, msg_pipeline.
+  EXPECT_EQ(Ran, 3u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -325,16 +408,14 @@ TEST(VmDifferential, RuntimeErrorsMatchWordForWord) {
   Pipeline P = mustCompile(R"(
 def boom(n : int) : int { 10 / n }
 )");
-  Outcome Interp = runMachine(P, nullptr, [](Pipeline &PL, Machine &M) {
-    M.spawn(sym(PL, "boom"), {Value::intVal(0)});
-  });
   vm::CompiledProgram Code = mustCompileVm(P, false);
   Outcome Vm = runMachine(P, &Code, [](Pipeline &PL, Machine &M) {
     M.spawn(sym(PL, "boom"), {Value::intVal(0)});
   });
-  ASSERT_FALSE(Interp.Ok);
   ASSERT_FALSE(Vm.Ok);
-  EXPECT_EQ(Interp.Error, Vm.Error);
+  const Reference *Ref = reference("boom(0) [error]");
+  ASSERT_NE(Ref, nullptr);
+  EXPECT_EQ(Ref->Error, Vm.Error);
   EXPECT_NE(Vm.Error.find("division by zero"), std::string::npos);
 }
 
@@ -444,8 +525,8 @@ TEST(VmScheduler, SeedSweepMatchesMachineBaseline) {
     Exec.spawn(sym(P, "consumer"), {Value::intVal(12)});
   };
 
-  // The baseline: the abstract machine tree-walking the AST with every
-  // dynamic reservation check on.
+  // The baseline: the abstract machine on checked bytecode (its own
+  // lowering), every dynamic reservation check on.
   Machine M(P.Checked);
   Spawn(M);
   Expected<MachineSummary> Base = M.run();
@@ -473,8 +554,9 @@ TEST(VmScheduler, SeedSweepMatchesMachineBaseline) {
 //===----------------------------------------------------------------------===//
 
 TEST(VmFaults, InjectedHeapFaultMatchesInterpreter) {
-  // Every fault point the evaluators own, each reached exactly once or
-  // (heap.alloc) at a fixed occurrence whatever the interleaving.
+  // Every fault point the VM owns, each reached exactly once or
+  // (heap.alloc) at a fixed occurrence whatever the interleaving, on
+  // checked (the machine's own lowering) and erased bytecode.
   Pipeline P = mustCompile(R"(
 struct item { value : int; }
 struct gnode { next : gnode; }
@@ -518,7 +600,10 @@ def consumer() : int {
       }
       return R ? std::string() : R.error().Message;
     };
-    EXPECT_EQ(RunWithFaults(nullptr), RunWithFaults(&Code)) << Spec;
+    const Reference *Ref = reference(std::string("fault ") + Spec);
+    ASSERT_NE(Ref, nullptr);
+    EXPECT_EQ(Ref->Error, RunWithFaults(nullptr)) << Spec;
+    EXPECT_EQ(Ref->Error, RunWithFaults(&Code)) << Spec;
   }
 }
 

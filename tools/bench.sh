@@ -62,9 +62,9 @@ elif [[ -z "$OUT" ]]; then
   exit 2
 fi
 
-BENCHES=(bench_table1 bench_checker bench_ifdisconnected bench_runtime
-         bench_concurrency bench_trace bench_faults bench_scheduler
-         bench_vm bench_analysis bench_server bench_mc)
+BENCHES=(bench_table1 bench_checker bench_ifdisconnected bench_concurrency
+         bench_trace bench_faults bench_scheduler bench_vm bench_analysis
+         bench_server bench_mc)
 
 echo "==> [bench] build (${BUILD})"
 cmake -B "$BUILD" -S "$ROOT" >/dev/null

@@ -177,7 +177,7 @@ def self_test() -> int:
 
     doc = (
         "## Metrics counter glossary\n"
-        "| `steps` | unit | interp |\n"
+        "| `steps` | unit | vm |\n"
         "prose about `not_a_counter` outside a table\n"
         "| `wall_micros` | us | executor |\n"
         "## Trace event schema\n"

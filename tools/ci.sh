@@ -22,8 +22,8 @@
 # examples and corpus, plus a deadlock fixture whose counterexample
 # schedule must replay deterministically), then the same test suite,
 # server smoke, and chaos smoke under ThreadSanitizer plus the
-# checker-side unit tests and the corpus, nesting-cap and long-block
-# smokes under AddressSanitizer. The
+# checker-side and runtime unit tests and the corpus, nesting-cap and
+# long-block smokes under AddressSanitizer. The
 # concurrent runtime (ParallelExec, ChannelSet) is the part of this repo
 # most likely to rot silently — TSan and chaos keep the "fearless" claim
 # honest.
@@ -167,8 +167,8 @@ EOF
 }
 
 # VM disasm smoke: `disasm` must print the chunks and the statically
-# folded `if disconnected` sites. (The interpreter/VM differential over
-# every example lives in tests/vm_test.cpp.)
+# folded `if disconnected` sites. (The VM's check against the recorded
+# reference outcomes of every example lives in tests/vm_test.cpp.)
 run_vm_smoke() {
   local name="$1" dir="$2"
   local fc="$dir/tools/fearlessc"
@@ -515,20 +515,22 @@ run_server_smoke "tsan" "$ROOT/build-tsan"
 run_sched_smoke "tsan" "$ROOT/build-tsan"
 run_chaos_smoke "tsan" "$ROOT/build-tsan"
 
-# ASan pass over the analysis front end and the checker: the summary
-# engine and the corpus generator push the analyzer over thousands of
-# functions, and the typing contexts are sorted flat vectors whose
-# inserts and erases invalidate references into them. AddressSanitizer
-# on the checker-side unit tests and on the same corpus smoke catches
-# lifetime bugs the default pass would miss.
+# ASan pass over the analysis front end, the checker and the runtime:
+# the summary engine and the corpus generator push the analyzer over
+# thousands of functions, the typing contexts are sorted flat vectors
+# whose inserts and erases invalidate references into them, and every
+# thread runs bytecode over a register stack its ThreadState owns.
+# AddressSanitizer on those unit tests and on the same corpus smoke
+# catches lifetime bugs the default pass would miss.
 ASAN_TESTS=(support_test regions_test checker_test verifier_test unify_test
             virtual_test signature_test analysis_test soundness_test
-            property_test)
+            property_test vm_test machine_test mc_test fault_test
+            trace_test invariants_test concurrency_test runtime_test)
 echo "==> [asan] configure + build (FEARLESS_SANITIZE=address)"
 cmake -B "$ROOT/build-asan" -S "$ROOT" -DFEARLESS_SANITIZE=address >/dev/null
 cmake --build "$ROOT/build-asan" -j "$JOBS" --target fearlessc \
   "${ASAN_TESTS[@]}"
-echo "==> [asan] checker-side unit tests"
+echo "==> [asan] checker-side and runtime unit tests"
 (cd "$ROOT/build-asan" &&
   ctest --output-on-failure -j "$JOBS" \
     -R "^($(IFS='|'; echo "${ASAN_TESTS[*]}"))\$" "${CTEST_ARGS[@]}")

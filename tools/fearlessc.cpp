@@ -55,8 +55,7 @@
 // repeatable), --schedule FILE (replay a recorded schedule), and the mc
 // budgets --mc-depth N, --mc-schedules N, --mc-preemptions N,
 // --mc-checks=on|off, --mc-dpor=on|off, --mc-out FILE. Programs run as
-// register bytecode; debug builds cross-check results against the
-// tree-walking interpreter.
+// register bytecode.
 //
 // Every integer, positional or flag value, must parse in full, and an
 // unknown `--flag` is a usage error: a typo never silently becomes a
