@@ -19,107 +19,18 @@ namespace {
 /// preorder, left to right. Iterative over the caller's \p Stack (empty
 /// on entry and exit) so pathological bodies cannot overflow the C++
 /// stack and no walk allocates once the buffers have grown.
-void collectCalls(const Expr *Root, std::vector<const Expr *> &Stack,
+void collectCalls(const Expr &Root, std::vector<const Expr *> &Stack,
                   std::vector<Symbol> &Out) {
-  // Children are pushed last-first, so they pop in source order.
-  auto Push = [&Stack](const Expr *E) {
-    if (E)
-      Stack.push_back(E);
-  };
-  Push(Root);
+  Stack.push_back(&Root);
   while (!Stack.empty()) {
     const Expr *E = Stack.back();
     Stack.pop_back();
-    switch (E->kind()) {
-    case ExprKind::IntLit:
-    case ExprKind::BoolLit:
-    case ExprKind::UnitLit:
-    case ExprKind::NoneLit:
-    case ExprKind::VarRef:
-    case ExprKind::Recv:
-      break;
-    case ExprKind::FieldRef:
-      Push(cast<FieldRefExpr>(*E).Base.get());
-      break;
-    case ExprKind::AssignVar:
-      Push(cast<AssignVarExpr>(*E).Value.get());
-      break;
-    case ExprKind::AssignField: {
-      const auto &A = cast<AssignFieldExpr>(*E);
-      Push(A.Value.get());
-      Push(A.Base.get());
-      break;
-    }
-    case ExprKind::Let: {
-      const auto &L = cast<LetExpr>(*E);
-      Push(L.Body.get());
-      Push(L.Init.get());
-      break;
-    }
-    case ExprKind::LetSome: {
-      const auto &L = cast<LetSomeExpr>(*E);
-      Push(L.NoneBody.get());
-      Push(L.SomeBody.get());
-      Push(L.Scrutinee.get());
-      break;
-    }
-    case ExprKind::If: {
-      const auto &I = cast<IfExpr>(*E);
-      Push(I.Else.get());
-      Push(I.Then.get());
-      Push(I.Cond.get());
-      break;
-    }
-    case ExprKind::IfDisconnected: {
-      const auto &I = cast<IfDisconnectedExpr>(*E);
-      Push(I.Else.get());
-      Push(I.Then.get());
-      break;
-    }
-    case ExprKind::While: {
-      const auto &W = cast<WhileExpr>(*E);
-      Push(W.Body.get());
-      Push(W.Cond.get());
-      break;
-    }
-    case ExprKind::Seq: {
-      const auto &S = cast<SeqExpr>(*E);
-      for (auto It = S.Elems.rbegin(); It != S.Elems.rend(); ++It)
-        Push(It->get());
-      break;
-    }
-    case ExprKind::New: {
-      const auto &N = cast<NewExpr>(*E);
-      for (auto It = N.Args.rbegin(); It != N.Args.rend(); ++It)
-        Push(It->get());
-      break;
-    }
-    case ExprKind::SomeExpr:
-      Push(cast<SomeExpr>(*E).Operand.get());
-      break;
-    case ExprKind::IsNone:
-      Push(cast<IsNoneExpr>(*E).Operand.get());
-      break;
-    case ExprKind::Send:
-      Push(cast<SendExpr>(*E).Operand.get());
-      break;
-    case ExprKind::Call: {
-      const auto &C = cast<CallExpr>(*E);
-      Out.push_back(C.Callee);
-      for (auto It = C.Args.rbegin(); It != C.Args.rend(); ++It)
-        Push(It->get());
-      break;
-    }
-    case ExprKind::Binary: {
-      const auto &B = cast<BinaryExpr>(*E);
-      Push(B.Rhs.get());
-      Push(B.Lhs.get());
-      break;
-    }
-    case ExprKind::Unary:
-      Push(cast<UnaryExpr>(*E).Operand.get());
-      break;
-    }
+    if (const auto *C = dyn_cast<CallExpr>(E))
+      Out.push_back(C->Callee);
+    // Reversed once pushed, so the children pop in source order.
+    size_t First = Stack.size();
+    forEachChild(*E, [&Stack](const Expr &Child) { Stack.push_back(&Child); });
+    std::reverse(Stack.begin() + First, Stack.end());
   }
 }
 
@@ -142,7 +53,7 @@ CallGraph CallGraph::build(const Program &P) {
   for (size_t I = 0; I < P.Functions.size(); ++I) {
     const FnDecl &Fn = P.Functions[I];
     Sites.clear();
-    collectCalls(Fn.Body.get(), Stack, Sites);
+    collectCalls(*Fn.Body, Stack, Sites);
     G.CallSites[Fn.Name] = Sites.size();
     std::vector<Symbol> &Kids = G.Callees[Fn.Name];
     Kids.clear();

@@ -39,6 +39,7 @@
 #include "analysis/RegionGraph.h"
 #include "parser/Parser.h"
 #include "sema/Resolver.h"
+#include "support/JsonEscape.h"
 
 #include <algorithm>
 #include <iterator>
@@ -1054,78 +1055,19 @@ FnEffects FnAnalyzer::effects(const PointsTo &Exit) const {
 // Syntactic lints
 //===----------------------------------------------------------------------===//
 
-bool mentionsVar(const Expr *E, Symbol Var) {
-  if (!E)
-    return false;
-  switch (E->kind()) {
-  case ExprKind::VarRef:
-    return cast<VarRefExpr>(*E).Name == Var;
-  case ExprKind::FieldRef:
-    return mentionsVar(cast<FieldRefExpr>(*E).Base.get(), Var);
-  case ExprKind::AssignVar: {
-    const auto &AV = cast<AssignVarExpr>(*E);
-    return AV.Name == Var || mentionsVar(AV.Value.get(), Var);
-  }
-  case ExprKind::AssignField: {
-    const auto &AF = cast<AssignFieldExpr>(*E);
-    return mentionsVar(AF.Base.get(), Var) ||
-           mentionsVar(AF.Value.get(), Var);
-  }
-  case ExprKind::Let: {
-    const auto &L = cast<LetExpr>(*E);
-    return mentionsVar(L.Init.get(), Var) || mentionsVar(L.Body.get(), Var);
-  }
-  case ExprKind::LetSome: {
-    const auto &LS = cast<LetSomeExpr>(*E);
-    return mentionsVar(LS.Scrutinee.get(), Var) ||
-           mentionsVar(LS.SomeBody.get(), Var) ||
-           mentionsVar(LS.NoneBody.get(), Var);
-  }
-  case ExprKind::If: {
-    const auto &I = cast<IfExpr>(*E);
-    return mentionsVar(I.Cond.get(), Var) ||
-           mentionsVar(I.Then.get(), Var) || mentionsVar(I.Else.get(), Var);
-  }
-  case ExprKind::IfDisconnected: {
-    const auto &ID = cast<IfDisconnectedExpr>(*E);
-    return ID.VarA == Var || ID.VarB == Var ||
-           mentionsVar(ID.Then.get(), Var) ||
-           mentionsVar(ID.Else.get(), Var);
-  }
-  case ExprKind::While: {
-    const auto &W = cast<WhileExpr>(*E);
-    return mentionsVar(W.Cond.get(), Var) || mentionsVar(W.Body.get(), Var);
-  }
-  case ExprKind::Seq:
-    for (const ExprPtr &Elem : cast<SeqExpr>(*E).Elems)
-      if (mentionsVar(Elem.get(), Var))
-        return true;
-    return false;
-  case ExprKind::New:
-    for (const ExprPtr &A : cast<NewExpr>(*E).Args)
-      if (mentionsVar(A.get(), Var))
-        return true;
-    return false;
-  case ExprKind::SomeExpr:
-    return mentionsVar(cast<SomeExpr>(*E).Operand.get(), Var);
-  case ExprKind::IsNone:
-    return mentionsVar(cast<IsNoneExpr>(*E).Operand.get(), Var);
-  case ExprKind::Send:
-    return mentionsVar(cast<SendExpr>(*E).Operand.get(), Var);
-  case ExprKind::Call:
-    for (const ExprPtr &A : cast<CallExpr>(*E).Args)
-      if (mentionsVar(A.get(), Var))
-        return true;
-    return false;
-  case ExprKind::Binary: {
-    const auto &B = cast<BinaryExpr>(*E);
-    return mentionsVar(B.Lhs.get(), Var) || mentionsVar(B.Rhs.get(), Var);
-  }
-  case ExprKind::Unary:
-    return mentionsVar(cast<UnaryExpr>(*E).Operand.get(), Var);
-  default:
-    return false;
-  }
+bool mentionsVar(const Expr &E, Symbol Var) {
+  if (const auto *V = dyn_cast<VarRefExpr>(&E))
+    return V->Name == Var;
+  if (const auto *AV = dyn_cast<AssignVarExpr>(&E); AV && AV->Name == Var)
+    return true;
+  if (const auto *ID = dyn_cast<IfDisconnectedExpr>(&E);
+      ID && (ID->VarA == Var || ID->VarB == Var))
+    return true;
+  bool Found = false;
+  forEachChild(E, [&](const Expr &Child) {
+    Found = Found || mentionsVar(Child, Var);
+  });
+  return Found;
 }
 
 /// Tracks definitely-consumed variables through one function body.
@@ -1134,12 +1076,16 @@ public:
   LintWalker(const Program &P, std::vector<AnalysisDiag> &Diags)
       : P(P), Diags(Diags) {}
 
-  void walk(const Expr *E);
+  void walk(const Expr &E);
 
 private:
   const Program &P;
   std::vector<AnalysisDiag> &Diags;
   std::map<Symbol, SourceLoc> Consumed; ///< var -> consuming site
+
+  void walkChildren(const Expr &E) {
+    forEachChild(E, [this](const Expr &Child) { walk(Child); });
+  }
 
   void flagUse(Symbol Var, SourceLoc Loc) {
     auto It = Consumed.find(Var);
@@ -1165,133 +1111,98 @@ private:
   }
 };
 
-void LintWalker::walk(const Expr *E) {
-  if (!E)
-    return;
-  switch (E->kind()) {
+void LintWalker::walk(const Expr &E) {
+  switch (E.kind()) {
   case ExprKind::VarRef:
-    flagUse(cast<VarRefExpr>(*E).Name, E->loc());
-    return;
-  case ExprKind::FieldRef:
-    walk(cast<FieldRefExpr>(*E).Base.get());
+    flagUse(cast<VarRefExpr>(E).Name, E.loc());
     return;
   case ExprKind::AssignVar: {
-    const auto &AV = cast<AssignVarExpr>(*E);
-    walk(AV.Value.get());
+    const auto &AV = cast<AssignVarExpr>(E);
+    walk(*AV.Value);
     Consumed.erase(AV.Name); // Rebound: the old region no longer matters.
     return;
   }
-  case ExprKind::AssignField: {
-    const auto &AF = cast<AssignFieldExpr>(*E);
-    walk(AF.Base.get());
-    walk(AF.Value.get());
-    return;
-  }
   case ExprKind::Let: {
-    const auto &L = cast<LetExpr>(*E);
-    walk(L.Init.get());
+    const auto &L = cast<LetExpr>(E);
+    walk(*L.Init);
     if (const auto *N = dyn_cast<NewExpr>(L.Init.get());
-        N && N->Args.empty() && !mentionsVar(L.Body.get(), L.Name)) {
+        N && N->Args.empty() && !mentionsVar(*L.Body, L.Name)) {
       AnalysisDiag D;
       D.Kind = AnalysisDiagKind::NeverPopulated;
-      D.Loc = E->loc();
+      D.Loc = E.loc();
       D.Message = "the region of `" + P.Names.spelling(L.Name) +
                   "` (fresh `new " + P.Names.spelling(N->StructName) +
                   "`) is never populated or read";
       Diags.push_back(D);
     }
     Consumed.erase(L.Name);
-    walk(L.Body.get());
+    walk(*L.Body);
     return;
   }
   case ExprKind::LetSome: {
-    const auto &LS = cast<LetSomeExpr>(*E);
-    walk(LS.Scrutinee.get());
+    const auto &LS = cast<LetSomeExpr>(E);
+    walk(*LS.Scrutinee);
     auto Saved = Consumed;
     Consumed.erase(LS.Name);
-    walk(LS.SomeBody.get());
+    walk(*LS.SomeBody);
     auto AfterSome = std::move(Consumed);
     Consumed = Saved;
-    walk(LS.NoneBody.get());
+    walk(*LS.NoneBody);
     Consumed = intersect(AfterSome, Consumed);
     return;
   }
   case ExprKind::If: {
-    const auto &I = cast<IfExpr>(*E);
-    walk(I.Cond.get());
+    const auto &I = cast<IfExpr>(E);
+    walk(*I.Cond);
     auto Saved = Consumed;
-    walk(I.Then.get());
+    walk(*I.Then);
     auto AfterThen = std::move(Consumed);
     Consumed = Saved;
-    walk(I.Else.get());
+    if (I.Else)
+      walk(*I.Else);
     Consumed = intersect(AfterThen, Consumed);
     return;
   }
   case ExprKind::IfDisconnected: {
-    const auto &ID = cast<IfDisconnectedExpr>(*E);
-    flagUse(ID.VarA, E->loc());
-    flagUse(ID.VarB, E->loc());
+    const auto &ID = cast<IfDisconnectedExpr>(E);
+    flagUse(ID.VarA, E.loc());
+    flagUse(ID.VarB, E.loc());
     auto Saved = Consumed;
-    walk(ID.Then.get());
+    walk(*ID.Then);
     auto AfterThen = std::move(Consumed);
     Consumed = Saved;
-    walk(ID.Else.get());
+    walk(*ID.Else);
     Consumed = intersect(AfterThen, Consumed);
     return;
   }
   case ExprKind::While: {
-    const auto &W = cast<WhileExpr>(*E);
-    walk(W.Cond.get());
+    const auto &W = cast<WhileExpr>(E);
+    walk(*W.Cond);
     auto Saved = Consumed;
-    walk(W.Body.get());
+    walk(*W.Body);
     Consumed = std::move(Saved); // The body may not run at all.
     return;
   }
-  case ExprKind::Seq:
-    for (const ExprPtr &Elem : cast<SeqExpr>(*E).Elems)
-      walk(Elem.get());
-    return;
-  case ExprKind::New:
-    for (const ExprPtr &A : cast<NewExpr>(*E).Args)
-      walk(A.get());
-    return;
-  case ExprKind::SomeExpr:
-    walk(cast<SomeExpr>(*E).Operand.get());
-    return;
-  case ExprKind::IsNone:
-    walk(cast<IsNoneExpr>(*E).Operand.get());
-    return;
   case ExprKind::Send: {
-    const auto &S = cast<SendExpr>(*E);
-    walk(S.Operand.get());
+    const auto &S = cast<SendExpr>(E);
+    walk(*S.Operand);
     if (const auto *V = dyn_cast<VarRefExpr>(S.Operand.get()))
-      Consumed.emplace(V->Name, E->loc());
+      Consumed.emplace(V->Name, E.loc());
     return;
   }
-  case ExprKind::Recv:
-    return;
   case ExprKind::Call: {
-    const auto &C = cast<CallExpr>(*E);
-    for (const ExprPtr &A : C.Args)
-      walk(A.get());
+    walkChildren(E);
+    const auto &C = cast<CallExpr>(E);
     if (const FnDecl *Callee = P.findFunction(C.Callee))
       for (size_t I = 0; I < C.Args.size() && I < Callee->Params.size();
            ++I)
         if (const auto *V = dyn_cast<VarRefExpr>(C.Args[I].get());
             V && Callee->isConsumed(Callee->Params[I].Name))
-          Consumed.emplace(V->Name, E->loc());
+          Consumed.emplace(V->Name, E.loc());
     return;
   }
-  case ExprKind::Binary: {
-    const auto &B = cast<BinaryExpr>(*E);
-    walk(B.Lhs.get());
-    walk(B.Rhs.get());
-    return;
-  }
-  case ExprKind::Unary:
-    walk(cast<UnaryExpr>(*E).Operand.get());
-    return;
   default:
+    walkChildren(E);
     return;
   }
 }
@@ -1302,7 +1213,7 @@ std::vector<AnalysisDiag> lintProgram(const Program &P) {
   std::vector<AnalysisDiag> Diags;
   for (const FnDecl &F : P.Functions) {
     LintWalker W(P, Diags);
-    W.walk(F.Body.get());
+    W.walk(*F.Body);
   }
   return Diags;
 }
@@ -1396,36 +1307,6 @@ std::string renderDiags(const std::vector<AnalysisDiag> &Diags,
   return Out;
 }
 
-static std::string jsonEscape(std::string_view S) {
-  std::string Out;
-  Out.reserve(S.size() + 2);
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
-
 static const char *diagKindName(AnalysisDiagKind K) {
   switch (K) {
   case AnalysisDiagKind::SiteVerdict:
@@ -1455,12 +1336,12 @@ static std::string renderJson(const SourceAnalysis &Out, std::string_view Base,
   std::ostringstream OS;
   OS << "{\n";
   OS << "  \"schema\": \"fearless-analysis-v1\",\n";
-  OS << "  \"file\": \"" << jsonEscape(Base) << "\",\n";
+  OS << "  \"file\": \"" << escapeJson(Base) << "\",\n";
   OS << "  \"interprocedural\": "
      << (Opts.Interprocedural ? "true" : "false") << ",\n";
   OS << "  \"hard_error\": " << (Out.HardError ? "true" : "false") << ",\n";
   OS << "  \"checked\": " << (Out.CheckedOk ? "true" : "false") << ",\n";
-  OS << "  \"error\": \"" << jsonEscape(Error) << "\",\n";
+  OS << "  \"error\": \"" << escapeJson(Error) << "\",\n";
   OS << "  \"functions\": " << Out.FunctionCount << ",\n";
   OS << "  \"lint_diags\": " << Out.LintDiags << ",\n";
   OS << "  \"verdicts\": {\"must_disconnected\": " << Out.MustDisconnectedSites
@@ -1471,10 +1352,10 @@ static std::string renderJson(const SourceAnalysis &Out, std::string_view Base,
     bool First = true;
     for (const SiteReport &S : R->Sites) {
       OS << (First ? "" : ",") << "\n    {\"function\": \""
-         << jsonEscape(Names->spelling(S.Function)) << "\", \"line\": "
+         << escapeJson(Names->spelling(S.Function)) << "\", \"line\": "
          << S.Loc.Line << ", \"col\": " << S.Loc.Column << ", \"verdict\": \""
          << toString(S.Verdict) << "\", \"witness\": \""
-         << jsonEscape(S.Witness) << "\"}";
+         << escapeJson(S.Witness) << "\"}";
       First = false;
     }
     if (!First)
@@ -1488,7 +1369,7 @@ static std::string renderJson(const SourceAnalysis &Out, std::string_view Base,
       OS << (First ? "" : ",") << "\n    {\"kind\": \""
          << diagKindName(D.Kind) << "\", \"line\": " << D.Loc.Line
          << ", \"col\": " << D.Loc.Column << ", \"message\": \""
-         << jsonEscape(D.Message) << "\"}";
+         << escapeJson(D.Message) << "\"}";
       First = false;
     }
     if (!First)
@@ -1500,17 +1381,17 @@ static std::string renderJson(const SourceAnalysis &Out, std::string_view Base,
     bool First = true;
     for (const auto &[Fn, S] : R->Summaries) {
       OS << (First ? "" : ",") << "\n    {\"function\": \""
-         << jsonEscape(Names->spelling(Fn)) << "\", \"valid\": "
+         << escapeJson(Names->spelling(Fn)) << "\", \"valid\": "
          << (S.Valid ? "true" : "false") << ", \"params\": [";
       for (size_t I = 0; I < S.Params.size(); ++I)
-        OS << (I ? ", " : "") << "\"" << jsonEscape(Names->spelling(S.Params[I]))
-           << "\"";
+        OS << (I ? ", " : "") << "\""
+           << escapeJson(Names->spelling(S.Params[I])) << "\"";
       OS << "], \"preserved\": [";
       bool FirstBit = true;
       for (size_t I = 0; S.Valid && I < S.Params.size(); ++I)
         if (S.Preserved[I]) {
           OS << (FirstBit ? "" : ", ") << "\""
-             << jsonEscape(Names->spelling(S.Params[I])) << "\"";
+             << escapeJson(Names->spelling(S.Params[I])) << "\"";
           FirstBit = false;
         }
       OS << "], \"consumed\": [";
@@ -1518,7 +1399,7 @@ static std::string renderJson(const SourceAnalysis &Out, std::string_view Base,
       for (size_t I = 0; S.Valid && I < S.Params.size(); ++I)
         if (S.Consumed[I]) {
           OS << (FirstBit ? "" : ", ") << "\""
-             << jsonEscape(Names->spelling(S.Params[I])) << "\"";
+             << escapeJson(Names->spelling(S.Params[I])) << "\"";
           FirstBit = false;
         }
       OS << "], \"connects\": [";
@@ -1534,8 +1415,8 @@ static std::string renderJson(const SourceAnalysis &Out, std::string_view Base,
             continue;
           if (J == S.Params.size() && !S.ResultRegionful)
             continue;
-          OS << (FirstBit ? "" : ", ") << "[\"" << jsonEscape(SlotName(I))
-             << "\", \"" << jsonEscape(SlotName(J)) << "\"]";
+          OS << (FirstBit ? "" : ", ") << "[\"" << escapeJson(SlotName(I))
+             << "\", \"" << escapeJson(SlotName(J)) << "\"]";
           FirstBit = false;
         }
       OS << "], \"result_regionful\": "

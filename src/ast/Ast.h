@@ -391,6 +391,98 @@ public:
   }
 };
 
+/// Calls \p Fn with each child of \p E, in source order; an absent `else`
+/// of an IfExpr is skipped. This is the one list of every kind's
+/// children: a walker handles the kinds that do work of their own and
+/// sends the rest here. There is no `default`, so -Wswitch flags a new
+/// kind in this one place.
+template <typename F> void forEachChild(const Expr &E, F &&Fn) {
+  switch (E.kind()) {
+  case ExprKind::IntLit:
+  case ExprKind::BoolLit:
+  case ExprKind::UnitLit:
+  case ExprKind::VarRef:
+  case ExprKind::NoneLit:
+  case ExprKind::Recv:
+    return;
+  case ExprKind::FieldRef:
+    Fn(*cast<FieldRefExpr>(E).Base);
+    return;
+  case ExprKind::AssignVar:
+    Fn(*cast<AssignVarExpr>(E).Value);
+    return;
+  case ExprKind::AssignField: {
+    const auto &A = cast<AssignFieldExpr>(E);
+    Fn(*A.Base);
+    Fn(*A.Value);
+    return;
+  }
+  case ExprKind::Let: {
+    const auto &L = cast<LetExpr>(E);
+    Fn(*L.Init);
+    Fn(*L.Body);
+    return;
+  }
+  case ExprKind::LetSome: {
+    const auto &L = cast<LetSomeExpr>(E);
+    Fn(*L.Scrutinee);
+    Fn(*L.SomeBody);
+    Fn(*L.NoneBody);
+    return;
+  }
+  case ExprKind::If: {
+    const auto &I = cast<IfExpr>(E);
+    Fn(*I.Cond);
+    Fn(*I.Then);
+    if (I.Else)
+      Fn(*I.Else);
+    return;
+  }
+  case ExprKind::IfDisconnected: {
+    const auto &I = cast<IfDisconnectedExpr>(E);
+    Fn(*I.Then);
+    Fn(*I.Else);
+    return;
+  }
+  case ExprKind::While: {
+    const auto &W = cast<WhileExpr>(E);
+    Fn(*W.Cond);
+    Fn(*W.Body);
+    return;
+  }
+  case ExprKind::Seq:
+    for (const ExprPtr &Elem : cast<SeqExpr>(E).Elems)
+      Fn(*Elem);
+    return;
+  case ExprKind::New:
+    for (const ExprPtr &Arg : cast<NewExpr>(E).Args)
+      Fn(*Arg);
+    return;
+  case ExprKind::SomeExpr:
+    Fn(*cast<SomeExpr>(E).Operand);
+    return;
+  case ExprKind::IsNone:
+    Fn(*cast<IsNoneExpr>(E).Operand);
+    return;
+  case ExprKind::Send:
+    Fn(*cast<SendExpr>(E).Operand);
+    return;
+  case ExprKind::Call:
+    for (const ExprPtr &Arg : cast<CallExpr>(E).Args)
+      Fn(*Arg);
+    return;
+  case ExprKind::Binary: {
+    const auto &B = cast<BinaryExpr>(E);
+    Fn(*B.Lhs);
+    Fn(*B.Rhs);
+    return;
+  }
+  case ExprKind::Unary:
+    Fn(*cast<UnaryExpr>(E).Operand);
+    return;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Declarations
 //===----------------------------------------------------------------------===//

@@ -49,15 +49,11 @@ private:
   }
 
   /// Walks \p E; Consuming marks value positions that take ownership
-  /// (field stores, sends, call arguments, new initializers).
+  /// (field stores, sends, new initializers).
   void walk(const Expr &E, bool Consuming) {
     switch (E.kind()) {
     case ExprKind::VarRef:
       useVar(cast<VarRefExpr>(E).Name, Consuming, E.loc());
-      return;
-    case ExprKind::FieldRef:
-      // Borrowing read of the base.
-      walk(*cast<FieldRefExpr>(E).Base, /*Consuming=*/false);
       return;
     case ExprKind::AssignVar: {
       const auto &A = cast<AssignVarExpr>(E);
@@ -104,19 +100,6 @@ private:
       Moved.insert(ThenMoved.begin(), ThenMoved.end());
       return;
     }
-    case ExprKind::IfDisconnected:
-      error("'if disconnected' is not expressible in an affine "
-            "tree-of-objects system",
-            E.loc());
-      walk(*cast<IfDisconnectedExpr>(E).Then, Consuming);
-      walk(*cast<IfDisconnectedExpr>(E).Else, Consuming);
-      return;
-    case ExprKind::While: {
-      const auto &W = cast<WhileExpr>(E);
-      walk(*W.Cond, /*Consuming=*/false);
-      walk(*W.Body, /*Consuming=*/false);
-      return;
-    }
     case ExprKind::Seq: {
       const auto &Sq = cast<SeqExpr>(E);
       for (size_t I = 0; I < Sq.Elems.size(); ++I)
@@ -124,37 +107,26 @@ private:
              Consuming && I + 1 == Sq.Elems.size());
       return;
     }
-    case ExprKind::New:
-      for (const ExprPtr &Arg : cast<NewExpr>(E).Args)
-        walk(*Arg, /*Consuming=*/true);
-      return;
+    case ExprKind::IfDisconnected:
+      error("'if disconnected' is not expressible in an affine "
+            "tree-of-objects system",
+            E.loc());
+      [[fallthrough]];
     case ExprKind::SomeExpr:
-      walk(*cast<SomeExpr>(E).Operand, Consuming);
-      return;
-    case ExprKind::IsNone:
-      walk(*cast<IsNoneExpr>(E).Operand, /*Consuming=*/false);
-      return;
+      break; // The children are in E's own position.
+    case ExprKind::New:
     case ExprKind::Send:
-      walk(*cast<SendExpr>(E).Operand, /*Consuming=*/true);
-      return;
-    case ExprKind::Call:
-      // Without lifetime syntax in this surface language, model calls as
-      // borrowing (Rust's &mut): arguments stay usable.
-      for (const ExprPtr &Arg : cast<CallExpr>(E).Args)
-        walk(*Arg, /*Consuming=*/false);
-      return;
-    case ExprKind::Binary: {
-      const auto &B = cast<BinaryExpr>(E);
-      walk(*B.Lhs, false);
-      walk(*B.Rhs, false);
-      return;
-    }
-    case ExprKind::Unary:
-      walk(*cast<UnaryExpr>(E).Operand, false);
-      return;
+      Consuming = true;
+      break;
     default:
-      return;
+      // Borrowing positions: field bases, loop parts, is_none and operator
+      // operands, and call arguments. Without lifetime syntax in this
+      // surface language, calls are modeled as borrowing (Rust's &mut):
+      // arguments stay usable.
+      Consuming = false;
+      break;
     }
+    forEachChild(E, [&](const Expr &Child) { walk(Child, Consuming); });
   }
 
   const Program &P;

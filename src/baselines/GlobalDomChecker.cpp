@@ -85,6 +85,8 @@ private:
     }
   }
 
+  /// Checks \p E; the binding cases walk their own children, the others
+  /// check their node and then descend.
   void walk(const Expr &E) {
     switch (E.kind()) {
     case ExprKind::FieldRef: {
@@ -96,8 +98,7 @@ private:
                   "' would create an alias; a destructive read or swap "
                   "primitive is required",
               E.loc());
-      walk(*F.Base);
-      return;
+      break;
     }
     case ExprKind::AssignField: {
       const auto &A = cast<AssignFieldExpr>(E);
@@ -108,17 +109,13 @@ private:
                   "' may only store freshly produced values (the "
                   "right-hand side keeps an alias otherwise)",
               E.loc());
-      walk(*A.Base);
-      walk(*A.Value);
-      return;
+      break;
     }
     case ExprKind::IfDisconnected:
       error("'if disconnected' is not expressible without the tracked "
             "region graphs of this paper",
             E.loc());
-      walk(*cast<IfDisconnectedExpr>(E).Then);
-      walk(*cast<IfDisconnectedExpr>(E).Else);
-      return;
+      break;
     case ExprKind::Let: {
       const auto &L = cast<LetExpr>(E);
       walk(*L.Init);
@@ -140,57 +137,10 @@ private:
       walk(*L.NoneBody);
       return;
     }
-    // Purely structural recursion below.
-    case ExprKind::AssignVar:
-      walk(*cast<AssignVarExpr>(E).Value);
-      return;
-    case ExprKind::If: {
-      const auto &I = cast<IfExpr>(E);
-      walk(*I.Cond);
-      walk(*I.Then);
-      if (I.Else)
-        walk(*I.Else);
-      return;
-    }
-    case ExprKind::While: {
-      const auto &W = cast<WhileExpr>(E);
-      walk(*W.Cond);
-      walk(*W.Body);
-      return;
-    }
-    case ExprKind::Seq:
-      for (const ExprPtr &Elem : cast<SeqExpr>(E).Elems)
-        walk(*Elem);
-      return;
-    case ExprKind::New:
-      for (const ExprPtr &Arg : cast<NewExpr>(E).Args)
-        walk(*Arg);
-      return;
-    case ExprKind::SomeExpr:
-      walk(*cast<SomeExpr>(E).Operand);
-      return;
-    case ExprKind::IsNone:
-      walk(*cast<IsNoneExpr>(E).Operand);
-      return;
-    case ExprKind::Send:
-      walk(*cast<SendExpr>(E).Operand);
-      return;
-    case ExprKind::Call:
-      for (const ExprPtr &Arg : cast<CallExpr>(E).Args)
-        walk(*Arg);
-      return;
-    case ExprKind::Binary: {
-      const auto &B = cast<BinaryExpr>(E);
-      walk(*B.Lhs);
-      walk(*B.Rhs);
-      return;
-    }
-    case ExprKind::Unary:
-      walk(*cast<UnaryExpr>(E).Operand);
-      return;
     default:
-      return;
+      break;
     }
+    forEachChild(E, [this](const Expr &Child) { walk(Child); });
   }
 
   const Program &P;

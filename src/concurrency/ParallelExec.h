@@ -96,8 +96,8 @@ struct ParallelExecOptions {
   /// span), the channel set a lifecycle buffer, and the executor a
   /// control buffer (watchdog). Null = disabled. Must outlive run().
   TraceSession *Trace = nullptr;
-  /// Size of the worker pool. 0 = auto (min(2x hardware threads, number
-  /// of spawned tasks)).
+  /// Requested size of the worker pool; 0 = 2x hardware threads. The
+  /// pool never exceeds the number of spawned tasks.
   size_t NumWorkers = 0;
   /// Scheduling-decision seed (`--sched-seed`). Seed 0 keeps
   /// round-robin initial placement and sequential steal order (the

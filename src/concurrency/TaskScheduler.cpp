@@ -376,10 +376,10 @@ TaskScheduler::run(const std::vector<SpawnEntry> &Work, RunStats &Stats) {
   size_t HW = std::thread::hardware_concurrency();
   if (!HW)
     HW = 1;
-  size_t N = Opts.NumWorkers ? Opts.NumWorkers
-                             : std::min<size_t>(2 * HW, Work.size());
-  if (!N)
-    N = 1;
+  // Tasks never spawn tasks, so a worker past the task count could never
+  // get work.
+  size_t N = std::min<size_t>(Opts.NumWorkers ? Opts.NumWorkers : 2 * HW,
+                              Work.size());
 
   // Task storage is preallocated and never moves: channels and queues
   // hold raw pointers into it for the whole run.

@@ -132,31 +132,16 @@ private:
             Loc);
   }
 
+  /// Checks \p E; the scoping cases walk their own children, the others
+  /// check their node and then descend.
   void walk(const Expr &E) {
     switch (E.kind()) {
-    case ExprKind::IntLit:
-    case ExprKind::BoolLit:
-    case ExprKind::UnitLit:
-    case ExprKind::NoneLit:
-      return;
     case ExprKind::VarRef:
       requireInScope(cast<VarRefExpr>(E).Name, E.loc());
-      return;
-    case ExprKind::FieldRef:
-      walk(*cast<FieldRefExpr>(E).Base);
-      return;
-    case ExprKind::AssignVar: {
-      const auto &A = cast<AssignVarExpr>(E);
-      requireInScope(A.Name, E.loc());
-      walk(*A.Value);
-      return;
-    }
-    case ExprKind::AssignField: {
-      const auto &A = cast<AssignFieldExpr>(E);
-      walk(*A.Base);
-      walk(*A.Value);
-      return;
-    }
+      break;
+    case ExprKind::AssignVar:
+      requireInScope(cast<AssignVarExpr>(E).Name, E.loc());
+      break;
     case ExprKind::Let: {
       const auto &L = cast<LetExpr>(E);
       if (L.Declared.isValid())
@@ -188,32 +173,12 @@ private:
       walk(*L.NoneBody);
       return;
     }
-    case ExprKind::If: {
-      const auto &I = cast<IfExpr>(E);
-      walk(*I.Cond);
-      walk(*I.Then);
-      if (I.Else)
-        walk(*I.Else);
-      return;
-    }
     case ExprKind::IfDisconnected: {
       const auto &I = cast<IfDisconnectedExpr>(E);
       requireInScope(I.VarA, E.loc());
       requireInScope(I.VarB, E.loc());
-      walk(*I.Then);
-      walk(*I.Else);
-      return;
+      break;
     }
-    case ExprKind::While: {
-      const auto &W = cast<WhileExpr>(E);
-      walk(*W.Cond);
-      walk(*W.Body);
-      return;
-    }
-    case ExprKind::Seq:
-      for (const ExprPtr &Elem : cast<SeqExpr>(E).Elems)
-        walk(*Elem);
-      return;
     case ExprKind::New: {
       const auto &N = cast<NewExpr>(E);
       const StructInfo *Info = Structs.lookup(N.StructName);
@@ -231,24 +196,11 @@ private:
                   " (all fields) arguments, got " +
                   std::to_string(N.Args.size()),
               E.loc());
-      for (const ExprPtr &Arg : N.Args)
-        walk(*Arg);
-      return;
+      break;
     }
-    case ExprKind::SomeExpr:
-      walk(*cast<SomeExpr>(E).Operand);
-      return;
-    case ExprKind::IsNone:
-      walk(*cast<IsNoneExpr>(E).Operand);
-      return;
-    case ExprKind::Send:
-      walk(*cast<SendExpr>(E).Operand);
-      return;
-    case ExprKind::Recv: {
-      const auto &R = cast<RecvExpr>(E);
-      checkTypeNames(R.ValueType, E.loc());
-      return;
-    }
+    case ExprKind::Recv:
+      checkTypeNames(cast<RecvExpr>(E).ValueType, E.loc());
+      break;
     case ExprKind::Call: {
       const auto &C = cast<CallExpr>(E);
       const FnDecl *Callee = P.findFunction(C.Callee);
@@ -262,20 +214,12 @@ private:
                   " arguments, got " + std::to_string(C.Args.size()),
               E.loc());
       }
-      for (const ExprPtr &Arg : C.Args)
-        walk(*Arg);
-      return;
+      break;
     }
-    case ExprKind::Binary: {
-      const auto &B = cast<BinaryExpr>(E);
-      walk(*B.Lhs);
-      walk(*B.Rhs);
-      return;
+    default:
+      break;
     }
-    case ExprKind::Unary:
-      walk(*cast<UnaryExpr>(E).Operand);
-      return;
-    }
+    forEachChild(E, [this](const Expr &Child) { walk(Child); });
   }
 
   const Program &P;

@@ -6,6 +6,8 @@
 
 #include "server/Json.h"
 
+#include "support/JsonEscape.h"
+
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -46,45 +48,6 @@ std::string Json::getString(std::string_view Key,
                             std::string_view Default) const {
   const Json *V = find(Key);
   return V && V->isString() ? V->stringValue() : std::string(Default);
-}
-
-std::string fearless::server::escapeJson(std::string_view S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (unsigned char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\b':
-      Out += "\\b";
-      break;
-    case '\f':
-      Out += "\\f";
-      break;
-    default:
-      if (C < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += static_cast<char>(C);
-      }
-    }
-  }
-  return Out;
 }
 
 void Json::dumpTo(std::string &Out) const {

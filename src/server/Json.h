@@ -114,9 +114,6 @@ private:
 /// error. Failures carry a byte offset in the message.
 Expected<Json> parseJson(std::string_view Text);
 
-/// Escapes \p S as the *contents* of a JSON string (no quotes added).
-std::string escapeJson(std::string_view S);
-
 } // namespace server
 } // namespace fearless
 

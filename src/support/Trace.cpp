@@ -6,6 +6,8 @@
 
 #include "support/Trace.h"
 
+#include "support/JsonEscape.h"
+
 #include <cstdio>
 #include <fstream>
 
@@ -22,33 +24,6 @@ uint64_t steadyNowNs() {
           .count());
 }
 
-/// Minimal JSON string escaper. Names and labels are static strings
-/// under our control, but escaping keeps the exporter robust if one ever
-/// carries a quote or backslash.
-void appendEscaped(std::string &Out, const char *S) {
-  for (; *S; ++S) {
-    switch (*S) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    default:
-      if (static_cast<unsigned char>(*S) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", *S);
-        Out += Buf;
-      } else {
-        Out += *S;
-      }
-    }
-  }
-}
-
 /// Appends nanoseconds as fractional microseconds (Chrome's `ts`/`dur`
 /// unit) with nanosecond resolution.
 void appendMicros(std::string &Out, uint64_t Ns) {
@@ -61,9 +36,9 @@ void appendMicros(std::string &Out, uint64_t Ns) {
 
 void appendEvent(std::string &Out, const TraceEvent &E) {
   Out += "{\"name\":\"";
-  appendEscaped(Out, E.Name);
+  Out += escapeJson(E.Name);
   Out += "\",\"cat\":\"";
-  appendEscaped(Out, E.Category ? E.Category : "runtime");
+  Out += escapeJson(E.Category ? E.Category : "runtime");
   Out += "\",\"ph\":\"";
   Out += E.Phase;
   Out += "\",\"pid\":1,\"tid\":";
@@ -78,7 +53,7 @@ void appendEvent(std::string &Out, const TraceEvent &E) {
     Out += ",\"s\":\"t\""; // instant scope: thread
   if (E.ArgName) {
     Out += ",\"args\":{\"";
-    appendEscaped(Out, E.ArgName);
+    Out += escapeJson(E.ArgName);
     Out += "\":";
     Out += std::to_string(E.ArgValue);
     Out += "}";
@@ -135,7 +110,7 @@ std::string TraceSession::toChromeJson() const {
                        "\"tid\":";
     Meta += std::to_string(B.tid());
     Meta += ",\"args\":{\"name\":\"";
-    appendEscaped(Meta, B.label());
+    Meta += escapeJson(B.label());
     Meta += "\"}}";
     Emit(Meta);
     Dropped += B.dropped();

@@ -134,6 +134,142 @@ def f(a : node, b : node) : unit {
   EXPECT_NE(R.Errors[0].Message.find("moved"), std::string::npos);
 }
 
+/// The Table 1 matrix per function: both baselines' verdict and error
+/// count on every function of the six sample programs.
+TEST_F(BaselineFixture, VerdictsOnEverySampleFunction) {
+  const std::pair<const char *, const char *> Samples[] = {
+      {"sll", programs::SllSuite},
+      {"dll", programs::DllSuite},
+      {"rbtree", programs::RedBlackTree},
+      {"msg", programs::MessagePassing},
+      {"trie", programs::BitTrie},
+      {"extras", programs::Extras},
+  };
+  auto Verdict = [](const BaselineResult &R) {
+    return (R.Accepted ? "accept(" : "reject(") +
+           std::to_string(R.Errors.size()) + ")";
+  };
+  std::string Matrix;
+  for (const auto &[Name, Source] : Samples) {
+    auto P = parse(Source);
+    ASSERT_TRUE(P.has_value()) << Name;
+    StructTable Structs;
+    DiagnosticEngine Diags;
+    ASSERT_TRUE(Structs.build(*P, Diags)) << Name;
+    for (const FnDecl &F : P->Functions)
+      Matrix += std::string(Name) + "." + P->Names.spelling(F.Name) +
+                " affine=" + Verdict(affineCheckFunction(*P, Structs, F)) +
+                " globaldom=" +
+                Verdict(globalDomCheckFunction(*P, Structs, F)) + "\n";
+  }
+  EXPECT_EQ(Matrix, R"(sll.sll_new affine=accept(0) globaldom=accept(0)
+sll.node_new affine=accept(0) globaldom=accept(0)
+sll.push_front affine=accept(0) globaldom=reject(2)
+sll.pop_front affine=accept(0) globaldom=reject(4)
+sll.remove_tail affine=accept(0) globaldom=reject(3)
+sll.list_remove_tail affine=accept(0) globaldom=reject(3)
+sll.concat affine=accept(0) globaldom=reject(2)
+sll.length_node affine=accept(0) globaldom=reject(1)
+sll.length affine=accept(0) globaldom=reject(1)
+sll.sum_node affine=accept(0) globaldom=reject(3)
+sll.sum affine=accept(0) globaldom=reject(1)
+sll.nth_value_node affine=accept(0) globaldom=reject(2)
+sll.nth_value affine=accept(0) globaldom=reject(1)
+dll.dll_new affine=accept(0) globaldom=accept(0)
+dll.dll_singleton affine=accept(0) globaldom=reject(1)
+dll.push_front affine=reject(4) globaldom=reject(3)
+dll.push_back affine=reject(4) globaldom=reject(3)
+dll.remove_tail affine=reject(7) globaldom=reject(5)
+dll.get_nth_node affine=accept(0) globaldom=reject(1)
+dll.length affine=accept(0) globaldom=reject(1)
+dll.pvalue affine=accept(0) globaldom=reject(1)
+dll.is_last affine=accept(0) globaldom=accept(0)
+dll.value_at affine=accept(0) globaldom=reject(2)
+dll.remove_next affine=reject(5) globaldom=reject(5)
+dll.set_value_at affine=accept(0) globaldom=reject(1)
+dll.insert_after affine=reject(3) globaldom=accept(0)
+rbtree.rb_new affine=accept(0) globaldom=accept(0)
+rbtree.rb_node_new affine=accept(0) globaldom=accept(0)
+rbtree.rb_value affine=accept(0) globaldom=reject(1)
+rbtree.rotate_left affine=reject(4) globaldom=reject(1)
+rbtree.rotate_right affine=reject(4) globaldom=reject(1)
+rbtree.bst_insert affine=reject(4) globaldom=accept(0)
+rbtree.uncle_red_right affine=accept(0) globaldom=accept(0)
+rbtree.uncle_red_left affine=accept(0) globaldom=accept(0)
+rbtree.blacken_right affine=accept(0) globaldom=accept(0)
+rbtree.blacken_left affine=accept(0) globaldom=accept(0)
+rbtree.rb_fixup affine=accept(0) globaldom=reject(1)
+rbtree.rb_insert affine=accept(0) globaldom=reject(2)
+rbtree.node_contains affine=accept(0) globaldom=accept(0)
+rbtree.rb_contains affine=accept(0) globaldom=reject(1)
+rbtree.node_min affine=accept(0) globaldom=accept(0)
+rbtree.rb_min affine=accept(0) globaldom=reject(1)
+rbtree.node_size affine=accept(0) globaldom=accept(0)
+rbtree.rb_size affine=accept(0) globaldom=reject(1)
+rbtree.node_height affine=accept(0) globaldom=accept(0)
+rbtree.rb_height affine=accept(0) globaldom=reject(1)
+rbtree.check_node affine=accept(0) globaldom=accept(0)
+rbtree.shuffle affine=reject(9) globaldom=accept(0)
+rbtree.rb_check affine=accept(0) globaldom=reject(1)
+msg.sll_new affine=accept(0) globaldom=accept(0)
+msg.node_new affine=accept(0) globaldom=accept(0)
+msg.push_front affine=accept(0) globaldom=reject(2)
+msg.pop_front affine=accept(0) globaldom=reject(4)
+msg.remove_tail affine=accept(0) globaldom=reject(3)
+msg.list_remove_tail affine=accept(0) globaldom=reject(3)
+msg.concat affine=accept(0) globaldom=reject(2)
+msg.length_node affine=accept(0) globaldom=reject(1)
+msg.length affine=accept(0) globaldom=reject(1)
+msg.sum_node affine=accept(0) globaldom=reject(3)
+msg.sum affine=accept(0) globaldom=reject(1)
+msg.nth_value_node affine=accept(0) globaldom=reject(2)
+msg.nth_value affine=accept(0) globaldom=reject(1)
+msg.producer affine=reject(1) globaldom=accept(0)
+msg.consumer affine=accept(0) globaldom=accept(0)
+msg.producer_lists affine=reject(1) globaldom=accept(0)
+msg.consumer_lists affine=accept(0) globaldom=accept(0)
+msg.worker affine=accept(0) globaldom=accept(0)
+msg.reducer affine=accept(0) globaldom=accept(0)
+msg.relay affine=accept(0) globaldom=accept(0)
+trie.trie_new affine=accept(0) globaldom=accept(0)
+trie.node_insert affine=accept(0) globaldom=reject(4)
+trie.trie_insert affine=accept(0) globaldom=reject(2)
+trie.node_lookup affine=accept(0) globaldom=reject(2)
+trie.trie_lookup affine=accept(0) globaldom=reject(1)
+trie.node_count affine=accept(0) globaldom=reject(2)
+trie.trie_count affine=accept(0) globaldom=reject(1)
+trie.trie_send_zero_subtree affine=accept(0) globaldom=reject(2)
+trie.trie_recv_counter affine=accept(0) globaldom=accept(0)
+extras.sll_new affine=accept(0) globaldom=accept(0)
+extras.node_new affine=accept(0) globaldom=accept(0)
+extras.push_front affine=accept(0) globaldom=reject(2)
+extras.pop_front affine=accept(0) globaldom=reject(4)
+extras.remove_tail affine=accept(0) globaldom=reject(3)
+extras.list_remove_tail affine=accept(0) globaldom=reject(3)
+extras.concat affine=accept(0) globaldom=reject(2)
+extras.length_node affine=accept(0) globaldom=reject(1)
+extras.length affine=accept(0) globaldom=reject(1)
+extras.sum_node affine=accept(0) globaldom=reject(3)
+extras.sum affine=accept(0) globaldom=reject(1)
+extras.nth_value_node affine=accept(0) globaldom=reject(2)
+extras.nth_value affine=accept(0) globaldom=reject(1)
+extras.node_value affine=accept(0) globaldom=reject(1)
+extras.reverse affine=accept(0) globaldom=reject(8)
+extras.ins affine=accept(0) globaldom=reject(5)
+extras.insert_sorted affine=accept(0) globaldom=reject(5)
+extras.sort_into affine=accept(0) globaldom=reject(3)
+extras.holder_push affine=accept(0) globaldom=reject(2)
+extras.holder_sum affine=accept(0) globaldom=reject(1)
+extras.is_sorted_from affine=accept(0) globaldom=reject(1)
+extras.is_sorted affine=accept(0) globaldom=reject(1)
+extras.holder_len affine=accept(0) globaldom=reject(1)
+extras.queue_new affine=accept(0) globaldom=accept(0)
+extras.enqueue affine=accept(0) globaldom=reject(1)
+extras.dequeue affine=accept(0) globaldom=reject(12)
+extras.queue_drain_sum affine=accept(0) globaldom=accept(0)
+)");
+}
+
 TEST_F(BaselineFixture, ThisPaperAcceptsBoth) {
   EXPECT_TRUE(compile(programs::SllSuite).hasValue());
   EXPECT_TRUE(compile(programs::DllSuite).hasValue());

@@ -5,9 +5,15 @@
 //===----------------------------------------------------------------------===//
 
 #include "ast/AstPrinter.h"
+#include "driver/Driver.h"
 #include "parser/Parser.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <optional>
 
 using namespace fearless;
 
@@ -179,6 +185,88 @@ TEST(Parser, MissingSemicolonDiagnosed) {
   Interner Names;
   EXPECT_EQ(parseExprString("{ a b }", Names, Diags), nullptr);
   EXPECT_TRUE(Diags.hasErrors());
+}
+
+//===----------------------------------------------------------------------===//
+// forEachChild
+//===----------------------------------------------------------------------===//
+
+using Pos = std::pair<uint32_t, uint32_t>; // (line, column)
+
+/// A node's own source position, or nothing for the nodes whose location
+/// is not their own text: a block (its `{`, which for the rest-of-block
+/// body of a statement `let` belongs to an enclosing block) and the
+/// `unit` the parser appends to a block that ends in `;`.
+std::optional<Pos> ownPosition(const Expr &E,
+                               const std::vector<std::string> &Lines) {
+  SourceLoc L = E.loc();
+  if (isa<SeqExpr>(&E))
+    return std::nullopt;
+  if (isa<UnitLitExpr>(&E) &&
+      Lines.at(L.Line - 1).compare(L.Column - 1, 4, "unit") != 0)
+    return std::nullopt;
+  return Pos{L.Line, L.Column};
+}
+
+/// Walks \p E with forEachChild alone, recording each kind met and
+/// checking that sibling subtrees start in source order. Returns where
+/// E's subtree starts: the earliest own position in it.
+std::optional<Pos> walkChildren(const Expr &E,
+                                const std::vector<std::string> &Lines,
+                                std::vector<bool> &Seen) {
+  Seen.at(static_cast<size_t>(E.kind())) = true;
+  std::optional<Pos> Start = ownPosition(E, Lines);
+  std::optional<Pos> Prev;
+  forEachChild(E, [&](const Expr &Child) {
+    std::optional<Pos> S = walkChildren(Child, Lines, Seen);
+    if (!S)
+      return;
+    EXPECT_TRUE(!Prev || *Prev <= *S)
+        << "children of the node at " << toString(E.loc())
+        << " out of source order: " << toString(Child.loc());
+    Prev = S;
+    Start = Start ? std::min(*Start, *S) : *S;
+  });
+  return Start;
+}
+
+TEST(ForEachChild, VisitsEveryKindInSourceOrder) {
+  std::vector<std::string> Sources = {
+      programs::SllSuite,       programs::DllSuite, programs::RedBlackTree,
+      programs::MessagePassing, programs::BitTrie,  programs::Extras,
+  };
+  for (const char *Dir : {FEARLESS_EXAMPLES_DIR, FEARLESS_FIXTURES_DIR}) {
+    std::vector<std::filesystem::path> Files;
+    for (const auto &Entry : std::filesystem::directory_iterator(Dir))
+      if (Entry.path().extension() == ".fls")
+        Files.push_back(Entry.path());
+    ASSERT_FALSE(Files.empty()) << Dir;
+    std::sort(Files.begin(), Files.end());
+    for (const auto &Path : Files) {
+      std::ifstream In(Path, std::ios::binary);
+      Sources.emplace_back(std::istreambuf_iterator<char>(In),
+                           std::istreambuf_iterator<char>());
+    }
+  }
+
+  constexpr size_t NumKinds = static_cast<size_t>(ExprKind::Unary) + 1;
+  ASSERT_EQ(NumKinds, 22u);
+  std::vector<bool> Seen(NumKinds, false);
+  for (const std::string &Source : Sources) {
+    DiagnosticEngine Diags;
+    std::optional<Program> P = parseProgram(Source, Diags);
+    ASSERT_TRUE(P.has_value()) << Diags.renderAll();
+    std::vector<std::string> Lines;
+    size_t From = 0;
+    for (size_t To; (To = Source.find('\n', From)) != std::string::npos;
+         From = To + 1)
+      Lines.push_back(Source.substr(From, To - From));
+    Lines.push_back(Source.substr(From));
+    for (const FnDecl &F : P->Functions)
+      walkChildren(*F.Body, Lines, Seen);
+  }
+  for (size_t K = 0; K < NumKinds; ++K)
+    EXPECT_TRUE(Seen[K]) << "no expression of kind " << K;
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 #include "support/Expected.h"
 #include "support/FlatMap.h"
 #include "support/Interner.h"
+#include "support/JsonEscape.h"
 
 #include <gtest/gtest.h>
 
@@ -110,6 +111,15 @@ template <typename Set> std::vector<int> elementsOf(const Set &S) {
 // space makes hits, misses and equal maps all common. After every
 // operation both implementations must hold the same entries in the same
 // order and agree on ==.
+TEST(JsonEscape, EscapesQuotesBackslashesAndControlCharacters) {
+  EXPECT_EQ(escapeJson("plain `x` 1:2"), "plain `x` 1:2");
+  EXPECT_EQ(escapeJson("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(escapeJson("\b\f\n\r\t"), "\\b\\f\\n\\r\\t");
+  EXPECT_EQ(escapeJson(std::string("\0\x01\x1f", 3)),
+            "\\u0000\\u0001\\u001f");
+  EXPECT_EQ(escapeJson("\x7f\xc3\xa9"), "\x7f\xc3\xa9"); // Not control.
+}
+
 TEST(FlatMap, MatchesStdMapOnRandomOperations) {
   for (unsigned Seed = 1; Seed <= 25; ++Seed) {
     std::mt19937 Rng(Seed);

@@ -537,6 +537,30 @@ TEST(TraceExport, ParallelMergeIsValidJsonAcrossThreads) {
 
 #if FEARLESS_TRACING_ENABLED
 
+TEST(TraceExport, PoolStartsNoMoreWorkersThanTasks) {
+  // Tasks never spawn tasks, so a worker past the task count could never
+  // get work: asking for 8 workers to run one task starts one.
+  Pipeline P = mustCompile("def one() : int { 1 }");
+  TraceSession Trace;
+  ParallelExecOptions Opts;
+  Opts.Trace = &Trace;
+  Opts.NumWorkers = 8;
+  ParallelExec Exec(P.Checked, Opts);
+  Exec.spawn(sym(P, "one"), {});
+  Expected<std::vector<Value>> R = Exec.run();
+  ASSERT_TRUE(R.hasValue()) << (R ? "" : R.error().render());
+  EXPECT_EQ((*R)[0], Value::intVal(1));
+
+  Json Doc;
+  validateChromeTrace(Trace.toChromeJson(), Doc);
+  size_t WorkerLanes = 0;
+  for (const Json &E : Doc.at("traceEvents").Elems)
+    if (E.at("ph").Str == "M" && E.at("name").Str == "thread_name" &&
+        E.at("args").at("name").Str == "worker")
+      ++WorkerLanes;
+  EXPECT_EQ(WorkerLanes, 1u);
+}
+
 TEST(TraceExport, ElidedAndTraversedChecksAreDistinguished) {
   // One site the static analysis proves must-disconnected: with the
   // verdict table installed the machine's bytecode answers without a

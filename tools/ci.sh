@@ -515,17 +515,20 @@ run_server_smoke "tsan" "$ROOT/build-tsan"
 run_sched_smoke "tsan" "$ROOT/build-tsan"
 run_chaos_smoke "tsan" "$ROOT/build-tsan"
 
-# ASan pass over the analysis front end, the checker and the runtime:
-# the summary engine and the corpus generator push the analyzer over
-# thousands of functions, the typing contexts are sorted flat vectors
-# whose inserts and erases invalidate references into them, and every
-# thread runs bytecode over a register stack its ThreadState owns.
+# ASan pass over the front end, the analysis, the checker, the baselines
+# and the runtime: every AST walk descends through the callbacks of one
+# forEachChild, the summary engine and the corpus generator push the
+# analyzer over thousands of functions, the typing contexts are sorted
+# flat vectors whose inserts and erases invalidate references into them,
+# and every thread runs bytecode over a register stack its ThreadState
+# owns.
 # AddressSanitizer on those unit tests and on the same corpus smoke
 # catches lifetime bugs the default pass would miss.
-ASAN_TESTS=(support_test regions_test checker_test verifier_test unify_test
-            virtual_test signature_test analysis_test soundness_test
-            property_test vm_test machine_test mc_test fault_test
-            trace_test invariants_test concurrency_test runtime_test)
+ASAN_TESTS=(support_test parser_test regions_test checker_test verifier_test
+            unify_test virtual_test signature_test analysis_test
+            soundness_test property_test baselines_test vm_test
+            machine_test mc_test fault_test trace_test invariants_test
+            concurrency_test runtime_test)
 echo "==> [asan] configure + build (FEARLESS_SANITIZE=address)"
 cmake -B "$ROOT/build-asan" -S "$ROOT" -DFEARLESS_SANITIZE=address >/dev/null
 cmake --build "$ROOT/build-asan" -j "$JOBS" --target fearlessc \
