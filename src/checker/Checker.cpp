@@ -46,14 +46,13 @@ public:
 
     CheckedFunction Out;
     Out.Sig = Sig;
-    std::unique_ptr<DerivStep> Root;
     if (Opts.EmitDerivations) {
-      Root = std::make_unique<DerivStep>();
-      Root->Rule = "T0-Function-Definition";
-      Root->Detail = P.Names.spelling(F.Name);
-      Root->E = F.Body.get();
-      Root->Before = Root->snapshot(Ctx);
-      CurrentSink = Root.get();
+      D = &Out.Deriv;
+      CurrentSink =
+          D->addStep(RuleId::T0FunctionDefinition, {F.Name, {}, {}, {}});
+      DerivStep &Root = (*D)[CurrentSink];
+      Root.E = F.Body.get();
+      Root.Before = D->addSnapshot(Ctx);
     }
 
     Continuation Cont;
@@ -74,16 +73,16 @@ public:
 
     RegionId FinalResult = Res->Region;
     if (auto Err = conformTo(Ctx, FinalResult, Sig.Output,
-                             Sig.ResultRegion, Supply, P.Names,
-                             CurrentSink, &Stats.VirtualSteps, F.Loc);
+                             Sig.ResultRegion, Supply, P.Names, sink(),
+                             &Stats.VirtualSteps, F.Loc);
         !Err)
       return Failure{prefix(F, Err.error())};
 
-    if (Root) {
-      Root->After = Root->snapshot(Ctx);
-      Root->ResultRegion = Res->Region;
-      Root->ResultType = Res->Ty;
-      Out.Derivation = std::move(Root);
+    if (D) {
+      StepId Root = D->root();
+      (*D)[Root].After = D->snapshot(Root, Ctx);
+      (*D)[Root].ResultRegion = Res->Region;
+      (*D)[Root].ResultType = Res->Ty;
     }
     Out.Stats = Stats;
     return Out;
@@ -96,10 +95,14 @@ private:
     return D;
   }
 
+  /// Where the current expression's V/F steps go (nowhere without
+  /// derivations).
+  DerivSink sink() const {
+    return D ? DerivSink{D, CurrentSink} : DerivSink();
+  }
+
   VirtualEngine engine() {
-    return VirtualEngine(Ctx, Supply, P.Names,
-                         Opts.EmitDerivations ? CurrentSink : nullptr,
-                         &Stats.VirtualSteps);
+    return VirtualEngine(Ctx, Supply, P.Names, sink(), &Stats.VirtualSteps);
   }
 
   Expected<const StructInfo *> structOf(const Type &Ty, SourceLoc Loc) {
@@ -240,96 +243,101 @@ private:
 
   Expected<ExprResult> check(const Expr &E, const Continuation &Cont,
                              const Type *Want) {
-    if (!Opts.EmitDerivations)
-      return checkImpl(E, Cont, Want, nullptr);
-    auto Node = std::make_unique<DerivStep>();
-    DerivStep *Parent = CurrentSink;
-    assert(Parent && "emitting a step with no sink");
-    Node->E = &E;
-    Node->Before = Parent->snapshot(Ctx);
-    CurrentSink = Node.get();
-    Expected<ExprResult> Res = checkImpl(E, Cont, Want, Node.get());
+    if (!D)
+      return checkImpl(E, Cont, Want, NoStep);
+    StepId Parent = CurrentSink;
+    assert(Parent != NoStep && "emitting a step with no sink");
+    StepId Node = D->addStep(RuleId::T0FunctionDefinition); // see setRule
+    (*D)[Node].E = &E;
+    (*D)[Node].Before = D->snapshot(Parent, Ctx);
+    CurrentSink = Node;
+    Expected<ExprResult> Res = checkImpl(E, Cont, Want, Node);
     CurrentSink = Parent;
     if (Res) {
-      Node->After = Node->snapshot(Ctx);
-      Node->ResultRegion = Res->Region;
-      Node->ResultType = Res->Ty;
-      Parent->addChild(std::move(Node));
+      DerivStep &Step = (*D)[Node];
+      Step.After = D->snapshot(Node, Ctx);
+      Step.ResultRegion = Res->Region;
+      Step.ResultType = Res->Ty;
+      D->addChild(Parent, Node);
     }
     return Res;
   }
 
+  /// Names the rule of expression step \p Node (when recording): check()
+  /// adds the step before checkImpl knows which rule applies.
+  void setRule(StepId Node, RuleId Rule) {
+    if (Node != NoStep)
+      (*D)[Node].Rule = Rule;
+  }
+
   Expected<ExprResult> checkImpl(const Expr &E, const Continuation &Cont,
-                                 const Type *Want, DerivStep *Node) {
-    auto Rule = [&](const char *Name) {
-      if (Node)
-        Node->Rule = Name;
-    };
+                                 const Type *Want, StepId Node) {
+    auto Rule = [&](RuleId Id) { setRule(Node, Id); };
     switch (E.kind()) {
     case ExprKind::IntLit:
-      Rule("T-Int-Literal");
+      Rule(RuleId::TIntLiteral);
       return ExprResult{RegionId(), Type::intTy()};
     case ExprKind::BoolLit:
-      Rule("T-Bool-Literal");
+      Rule(RuleId::TBoolLiteral);
       return ExprResult{RegionId(), Type::boolTy()};
     case ExprKind::UnitLit:
-      Rule("T-Unit");
+      Rule(RuleId::TUnit);
       return ExprResult{RegionId(), Type::unitTy()};
     case ExprKind::VarRef:
-      Rule("T2-Variable-Ref");
+      Rule(RuleId::T2VariableRef);
       return checkVarRef(cast<VarRefExpr>(E));
     case ExprKind::FieldRef:
       return checkFieldRef(cast<FieldRefExpr>(E), Cont, Node);
     case ExprKind::AssignVar:
-      Rule("T8-Assign-Var");
+      Rule(RuleId::T8AssignVar);
       return checkAssignVar(cast<AssignVarExpr>(E), Cont);
     case ExprKind::AssignField:
       return checkAssignField(cast<AssignFieldExpr>(E), Cont, Node);
     case ExprKind::Let:
-      Rule("T-Let");
+      Rule(RuleId::TLet);
       return checkLet(cast<LetExpr>(E), Cont, Want);
     case ExprKind::LetSome:
-      Rule("T-Let-Some");
+      Rule(RuleId::TLetSome);
       return checkLetSome(cast<LetSomeExpr>(E), Cont, Want);
     case ExprKind::If:
-      Rule("T13-If-Statement");
+      Rule(RuleId::T13IfStatement);
       return checkIf(cast<IfExpr>(E), Cont, Want);
     case ExprKind::IfDisconnected:
-      Rule("T15-If-Disconnected");
+      Rule(RuleId::T15IfDisconnected);
       return checkIfDisconnected(cast<IfDisconnectedExpr>(E), Cont,
                                  Want);
     case ExprKind::While:
-      Rule("T-While");
+      Rule(RuleId::TWhile);
       return checkWhile(cast<WhileExpr>(E), Cont);
     case ExprKind::Seq:
-      Rule("T3-Sequence");
+      Rule(RuleId::T3Sequence);
       return checkSeq(cast<SeqExpr>(E), Cont, Want);
     case ExprKind::New:
-      Rule("T10-New-Loc");
+      Rule(RuleId::T10NewLoc);
       return checkNew(cast<NewExpr>(E), Cont);
     case ExprKind::SomeExpr:
-      Rule("T-Some");
+      Rule(RuleId::TSome);
       return checkSome(cast<SomeExpr>(E), Cont, Want);
     case ExprKind::NoneLit:
-      Rule("T-None");
+      Rule(RuleId::TNone);
       return checkNone(cast<NoneLitExpr>(E), Want);
     case ExprKind::IsNone:
-      Rule("T-Is-None");
+      Rule(RuleId::TIsNone);
       return checkIsNone(cast<IsNoneExpr>(E), Cont);
     case ExprKind::Send:
-      Rule("T16-Send");
+      Rule(RuleId::T16Send);
       return checkSend(cast<SendExpr>(E), Cont);
     case ExprKind::Recv:
-      Rule("T17-Receive");
+      Rule(RuleId::T17Receive);
       return checkRecv(cast<RecvExpr>(E));
     case ExprKind::Call:
-      Rule("T9-Function-Application");
+      Rule(RuleId::T9FunctionApplication);
       return checkCall(cast<CallExpr>(E), Cont);
     case ExprKind::Binary:
-      Rule("T-Binary");
+      Rule(RuleId::TBinary);
       return checkBinary(cast<BinaryExpr>(E), Cont);
     case ExprKind::Unary:
-      Rule("T-Unary");
+      Rule(RuleId::TUnary);
       return checkUnary(cast<UnaryExpr>(E), Cont);
     }
     return fail("internal: unhandled expression kind", E.loc());
@@ -354,11 +362,8 @@ private:
 
   Expected<ExprResult> checkFieldRef(const FieldRefExpr &E,
                                      const Continuation &Cont,
-                                     DerivStep *Node) {
-    auto Rule = [&](const char *Name) {
-      if (Node)
-        Node->Rule = Name;
-    };
+                                     StepId Node) {
+    auto Rule = [&](RuleId Id) { setRule(Node, Id); };
     // Determine the base type first (without committing effects for the
     // iso case: the base must be a variable there).
     if (const auto *Var = dyn_cast<VarRefExpr>(E.Base.get())) {
@@ -375,7 +380,7 @@ private:
                         "'",
                     E.loc());
       if (Field->Iso) {
-        Rule("T5-Isolated-Field-Reference");
+        Rule(RuleId::T5IsolatedFieldReference);
         VirtualEngine Engine = engine();
         Expected<RegionId> Target =
             Engine.ensureFieldTracked(Var->Name, E.Field, E.loc());
@@ -390,7 +395,7 @@ private:
                                                          : RegionId(),
                           Field->FieldType};
       }
-      Rule("T-Field-Reference");
+      Rule(RuleId::TFieldReference);
       return ExprResult{Field->FieldType.isRegionful() ? Base->Region
                                                        : RegionId(),
                         Field->FieldType};
@@ -414,7 +419,7 @@ private:
                       "' can only be accessed on a variable; bind '" +
                       printExpr(*E.Base, P.Names) + "' with 'let' first",
                   E.loc());
-    Rule("T-Field-Reference");
+    Rule(RuleId::TFieldReference);
     return ExprResult{Field->FieldType.isRegionful() ? Base->Region
                                                      : RegionId(),
                       Field->FieldType};
@@ -445,11 +450,8 @@ private:
 
   Expected<ExprResult> checkAssignField(const AssignFieldExpr &E,
                                         const Continuation &Cont,
-                                        DerivStep *Node) {
-    auto Rule = [&](const char *Name) {
-      if (Node)
-        Node->Rule = Name;
-    };
+                                        StepId Node) {
+    auto Rule = [&](RuleId Id) { setRule(Node, Id); };
     Expected<ExprResult> Base =
         check(*E.Base, Cont.withUses(Uses.uses(*E.Value)), nullptr);
     if (!Base)
@@ -473,7 +475,7 @@ private:
                   E.loc());
 
     if (Field->Iso) {
-      Rule("T7-Isolated-Field-Assignment");
+      Rule(RuleId::T7IsolatedFieldAssignment);
       const auto *Var = dyn_cast<VarRefExpr>(E.Base.get());
       if (!Var)
         return fail("iso field '" + P.Names.spelling(E.Field) +
@@ -493,7 +495,7 @@ private:
       return ExprResult{RegionId(), Type::unitTy()};
     }
 
-    Rule("T-Field-Assignment");
+    Rule(RuleId::TFieldAssignment);
     if (FieldType.isRegionful()) {
       // Intra-region reference: merge the value's region into the base's.
       VirtualEngine Engine = engine();
@@ -560,7 +562,7 @@ private:
     BranchState SomeBranch{std::move(Ctx),
                            SomeRes->Ty.isRegionful() ? SomeRes->Region
                                                      : RegionId(),
-                           CurrentSink};
+                           sink()};
 
     // None branch.
     Ctx = std::move(Snapshot);
@@ -578,7 +580,7 @@ private:
     BranchState NoneBranch{std::move(Ctx),
                            NoneRes->Ty.isRegionful() ? NoneRes->Region
                                                      : RegionId(),
-                           CurrentSink};
+                           sink()};
 
     return mergeBranches({std::move(SomeBranch), std::move(NoneBranch)},
                          SomeRes->Ty, Cont, E.loc());
@@ -606,9 +608,9 @@ private:
 
     if (!E.Else) {
       // Statement form: the then-value is discarded, result is unit.
-      BranchState ThenBranch{std::move(Ctx), RegionId(), CurrentSink};
+      BranchState ThenBranch{std::move(Ctx), RegionId(), sink()};
       Ctx = std::move(Snapshot);
-      BranchState ElseBranch{std::move(Ctx), RegionId(), CurrentSink};
+      BranchState ElseBranch{std::move(Ctx), RegionId(), sink()};
       return mergeBranches({std::move(ThenBranch), std::move(ElseBranch)},
                            Type::unitTy(), Cont, E.loc());
     }
@@ -616,7 +618,7 @@ private:
     BranchState ThenBranch{std::move(Ctx),
                            ThenRes->Ty.isRegionful() ? ThenRes->Region
                                                      : RegionId(),
-                           CurrentSink};
+                           sink()};
     Ctx = std::move(Snapshot);
     Expected<ExprResult> ElseRes = check(*E.Else, Cont, Want);
     if (!ElseRes)
@@ -629,7 +631,7 @@ private:
     BranchState ElseBranch{std::move(Ctx),
                            ElseRes->Ty.isRegionful() ? ElseRes->Region
                                                      : RegionId(),
-                           CurrentSink};
+                           sink()};
     return mergeBranches({std::move(ThenBranch), std::move(ElseBranch)},
                          ThenRes->Ty, Cont, E.loc());
   }
@@ -696,7 +698,7 @@ private:
     BranchState ThenBranch{std::move(Ctx),
                            ThenRes->Ty.isRegionful() ? ThenRes->Region
                                                      : RegionId(),
-                           CurrentSink};
+                           sink()};
 
     // Else branch: still connected; nothing changes.
     Ctx = std::move(Snapshot);
@@ -711,7 +713,7 @@ private:
     BranchState ElseBranch{std::move(Ctx),
                            ElseRes->Ty.isRegionful() ? ElseRes->Region
                                                      : RegionId(),
-                           CurrentSink};
+                           sink()};
     return mergeBranches({std::move(ThenBranch), std::move(ElseBranch)},
                          ThenRes->Ty, Cont, E.loc());
   }
@@ -726,15 +728,16 @@ private:
     for (size_t Iter = 0; Iter < Opts.MaxLoopIterations; ++Iter) {
       ++Stats.LoopIterations;
       Ctx = Invariant;
-      // Check into a scratch derivation; only the stable iteration is
-      // kept.
-      std::unique_ptr<DerivStep> Scratch;
-      DerivStep *SavedSink = CurrentSink;
-      if (Opts.EmitDerivations) {
-        Scratch = std::make_unique<DerivStep>();
-        Scratch->Rule = "T-While-Body";
-        Scratch->Before = CurrentSink->snapshot(Ctx);
-        CurrentSink = Scratch.get();
+      // Check into a scratch step; only the stable iteration is linked
+      // in, the others are rolled back.
+      StepId Scratch = NoStep;
+      StepId SavedSink = CurrentSink;
+      Derivation::Mark Mark;
+      if (D) {
+        Mark = D->mark();
+        Scratch = D->addStep(RuleId::TWhileBody);
+        (*D)[Scratch].Before = D->snapshot(CurrentSink, Ctx);
+        CurrentSink = Scratch;
       }
 
       Expected<ExprResult> CondRes = check(*E.Cond, LoopCont, &BoolTy);
@@ -756,26 +759,23 @@ private:
 
       // Loop-invariance: the body's exit context must describe the same
       // heap as the loop entry.
-      Contexts BodyExit = Ctx;
-      Contexts EntryCopy = Invariant;
-      dropUnreachableRegions(BodyExit);
-      dropUnreachableRegions(EntryCopy);
-      if (equivalentUpToRenaming(BodyExit, RegionId(), EntryCopy,
-                                 RegionId())) {
-        if (Scratch) {
-          Scratch->After = Scratch->snapshot(Ctx);
-          CurrentSink->addChild(std::move(Scratch));
+      if (equivalentUpToRenaming(Ctx, RegionId(), Invariant, RegionId())) {
+        if (D) {
+          (*D)[Scratch].After = D->snapshot(Scratch, Ctx);
+          D->addChild(CurrentSink, Scratch);
         }
         Ctx = std::move(AfterCond);
         return ExprResult{RegionId(), Type::unitTy()};
       }
+      if (D)
+        D->rollback(Mark);
 
       // Widen: the new invariant is the meet of the entry and the body's
       // exit. Re-check from the weakened entry.
+      dropUnreachableRegions(Invariant);
       std::vector<BranchState> States;
-      States.push_back(BranchState{std::move(EntryCopy), RegionId(),
-                                   nullptr});
-      States.push_back(BranchState{Ctx, RegionId(), nullptr});
+      States.push_back(BranchState{std::move(Invariant), RegionId(), {}});
+      States.push_back(BranchState{Ctx, RegionId(), {}});
       Expected<UnifyOutcome> Met = unifyBranches(
           std::move(States), Type::unitTy(), LoopCont,
           UnifyOptions{Opts.UseLivenessOracle, Opts.UnifySearchLimit},
@@ -988,8 +988,7 @@ private:
     }
 
     Expected<CallInstantiation> Inst = applySignature(
-        Ctx, Sig, ArgVars, Supply, P.Names,
-        Opts.EmitDerivations ? CurrentSink : nullptr, &Stats.VirtualSteps,
+        Ctx, Sig, ArgVars, Supply, P.Names, sink(), &Stats.VirtualSteps,
         E.loc());
     if (!Inst)
       return Inst.takeFailure();
@@ -1091,7 +1090,10 @@ private:
 
   Contexts Ctx;
   Type ReturnType;
-  DerivStep *CurrentSink = nullptr;
+  /// This function's derivation; null when derivations are off.
+  Derivation *D = nullptr;
+  /// The step that records the current expression's children.
+  StepId CurrentSink = NoStep;
   CheckStats Stats;
 };
 

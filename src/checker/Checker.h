@@ -49,7 +49,7 @@ struct CheckStats {
 /// One successfully checked function.
 struct CheckedFunction {
   FnSignature Sig;
-  std::unique_ptr<DerivStep> Derivation; ///< Null if not emitted.
+  Derivation Deriv; ///< Empty if not emitted.
   CheckStats Stats;
 };
 

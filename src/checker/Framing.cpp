@@ -16,7 +16,7 @@ using namespace fearless;
 Expected<CallInstantiation> fearless::applySignature(
     Contexts &Ctx, const FnSignature &Sig,
     const std::vector<Symbol> &ArgVars, RegionSupply &Supply,
-    const Interner &Names, DerivStep *Sink, size_t *StepCounter,
+    const Interner &Names, DerivSink Sink, size_t *StepCounter,
     SourceLoc Loc) {
   assert(Sig.Decl && ArgVars.size() == Sig.Decl->Params.size() &&
          "argument count mismatch reaches applySignature");

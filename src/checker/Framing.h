@@ -48,7 +48,7 @@ struct CallInstantiation {
 Expected<CallInstantiation>
 applySignature(Contexts &Ctx, const FnSignature &Sig,
                const std::vector<Symbol> &ArgVars, RegionSupply &Supply,
-               const Interner &Names, DerivStep *Sink, size_t *StepCounter,
+               const Interner &Names, DerivSink Sink, size_t *StepCounter,
                SourceLoc Loc);
 
 } // namespace fearless

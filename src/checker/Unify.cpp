@@ -11,8 +11,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
-#include <set>
 
 using namespace fearless;
 
@@ -122,7 +120,7 @@ ExpectedVoid fearless::conformTo(Contexts &Current,
                                  const Contexts &Target,
                                  RegionId TargetResult,
                                  RegionSupply &Supply,
-                                 const Interner &Names, DerivStep *Sink,
+                                 const Interner &Names, DerivSink Sink,
                                  size_t *StepCounter, SourceLoc Loc) {
   VirtualEngine Engine(Current, Supply, Names, Sink, StepCounter);
 
@@ -157,7 +155,7 @@ ExpectedVoid fearless::conformTo(Contexts &Current,
   // required capabilities.
   std::vector<Anchor> Anchors = anchorsOf(Target, TargetResult);
   auto ComputeProtected = [&]() {
-    std::set<RegionId> Protected;
+    FlatSet<RegionId> Protected;
     for (const Anchor &A : Anchors) {
       auto TargetRegion = anchorRegion(A, Target, TargetResult);
       if (!TargetRegion || !Target.Heap.hasRegion(*TargetRegion))
@@ -175,7 +173,7 @@ ExpectedVoid fearless::conformTo(Contexts &Current,
   bool Changed = true;
   while (Changed) {
     Changed = false;
-    std::set<RegionId> Protected = ComputeProtected();
+    FlatSet<RegionId> Protected = ComputeProtected();
     // Snapshot: (var, field) pairs and bare tracked vars.
     std::vector<std::pair<Symbol, Symbol>> ExtraFields;
     std::vector<Symbol> MaybeUnfocus;
@@ -252,43 +250,49 @@ ExpectedVoid fearless::conformTo(Contexts &Current,
   }
 
   // (c) Attach: anchors sharing a region in the target must share one in
-  // the current context.
-  std::map<RegionId, std::vector<const Anchor *>> TargetClasses;
+  // the current context. TargetClasses lists the anchors valid in the
+  // target by target region, each class in anchor order.
+  std::vector<std::pair<RegionId, const Anchor *>> TargetClasses;
   for (const Anchor &A : Anchors) {
     auto Region = anchorRegion(A, Target, TargetResult);
     if (Region && Target.Heap.hasRegion(*Region))
-      TargetClasses[*Region].push_back(&A);
+      TargetClasses.push_back({*Region, &A});
   }
-  for (auto &[TargetRegion, Members] : TargetClasses) {
-    (void)TargetRegion;
-    RegionId First;
-    for (const Anchor *A : Members) {
-      auto CurRegion = anchorRegion(*A, Current, CurrentResult);
-      if (!CurRegion || !Current.Heap.hasRegion(*CurRegion)) {
-        std::string What =
-            A->K == Anchor::Kind::Result
-                ? std::string("the result")
-                : A->K == Anchor::Kind::Var
-                    ? "variable '" + Names.spelling(A->Var) + "'"
-                    : "tracked field '" + Names.spelling(A->Var) + "." +
-                          Names.spelling(A->Field) + "'";
-        return fail("cannot unify: " + What +
-                        " is invalid in one branch but required valid\n"
-                        "  have: " + toString(Current, Names) +
-                        "\n  want: " + toString(Target, Names),
-                    Loc);
-      }
-      if (!First.isValid()) {
-        First = *CurRegion;
-        continue;
-      }
-      if (*CurRegion == First)
-        continue;
-      if (auto Err = Engine.attach(*CurRegion, First, Loc); !Err)
-        return Err;
-      if (CurrentResult == *CurRegion)
-        CurrentResult = First;
+  // Anchors point into one vector, so pointer order is anchor order.
+  std::sort(TargetClasses.begin(), TargetClasses.end());
+  auto StartsClass = [&](size_t I) {
+    return I == 0 || TargetClasses[I - 1].first != TargetClasses[I].first;
+  };
+  RegionId First;
+  for (size_t I = 0; I < TargetClasses.size(); ++I) {
+    const Anchor *A = TargetClasses[I].second;
+    if (StartsClass(I))
+      First = RegionId();
+    auto CurRegion = anchorRegion(*A, Current, CurrentResult);
+    if (!CurRegion || !Current.Heap.hasRegion(*CurRegion)) {
+      std::string What =
+          A->K == Anchor::Kind::Result
+              ? std::string("the result")
+              : A->K == Anchor::Kind::Var
+                  ? "variable '" + Names.spelling(A->Var) + "'"
+                  : "tracked field '" + Names.spelling(A->Var) + "." +
+                        Names.spelling(A->Field) + "'";
+      return fail("cannot unify: " + What +
+                      " is invalid in one branch but required valid\n"
+                      "  have: " + toString(Current, Names) +
+                      "\n  want: " + toString(Target, Names),
+                  Loc);
     }
+    if (!First.isValid()) {
+      First = *CurRegion;
+      continue;
+    }
+    if (*CurRegion == First)
+      continue;
+    if (auto Err = Engine.attach(*CurRegion, First, Loc); !Err)
+      return Err;
+    if (CurrentResult == *CurRegion)
+      CurrentResult = First;
   }
 
   // (d) Validity: anchors valid here but invalid in the target lose their
@@ -307,11 +311,11 @@ ExpectedVoid fearless::conformTo(Contexts &Current,
 
   // (e) Pins: pin wherever the target is pinned (weakening). The converse
   // (current pinned, target unpinned) fails the final equality.
-  for (auto &[TargetRegion, Members] : TargetClasses) {
-    const RegionTrack *Track = Target.Heap.lookup(TargetRegion);
-    if (!Track->Pinned)
+  for (size_t I = 0; I < TargetClasses.size(); ++I) {
+    const auto &[TargetRegion, Leader] = TargetClasses[I];
+    if (!StartsClass(I) || !Target.Heap.lookup(TargetRegion)->Pinned)
       continue;
-    auto CurRegion = anchorRegion(*Members.front(), Current, CurrentResult);
+    auto CurRegion = anchorRegion(*Leader, Current, CurrentResult);
     if (CurRegion && Current.Heap.hasRegion(*CurRegion))
       if (auto Err = Engine.pinRegion(*CurRegion, Loc); !Err)
         return Err;
@@ -344,8 +348,8 @@ namespace {
 using Slot = std::pair<Symbol, Symbol>;
 
 /// All tracked slots across the branches.
-std::set<Slot> slotUnion(const std::vector<BranchState> &Branches) {
-  std::set<Slot> Union;
+FlatSet<Slot> slotUnion(const std::vector<BranchState> &Branches) {
+  FlatSet<Slot> Union;
   for (const BranchState &B : Branches)
     for (const auto &[Region, Track] : B.Ctx.Heap.entries()) {
       (void)Region;
@@ -362,9 +366,9 @@ std::set<Slot> slotUnion(const std::vector<BranchState> &Branches) {
 /// dead there *and* the hosting variable is wanted (live or a parameter),
 /// so conformance can neither retract the field nor wholesale-drop the
 /// host region.
-std::set<Slot> forcedSlots(const std::vector<BranchState> &Branches,
-                           const Continuation &Cont) {
-  std::set<Slot> Forced;
+FlatSet<Slot> forcedSlots(const std::vector<BranchState> &Branches,
+                          const Continuation &Cont) {
+  FlatSet<Slot> Forced;
   for (const BranchState &B : Branches)
     for (const auto &[Region, Track] : B.Ctx.Heap.entries()) {
       (void)Region;
@@ -388,10 +392,10 @@ std::set<Slot> forcedSlots(const std::vector<BranchState> &Branches,
 /// capability: the continuation reads x.f, the field is invalidated (the
 /// reassignment obligation must survive), or the target region carries a
 /// live variable, the live result, or another kept slot's tracking.
-std::set<Slot> neededSlots(const std::vector<BranchState> &Branches,
-                           const Continuation &Cont) {
-  std::set<Slot> Needed = forcedSlots(Branches, Cont);
-  std::set<Slot> Union = slotUnion(Branches);
+FlatSet<Slot> neededSlots(const std::vector<BranchState> &Branches,
+                          const Continuation &Cont) {
+  FlatSet<Slot> Needed = forcedSlots(Branches, Cont);
+  FlatSet<Slot> Union = slotUnion(Branches);
   for (const Slot &S : Union)
     if (Cont.wants(S.first) && Cont.Live.usesField(S.first, S.second))
       Needed.insert(S);
@@ -464,14 +468,14 @@ struct Meet {
 };
 
 Meet buildMeet(const std::vector<BranchState> &Branches,
-               const std::set<Slot> &Keep, const Type &ResultType,
+               const FlatSet<Slot> &Keep, const Type &ResultType,
                const Continuation &Cont, RegionSupply &Supply) {
   assert(!Branches.empty());
   const Contexts &First = Branches.front().Ctx;
 
   // Variables hosting kept slots must stay valid (their tracking lives in
   // their region).
-  std::set<Symbol> SlotHosts;
+  FlatSet<Symbol> SlotHosts;
   for (const Slot &S : Keep)
     SlotHosts.insert(S.first);
 
@@ -489,7 +493,7 @@ Meet buildMeet(const std::vector<BranchState> &Branches,
   // Partition join across branches.
   UnionFind Classes(Anchors.size());
   for (const BranchState &B : Branches) {
-    std::map<RegionId, size_t> Rep;
+    FlatMap<RegionId, size_t> Rep;
     for (size_t I = 0; I < Anchors.size(); ++I) {
       auto Region = anchorRegion(Anchors[I], B.Ctx, B.ResultRegion);
       if (!Region || !B.Ctx.Heap.hasRegion(*Region))
@@ -505,14 +509,12 @@ Meet buildMeet(const std::vector<BranchState> &Branches,
   // a wanted variable (live, parameter, or slot host). Unwanted classes
   // are invalidated: dropping a dead variable's region wholesale is how
   // conformance eliminates tracking it cannot retract.
-  std::map<size_t, bool> ClassValid;
-  std::map<size_t, bool> ClassPinned;
-  std::map<size_t, bool> ClassWanted;
+  // Indexed by class representative.
+  std::vector<char> ClassValid(Anchors.size(), true);
+  std::vector<char> ClassPinned(Anchors.size(), false);
+  std::vector<char> ClassWanted(Anchors.size(), false);
   for (size_t I = 0; I < Anchors.size(); ++I) {
     size_t C = Classes.find(I);
-    ClassValid.emplace(C, true);
-    ClassPinned.emplace(C, false);
-    ClassWanted.emplace(C, false);
     const Anchor &A = Anchors[I];
     if (A.K == Anchor::Kind::Result || A.K == Anchor::Kind::Slot ||
         (A.K == Anchor::Kind::Var &&
@@ -529,17 +531,17 @@ Meet buildMeet(const std::vector<BranchState> &Branches,
         ClassPinned[C] = true;
     }
   }
-  for (auto &[C, Valid] : ClassValid)
+  for (size_t C = 0; C < Anchors.size(); ++C)
     if (!ClassWanted[C])
-      Valid = false;
+      ClassValid[C] = false;
 
   // Assign meet regions.
   Meet M;
   RegionId DeadId = Supply.fresh(); // never added to M's H
-  std::map<size_t, RegionId> ClassRegion;
+  std::vector<RegionId> ClassRegion(Anchors.size()); // invalid: unassigned
   for (size_t I = 0; I < Anchors.size(); ++I) {
     size_t C = Classes.find(I);
-    if (ClassRegion.count(C))
+    if (ClassRegion[C].isValid())
       continue;
     if (ClassValid[C]) {
       RegionId R = Supply.fresh();
@@ -554,8 +556,8 @@ Meet buildMeet(const std::vector<BranchState> &Branches,
   auto RegionOfAnchor = [&](const Anchor &A) {
     auto It = std::find(Anchors.begin(), Anchors.end(), A);
     assert(It != Anchors.end());
-    return ClassRegion.at(
-        Classes.find(static_cast<size_t>(It - Anchors.begin())));
+    return ClassRegion[Classes.find(
+        static_cast<size_t>(It - Anchors.begin()))];
   };
 
   // Γ.
@@ -625,23 +627,17 @@ Expected<UnifyOutcome> fearless::unifyBranches(
     return Out;
   }
 
-  auto TryKeepSet = [&](const std::set<Slot> &Keep, bool Apply,
+  // Each candidate is first conformed on a trial copy of every branch;
+  // one copy, reassigned, serves them all.
+  Contexts Trial;
+  auto TryKeepSet = [&](const FlatSet<Slot> &Keep, bool Apply,
                         std::string *Error) -> bool {
     Meet M = buildMeet(Branches, Keep, ResultType, Cont, Supply);
-    if (getenv("FEARLESS_DEBUG_UNIFY")) {
-      fprintf(stderr, "[unify] meet: %s result=%s\n",
-              toString(M.Ctx, Names).c_str(),
-              toString(M.ResultRegion).c_str());
-      for (auto &B : Branches)
-        fprintf(stderr, "[unify] branch: %s result=%s\n",
-                toString(B.Ctx, Names).c_str(),
-                toString(B.ResultRegion).c_str());
-    }
     for (BranchState &B : Branches) {
-      Contexts Copy = B.Ctx;
-      RegionId CopyResult = B.ResultRegion;
-      auto Err = conformTo(Copy, CopyResult, M.Ctx, M.ResultRegion,
-                           Supply, Names, nullptr, nullptr, Loc);
+      Trial = B.Ctx;
+      RegionId TrialResult = B.ResultRegion;
+      auto Err = conformTo(Trial, TrialResult, M.Ctx, M.ResultRegion,
+                           Supply, Names, DerivSink(), nullptr, Loc);
       if (!Err) {
         if (Error)
           *Error = Err.error().Message;
@@ -665,7 +661,7 @@ Expected<UnifyOutcome> fearless::unifyBranches(
   std::string FirstError;
 
   if (Opts.UseLivenessOracle) {
-    std::set<Slot> Keep = neededSlots(Branches, Cont);
+    FlatSet<Slot> Keep = neededSlots(Branches, Cont);
     ++Out.CandidatesTried;
     if (TryKeepSet(Keep, /*Apply=*/true, &FirstError)) {
       // The branches now all equal the meet up to renaming; continue with
@@ -679,8 +675,8 @@ Expected<UnifyOutcome> fearless::unifyBranches(
 
   // Backtracking search over keep-subsets (largest first), as §4.6's
   // worst-case procedure.
-  std::set<Slot> Union = slotUnion(Branches);
-  std::set<Slot> Forced = forcedSlots(Branches, Cont);
+  FlatSet<Slot> Union = slotUnion(Branches);
+  FlatSet<Slot> Forced = forcedSlots(Branches, Cont);
   std::vector<Slot> Optional;
   for (const Slot &S : Union)
     if (!Forced.count(S))
@@ -708,7 +704,7 @@ Expected<UnifyOutcome> fearless::unifyBranches(
                         (FirstError.empty() ? "" : "; first failure: " +
                                                        FirstError),
                     Loc);
-      std::set<Slot> Keep = Forced;
+      FlatSet<Slot> Keep = Forced;
       for (size_t I = 0; I < N; ++I)
         if (Select[I])
           Keep.insert(Optional[I]);

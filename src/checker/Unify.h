@@ -60,7 +60,7 @@ ConformAblation &conformAblation();
 struct BranchState {
   Contexts Ctx;
   RegionId ResultRegion; ///< Invalid when the result is a primitive.
-  DerivStep *Sink = nullptr; ///< Derivation sink for this branch's steps.
+  DerivSink Sink; ///< Where this branch's conformance steps go.
 };
 
 /// The merged continuation state.
@@ -79,7 +79,7 @@ struct UnifyOutcome {
 ExpectedVoid conformTo(Contexts &Current, RegionId &CurrentResult,
                        const Contexts &Target, RegionId TargetResult,
                        RegionSupply &Supply, const Interner &Names,
-                       DerivStep *Sink, size_t *StepCounter, SourceLoc Loc);
+                       DerivSink Sink, size_t *StepCounter, SourceLoc Loc);
 
 /// Unifies the given branches into one continuation context. \p ResultType
 /// is the merge's value type (anchor only when regionful); \p Cont is the

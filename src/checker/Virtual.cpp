@@ -44,8 +44,7 @@ ExpectedVoid VirtualEngine::focus(Symbol Var, SourceLoc Loc) {
                     " (possible alias)",
                 Loc);
   }
-  record(rules::V1Focus,
-         "focus " + Names.spelling(Var) + " in " + toString(R),
+  record(RuleId::V1Focus, {Var, {}, R, {}},
          [&] { Track->Vars.emplace(Var, VarTrack{}); });
   return success();
 }
@@ -62,8 +61,7 @@ ExpectedVoid VirtualEngine::unfocus(Symbol Var, SourceLoc Loc) {
     return fail("cannot unfocus '" + Names.spelling(Var) +
                     "': it still has tracked fields",
                 Loc);
-  record(rules::V2Unfocus,
-         "unfocus " + Names.spelling(Var) + " in " + toString(*Region),
+  record(RuleId::V2Unfocus, {Var, {}, *Region, {}},
          [&] { Ctx.Heap.lookup(*Region)->Vars.erase(Var); });
   return success();
 }
@@ -86,9 +84,7 @@ Expected<RegionId> VirtualEngine::explore(Symbol Var, Symbol Field,
                     Names.spelling(Var) + "' is already tracked",
                 Loc);
   RegionId Target = Supply.fresh();
-  record(rules::V3Explore,
-         "explore " + Names.spelling(Var) + "." + Names.spelling(Field) +
-             " -> " + toString(Target),
+  record(RuleId::V3Explore, {Var, Field, Target, {}},
          [&] {
            Ctx.Heap.trackedVar(*Region, Var)->Fields[Field] = Target;
            Ctx.Heap.addRegion(Target);
@@ -131,9 +127,7 @@ ExpectedVoid VirtualEngine::retract(Symbol Var, Symbol Field,
   // variable binding we are about to strand silently; V4 simply drops the
   // capability, which *invalidates* those references — legal, but the
   // region itself must only be dropped once.
-  record(rules::V4Retract,
-         "retract " + Names.spelling(Var) + "." + Names.spelling(Field) +
-             ", dropping " + toString(Target),
+  record(RuleId::V4Retract, {Var, Field, Target, {}},
          [&] {
            Ctx.Heap.trackedVar(*Region, Var)->Fields.erase(Field);
            Ctx.Heap.removeRegion(Target);
@@ -153,11 +147,10 @@ ExpectedVoid VirtualEngine::attach(RegionId From, RegionId To,
     return fail("cannot attach " + toString(From) + " to " + toString(To) +
                     ": pinned region or conflicting tracked variables",
                 Loc);
-  record(rules::V5Attach, "attach " + toString(From) + " -> " + toString(To),
-         [&] {
-           Ctx.Heap.attach(From, To);
-           Ctx.Vars.renameRegion(From, To);
-         });
+  record(RuleId::V5Attach, {{}, {}, From, To}, [&] {
+    Ctx.Heap.attach(From, To);
+    Ctx.Vars.renameRegion(From, To);
+  });
   return success();
 }
 
@@ -167,7 +160,7 @@ ExpectedVoid VirtualEngine::dropRegion(RegionId R, SourceLoc Loc) {
     return fail("cannot drop absent region " + toString(R), Loc);
   if (Track->Pinned)
     return fail("cannot drop pinned region " + toString(R), Loc);
-  record(rules::FDropRegion, "drop " + toString(R),
+  record(RuleId::FDropRegion, {{}, {}, R, {}},
          [&] { Ctx.Heap.removeRegion(R); });
   return success();
 }
@@ -178,7 +171,7 @@ ExpectedVoid VirtualEngine::pinRegion(RegionId R, SourceLoc Loc) {
     return fail("cannot pin absent region " + toString(R), Loc);
   if (Track->Pinned)
     return success();
-  record(rules::FPinRegion, "pin " + toString(R),
+  record(RuleId::FPinRegion, {{}, {}, R, {}},
          [&] { Ctx.Heap.lookup(R)->Pinned = true; });
   return success();
 }
@@ -192,7 +185,7 @@ ExpectedVoid VirtualEngine::pinVar(Symbol Var, SourceLoc Loc) {
   VarTrack *Track = Ctx.Heap.trackedVar(*Region, Var);
   if (Track->Pinned)
     return success();
-  record(rules::FPinRegion, "pin var " + Names.spelling(Var),
+  record(RuleId::FPinRegion, {Var, {}, {}, {}},
          [&] { Ctx.Heap.trackedVar(*Region, Var)->Pinned = true; });
   return success();
 }

@@ -37,9 +37,9 @@ namespace fearless {
 /// Applies V-rules to a Contexts, recording derivation steps.
 class VirtualEngine {
 public:
-  /// \p Sink may be null (no derivation recording, used by benchmarks).
+  /// \p Sink may be empty (no derivation recording, used by benchmarks).
   VirtualEngine(Contexts &Ctx, RegionSupply &Supply, const Interner &Names,
-                DerivStep *Sink, size_t *StepCounter = nullptr)
+                DerivSink Sink, size_t *StepCounter = nullptr)
       : Ctx(Ctx), Supply(Supply), Names(Names), Sink(Sink),
         StepCounter(StepCounter) {}
 
@@ -113,28 +113,28 @@ private:
   ExpectedVoid releaseRegionImpl(RegionId R, SourceLoc Loc,
                                  std::vector<RegionId> &InProgress);
 
-  /// Records a derivation step with rule \p Rule around mutation \p Fn.
+  /// Records a derivation step with rule \p Rule and operands \p Ops
+  /// around mutation \p Mutate.
   template <typename Fn>
-  void record(const char *Rule, std::string Detail, Fn &&Mutate) {
+  void record(RuleId Rule, StepOperands Ops, Fn &&Mutate) {
     if (StepCounter)
       ++*StepCounter;
     if (!Sink) {
       Mutate();
       return;
     }
-    auto Step = std::make_unique<DerivStep>();
-    Step->Rule = Rule;
-    Step->Detail = std::move(Detail);
-    Step->Before = Sink->snapshot(Ctx);
+    Derivation &D = *Sink.D;
+    StepId Step = D.addStep(Rule, Ops);
+    D[Step].Before = D.snapshot(Sink.Parent, Ctx);
     Mutate();
-    Step->After = Step->snapshot(Ctx);
-    Sink->addChild(std::move(Step));
+    D[Step].After = D.snapshot(Step, Ctx);
+    D.addChild(Sink.Parent, Step);
   }
 
   Contexts &Ctx;
   RegionSupply &Supply;
   const Interner &Names;
-  DerivStep *Sink;
+  DerivSink Sink;
   size_t *StepCounter;
 };
 

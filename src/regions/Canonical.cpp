@@ -52,104 +52,93 @@ void fearless::dropUnreachableRegions(Contexts &Ctx, RegionId ExtraRoot) {
     }
 }
 
-CanonicalForm fearless::canonicalize(const Contexts &Ctx,
-                                     RegionId ExtraRoot) {
-  CanonicalForm Result;
-  uint32_t Next = 0;
-  // Breadth-first queue: Worklist[Head..] is still to be visited.
-  std::vector<RegionId> Worklist;
-  size_t Head = 0;
+namespace {
 
-  auto Assign = [&](RegionId R) -> RegionId {
-    if (!R.isValid())
-      return R;
-    auto It = Result.Renaming.find(R);
-    if (It != Result.Renaming.end())
-      return It->second;
-    RegionId Canon;
-    if (Ctx.Heap.hasRegion(R)) {
-      Canon = RegionId{++Next};
-      Worklist.push_back(R);
-    } else {
-      Canon = RegionId{DeadCanonicalRegion};
-    }
-    Result.Renaming.emplace(R, Canon);
-    return Canon;
-  };
+constexpr uint32_t Unmatched = UINT32_MAX;
 
-  // Seed: Γ bindings in symbol order, then the extra root.
-  for (const auto &[Var, Binding] : Ctx.Vars.entries()) {
-    (void)Var;
-    Assign(Binding.Region);
-  }
-  if (ExtraRoot.isValid())
-    Assign(ExtraRoot);
+/// The region bijection under construction, by position in each heap.
+/// Reused across calls so a comparison allocates nothing once warm.
+struct Bijection {
+  std::vector<uint32_t> PartnerOfA; ///< A's heap index -> B's, or Unmatched.
+  std::vector<uint32_t> PartnerOfB; ///< B's heap index -> A's, or Unmatched.
+  /// Matched pairs in discovery order; Queue[Head..] still to be visited.
+  std::vector<std::pair<uint32_t, uint32_t>> Queue;
+};
 
-  // Breadth-first over tracked-field targets.
-  while (Head < Worklist.size()) {
-    RegionId R = Worklist[Head++];
-    const RegionTrack *Track = Ctx.Heap.lookup(R);
-    assert(Track && "worklist region vanished");
-    for (const auto &[Var, VTrack] : Track->Vars) {
-      (void)Var;
-      for (const auto &[Field, Target] : VTrack.Fields) {
-        (void)Field;
-        Assign(Target);
-      }
-    }
-  }
-
-  assert(Result.Renaming.size() >=
-             Ctx.Heap.entries().size() &&
-         "canonicalize requires all regions reachable; run "
-         "dropUnreachableRegions first");
-
-  // Build the renamed contexts.
-  for (const auto &[Var, Binding] : Ctx.Vars.entries()) {
-    VarBinding NewBinding = Binding;
-    if (Binding.Region.isValid())
-      NewBinding.Region = Result.Renaming.at(Binding.Region);
-    Result.Ctx.Vars.bind(Var, NewBinding);
-  }
-  for (const auto &[Region, Track] : Ctx.Heap.entries()) {
-    RegionId Canon = Result.Renaming.at(Region);
-    RegionTrack NewTrack;
-    NewTrack.Pinned = Track.Pinned;
-    for (const auto &[Var, VTrack] : Track.Vars) {
-      VarTrack NewVTrack;
-      NewVTrack.Pinned = VTrack.Pinned;
-      for (const auto &[Field, Target] : VTrack.Fields) {
-        auto It = Result.Renaming.find(Target);
-        NewVTrack.Fields.emplace(Field, It != Result.Renaming.end()
-                                            ? It->second
-                                            : RegionId{DeadCanonicalRegion});
-      }
-      NewTrack.Vars.emplace(Var, std::move(NewVTrack));
-    }
-    // Canonical ids are unique per original region, so no clash.
-    Result.Ctx.Heap.addRegion(Canon);
-    *Result.Ctx.Heap.lookup(Canon) = std::move(NewTrack);
-  }
-  return Result;
+/// The position of \p R in \p Heap, or Unmatched when R is dead there.
+uint32_t heapIndex(const HeapCtx &Heap, RegionId R) {
+  auto It = Heap.entries().lower_bound(R);
+  if (It == Heap.entries().end() || It->first != R)
+    return Unmatched;
+  return static_cast<uint32_t>(It - Heap.entries().begin());
 }
+
+} // namespace
 
 bool fearless::equivalentUpToRenaming(const Contexts &A, RegionId RootA,
                                       const Contexts &B, RegionId RootB) {
-  Contexts CopyA = A;
-  Contexts CopyB = B;
-  dropUnreachableRegions(CopyA, RootA);
-  dropUnreachableRegions(CopyB, RootB);
-  CanonicalForm FormA = canonicalize(CopyA, RootA);
-  CanonicalForm FormB = canonicalize(CopyB, RootB);
-  if (!(FormA.Ctx == FormB.Ctx))
+  const auto &VarsA = A.Vars.entries();
+  const auto &VarsB = B.Vars.entries();
+  if (VarsA.size() != VarsB.size())
     return false;
-  // The roots must correspond under the renaming.
-  auto CanonRoot = [](const CanonicalForm &Form, RegionId Root) {
-    if (!Root.isValid())
-      return RegionId();
-    auto It = Form.Renaming.find(Root);
-    return It == Form.Renaming.end() ? RegionId{DeadCanonicalRegion}
-                                     : It->second;
+
+  thread_local Bijection Map;
+  Map.PartnerOfA.assign(A.Heap.entries().size(), Unmatched);
+  Map.PartnerOfB.assign(B.Heap.entries().size(), Unmatched);
+  Map.Queue.clear();
+
+  // Pairs region RA of A with region RB of B: both absent (invalid), both
+  // dead, or both live and either already paired with each other or both
+  // still unpaired (then paired now, and queued for their tracking).
+  auto Match = [&](RegionId RA, RegionId RB) {
+    if (!RA.isValid() || !RB.isValid())
+      return RA.isValid() == RB.isValid();
+    uint32_t IA = heapIndex(A.Heap, RA);
+    uint32_t IB = heapIndex(B.Heap, RB);
+    if (IA == Unmatched || IB == Unmatched)
+      return IA == IB;
+    if (Map.PartnerOfA[IA] == Unmatched && Map.PartnerOfB[IB] == Unmatched) {
+      Map.PartnerOfA[IA] = IB;
+      Map.PartnerOfB[IB] = IA;
+      Map.Queue.push_back({IA, IB});
+      return true;
+    }
+    return Map.PartnerOfA[IA] == IB;
   };
-  return CanonRoot(FormA, RootA) == CanonRoot(FormB, RootB);
+
+  // Γ in symbol order, then the extra roots.
+  for (auto ItA = VarsA.begin(), ItB = VarsB.begin(); ItA != VarsA.end();
+       ++ItA, ++ItB) {
+    const auto &[VarA, BindingA] = *ItA;
+    const auto &[VarB, BindingB] = *ItB;
+    if (VarA != VarB || !(BindingA.VarType == BindingB.VarType) ||
+        !Match(BindingA.Region, BindingB.Region))
+      return false;
+  }
+  if (!Match(RootA, RootB))
+    return false;
+
+  // Breadth-first over tracked-field targets: paired regions must track
+  // the same variables and fields, with the same pins, and paired targets.
+  for (size_t Head = 0; Head < Map.Queue.size(); ++Head) {
+    auto [IA, IB] = Map.Queue[Head];
+    const RegionTrack &TrackA = A.Heap.entries().begin()[IA].second;
+    const RegionTrack &TrackB = B.Heap.entries().begin()[IB].second;
+    if (TrackA.Pinned != TrackB.Pinned ||
+        TrackA.Vars.size() != TrackB.Vars.size())
+      return false;
+    for (auto VA = TrackA.Vars.begin(), VB = TrackB.Vars.begin();
+         VA != TrackA.Vars.end(); ++VA, ++VB) {
+      const VarTrack &FieldsA = VA->second;
+      const VarTrack &FieldsB = VB->second;
+      if (VA->first != VB->first || FieldsA.Pinned != FieldsB.Pinned ||
+          FieldsA.Fields.size() != FieldsB.Fields.size())
+        return false;
+      for (auto FA = FieldsA.Fields.begin(), FB = FieldsB.Fields.begin();
+           FA != FieldsA.Fields.end(); ++FA, ++FB)
+        if (FA->first != FB->first || !Match(FA->second, FB->second))
+          return false;
+    }
+  }
+  return true;
 }

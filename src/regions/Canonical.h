@@ -1,4 +1,4 @@
-//===- regions/Canonical.h - Canonical region renaming ---------*- C++ -*-===//
+//===- regions/Canonical.h - Equivalence up to renaming ---------*- C++ -*-===//
 //
 // Part of the fearless-concurrency reproduction.
 //
@@ -7,10 +7,9 @@
 /// \file
 /// Region names are arbitrary; two contexts describe the same heap when
 /// they are equal up to a bijective renaming of regions. This module
-/// computes a canonical renaming (discovery order over Γ, then tracked
-/// field targets) so that contexts can be compared with plain equality —
-/// used by branch unification (T13/T15) and by function-application
-/// matching (T9).
+/// decides that equivalence — used by branch unification (T13/T15), loop
+/// invariance, function-application matching (T9) and the verifier's
+/// final check — and garbage-collects regions nothing refers to.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,11 +20,6 @@
 
 namespace fearless {
 
-/// The canonical id assigned to every *dead* field target (a region absent
-/// from H, produced by the region split of `if disconnected`). All dead
-/// targets are identified: their identity is meaningless.
-inline constexpr uint32_t DeadCanonicalRegion = 0xFFFFFFFFu;
-
 /// Removes regions that are neither bound by any Γ variable nor targeted
 /// by any tracked field. Such regions always carry empty tracking contexts
 /// (well-formedness ties tracked variables to Γ); dropping a capability is
@@ -33,23 +27,15 @@ inline constexpr uint32_t DeadCanonicalRegion = 0xFFFFFFFFu;
 /// (used for the pending result region).
 void dropUnreachableRegions(Contexts &Ctx, RegionId ExtraRoot = RegionId());
 
-/// A canonicalized context plus the renaming that produced it.
-struct CanonicalForm {
-  Contexts Ctx;
-  FlatMap<RegionId, RegionId> Renaming; ///< original -> canonical
-};
-
-/// Renames regions to 1..n in deterministic discovery order: first the
-/// regions of Γ bindings (in symbol order), then \p ExtraRoot (the result
-/// region, if any), then tracked-field targets breadth-first. Dead targets
-/// map to DeadCanonicalRegion. Precondition: every region in H is
-/// reachable (call dropUnreachableRegions first); unreached regions would
-/// make the renaming ambiguous, so this asserts.
-CanonicalForm canonicalize(const Contexts &Ctx,
-                           RegionId ExtraRoot = RegionId());
-
-/// True when the two contexts are equal up to region renaming (and the two
-/// extra roots correspond). This is the T9/T13 context-match test.
+/// True when the two contexts are equal up to a bijective renaming of
+/// their regions under which the two extra roots correspond. This is the
+/// T9/T13 context-match test. Regions that no Γ binding, extra root or
+/// tracked field reaches are ignored, as if dropUnreachableRegions had
+/// removed them; every dead region (a field target or binding absent from
+/// H) corresponds to every other. The contexts are compared in place:
+/// both are walked in lockstep, Γ in symbol order, then the extra root,
+/// then tracked-field targets breadth-first, building the bijection as
+/// regions are first met.
 bool equivalentUpToRenaming(const Contexts &A, RegionId RootA,
                             const Contexts &B, RegionId RootB);
 

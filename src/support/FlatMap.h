@@ -9,7 +9,7 @@
 /// sorted std::vector. They provide the subset of std::map / std::set that
 /// the typing contexts and the liveness oracle use. Iteration is in key
 /// order, exactly as with the tree containers, so everything printed or
-/// canonicalized from them is unchanged.
+/// compared from them is unchanged.
 ///
 /// The containers are small (a handful of regions, variables or fields),
 /// are copied wholesale into every derivation snapshot and compared

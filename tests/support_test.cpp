@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/ChunkedVector.h"
 #include "support/Expected.h"
 #include "support/FlatMap.h"
 #include "support/Interner.h"
@@ -238,6 +239,45 @@ TEST(FlatSet, MatchesStdSetOnRandomOperations) {
       ASSERT_EQ(F.size(), R.size());
       ASSERT_EQ(Flat[0] == Flat[1], Ref[0] == Ref[1]) << "seed " << Seed;
     }
+  }
+}
+
+TEST(ChunkedVector, MatchesStdVectorAndNeverMovesElements) {
+  for (unsigned Seed = 1; Seed <= 10; ++Seed) {
+    std::mt19937 Rng(Seed);
+    auto Draw = [&](size_t N) {
+      return std::uniform_int_distribution<size_t>(0, N - 1)(Rng);
+    };
+    ChunkedVector<std::string> Chunked;
+    std::vector<std::string> Ref;
+    std::vector<const std::string *> Addresses;
+    for (int Step = 0; Step < 3000; ++Step) {
+      if (Draw(8) == 0 && !Ref.empty()) {
+        // Roll back to an earlier size.
+        size_t NewSize = Draw(Ref.size() + 1);
+        Chunked.truncate(NewSize);
+        Ref.resize(NewSize);
+        Addresses.resize(NewSize);
+      } else {
+        std::string Value = "element " + std::to_string(Step) +
+                            " of seed " + std::to_string(Seed);
+        Addresses.push_back(&Chunked.emplace_back(Value));
+        Ref.push_back(Value);
+      }
+      ASSERT_EQ(Chunked.size(), Ref.size());
+      if (!Ref.empty()) {
+        size_t I = Draw(Ref.size());
+        ASSERT_EQ(Chunked[I], Ref[I]) << "seed " << Seed;
+        ASSERT_EQ(&Chunked[I], Addresses[I]) << "seed " << Seed;
+      }
+    }
+    for (size_t I = 0; I < Ref.size(); ++I)
+      ASSERT_EQ(&Chunked[I], Addresses[I]);
+    ChunkedVector<std::string> Moved = std::move(Chunked);
+    ASSERT_EQ(Moved.size(), Ref.size());
+    ASSERT_TRUE(Chunked.empty());
+    for (size_t I = 0; I < Ref.size(); ++I)
+      ASSERT_EQ(&Moved[I], Addresses[I]);
   }
 }
 

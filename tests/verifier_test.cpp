@@ -10,6 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ast/AstPrinter.h"
 #include "driver/Driver.h"
 
 #include <gtest/gtest.h>
@@ -40,126 +41,231 @@ TEST(Verifier, AllSuitesVerify) {
 }
 
 /// Finds the first derivation step with the given rule, depth-first.
-DerivStep *findStep(DerivStep &Root, const char *Rule) {
-  if (Root.Rule == Rule)
-    return &Root;
-  for (auto &Child : Root.Children)
-    if (DerivStep *Found = findStep(*Child, Rule))
+StepId findStep(const Derivation &D, RuleId Rule, StepId From) {
+  if (D[From].Rule == Rule)
+    return From;
+  for (StepId C = D[From].FirstChild; C != NoStep; C = D[C].NextSibling)
+    if (StepId Found = findStep(D, Rule, C); Found != NoStep)
+      return Found;
+  return NoStep;
+}
+StepId findStep(const Derivation &D, RuleId Rule) {
+  return findStep(D, Rule, D.root());
+}
+
+/// The expression of the innermost expression step enclosing \p Target
+/// (itself included), found on the path from \p From; null if none.
+const Expr *enclosingExpr(const Derivation &D, StepId Target, StepId From,
+                          const Expr *Outer = nullptr) {
+  const Expr *Here = D[From].E ? D[From].E : Outer;
+  if (From == Target)
+    return Here;
+  for (StepId C = D[From].FirstChild; C != NoStep; C = D[C].NextSibling)
+    if (const Expr *Found = enclosingExpr(D, Target, C, Here))
       return Found;
   return nullptr;
 }
 
-/// An editable copy of \p Snapshot. Steps share their context snapshots,
-/// so a test corrupts a private copy and swaps it into the one step it
-/// targets; editing the shared snapshot would corrupt its neighbours too.
-std::shared_ptr<Contexts>
-privateCopy(const std::shared_ptr<const Contexts> &Snapshot) {
-  return std::make_shared<Contexts>(*Snapshot);
+/// The "[at ...]" suffix a verifier failure at \p Step carries.
+std::string locationOf(const Pipeline &P, const Derivation &D,
+                       StepId Step) {
+  const Expr *E = enclosingExpr(D, Step, D.root());
+  EXPECT_NE(E, nullptr);
+  return E ? " [at " + printExpr(*E, P.Prog->Names) + "]" : "";
+}
+
+/// Points \p Side (a step's Before or After) at a private, edited copy of
+/// its snapshot. Steps share their context snapshots, so a test corrupts
+/// a copy that only the one targeted step refers to; editing the shared
+/// snapshot would corrupt its neighbours too.
+template <typename Edit>
+void corrupt(Derivation &D, SnapshotId &Side, Edit &&Fn) {
+  Contexts Copy = D.context(Side);
+  Fn(Copy);
+  Side = D.addSnapshot(Copy);
+}
+
+/// Removes \p Child from \p Parent's list of children.
+void unlinkChild(Derivation &D, StepId Parent, StepId Child) {
+  StepId Prev = NoStep;
+  for (StepId C = D[Parent].FirstChild; C != NoStep;
+       Prev = C, C = D[C].NextSibling) {
+    if (C != Child)
+      continue;
+    StepId Next = D[C].NextSibling;
+    (Prev == NoStep ? D[Parent].FirstChild : D[Prev].NextSibling) = Next;
+    if (D[Parent].LastChild == C)
+      D[Parent].LastChild = Prev;
+    return;
+  }
+  ADD_FAILURE() << "step " << Child << " is not a child of " << Parent;
 }
 
 /// Collects the distinct snapshots a derivation refers to.
-void collectSnapshots(const DerivStep &Step,
-                      std::set<const Contexts *> &Out) {
-  Out.insert(Step.Before.get());
-  Out.insert(Step.After.get());
-  for (const auto &Child : Step.Children)
-    collectSnapshots(*Child, Out);
+void collectSnapshots(const Derivation &D, StepId Step,
+                      std::set<SnapshotId> &Out) {
+  Out.insert(D[Step].Before);
+  Out.insert(D[Step].After);
+  D.forEachChild(Step,
+                 [&](StepId Child) { collectSnapshots(D, Child, Out); });
 }
 
 TEST(Verifier, CatchesCorruptedFocus) {
   Pipeline P = mustCompile(programs::SllSuite);
   Symbol Sum = P.Prog->Names.intern("sum_node");
   CheckedFunction &Fn = P.Checked.Functions.at(Sum);
-  DerivStep *Focus = findStep(*Fn.Derivation, rules::V1Focus);
-  ASSERT_NE(Focus, nullptr);
+  Derivation &D = Fn.Deriv;
+  StepId Focus = findStep(D, RuleId::V1Focus);
+  ASSERT_NE(Focus, NoStep);
   // Corrupt: pretend the focused region was already tracking a variable.
   Symbol Ghost = P.Prog->Names.intern("ghost");
-  std::shared_ptr<Contexts> Corrupt = privateCopy(Focus->Before);
-  ASSERT_FALSE(Corrupt->Heap.entries().empty());
-  Corrupt->Heap.lookup(Corrupt->Heap.entries().begin()->first)->Vars[Ghost];
-  Focus->Before = Corrupt;
+  corrupt(D, D[Focus].Before, [&](Contexts &Ctx) {
+    ASSERT_FALSE(Ctx.Heap.entries().empty());
+    Ctx.Heap.lookup(Ctx.Heap.entries().begin()->first)->Vars[Ghost];
+  });
   Expected<VerifyStats> Stats = verifyFunction(P.Checked, Fn);
   ASSERT_FALSE(Stats.hasValue());
+  EXPECT_NE(Stats.error().Message.find(locationOf(P, D, Focus)),
+            std::string::npos)
+      << Stats.error().Message;
 }
 
 TEST(Verifier, CatchesCorruptedExploreTarget) {
   Pipeline P = mustCompile(programs::SllSuite);
   Symbol Sum = P.Prog->Names.intern("sum_node");
   CheckedFunction &Fn = P.Checked.Functions.at(Sum);
-  DerivStep *Explore = findStep(*Fn.Derivation, rules::V3Explore);
-  ASSERT_NE(Explore, nullptr);
+  Derivation &D = Fn.Deriv;
+  StepId Explore = findStep(D, RuleId::V3Explore);
+  ASSERT_NE(Explore, NoStep);
   // Corrupt: make the "fresh" target region pre-exist in the Before
   // context.
-  std::shared_ptr<Contexts> Corrupt = privateCopy(Explore->Before);
-  for (auto &[Region, Track] : Explore->After->Heap.entries()) {
-    if (!Corrupt->Heap.hasRegion(Region)) {
-      Corrupt->Heap.addRegion(Region);
-      break;
+  const Contexts &After = D.after(D[Explore]);
+  corrupt(D, D[Explore].Before, [&](Contexts &Ctx) {
+    for (auto &[Region, Track] : After.Heap.entries()) {
+      if (!Ctx.Heap.hasRegion(Region)) {
+        Ctx.Heap.addRegion(Region);
+        break;
+      }
+      (void)Track;
     }
-    (void)Track;
-  }
-  Explore->Before = Corrupt;
+  });
   Expected<VerifyStats> Stats = verifyFunction(P.Checked, Fn);
   ASSERT_FALSE(Stats.hasValue());
   EXPECT_NE(Stats.error().Message.find("V3"), std::string::npos);
+  EXPECT_NE(Stats.error().Message.find(locationOf(P, D, Explore)),
+            std::string::npos)
+      << Stats.error().Message;
 }
 
 TEST(Verifier, CatchesIllFormedContext) {
   Pipeline P = mustCompile(programs::SllSuite);
   Symbol Length = P.Prog->Names.intern("length_node");
   CheckedFunction &Fn = P.Checked.Functions.at(Length);
-  // Corrupt the root's After: bind a tracked variable to the wrong
+  Derivation &D = Fn.Deriv;
+  // Corrupt a focus step's After: bind a tracked variable to the wrong
   // region.
-  DerivStep *Step = findStep(*Fn.Derivation, rules::V1Focus);
-  ASSERT_NE(Step, nullptr);
-  std::shared_ptr<Contexts> Corrupt = privateCopy(Step->After);
-  Corrupt->Vars.renameRegion(Corrupt->Vars.entries().begin()->second.Region,
-                             RegionId{9999});
-  Step->After = Corrupt;
+  StepId Step = findStep(D, RuleId::V1Focus);
+  ASSERT_NE(Step, NoStep);
+  corrupt(D, D[Step].After, [&](Contexts &Ctx) {
+    Ctx.Vars.renameRegion(Ctx.Vars.entries().begin()->second.Region,
+                          RegionId{9999});
+  });
   Expected<VerifyStats> Stats = verifyFunction(P.Checked, Fn);
   ASSERT_FALSE(Stats.hasValue());
+  EXPECT_NE(Stats.error().Message.find(locationOf(P, D, Step)),
+            std::string::npos)
+      << Stats.error().Message;
 }
 
 TEST(Verifier, CatchesWrongFinalContext) {
   Pipeline P = mustCompile(programs::SllSuite);
   Symbol Length = P.Prog->Names.intern("length");
   CheckedFunction &Fn = P.Checked.Functions.at(Length);
+  Derivation &D = Fn.Deriv;
   // Corrupt the root's final context: drop the parameter's region.
-  std::shared_ptr<Contexts> Corrupt = privateCopy(Fn.Derivation->After);
-  ASSERT_FALSE(Corrupt->Heap.entries().empty());
-  Corrupt->Heap.removeRegion(Corrupt->Heap.entries().begin()->first);
-  Fn.Derivation->After = Corrupt;
+  corrupt(D, D[D.root()].After, [&](Contexts &Ctx) {
+    ASSERT_FALSE(Ctx.Heap.entries().empty());
+    Ctx.Heap.removeRegion(Ctx.Heap.entries().begin()->first);
+  });
   Expected<VerifyStats> Stats = verifyFunction(P.Checked, Fn);
   ASSERT_FALSE(Stats.hasValue());
+  // The final check compares the whole body's output with the signature:
+  // it lies inside no expression, so it carries no location.
+  EXPECT_NE(Stats.error().Message.find("declared signature output"),
+            std::string::npos);
+  EXPECT_EQ(Stats.error().Message.find("[at "), std::string::npos)
+      << Stats.error().Message;
+}
+
+TEST(Verifier, RejectsFocusRelabelledUnfocus) {
+  Pipeline P = mustCompile(programs::SllSuite);
+  Symbol Sum = P.Prog->Names.intern("sum_node");
+  CheckedFunction &Fn = P.Checked.Functions.at(Sum);
+  Derivation &D = Fn.Deriv;
+  StepId Focus = findStep(D, RuleId::V1Focus);
+  ASSERT_NE(Focus, NoStep);
+  D[Focus].Rule = RuleId::V2Unfocus;
+  Expected<VerifyStats> Stats = verifyFunction(P.Checked, Fn);
+  ASSERT_FALSE(Stats.hasValue());
+  EXPECT_NE(Stats.error().Message.find("V2-Unfocus"), std::string::npos)
+      << Stats.error().Message;
+  EXPECT_NE(Stats.error().Message.find(locationOf(P, D, Focus)),
+            std::string::npos)
+      << Stats.error().Message;
+}
+
+TEST(Verifier, RejectsSendWithoutOperand) {
+  Pipeline P = mustCompile(programs::MessagePassing);
+  Symbol Producer = P.Prog->Names.intern("producer");
+  CheckedFunction &Fn = P.Checked.Functions.at(Producer);
+  Derivation &D = Fn.Deriv;
+  StepId Send = findStep(D, RuleId::T16Send);
+  ASSERT_NE(Send, NoStep);
+  StepId Operand = NoStep;
+  D.forEachChild(Send, [&](StepId Child) {
+    if (D[Child].E)
+      Operand = Child;
+  });
+  ASSERT_NE(Operand, NoStep);
+  unlinkChild(D, Send, Operand);
+  Expected<VerifyStats> Stats = verifyFunction(P.Checked, Fn);
+  ASSERT_FALSE(Stats.hasValue());
+  EXPECT_NE(Stats.error().Message.find("T16: missing operand derivation"),
+            std::string::npos)
+      << Stats.error().Message;
+  EXPECT_NE(Stats.error().Message.find(locationOf(P, D, Send)),
+            std::string::npos)
+      << Stats.error().Message;
 }
 
 TEST(Verifier, UnchangedStepsShareSnapshots) {
   Pipeline P = mustCompile(programs::SllSuite);
   Symbol Sum = P.Prog->Names.intern("sum_node");
   const CheckedFunction &Fn = P.Checked.Functions.at(Sum);
+  const Derivation &D = Fn.Deriv;
   // A variable reference leaves H;Γ unchanged: one snapshot serves both.
-  DerivStep *VarRef = findStep(*Fn.Derivation, "T2-Variable-Ref");
-  ASSERT_NE(VarRef, nullptr);
-  EXPECT_EQ(VarRef->Before.get(), VarRef->After.get());
+  StepId VarRef = findStep(D, RuleId::T2VariableRef);
+  ASSERT_NE(VarRef, NoStep);
+  EXPECT_EQ(D[VarRef].Before, D[VarRef].After);
   // A focus changes H: its output is a snapshot of its own.
-  DerivStep *Focus = findStep(*Fn.Derivation, rules::V1Focus);
-  ASSERT_NE(Focus, nullptr);
-  EXPECT_NE(Focus->Before.get(), Focus->After.get());
+  StepId Focus = findStep(D, RuleId::V1Focus);
+  ASSERT_NE(Focus, NoStep);
+  EXPECT_NE(D[Focus].Before, D[Focus].After);
   // Copying H;Γ twice per step would make twice as many snapshots as
   // steps.
-  std::set<const Contexts *> Snapshots;
-  collectSnapshots(*Fn.Derivation, Snapshots);
-  EXPECT_LT(Snapshots.size(), 2 * countSteps(*Fn.Derivation));
+  std::set<SnapshotId> Snapshots;
+  collectSnapshots(D, D.root(), Snapshots);
+  EXPECT_LT(Snapshots.size(), 2 * countSteps(D));
 }
 
 TEST(Verifier, DerivationPrintingMentionsRules) {
   Pipeline P = mustCompile(programs::SllSuite);
   Symbol Sum = P.Prog->Names.intern("sum_node");
   const CheckedFunction &Fn = P.Checked.Functions.at(Sum);
-  std::string Text = printDerivation(*Fn.Derivation, P.Prog->Names);
+  std::string Text = printDerivation(Fn.Deriv, P.Prog->Names);
   EXPECT_NE(Text.find("T5-Isolated-Field-Reference"), std::string::npos);
-  EXPECT_NE(Text.find(rules::V1Focus), std::string::npos);
-  EXPECT_NE(Text.find(rules::V3Explore), std::string::npos);
+  EXPECT_NE(Text.find(ruleName(RuleId::V1Focus)), std::string::npos);
+  EXPECT_NE(Text.find(ruleName(RuleId::V3Explore)), std::string::npos);
 }
 
 TEST(Verifier, StatsCountVirtualSteps) {

@@ -13,15 +13,19 @@
 #   - `analyze --json` and `analyze --summaries` for every program;
 #   - `check --stats` for every program file (run in the file's
 #     directory, since the output names the file as given);
-#   - `derive FILE FN` for every `def` in examples/*.fls;
+#   - `derive FILE FN` and `dot FILE FN` for every `def` in
+#     examples/*.fls;
+#   - `derive FILE main` for every corpus-smoke program that defines
+#     `main`;
 #   - `run FILE main --stats` and `run FILE main --no-checks --stats`
 #     for every program that defines `main`.
 #
 # tools/ci.sh diffs this output against the committed
 # tests/fixtures/analysis_digests.sha256, which pins the analysis
 # output, the checker's and verifier's counts, the typing derivations
-# and the run results and runtime counts byte for byte across changes
-# to the analyzer, checker, verifier and runtime. Regenerate the file only for an intended output change:
+# (as text and as Graphviz) and the run results and runtime counts byte
+# for byte across changes to the analyzer, checker, verifier and
+# runtime. Regenerate the file only for an intended output change:
 #
 #   tools/analysis_digests.sh build > tests/fixtures/analysis_digests.sha256
 #
@@ -77,6 +81,19 @@ for src in "$ROOT"/examples/*.fls; do
   for fn in $(sed -n 's/^def \([A-Za-z_][A-Za-z0-9_]*\).*/\1/p' "$src"); do
     digest "$rel derive $fn" "$WORK" derive "$src" "$fn"
   done
+done
+
+for src in "$ROOT"/examples/*.fls; do
+  rel="${src#"$ROOT/"}"
+  for fn in $(sed -n 's/^def \([A-Za-z_][A-Za-z0-9_]*\).*/\1/p' "$src"); do
+    digest "$rel dot $fn" "$WORK" dot "$src" "$fn"
+  done
+done
+
+for src in "${progs[@]}"; do
+  [[ "$src" == "$WORK/"* ]] || continue
+  grep -q '^def main(' "$src" || continue
+  digest "${src#"$WORK/"} derive main" "$WORK" derive "$src" main
 done
 
 for src in "${progs[@]}"; do

@@ -746,11 +746,11 @@ int cmdDerive(const char *Path, const char *Fn, const Options &Opts) {
   }
   Symbol Name = P->Prog->Names.intern(Fn);
   auto It = P->Checked.Functions.find(Name);
-  if (It == P->Checked.Functions.end() || !It->second.Derivation) {
+  if (It == P->Checked.Functions.end() || It->second.Deriv.empty()) {
     std::fprintf(stderr, "no derivation for '%s'\n", Fn);
     return 1;
   }
-  std::printf("%s", printDerivation(*It->second.Derivation,
+  std::printf("%s", printDerivation(It->second.Deriv,
                                     P->Prog->Names)
                         .c_str());
   return 0;
@@ -764,11 +764,11 @@ int cmdDot(const char *Path, const char *Fn, const Options &Opts) {
   }
   Symbol Name = P->Prog->Names.intern(Fn);
   auto It = P->Checked.Functions.find(Name);
-  if (It == P->Checked.Functions.end() || !It->second.Derivation) {
+  if (It == P->Checked.Functions.end() || It->second.Deriv.empty()) {
     std::fprintf(stderr, "no derivation for '%s'\n", Fn);
     return 1;
   }
-  std::printf("%s", printDerivationDot(*It->second.Derivation,
+  std::printf("%s", printDerivationDot(It->second.Deriv,
                                        P->Prog->Names)
                         .c_str());
   return 0;
