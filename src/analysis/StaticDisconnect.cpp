@@ -1229,6 +1229,24 @@ DisconnectVerdictTable AnalysisReport::verdictTable() const {
   return T;
 }
 
+VerdictCounts AnalysisReport::countVerdicts() const {
+  VerdictCounts C;
+  for (const SiteReport &S : Sites) {
+    switch (S.Verdict) {
+    case DisconnectVerdict::MustDisconnected:
+      ++C.MustDisconnected;
+      break;
+    case DisconnectVerdict::MustConnected:
+      ++C.MustConnected;
+      break;
+    case DisconnectVerdict::Unknown:
+      ++C.Unknown;
+      break;
+    }
+  }
+  return C;
+}
+
 FnEffects analyzeFunction(const CheckedProgram &CP,
                           const CheckedFunction &Fn,
                           const SummaryTable &Summaries, FnReport &Report,
@@ -1330,7 +1348,7 @@ static bool isLintDiag(AnalysisDiagKind K) {
 /// (schema "fearless-analysis-v1"). Error paths keep the same envelope
 /// with "error" set, so tooling can parse every exit uniformly.
 static std::string renderJson(const SourceAnalysis &Out, std::string_view Base,
-                              const SourceAnalysisOptions &Opts,
+                              const AnalysisOptions &AOpts,
                               const AnalysisReport *R, const Interner *Names,
                               std::string_view Error) {
   std::ostringstream OS;
@@ -1338,15 +1356,16 @@ static std::string renderJson(const SourceAnalysis &Out, std::string_view Base,
   OS << "  \"schema\": \"fearless-analysis-v1\",\n";
   OS << "  \"file\": \"" << escapeJson(Base) << "\",\n";
   OS << "  \"interprocedural\": "
-     << (Opts.Interprocedural ? "true" : "false") << ",\n";
+     << (AOpts.Interprocedural ? "true" : "false") << ",\n";
   OS << "  \"hard_error\": " << (Out.HardError ? "true" : "false") << ",\n";
   OS << "  \"checked\": " << (Out.CheckedOk ? "true" : "false") << ",\n";
   OS << "  \"error\": \"" << escapeJson(Error) << "\",\n";
   OS << "  \"functions\": " << Out.FunctionCount << ",\n";
   OS << "  \"lint_diags\": " << Out.LintDiags << ",\n";
-  OS << "  \"verdicts\": {\"must_disconnected\": " << Out.MustDisconnectedSites
-     << ", \"must_connected\": " << Out.MustConnectedSites
-     << ", \"unknown\": " << Out.UnknownSites << "},\n";
+  OS << "  \"verdicts\": {\"must_disconnected\": "
+     << Out.Verdicts.MustDisconnected
+     << ", \"must_connected\": " << Out.Verdicts.MustConnected
+     << ", \"unknown\": " << Out.Verdicts.Unknown << "},\n";
   OS << "  \"sites\": [";
   if (R && Names) {
     bool First = true;
@@ -1433,6 +1452,7 @@ static std::string renderJson(const SourceAnalysis &Out, std::string_view Base,
 
 SourceAnalysis analyzeSourceText(std::string_view Source,
                                  std::string_view FileName,
+                                 const AnalysisOptions &AOpts,
                                  const SourceAnalysisOptions &Opts) {
   SourceAnalysis Out;
   std::string Base = basenameOf(FileName);
@@ -1442,7 +1462,7 @@ SourceAnalysis analyzeSourceText(std::string_view Source,
   if (!ProgOpt) {
     Out.HardError = true;
     if (Opts.Json)
-      Out.Rendered = renderJson(Out, Base, Opts, nullptr, nullptr,
+      Out.Rendered = renderJson(Out, Base, AOpts, nullptr, nullptr,
                                 "parsing failed");
     else
       Out.Rendered = Base + ": error: parsing failed\n" + Diags.renderAll();
@@ -1453,7 +1473,7 @@ SourceAnalysis analyzeSourceText(std::string_view Source,
   if (!Structs.build(P, Diags) || !resolveProgram(P, Structs, Diags)) {
     Out.HardError = true;
     if (Opts.Json)
-      Out.Rendered = renderJson(Out, Base, Opts, nullptr, nullptr,
+      Out.Rendered = renderJson(Out, Base, AOpts, nullptr, nullptr,
                                 "resolution failed");
     else
       Out.Rendered = Base + ": error: resolution failed\n" + Diags.renderAll();
@@ -1461,7 +1481,10 @@ SourceAnalysis analyzeSourceText(std::string_view Source,
   }
   Out.FunctionCount = P.Functions.size();
 
-  auto Checked = checkProgram(P);
+  // Nothing here reads a derivation, so none is recorded.
+  CheckerOptions CO;
+  CO.EmitDerivations = false;
+  auto Checked = checkProgram(P, CO);
   if (!Checked) {
     // The region checker rejected the program: fall back to the syntactic
     // lints, which usually explain the misuse more directly.
@@ -1475,7 +1498,7 @@ SourceAnalysis analyzeSourceText(std::string_view Source,
       AnalysisReport LintOnly;
       LintOnly.Diags = std::move(Lints);
       Out.Rendered =
-          renderJson(Out, Base, Opts, &LintOnly, &P.Names, Error);
+          renderJson(Out, Base, AOpts, &LintOnly, &P.Names, Error);
     } else {
       Out.Rendered = Base + ": note: region check failed (" +
                      Checked.error().Message + " at " +
@@ -1487,37 +1510,23 @@ SourceAnalysis analyzeSourceText(std::string_view Source,
   }
   Out.CheckedOk = true;
 
-  AnalysisOptions AOpts;
-  AOpts.Interprocedural = Opts.Interprocedural;
   AnalysisReport R = analyzeProgram(*Checked, AOpts);
-  for (const SiteReport &S : R.Sites) {
-    switch (S.Verdict) {
-    case DisconnectVerdict::MustDisconnected:
-      ++Out.MustDisconnectedSites;
-      break;
-    case DisconnectVerdict::MustConnected:
-      ++Out.MustConnectedSites;
-      break;
-    case DisconnectVerdict::Unknown:
-      ++Out.UnknownSites;
-      break;
-    }
-  }
+  Out.Verdicts = R.countVerdicts();
   for (const AnalysisDiag &D : R.Diags)
     if (isLintDiag(D.Kind))
       ++Out.LintDiags;
 
   if (Opts.Json) {
-    Out.Rendered = renderJson(Out, Base, Opts, &R, &P.Names, "");
+    Out.Rendered = renderJson(Out, Base, AOpts, &R, &P.Names, "");
     return Out;
   }
 
   std::ostringstream Header;
   Header << Base << ": analyzed " << Checked->Functions.size()
          << " function(s), " << R.Sites.size()
-         << " `if disconnected` site(s): " << Out.MustDisconnectedSites
-         << " must-disconnected, " << Out.MustConnectedSites
-         << " must-connected, " << Out.UnknownSites << " unknown\n";
+         << " `if disconnected` site(s): " << Out.Verdicts.MustDisconnected
+         << " must-disconnected, " << Out.Verdicts.MustConnected
+         << " must-connected, " << Out.Verdicts.Unknown << " unknown\n";
   Out.Rendered = Header.str() + renderDiags(R.Diags, FileName);
   if (Opts.DumpSummaries) {
     Out.Rendered += "--- summaries (" +

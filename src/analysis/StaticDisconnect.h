@@ -35,6 +35,7 @@
 #include "analysis/Verdict.h"
 #include "checker/Checker.h"
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -75,6 +76,13 @@ struct FnReport {
   std::vector<AnalysisDiag> Diags;
 };
 
+/// How many `if disconnected` sites received each verdict.
+struct VerdictCounts {
+  uint64_t MustDisconnected = 0;
+  uint64_t MustConnected = 0;
+  uint64_t Unknown = 0;
+};
+
 /// Everything the analysis produced for one program.
 struct AnalysisReport {
   std::vector<SiteReport> Sites;
@@ -86,6 +94,8 @@ struct AnalysisReport {
 
   /// The per-site verdict table the runtime elision hook consumes.
   DisconnectVerdictTable verdictTable() const;
+  /// The verdict split over Sites.
+  VerdictCounts countVerdicts() const;
 };
 
 /// Analysis knobs. Interprocedural mode (the default) computes bottom-up
@@ -112,15 +122,17 @@ std::vector<AnalysisDiag> lintProgram(const Program &P);
 std::string renderDiags(const std::vector<AnalysisDiag> &Diags,
                         std::string_view FileName);
 
-/// Options of the `fearlessc analyze` pipeline.
+/// How `fearlessc analyze` reports.
 struct SourceAnalysisOptions {
-  /// Forwarded to analyzeProgram.
-  bool Interprocedural = true;
   /// Append the per-function summary dump to the rendered report.
   bool DumpSummaries = false;
   /// Render a machine-readable JSON document (schema
   /// "fearless-analysis-v1") instead of the human-readable listing.
   bool Json = false;
+  /// Lint diagnostics fail the analyze with the check exit code. Not
+  /// read here: the request handler (driver/CompilePipeline.h) owns
+  /// exit codes.
+  bool Werror = false;
 };
 
 /// The `fearlessc analyze` pipeline over a source buffer: parse + resolve,
@@ -130,9 +142,7 @@ struct SourceAnalysis {
   std::string Rendered;     ///< The full diagnostic listing (or JSON).
   bool HardError = false;   ///< Parse / resolution failure.
   bool CheckedOk = false;   ///< The region checker accepted the program.
-  size_t MustDisconnectedSites = 0;
-  size_t MustConnectedSites = 0;
-  size_t UnknownSites = 0;
+  VerdictCounts Verdicts;
   size_t FunctionCount = 0;
   /// Lint diagnostics (use-after-consume, never-populated) — the count
   /// `fearlessc analyze --werror` turns into a check-stage failure.
@@ -140,6 +150,7 @@ struct SourceAnalysis {
 };
 SourceAnalysis analyzeSourceText(std::string_view Source,
                                  std::string_view FileName,
+                                 const AnalysisOptions &AOpts = {},
                                  const SourceAnalysisOptions &Opts = {});
 
 } // namespace fearless

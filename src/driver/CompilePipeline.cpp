@@ -12,6 +12,7 @@
 #include "support/FaultInjector.h"
 #include "support/Trace.h"
 
+#include <cassert>
 #include <cstdio>
 
 using namespace fearless;
@@ -41,9 +42,9 @@ size_t CompiledArtifact::approxBytes() const {
   return Bytes;
 }
 
-Expected<std::shared_ptr<const CompiledArtifact>>
-fearless::buildArtifact(std::string_view Source,
-                        const PipelineOptions &Opts, TraceSession *Trace) {
+ArtifactResult fearless::buildArtifact(std::string_view Source,
+                                      const PipelineOptions &Opts,
+                                      TraceSession *Trace) {
   CheckerOptions CO;
   CO.UseLivenessOracle = Opts.UseOracle;
   Expected<Pipeline> P = compile(Source, CO);
@@ -59,19 +60,7 @@ fearless::buildArtifact(std::string_view Source,
   AO.Interprocedural = Opts.Interprocedural;
   A->Report = analyzeProgram(A->P.Checked, AO);
   A->Verdicts = A->Report.verdictTable();
-  for (const SiteReport &S : A->Report.Sites) {
-    switch (S.Verdict) {
-    case DisconnectVerdict::MustDisconnected:
-      ++A->MustDisconnectedSites;
-      break;
-    case DisconnectVerdict::MustConnected:
-      ++A->MustConnectedSites;
-      break;
-    case DisconnectVerdict::Unknown:
-      ++A->UnknownSites;
-      break;
-    }
-  }
+  A->Split = A->Report.countVerdicts();
 
   vm::CompileOptions VO;
   VO.EmitChecks = Opts.EmitChecks;
@@ -96,9 +85,12 @@ fearless::buildArtifact(std::string_view Source,
   return std::shared_ptr<const CompiledArtifact>(std::move(A));
 }
 
-std::string fearless::renderCheckOutput(const CompiledArtifact &A,
-                                        std::string_view DisplayName,
-                                        bool Stats) {
+/// The `fearlessc check` report for \p A: the OK line (using
+/// \p DisplayName verbatim), the analysis warnings, and optionally the
+/// --stats block.
+static std::string renderCheckOutput(const CompiledArtifact &A,
+                                     std::string_view DisplayName,
+                                     bool Stats) {
   std::string Out(DisplayName);
   Out += ": OK (" + std::to_string(A.P.Checked.Functions.size()) +
          " functions)\n";
@@ -169,9 +161,10 @@ fearless::resolveEntryCall(const Pipeline &P, const std::string &Fn,
   return Call;
 }
 
-RunOutcome fearless::runArtifact(const CompiledArtifact &A,
-                                 const RunSpec &Spec) {
-  RunOutcome O;
+/// Executes \p Req.Fn over \p A's bytecode.
+static RequestOutcome runArtifact(const CompiledArtifact &A,
+                                  const Request &Req, const LocalHooks &Hooks) {
+  RequestOutcome O;
   const Pipeline &P = A.P;
 
   // The entry first, then every --spawn.
@@ -187,13 +180,14 @@ RunOutcome fearless::runArtifact(const CompiledArtifact &A,
     Calls.push_back(C.take());
     return true;
   };
-  if (!Resolve(Spec.Fn, Spec.Args))
+  if (!Resolve(Req.Fn, Req.Args))
     return O;
-  for (const auto &[Fn, Args] : Spec.Spawns)
+  for (const auto &[Fn, Args] : Hooks.Spawns)
     if (!Resolve(Fn, Args))
       return O;
   const EntryCall &Entry = Calls.front();
-  if (Spec.WorkersSet && (!Spec.Spawns.empty() || Spec.Schedule)) {
+  const RunOptions &Run = Req.Run;
+  if (Run.Workers && (!Hooks.Spawns.empty() || Hooks.Schedule)) {
     O.Err = "--spawn and --schedule drive the deterministic machine and "
             "cannot combine with --workers\n";
     O.Exit = 2;
@@ -204,36 +198,35 @@ RunOutcome fearless::runArtifact(const CompiledArtifact &A,
   // the elision the analysis could prove (execution never sees these;
   // they are compile-time facts).
   auto WithAnalysis = [&](RuntimeMetrics M) {
-    M.AnalysisMustDisconnected = A.MustDisconnectedSites;
-    M.AnalysisMustConnected = A.MustConnectedSites;
-    M.AnalysisUnknown = A.UnknownSites;
+    M.AnalysisMustDisconnected = A.Split.MustDisconnected;
+    M.AnalysisMustConnected = A.Split.MustConnected;
+    M.AnalysisUnknown = A.Split.Unknown;
     return M;
   };
   // --workers: hand the entry function to the parallel executor (the
   // M:N task scheduler; dynamic checks erased, as for any checked
   // program) instead of the deterministic abstract machine.
-  if (Spec.WorkersSet) {
+  if (Run.Workers) {
     ParallelExecOptions PO;
-    PO.NumWorkers = Spec.Workers;
-    PO.SchedSeed = Spec.SchedSeed;
-    PO.Faults = Spec.Faults;
+    PO.NumWorkers = *Run.Workers;
+    PO.SchedSeed = Run.SchedSeed;
+    PO.Faults = Hooks.Faults;
     PO.VmCode = &*A.VmCode;
-    PO.Trace = Spec.Trace;
+    PO.Trace = Hooks.Trace;
     ParallelExec Exec(P.Checked, PO);
     Exec.spawn(Entry.Fn, Entry.Args);
     Expected<std::vector<Value>> R = Exec.run();
     O.Metrics = WithAnalysis(Exec.metrics());
-    O.HasMetrics = true;
     if (!R) {
       O.Err = R.error().render() + "\n";
-      if (Spec.Metrics)
-        O.Out += O.Metrics.toJson() + "\n";
+      if (Run.Metrics)
+        O.Out += O.Metrics->toJson() + "\n";
       O.Exit = Exec.metrics().FaultsEscalated ? 5 : 1;
       return O;
     }
-    O.Out = Spec.Fn + "(...) = " + toString((*R)[0]) + "\n";
-    if (Spec.Metrics)
-      O.Out += O.Metrics.toJson() + "\n";
+    O.Out = Req.Fn + "(...) = " + toString((*R)[0]) + "\n";
+    if (Run.Metrics)
+      O.Out += O.Metrics->toJson() + "\n";
     return O;
   }
 
@@ -241,26 +234,25 @@ RunOutcome fearless::runArtifact(const CompiledArtifact &A,
   MO.CheckReservations = A.Options.Checks;
   MO.StaticVerdicts = &A.Verdicts;
   MO.ElideDisconnect = A.Options.Elide;
-  MO.Faults = Spec.Faults;
+  MO.Faults = Hooks.Faults;
   MO.VmCode = &*A.VmCode;
-  MO.Trace = Spec.Trace;
+  MO.Trace = Hooks.Trace;
   Machine M(P.Checked, MO);
   for (const EntryCall &C : Calls)
     M.spawn(C.Fn, C.Args);
   Expected<MachineSummary> R =
-      Spec.Schedule ? mc::runSchedule(M, *Spec.Schedule)
-                    : M.run(Spec.Seed);
+      Hooks.Schedule ? mc::runSchedule(M, *Hooks.Schedule)
+                     : M.run(Run.Seed);
 
   O.Metrics = WithAnalysis(M.metrics());
-  O.HasMetrics = true;
   if (!R) {
     // A structured fault (runtime trap or injection) gets the dedicated
     // diagnostic and exit code; other failures (deadlock, violation,
     // step limit) stay generic.
     if (M.lastFault()) {
       O.Err = "fearlessc: " + M.lastFault()->render() + "\n";
-      if (Spec.Metrics)
-        O.Out += O.Metrics.toJson() + "\n";
+      if (Run.Metrics)
+        O.Out += O.Metrics->toJson() + "\n";
       O.Exit = 5;
       return O;
     }
@@ -268,12 +260,12 @@ RunOutcome fearless::runArtifact(const CompiledArtifact &A,
     O.Exit = 1;
     return O;
   }
-  O.Out = Spec.Fn + "(...) = " + toString(R->ThreadResults[0]) + "\n";
-  for (size_t I = 0; I < Spec.Spawns.size(); ++I)
+  O.Out = Req.Fn + "(...) = " + toString(R->ThreadResults[0]) + "\n";
+  for (size_t I = 0; I < Hooks.Spawns.size(); ++I)
     if (I + 1 < R->ThreadResults.size())
-      O.Out += Spec.Spawns[I].first + "(...) = " +
+      O.Out += Hooks.Spawns[I].first + "(...) = " +
                toString(R->ThreadResults[I + 1]) + "\n";
-  if (Spec.Stats) {
+  if (Run.Stats) {
     char Buf[256];
     std::snprintf(Buf, sizeof(Buf),
                   "steps: %llu, reservation checks: %llu, allocations: "
@@ -286,7 +278,50 @@ RunOutcome fearless::runArtifact(const CompiledArtifact &A,
                       M.stats().DisconnectChecks));
     O.Out += Buf;
   }
-  if (Spec.Metrics)
-    O.Out += O.Metrics.toJson() + "\n";
+  if (Run.Metrics)
+    O.Out += O.Metrics->toJson() + "\n";
   return O;
+}
+
+PipelineOptions fearless::artifactOptions(PipelineOptions PO,
+                                          const RunOptions &Run) {
+  PO.EmitChecks = PO.Checks && !Run.Workers;
+  return PO;
+}
+
+RequestOutcome fearless::serveRequest(const Request &R,
+                                      const ArtifactGetter &GetArtifact,
+                                      const LocalHooks &Hooks) {
+  RequestOutcome O;
+  if (R.Op == RequestOp::Analyze) {
+    // The diagnostic path: a fresh analysis, never an artifact.
+    AnalysisOptions AO;
+    AO.Interprocedural = R.Pipeline.Interprocedural;
+    SourceAnalysis A = analyzeSourceText(R.Source, R.Name, AO, R.Analyze);
+    O.Out = std::move(A.Rendered);
+    if (A.HardError) {
+      O.Exit = exitCodeForStage(DiagnosticStage::Parse);
+    } else if (R.Analyze.Werror && A.LintDiags > 0) {
+      // Lints are check-stage findings, so --werror exits with the
+      // check-stage code — scripts can distinguish "region misuse" from
+      // infrastructure failures without parsing messages.
+      O.Err = "fearlessc: error: " + std::to_string(A.LintDiags) +
+              " lint diagnostic(s) with --werror\n";
+      O.Exit = exitCodeForStage(DiagnosticStage::Check);
+    }
+    return O;
+  }
+  assert((R.Op == RequestOp::Check || R.Op == RequestOp::Run) &&
+         "metrics and shutdown are served by the daemon");
+  ArtifactResult A = GetArtifact(artifactOptions(R.Pipeline, R.Run));
+  if (!A) {
+    O.Err = A.error().render() + "\n";
+    O.Exit = exitCodeForStage(A.error().Stage);
+    return O;
+  }
+  if (R.Op == RequestOp::Check) {
+    O.Out = renderCheckOutput(**A, R.Name, R.Run.Stats);
+    return O;
+  }
+  return runArtifact(**A, R, Hooks);
 }

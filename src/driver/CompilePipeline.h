@@ -7,11 +7,12 @@
 /// \file
 /// The reusable front half of `fearlessc` — parse + check + verify +
 /// static analysis + bytecode lowering bundled into one immutable
-/// CompiledArtifact — and the back half: executing an artifact and
-/// rendering exactly the text the CLI prints. Factoring both out of
-/// tools/fearlessc.cpp lets the `fearlessd` daemon (server/Server.h)
-/// serve the same pipeline over a socket with **bit-identical** output:
-/// client-mode runs and standalone runs compare equal byte for byte
+/// CompiledArtifact — and the back half: one Request value (op, source,
+/// entry call and every option) and the one handler, serveRequest, that
+/// turns a request into exactly the bytes and exit code the CLI prints.
+/// `fearlessc` builds the request from argv; the `fearlessd` daemon
+/// (server/Server.h) decodes it from the wire. Both call serveRequest,
+/// so client-mode and standalone output compare equal byte for byte
 /// because they are the same code path, not a re-implementation.
 ///
 /// A CompiledArtifact is a pure function of (source text, options): it
@@ -31,6 +32,7 @@
 #include "vm/Compiler.h"
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -59,9 +61,8 @@ struct PipelineOptions {
   /// Elide statically proven `if disconnected` traversals (--no-elide
   /// turns off).
   bool Elide = true;
-  /// Emit reservation-check ops into the bytecode. The CLI computes this
-  /// as `Checks && !WorkersSet` (the parallel executor always runs
-  /// erased — the checker proved the checks redundant).
+  /// Emit reservation-check ops into the bytecode. A request never sets
+  /// this itself: artifactOptions() derives it.
   bool EmitChecks = true;
 
   /// Stable 64-bit fingerprint of every field above.
@@ -81,9 +82,7 @@ struct CompiledArtifact {
   /// it keep compiling.
   std::optional<vm::CompiledProgram> VmCode;
   /// The verdict split, stamped into --metrics output by runs.
-  uint64_t MustDisconnectedSites = 0;
-  uint64_t MustConnectedSites = 0;
-  uint64_t UnknownSites = 0;
+  VerdictCounts Split;
   /// The options the artifact was built under.
   PipelineOptions Options;
   /// Length of the source text the artifact was built from (cache
@@ -97,32 +96,66 @@ struct CompiledArtifact {
   size_t approxBytes() const;
 };
 
+using ArtifactResult = Expected<std::shared_ptr<const CompiledArtifact>>;
+
 /// Runs parse + sema + check + verify + analyze + vm lowering over
 /// \p Source. \p Trace, when set, records a `vm.compile`
 /// span on a dedicated buffer. Failures carry the DiagnosticStage that
 /// maps to the CLI exit-code table.
-Expected<std::shared_ptr<const CompiledArtifact>>
-buildArtifact(std::string_view Source, const PipelineOptions &Opts,
-              TraceSession *Trace = nullptr);
+ArtifactResult buildArtifact(std::string_view Source,
+                             const PipelineOptions &Opts,
+                             TraceSession *Trace = nullptr);
 
-/// What to execute and what to report. Everything `fearlessc run`
-/// accepts except the artifact-level options above.
-struct RunSpec {
-  std::string Fn = "main";
-  std::vector<int64_t> Args;
+/// How `run` executes and what it reports (not cache-key relevant).
+struct RunOptions {
   /// Machine schedule seed (--seed).
   uint64_t Seed = 0;
-  /// --workers: run on ParallelExec's M:N task scheduler.
-  size_t Workers = 0;
-  bool WorkersSet = false;
+  /// --workers: run on ParallelExec's M:N task scheduler with this many
+  /// workers (0 = auto-sized pool). Unset: the deterministic machine.
+  std::optional<size_t> Workers;
+  /// Scheduling-decision seed for --workers runs (--sched-seed).
   uint64_t SchedSeed = 0;
-  /// Append the --stats / --metrics lines to Out.
+  /// Append the --stats / --metrics lines to stdout.
   bool Stats = false;
   bool Metrics = false;
-  /// Deterministic fault injection; null = disabled. Must outlive the
-  /// call.
+};
+
+/// The operations a request names. serveRequest serves Check, Analyze
+/// and Run; Metrics and Shutdown address the daemon itself.
+enum class RequestOp : uint8_t { Check, Analyze, Run, Metrics, Shutdown };
+
+/// One `fearlessc` command as a value: what `fearlessc` builds from argv
+/// and what the wire carries (server::WireRequest adds only the client's
+/// correlation id). Every option a request can set lives here once.
+struct Request {
+  RequestOp Op = RequestOp::Check;
+  /// Display name for diagnostics (the client's file path).
+  std::string Name;
+  /// The program text (check/analyze/run).
+  std::string Source;
+  /// run: entry function and integer arguments.
+  std::string Fn = "main";
+  std::vector<int64_t> Args;
+  /// What the artifact is built under (the derivation-cache key side);
+  /// Pipeline.EmitChecks is ignored, see artifactOptions().
+  PipelineOptions Pipeline;
+  RunOptions Run;
+  SourceAnalysisOptions Analyze;
+};
+
+/// The options an artifact for \p Run is built under: \p PO with check
+/// emission decided. Bytecode carries reservation checks when checks are
+/// on and the run stays on the deterministic machine; the parallel
+/// executor always runs erased (the checker proved the checks
+/// redundant).
+PipelineOptions artifactOptions(PipelineOptions PO, const RunOptions &Run);
+
+/// Execution hooks only the standalone CLI sets; the wire carries none.
+struct LocalHooks {
+  /// Deterministic fault injection (--faults); null = disabled. Must
+  /// outlive the call.
   FaultInjector *Faults = nullptr;
-  /// Structured tracing for the run; null = disabled.
+  /// Structured tracing for the run (--trace); null = disabled.
   TraceSession *Trace = nullptr;
   /// Extra threads spawned alongside the entry (--spawn FN[:a,b,...],
   /// repeatable, in order). Machine mode only: this is how the CLI puts
@@ -148,28 +181,25 @@ Expected<EntryCall> resolveEntryCall(const Pipeline &P,
                                      const std::string &Fn,
                                      const std::vector<int64_t> &Args);
 
-/// One executed request: the exact bytes the CLI would print to stdout
-/// (Out) and stderr (Err), the documented exit code, and the run's
-/// metrics (valid when HasMetrics — compile-stage failures have none).
-struct RunOutcome {
+/// One served request: the exact bytes the CLI would print to stdout
+/// (Out) and stderr (Err), the documented exit code, and the metrics of
+/// the run, when one executed.
+struct RequestOutcome {
   int Exit = 0;
   std::string Out;
   std::string Err;
-  RuntimeMetrics Metrics;
-  bool HasMetrics = false;
+  std::optional<RuntimeMetrics> Metrics;
 };
 
-/// Executes \p Spec.Fn over \p A's bytecode. Never throws and never
-/// prints: all text lands in the outcome.
-RunOutcome runArtifact(const CompiledArtifact &A, const RunSpec &Spec);
+/// Returns the artifact of the request's source built under the given
+/// options: buildArtifact in the CLI, the derivation cache in fearlessd.
+using ArtifactGetter = std::function<ArtifactResult(const PipelineOptions &)>;
 
-/// Renders `fearlessc check` output for \p A: the OK line (using
-/// \p DisplayName verbatim), the analysis warnings, and optionally the
-/// --stats block. Shared by the CLI and the daemon so both emit
-/// identical bytes.
-std::string renderCheckOutput(const CompiledArtifact &A,
-                              std::string_view DisplayName,
-                              bool Stats = false);
+/// Serves a check, analyze or run request: the one place that decides
+/// what each prints and which exit code it reports. \p GetArtifact is
+/// called once, for check and run. Never throws and never prints.
+RequestOutcome serveRequest(const Request &R, const ArtifactGetter &GetArtifact,
+                            const LocalHooks &Hooks = {});
 
 /// The documented exit code for a pipeline diagnostic (0 ok, 1 generic,
 /// 2 usage, 3 parse, 4 check/verify, 5 runtime fault). One table,

@@ -6,7 +6,6 @@
 
 #include "server/Server.h"
 
-#include "analysis/StaticDisconnect.h"
 #include "driver/CompilePipeline.h"
 #include "support/Trace.h"
 
@@ -276,86 +275,29 @@ Json Server::handleRequest(const std::string &Payload, TraceBuffer *TB,
     return makeErrorResponse(Req->Id, WireError::ShuttingDown,
                              "daemon is shutting down");
 
-  switch (Req->Op) {
-  case WireOp::Shutdown:
+  if (Req->Op == WireOp::Shutdown) {
     ShutdownRequested = true;
     return makeExecResponse(Req->Id, 0, "", "", false);
-
-  case WireOp::Metrics: {
-    RuntimeMetrics M = metricsSnapshot();
-    return makeExecResponse(Req->Id, 0, M.toJson() + "\n", "", false);
   }
+  if (Req->Op == WireOp::Metrics)
+    return makeExecResponse(Req->Id, 0, metricsSnapshot().toJson() + "\n",
+                            "", false);
 
-  case WireOp::Analyze: {
-    // Diagnostic path: always fresh (uncached) — its output is the
-    // rendered report, not a cacheable artifact.
-    SourceAnalysisOptions AO;
-    AO.Interprocedural = Req->Interprocedural;
-    AO.DumpSummaries = Req->Summaries;
-    AO.Json = Req->Json;
-    SourceAnalysis A = analyzeSourceText(Req->Source, Req->Name, AO);
-    if (A.HardError)
-      return makeExecResponse(Req->Id, 3, A.Rendered, "", false);
-    if (Req->Werror && A.LintDiags > 0) {
-      std::string Err = "fearlessc: error: " +
-                        std::to_string(A.LintDiags) +
-                        " lint diagnostic(s) with --werror\n";
-      return makeExecResponse(Req->Id, 4, A.Rendered, Err, false);
-    }
-    return makeExecResponse(Req->Id, 0, A.Rendered, "", false);
+  // check, analyze and run: the CLI's own handler, with the artifact
+  // from the derivation cache.
+  bool WasHit = false;
+  RequestOutcome O =
+      serveRequest(*Req, [&](const PipelineOptions &PO) {
+        TraceSpan LookupSpan(TB, "cache.lookup", "server");
+        ArtifactResult A = Cache.getOrBuild(Req->Source, PO, &WasHit);
+        LookupSpan.setArg("hit", WasHit ? 1 : 0);
+        return A;
+      });
+  if (O.Metrics) {
+    std::lock_guard<std::mutex> L(MetricsM);
+    Lifetime.merge(*O.Metrics);
   }
-
-  case WireOp::Check:
-  case WireOp::Run: {
-    PipelineOptions PO;
-    PO.UseOracle = Req->Oracle;
-    PO.Interprocedural = Req->Interprocedural;
-    PO.Checks = Req->Checks;
-    PO.Elide = Req->Elide;
-    PO.EmitChecks = Req->Checks && Req->Workers < 0;
-
-    bool WasHit = false;
-    Expected<std::shared_ptr<const CompiledArtifact>> Artifact = [&] {
-      TraceSpan LookupSpan(TB, "cache.lookup", "server");
-      auto R = Cache.getOrBuild(Req->Source, PO, &WasHit);
-      LookupSpan.setArg("hit", WasHit ? 1 : 0);
-      return R;
-    }();
-    if (!Artifact) {
-      // Exactly the bytes the CLI prints for a compile failure, plus
-      // the DiagnosticStage exit code.
-      std::string Err = Artifact.error().render() + "\n";
-      return makeExecResponse(Req->Id,
-                              exitCodeForStage(Artifact.error().Stage),
-                              "", Err, WasHit);
-    }
-
-    if (Req->Op == WireOp::Check) {
-      std::string Out =
-          renderCheckOutput(**Artifact, Req->Name, Req->Stats);
-      return makeExecResponse(Req->Id, 0, Out, "", WasHit);
-    }
-
-    RunSpec Spec;
-    Spec.Fn = Req->Fn;
-    Spec.Args = Req->Args;
-    Spec.Seed = Req->Seed;
-    if (Req->Workers >= 0) {
-      Spec.Workers = static_cast<size_t>(Req->Workers);
-      Spec.WorkersSet = true;
-    }
-    Spec.SchedSeed = Req->SchedSeed;
-    Spec.Stats = Req->Stats;
-    Spec.Metrics = Req->Metrics;
-    RunOutcome O = runArtifact(**Artifact, Spec);
-    if (O.HasMetrics) {
-      std::lock_guard<std::mutex> L(MetricsM);
-      Lifetime.merge(O.Metrics);
-    }
-    return makeExecResponse(Req->Id, O.Exit, O.Out, O.Err, WasHit);
-  }
-  }
-  return makeErrorResponse(0, WireError::Internal, "unreachable op");
+  return makeExecResponse(Req->Id, O.Exit, O.Out, O.Err, WasHit);
 }
 
 RuntimeMetrics Server::metricsSnapshot() const {

@@ -144,18 +144,24 @@ fearless::server::decodeRequest(std::string_view Payload) {
   if (const Json *Opts = Doc->find("options")) {
     if (!Opts->isObject())
       return fail("'options' must be an object");
-    R.Oracle = Opts->getBool("oracle", true);
-    R.Interprocedural = Opts->getBool("interprocedural", true);
-    R.Checks = Opts->getBool("checks", true);
-    R.Elide = Opts->getBool("elide", true);
-    R.Seed = static_cast<uint64_t>(Opts->getInt("seed", 0));
-    R.Stats = Opts->getBool("stats", false);
-    R.Metrics = Opts->getBool("metrics", false);
-    R.Workers = Opts->getInt("workers", -1);
-    R.SchedSeed = static_cast<uint64_t>(Opts->getInt("sched_seed", 0));
-    R.Json = Opts->getBool("json", false);
-    R.Summaries = Opts->getBool("summaries", false);
-    R.Werror = Opts->getBool("werror", false);
+    // An absent key keeps the request value's default.
+    PipelineOptions &PO = R.Pipeline;
+    PO.UseOracle = Opts->getBool("oracle", PO.UseOracle);
+    PO.Interprocedural = Opts->getBool("interprocedural", PO.Interprocedural);
+    PO.Checks = Opts->getBool("checks", PO.Checks);
+    PO.Elide = Opts->getBool("elide", PO.Elide);
+    RunOptions &Run = R.Run;
+    Run.Seed = static_cast<uint64_t>(Opts->getInt("seed", 0));
+    Run.Stats = Opts->getBool("stats", Run.Stats);
+    Run.Metrics = Opts->getBool("metrics", Run.Metrics);
+    // -1 (or any negative count) = the deterministic machine.
+    if (int64_t W = Opts->getInt("workers", -1); W >= 0)
+      Run.Workers = static_cast<size_t>(W);
+    Run.SchedSeed = static_cast<uint64_t>(Opts->getInt("sched_seed", 0));
+    SourceAnalysisOptions &AO = R.Analyze;
+    AO.Json = Opts->getBool("json", AO.Json);
+    AO.DumpSummaries = Opts->getBool("summaries", AO.DumpSummaries);
+    AO.Werror = Opts->getBool("werror", AO.Werror);
   }
   bool NeedsSource = R.Op == WireOp::Check || R.Op == WireOp::Analyze ||
                      R.Op == WireOp::Run;
@@ -182,18 +188,19 @@ std::string fearless::server::encodeRequest(const WireRequest &R) {
     Doc.set("args", std::move(Args));
   }
   Json Opts = Json::object();
-  Opts.set("oracle", R.Oracle);
-  Opts.set("interprocedural", R.Interprocedural);
-  Opts.set("checks", R.Checks);
-  Opts.set("elide", R.Elide);
-  Opts.set("seed", static_cast<int64_t>(R.Seed));
-  Opts.set("stats", R.Stats);
-  Opts.set("metrics", R.Metrics);
-  Opts.set("workers", R.Workers);
-  Opts.set("sched_seed", static_cast<int64_t>(R.SchedSeed));
-  Opts.set("json", R.Json);
-  Opts.set("summaries", R.Summaries);
-  Opts.set("werror", R.Werror);
+  Opts.set("oracle", R.Pipeline.UseOracle);
+  Opts.set("interprocedural", R.Pipeline.Interprocedural);
+  Opts.set("checks", R.Pipeline.Checks);
+  Opts.set("elide", R.Pipeline.Elide);
+  Opts.set("seed", static_cast<int64_t>(R.Run.Seed));
+  Opts.set("stats", R.Run.Stats);
+  Opts.set("metrics", R.Run.Metrics);
+  Opts.set("workers",
+           R.Run.Workers ? static_cast<int64_t>(*R.Run.Workers) : -1);
+  Opts.set("sched_seed", static_cast<int64_t>(R.Run.SchedSeed));
+  Opts.set("json", R.Analyze.Json);
+  Opts.set("summaries", R.Analyze.DumpSummaries);
+  Opts.set("werror", R.Analyze.Werror);
   Doc.set("options", std::move(Opts));
   return Doc.dump();
 }

@@ -25,6 +25,7 @@
 #ifndef FEARLESS_SERVER_WIRE_H
 #define FEARLESS_SERVER_WIRE_H
 
+#include "driver/CompilePipeline.h"
 #include "server/Json.h"
 
 #include <cstdint>
@@ -44,10 +45,11 @@ inline constexpr const char *WireVersion = "fearless-wire-v1";
 inline constexpr size_t WireHeaderBytes = 4;
 inline constexpr size_t DefaultMaxFrameBytes = 16u << 20;
 
-/// Request operations. Kept as an array-of-names (mirroring
-/// FaultInjector's PointNames) so tools/check_docs.py can extract the
-/// vocabulary and require a docs/SERVER.md section per op.
-enum class WireOp : uint8_t { Check, Analyze, Run, Metrics, Shutdown };
+/// Request operations: the request value's ops. Named by an
+/// array-of-names (mirroring FaultInjector's PointNames) so
+/// tools/check_docs.py can extract the vocabulary and require a
+/// docs/SERVER.md section per op.
+using WireOp = RequestOp;
 inline constexpr size_t NumWireOps = 5;
 extern const char *const OpNames[NumWireOps];
 
@@ -103,34 +105,11 @@ private:
   std::string Buf;
 };
 
-/// One decoded request.
-struct WireRequest {
-  WireOp Op = WireOp::Check;
-  /// Client correlation id, echoed verbatim in the response. 0 when
-  /// absent.
+/// One request on the wire: the request value every executor serves
+/// (driver/CompilePipeline.h) plus the client's correlation id.
+struct WireRequest : Request {
+  /// Echoed verbatim in the response. 0 when absent.
   int64_t Id = 0;
-  /// Display name for diagnostics (the client's file path).
-  std::string Name;
-  /// The program text (check/analyze/run).
-  std::string Source;
-  /// run: entry function and integer arguments.
-  std::string Fn = "main";
-  std::vector<int64_t> Args;
-  /// Pipeline options (cache-key relevant).
-  bool Oracle = true;
-  bool Interprocedural = true;
-  bool Checks = true;
-  bool Elide = true;
-  /// Per-run options (not cache-key relevant).
-  uint64_t Seed = 0;
-  bool Stats = false;
-  bool Metrics = false;
-  int64_t Workers = -1; ///< -1 = machine mode; >= 0 = ParallelExec.
-  uint64_t SchedSeed = 0;
-  /// analyze: rendering options.
-  bool Json = false;
-  bool Summaries = false;
-  bool Werror = false;
 };
 
 /// Decodes a request payload. Failure means the frame was readable JSON

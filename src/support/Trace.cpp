@@ -13,8 +13,6 @@
 
 using namespace fearless;
 
-#if FEARLESS_TRACING_ENABLED
-
 namespace {
 
 uint64_t steadyNowNs() {
@@ -148,32 +146,3 @@ bool TraceSession::writeChromeJson(const std::string &Path,
   }
   return true;
 }
-
-#else // !FEARLESS_TRACING_ENABLED
-
-// The stubs still emit *valid* (empty) Chrome JSON so `--trace` degrades
-// gracefully in a compile-out build instead of producing a broken file.
-
-std::string TraceSession::toChromeJson() const {
-  return "{\"traceEvents\":[],\"displayTimeUnit\":\"ns\",\"otherData\":{"
-         "\"recorded_events\":\"0\",\"dropped_events\":\"0\","
-         "\"tracing\":\"compiled out (FEARLESS_TRACE=OFF)\"}}\n";
-}
-
-bool TraceSession::writeChromeJson(const std::string &Path,
-                                   std::string &Error) const {
-  std::ofstream Out(Path);
-  if (!Out) {
-    Error = "cannot open trace output '" + Path + "' for writing";
-    return false;
-  }
-  Out << toChromeJson();
-  Out.flush();
-  if (!Out) {
-    Error = "failed while writing trace output '" + Path + "'";
-    return false;
-  }
-  return true;
-}
-
-#endif // FEARLESS_TRACING_ENABLED

@@ -170,26 +170,70 @@ TEST(Wire, DecodeRejectsBadRequests) {
 }
 
 TEST(Wire, RequestEncodeDecodeRoundTrip) {
+  // Every option key set away from its default must survive the trip.
   WireRequest R;
   R.Op = WireOp::Run;
   R.Id = 42;
   R.Name = "t.fls";
   R.Source = TinyProgram;
-  R.Fn = "main";
+  R.Fn = "entry";
   R.Args = {1, -2};
-  R.Oracle = false;
-  R.Workers = 3;
-  R.Stats = true;
+  R.Pipeline.UseOracle = false;
+  R.Pipeline.Interprocedural = false;
+  R.Pipeline.Checks = false;
+  R.Pipeline.Elide = false;
+  R.Run.Seed = 7;
+  R.Run.Stats = true;
+  R.Run.Metrics = true;
+  R.Run.Workers = 3;
+  R.Run.SchedSeed = 11;
+  R.Analyze.Json = true;
+  R.Analyze.DumpSummaries = true;
+  R.Analyze.Werror = true;
   Expected<WireRequest> Back = decodeRequest(encodeRequest(R));
   ASSERT_TRUE(Back.hasValue());
   EXPECT_EQ(Back->Op, WireOp::Run);
   EXPECT_EQ(Back->Id, 42);
+  EXPECT_EQ(Back->Name, "t.fls");
   EXPECT_EQ(Back->Source, TinyProgram);
-  EXPECT_EQ(Back->Fn, "main");
+  EXPECT_EQ(Back->Fn, "entry");
   EXPECT_EQ(Back->Args, (std::vector<int64_t>{1, -2}));
-  EXPECT_FALSE(Back->Oracle);
-  EXPECT_EQ(Back->Workers, 3);
-  EXPECT_TRUE(Back->Stats);
+  EXPECT_FALSE(Back->Pipeline.UseOracle);
+  EXPECT_FALSE(Back->Pipeline.Interprocedural);
+  EXPECT_FALSE(Back->Pipeline.Checks);
+  EXPECT_FALSE(Back->Pipeline.Elide);
+  EXPECT_EQ(Back->Run.Seed, 7u);
+  EXPECT_TRUE(Back->Run.Stats);
+  EXPECT_TRUE(Back->Run.Metrics);
+  EXPECT_EQ(Back->Run.Workers, std::optional<size_t>(3));
+  EXPECT_EQ(Back->Run.SchedSeed, 11u);
+  EXPECT_TRUE(Back->Analyze.Json);
+  EXPECT_TRUE(Back->Analyze.DumpSummaries);
+  EXPECT_TRUE(Back->Analyze.Werror);
+
+  // Worker count 0 (the auto-sized pool) is distinct from "no pool".
+  R.Run.Workers = 0;
+  Back = decodeRequest(encodeRequest(R));
+  ASSERT_TRUE(Back.hasValue());
+  EXPECT_EQ(Back->Run.Workers, std::optional<size_t>(0));
+}
+
+TEST(Wire, DefaultRequestEncodingIsPinned) {
+  // The exact bytes a default request encodes to: the wire keys, their
+  // order and their defaults are the protocol (docs/SERVER.md).
+  EXPECT_EQ(encodeRequest(WireRequest()),
+            "{\"v\":\"fearless-wire-v1\",\"op\":\"check\",\"name\":\"\","
+            "\"options\":{\"oracle\":true,\"interprocedural\":true,"
+            "\"checks\":true,\"elide\":true,\"seed\":0,\"stats\":false,"
+            "\"metrics\":false,\"workers\":-1,\"sched_seed\":0,"
+            "\"json\":false,\"summaries\":false,\"werror\":false}}");
+  // A request without an options object decodes to the same defaults.
+  Expected<WireRequest> Bare = decodeRequest(
+      "{\"v\":\"fearless-wire-v1\",\"op\":\"check\",\"source\":\"x\"}");
+  ASSERT_TRUE(Bare.hasValue());
+  Bare->Name.clear();
+  Bare->Source.clear();
+  EXPECT_EQ(encodeRequest(*Bare), encodeRequest(WireRequest()));
 }
 
 //===----------------------------------------------------------------------===//
@@ -324,6 +368,14 @@ WireRequest runRequest(const char *Source, int64_t Id = 1) {
   return R;
 }
 
+/// What `fearlessc` does without --daemon: serves \p R over a fresh
+/// build.
+RequestOutcome serveStandalone(const Request &R) {
+  return serveRequest(R, [&](const PipelineOptions &PO) {
+    return buildArtifact(R.Source, PO);
+  });
+}
+
 //===----------------------------------------------------------------------===//
 // Protocol abuse over a real socket
 //===----------------------------------------------------------------------===//
@@ -410,19 +462,19 @@ TEST_F(ServerTest, CheckHitIsBitIdenticalToMissAndStandalone) {
   EXPECT_EQ(Miss->Err, Hit->Err);
   EXPECT_EQ(Miss->Exit, Hit->Exit);
 
-  // The standalone pipeline (what `fearlessc check` prints) must agree
-  // byte for byte — it is the same code path, and this pins that.
-  PipelineOptions PO; // wire defaults == CLI defaults
-  auto A = buildArtifact(ListProgram, PO);
-  ASSERT_TRUE(A.hasValue());
-  EXPECT_EQ(Miss->Out, renderCheckOutput(**A, "test.fls", false));
+  // The standalone path (what `fearlessc check` prints) must agree byte
+  // for byte — it is the same code path, and this pins that.
+  RequestOutcome O = serveStandalone(checkRequest(ListProgram));
+  EXPECT_EQ(O.Exit, Miss->Exit);
+  EXPECT_EQ(O.Out, Miss->Out);
+  EXPECT_EQ(O.Err, Miss->Err);
 }
 
 TEST_F(ServerTest, RunIsBitIdenticalToStandaloneArtifactRun) {
   startServerAt({});
   WireClient C = connectClient();
   WireRequest Req = runRequest(ListProgram);
-  Req.Stats = true;
+  Req.Run.Stats = true;
   Expected<WireResponse> Cold = C.request(Req);
   Expected<WireResponse> Warm = C.request(Req);
   ASSERT_TRUE(Cold.hasValue());
@@ -432,13 +484,7 @@ TEST_F(ServerTest, RunIsBitIdenticalToStandaloneArtifactRun) {
   EXPECT_TRUE(Warm->Cached);
   EXPECT_EQ(Cold->Out, Warm->Out);
 
-  PipelineOptions PO;
-  auto A = buildArtifact(ListProgram, PO);
-  ASSERT_TRUE(A.hasValue());
-  RunSpec Spec;
-  Spec.Fn = "main";
-  Spec.Stats = true;
-  RunOutcome O = runArtifact(**A, Spec);
+  RequestOutcome O = serveStandalone(Req);
   EXPECT_EQ(O.Exit, Cold->Exit);
   EXPECT_EQ(O.Out, Cold->Out);
   EXPECT_EQ(O.Err, Cold->Err);

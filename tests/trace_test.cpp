@@ -22,10 +22,6 @@
 //    step for step;
 //  - an unwritable output path fails cleanly with a rendered error.
 //
-// Event-presence expectations are guarded on FEARLESS_TRACING_ENABLED so
-// the suite also passes in a -DFEARLESS_TRACE=OFF build, where the same
-// API must still produce valid (empty) traces.
-//
 //===----------------------------------------------------------------------===//
 
 #include <atomic>
@@ -395,8 +391,6 @@ size_t distinctTids(const Json &Doc) {
 // Ring semantics.
 //===----------------------------------------------------------------------===//
 
-#if FEARLESS_TRACING_ENABLED
-
 TEST(TraceRing, WraparoundKeepsNewestWindow) {
   TraceConfig Config;
   Config.BufferCapacity = 8;
@@ -457,8 +451,6 @@ TEST(TraceAlloc, RecordAndSpanAreAllocationFree) {
       << "trace record hot path allocated";
 }
 
-#endif // FEARLESS_TRACING_ENABLED
-
 TEST(TraceAlloc, NullBufferSpanIsAllocationFree) {
   // The runtime-disabled path every instrumented site takes when tracing
   // is off: must be free in both senses.
@@ -492,7 +484,6 @@ TEST(TraceExport, MachineTraceIsValidChromeJson) {
 
   Json Doc;
   validateChromeTrace(Trace.toChromeJson(), Doc);
-#if FEARLESS_TRACING_ENABLED
   // Machine control buffer + both language threads contribute.
   EXPECT_GE(distinctTids(Doc), 2u);
   EXPECT_TRUE(hasEvent(Doc, "machine.run"));
@@ -502,9 +493,6 @@ TEST(TraceExport, MachineTraceIsValidChromeJson) {
   EXPECT_TRUE(hasEvent(Doc, "send.wait"));
   EXPECT_TRUE(hasEvent(Doc, "recv.wait"));
   EXPECT_TRUE(hasEvent(Doc, "send.transfer"));
-#else
-  EXPECT_EQ(Doc.at("traceEvents").Elems.size(), 0u);
-#endif
 }
 
 TEST(TraceExport, ParallelMergeIsValidJsonAcrossThreads) {
@@ -523,7 +511,6 @@ TEST(TraceExport, ParallelMergeIsValidJsonAcrossThreads) {
   // buffers written concurrently by real OS threads.
   Json Doc;
   validateChromeTrace(Trace.toChromeJson(), Doc);
-#if FEARLESS_TRACING_ENABLED
   EXPECT_GE(Trace.bufferCount(), 4u); // executor + 2 workers + channels
   EXPECT_GE(distinctTids(Doc), 3u);
   EXPECT_TRUE(hasEvent(Doc, "exec.run"));
@@ -532,10 +519,7 @@ TEST(TraceExport, ParallelMergeIsValidJsonAcrossThreads) {
   EXPECT_TRUE(hasEvent(Doc, "chan.recv"));
   EXPECT_TRUE(hasEvent(Doc, "channels.closed"));
   EXPECT_TRUE(hasEvent(Doc, "finished"));
-#endif
 }
-
-#if FEARLESS_TRACING_ENABLED
 
 TEST(TraceExport, PoolStartsNoMoreWorkersThanTasks) {
   // Tasks never spawn tasks, so a worker past the task count could never
@@ -610,8 +594,6 @@ def detach(unused : int) : int {
   EXPECT_TRUE(hasEvent(Traversed, "disconnect.traverse"));
   EXPECT_FALSE(hasEvent(Traversed, "disconnect.elided"));
 }
-
-#endif // FEARLESS_TRACING_ENABLED
 
 //===----------------------------------------------------------------------===//
 // Tracing is an observer: results and step counts are unchanged.

@@ -51,6 +51,10 @@ Checks, failing with a nonzero exit on the first class of drift found:
     the flag scan of check 3 plus the GLOSSARY link rule of check 10.
     The mc counters (mc_schedules_explored etc.) are covered by checks
     1-2 like any other RuntimeMetrics registration.
+12. The wire option keys: every key src/server/Wire.cpp's decodeRequest
+    reads from a request's `options` object appears in the `options`
+    block of docs/SERVER.md's request-schema example, and every key
+    listed there is read by the codec.
 
 Run from anywhere: paths are resolved relative to the repo root. Wired
 into tools/ci.sh; `--self-test` exercises the extraction logic against
@@ -109,6 +113,16 @@ FAULT_ROW_RE = re.compile(r"^\|\s*`([a-z.]+)`", re.MULTILINE)
 # src/server/Wire.cpp (the `op` field values of fearless-wire-v1).
 OP_NAMES_RE = re.compile(r"OpNames\[NumWireOps\]\s*=\s*\{(.*?)\}", re.DOTALL)
 OP_LITERAL_RE = re.compile(r'"([a-z_]+)"')
+
+# The option keys the wire codec reads: the `Opts->getBool("oracle", ...)`
+# calls of decodeRequest in src/server/Wire.cpp.
+OPTION_READ_RE = re.compile(r'Opts->get[A-Za-z]+\("([a-z_]+)"')
+
+# The documented option keys: the keys of the `"options": {...}` object in
+# the request-schema example of docs/SERVER.md.
+REQUEST_SCHEMA_HEADING = "### Request schema"
+OPTIONS_BLOCK_RE = re.compile(r'"options":\s*\{(.*?)\}', re.DOTALL)
+OPTION_KEY_RE = re.compile(r'"([a-z_]+)"\s*:')
 
 # The four server-side RuntimeMetrics registrations; docs/SERVER.md must
 # name each one (their glossary rows are checks 1-2's job).
@@ -171,6 +185,18 @@ def extract_wire_ops(wire_src: str) -> set:
     return set(OP_LITERAL_RE.findall(m.group(1)))
 
 
+def extract_codec_option_keys(wire_src: str) -> set:
+    return set(OPTION_READ_RE.findall(wire_src))
+
+
+def extract_documented_option_keys(doc: str) -> set:
+    start = doc.find(REQUEST_SCHEMA_HEADING)
+    if start < 0:
+        return set()
+    m = OPTIONS_BLOCK_RE.search(doc, start)
+    return set(OPTION_KEY_RE.findall(m.group(1))) if m else set()
+
+
 def self_test() -> int:
     metrics = 'Fn("steps", Steps);\n  Fn("wall_micros", WallMicros);'
     assert extract_counters(metrics) == {"steps", "wall_micros"}
@@ -218,6 +244,29 @@ def self_test() -> int:
         "shutdown",
     }
     assert extract_wire_ops("no ops here") == set()
+
+    codec = (
+        '    PO.UseOracle = Opts->getBool("oracle", PO.UseOracle);\n'
+        '    if (int64_t W = Opts->getInt("workers", -1); W >= 0)\n'
+        '  R.Fn = Doc->getString("fn", "main");\n'
+        '  Opts.set("encoder_only", true);\n'
+    )
+    assert extract_codec_option_keys(codec) == {"oracle", "workers"}
+    schema_doc = (
+        '"options": {"ignored": true}\n'
+        "### Request schema\n"
+        "```json\n"
+        '{\n  "v": "fearless-wire-v1",\n'
+        '  "options": {\n    "oracle": true, "workers": -1,\n'
+        '    "sched_seed": 0\n  }\n}\n```\n'
+        '"options": {"later": true}\n'
+    )
+    assert extract_documented_option_keys(schema_doc) == {
+        "oracle",
+        "workers",
+        "sched_seed",
+    }
+    assert extract_documented_option_keys("no schema here") == set()
 
     injector = (
         "static constexpr const char *PointNames[NumFaultPoints] = {\n"
@@ -415,6 +464,32 @@ def main() -> int:
             )
             failures += 1
 
+    # 12: the wire option keys, both directions.
+    wire_src = WIRE_CPP.read_text()
+    codec_keys = extract_codec_option_keys(wire_src)
+    doc_keys = extract_documented_option_keys(server_doc)
+    if not codec_keys or not doc_keys:
+        print(
+            "check_docs: could not extract the wire option keys from "
+            "src/server/Wire.cpp or docs/SERVER.md's request schema",
+            file=sys.stderr,
+        )
+        failures += 1
+    for key in sorted(codec_keys - doc_keys):
+        print(
+            f"check_docs: the wire codec reads option '{key}' but "
+            f"docs/SERVER.md's request schema does not list it",
+            file=sys.stderr,
+        )
+        failures += 1
+    for key in sorted(doc_keys - codec_keys):
+        print(
+            f"check_docs: docs/SERVER.md's request schema lists option "
+            f"'{key}' which src/server/Wire.cpp never reads",
+            file=sys.stderr,
+        )
+        failures += 1
+
     daemon_flags = extract_accepted_flags(FEARLESSD_CPP.read_text())
     if not daemon_flags:
         print(
@@ -483,8 +558,8 @@ def main() -> int:
         f"check_docs: OK ({len(counters)} counters documented, "
         f"{len(accepted)} CLI flags consistent, "
         f"{len(points)} fault points documented, "
-        f"{len(ops)} wire ops and {len(daemon_flags)} fearlessd flags "
-        f"documented)"
+        f"{len(ops)} wire ops, {len(codec_keys)} wire option keys and "
+        f"{len(daemon_flags)} fearlessd flags documented)"
     )
     return 0
 

@@ -208,33 +208,49 @@ run_server_smoke() {
     exit 1
   fi
 
-  local f base cmd s_exit d_exit s_out d_out
+  # Each command twice through the daemon: the first populates the
+  # derivation cache, the second must hit it — and both must be
+  # byte-identical to the standalone run (stdout, stderr and exit code).
+  srv_compare() {
+    local label="$1" s_exit=0 d_exit pass
+    shift
+    "$fc" "$@" >"$dir/ci_srv_s.out" 2>"$dir/ci_srv_s.err" || s_exit=$?
+    for pass in cold warm; do
+      d_exit=0
+      "$fc" --daemon "$sock" "$@" >"$dir/ci_srv_d.out" \
+        2>"$dir/ci_srv_d.err" || d_exit=$?
+      if [[ "$s_exit" != "$d_exit" ]] ||
+         ! cmp -s "$dir/ci_srv_s.out" "$dir/ci_srv_d.out" ||
+         ! cmp -s "$dir/ci_srv_s.err" "$dir/ci_srv_d.err"; then
+        echo "==> [$name] FAIL: daemon/standalone divergence on" \
+             "'$label' ($pass): exit $s_exit vs $d_exit" >&2
+        kill "$fd_pid" 2>/dev/null || true
+        exit 1
+      fi
+    done
+    echo "    $label: exit $s_exit, cold == warm == standalone"
+  }
+  # Every option the wire carries, on every example.
+  local -a variants=(
+    "check" "check --no-oracle" "check --no-checks" "check --no-elide"
+    "check --interprocedural=off"
+    "run" "run --no-oracle" "run --no-checks" "run --no-elide"
+    "run --interprocedural=off" "run --workers 2"
+    "analyze --json --summaries"
+  )
+  local f variant
+  local -a words argv
   for f in "$ROOT"/examples/*.fls; do
-    base="$(basename "$f")"
-    # Each command twice through the daemon: the first populates the
-    # derivation cache, the second must hit it — and both must be
-    # byte-identical to the standalone run (exit code included).
-    for cmd in "check" "run"; do
-      local -a argv=("$cmd" "$f")
-      [[ "$cmd" == run ]] && argv+=(main)
-      s_exit=0
-      s_out="$("$fc" "${argv[@]}" 2>"$dir/ci_srv_s.err")" || s_exit=$?
-      local pass
-      for pass in cold warm; do
-        d_exit=0
-        d_out="$("$fc" --daemon "$sock" "${argv[@]}" \
-                 2>"$dir/ci_srv_d.err")" || d_exit=$?
-        if [[ "$s_exit" != "$d_exit" || "$s_out" != "$d_out" ]] ||
-           ! cmp -s "$dir/ci_srv_s.err" "$dir/ci_srv_d.err"; then
-          echo "==> [$name] FAIL: daemon/standalone divergence on" \
-               "'$cmd $base' ($pass): exit $s_exit vs $d_exit" >&2
-          kill "$fd_pid" 2>/dev/null || true
-          exit 1
-        fi
-      done
-      echo "    $cmd $base: exit $s_exit, cold == warm == standalone"
+    for variant in "${variants[@]}"; do
+      read -r -a words <<<"$variant"
+      argv=("${words[0]}" "$f")
+      [[ "${words[0]}" == run ]] && argv+=(main)
+      argv+=("${words[@]:1}")
+      srv_compare "$variant $(basename "$f")" "${argv[@]}"
     done
   done
+  srv_compare "analyze --werror use_after_consumes.fls" \
+    analyze --werror "$ROOT/tests/fixtures/use_after_consumes.fls"
 
   "$fc" --daemon "$sock" metrics >"$dir/ci_srv_metrics.json"
   python3 - "$dir/ci_srv_metrics.json" <<'PYEOF'
@@ -540,17 +556,5 @@ echo "==> [asan] checker-side and runtime unit tests"
 run_corpus_smoke "asan" "$ROOT/build-asan"
 run_depth_smoke "asan" "$ROOT/build-asan"
 run_long_block_smoke "asan" "$ROOT/build-asan"
-
-# Compile-out pass: the tracing layer must build with FEARLESS_TRACE=OFF
-# (stub API) and the trace suite must still pass (it guards its
-# event-presence expectations on FEARLESS_TRACING_ENABLED). The CLI must
-# still emit a valid — empty — trace.
-echo "==> [notrace] configure + build (FEARLESS_TRACE=OFF)"
-cmake -B "$ROOT/build-notrace" -S "$ROOT" -DFEARLESS_TRACE=OFF >/dev/null
-cmake --build "$ROOT/build-notrace" -j "$JOBS" \
-  --target trace_test fearlessc
-echo "==> [notrace] trace_test"
-"$ROOT/build-notrace/tests/trace_test"
-run_trace_smoke "notrace" "$ROOT/build-notrace"
 
 echo "==> all passes green"

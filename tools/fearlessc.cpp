@@ -30,11 +30,13 @@
 //   fearlessc metrics                   (--daemon only) daemon metrics
 //   fearlessc shutdown                  (--daemon only) drain the daemon
 //
-// The check/run pipeline itself lives in driver/CompilePipeline.h; this
-// file is argument parsing plus printing. With --daemon SOCKET the same
-// commands are served by a fearlessd instance over fearless-wire-v1
-// (docs/SERVER.md) with bit-identical output — warm submissions skip
-// parse/check/analyze/compile via the daemon's derivation cache.
+// The pipeline and the request handler live in driver/CompilePipeline.h;
+// this file is argument parsing plus printing. check, analyze and run
+// become one Request value, served here by serveRequest or, with
+// --daemon SOCKET, sent to a fearlessd instance over fearless-wire-v1
+// (docs/SERVER.md), which serves it with the same handler: the output is
+// bit-identical, and warm submissions skip parse/check/analyze/compile
+// via the daemon's derivation cache.
 //
 // Options: --interprocedural[=on|off] (bottom-up function summaries at
 // call sites, on by default; off restores pure signature havoc), --json
@@ -96,8 +98,6 @@ namespace {
 // Exit codes (documented in docs/OBSERVABILITY.md, "Exit codes").
 constexpr int ExitError = 1;        // generic / infrastructure
 constexpr int ExitUsage = 2;        // bad invocation (incl. bad --faults)
-constexpr int ExitParse = 3;        // syntax error
-constexpr int ExitRuntimeFault = 5; // runtime trap or injected fault
 constexpr int ExitCounterexample = 7; // mc found a property violation
 
 /// Maps a pipeline diagnostic to the CLI exit code for its stage.
@@ -172,36 +172,16 @@ Expected<std::string> readFile(const char *Path) {
   return OS.str();
 }
 
+/// Everything argv sets: the request value (op, file, entry call and
+/// every option fearlessd serves as well) plus what only runs locally.
 struct Options {
-  bool UseOracle = true;
-  bool Checks = true;
-  bool Elide = true;
-  bool Stats = false;
-  bool Metrics = false;
+  server::WireRequest Req;
   /// Chrome trace_event output path (empty = tracing off). Composes
   /// with --metrics: the trace goes to this file, metrics to stdout.
   std::string TracePath;
   /// Fault-injection spec from --faults (see support/FaultInjector.h);
-  /// empty = fall back to the FEARLESS_FAULTS env var, then disabled.
-  std::string FaultSpec;
-  bool FaultSpecSet = false;
-  uint64_t Seed = 0;
-  /// --workers: run on ParallelExec's M:N task scheduler instead of the
-  /// deterministic abstract machine. 0 = auto-sized pool.
-  size_t Workers = 0;
-  bool WorkersSet = false;
-  /// --sched-seed: scheduling-decision seed for --workers runs.
-  uint64_t SchedSeed = 0;
-  /// --interprocedural[=on|off]: bottom-up function summaries at call
-  /// sites (default on; off = pure signature havoc).
-  bool Interprocedural = true;
-  /// --json: machine-readable analyze output.
-  bool Json = false;
-  /// --summaries: append the per-function summary dump to the report.
-  bool DumpSummaries = false;
-  /// --werror: lint diagnostics make `analyze` exit with the check
-  /// error code.
-  bool Werror = false;
+  /// unset = fall back to the FEARLESS_FAULTS env var, then disabled.
+  std::optional<std::string> FaultSpec;
   /// --daemon: fearlessd socket path; empty = standalone execution.
   std::string DaemonSocket;
   /// --spawn SPEC (repeatable): extra root threads for the deterministic
@@ -296,34 +276,42 @@ bool parseSpawnSpec(const std::string &Spec,
 }
 
 /// Resolves the effective fault plan: --faults wins, then the
-/// FEARLESS_FAULTS env var, then none. A malformed spec is a usage
-/// error, diagnosed by the caller via the error channel.
-Expected<std::optional<FaultPlan>> resolveFaultPlan(const Options &Opts) {
-  std::string FaultSpec = Opts.FaultSpec;
-  if (!Opts.FaultSpecSet) {
+/// FEARLESS_FAULTS env var, then none. A malformed spec is an invocation
+/// error: printed here, and the caller exits 2 before any work.
+bool resolveFaultPlan(const Options &Opts, std::optional<FaultPlan> &Out) {
+  std::string Spec = Opts.FaultSpec.value_or("");
+  if (!Opts.FaultSpec)
     if (const char *Env = std::getenv("FEARLESS_FAULTS"))
-      FaultSpec = Env;
+      Spec = Env;
+  if (Spec.empty())
+    return true;
+  Expected<FaultPlan> Plan = parseFaultSpec(Spec);
+  if (!Plan) {
+    std::fprintf(stderr, "fearlessc: bad fault spec: %s\n",
+                 Plan.error().Message.c_str());
+    return false;
   }
-  if (FaultSpec.empty())
-    return std::optional<FaultPlan>();
-  Expected<FaultPlan> Plan = parseFaultSpec(FaultSpec);
-  if (!Plan)
-    return Plan.takeFailure();
-  return std::optional<FaultPlan>(*Plan);
+  Out = *Plan;
+  return true;
 }
 
-/// The artifact-level option subset (the derivation-cache key side).
-/// Must mirror the daemon's mapping in Server::handleRequest so a
-/// standalone run and a daemon run of the same invocation build the
-/// same artifact.
-PipelineOptions pipelineOptions(const Options &Opts) {
-  PipelineOptions PO;
-  PO.UseOracle = Opts.UseOracle;
-  PO.Interprocedural = Opts.Interprocedural;
-  PO.Checks = Opts.Checks;
-  PO.Elide = Opts.Elide;
-  PO.EmitChecks = Opts.Checks && !Opts.WorkersSet;
-  return PO;
+using SpawnList = std::vector<std::pair<std::string, std::vector<int64_t>>>;
+
+/// Parses every --spawn spec into \p Out; prints the usage error for the
+/// first malformed one.
+bool parseSpawns(const Options &Opts, SpawnList &Out) {
+  for (const std::string &Spec : Opts.SpawnSpecs) {
+    std::pair<std::string, std::vector<int64_t>> S;
+    if (!parseSpawnSpec(Spec, S)) {
+      std::fprintf(stderr,
+                   "fearlessc: bad --spawn spec '%s' (expected FN or "
+                   "FN:int,int,...)\n",
+                   Spec.c_str());
+      return false;
+    }
+    Out.push_back(std::move(S));
+  }
+  return true;
 }
 
 Expected<Pipeline> compileFile(const char *Path, const Options &Opts) {
@@ -331,57 +319,8 @@ Expected<Pipeline> compileFile(const char *Path, const Options &Opts) {
   if (!Source)
     return Source.takeFailure();
   CheckerOptions CO;
-  CO.UseLivenessOracle = Opts.UseOracle;
+  CO.UseLivenessOracle = Opts.Req.Pipeline.UseOracle;
   return compile(*Source, CO);
-}
-
-int cmdCheck(const char *Path, const Options &Opts) {
-  Expected<std::string> Source = readFile(Path);
-  if (!Source) {
-    std::fprintf(stderr, "%s\n", Source.error().render().c_str());
-    return exitCodeFor(Source.error());
-  }
-  Expected<std::shared_ptr<const CompiledArtifact>> A =
-      buildArtifact(*Source, pipelineOptions(Opts));
-  if (!A) {
-    std::fprintf(stderr, "%s\n", A.error().render().c_str());
-    return exitCodeFor(A.error());
-  }
-  std::fputs(renderCheckOutput(**A, Path, Opts.Stats).c_str(), stdout);
-  return 0;
-}
-
-int analyzeOne(std::string_view Source, const char *Name,
-               const Options &Opts) {
-  SourceAnalysisOptions AO;
-  AO.Interprocedural = Opts.Interprocedural;
-  AO.DumpSummaries = Opts.DumpSummaries;
-  AO.Json = Opts.Json;
-  SourceAnalysis A = analyzeSourceText(Source, Name, AO);
-  std::fputs(A.Rendered.c_str(), stdout);
-  if (A.HardError)
-    return ExitParse;
-  if (Opts.Werror && A.LintDiags > 0) {
-    // Lints are check-stage findings, so --werror exits with the
-    // check-stage code — scripts can distinguish "region misuse" from
-    // infrastructure failures without parsing messages.
-    Diagnostic D;
-    D.Stage = DiagnosticStage::Check;
-    std::fprintf(stderr,
-                 "fearlessc: error: %zu lint diagnostic(s) with --werror\n",
-                 A.LintDiags);
-    return exitCodeFor(D);
-  }
-  return 0;
-}
-
-int cmdAnalyze(const char *Path, const Options &Opts) {
-  Expected<std::string> Source = readFile(Path);
-  if (!Source) {
-    std::fprintf(stderr, "%s\n", Source.error().render().c_str());
-    return 1;
-  }
-  return analyzeOne(*Source, Path, Opts);
 }
 
 /// The embedded sample programs, keyed by CLI name. Function-local
@@ -401,135 +340,12 @@ embeddedSamples() {
   return Samples;
 }
 
-int cmdAnalyzeSamples(const Options &Opts) {
-  int Rc = 0;
-  for (const auto &[Name, Source] : embeddedSamples())
-    Rc |= analyzeOne(Source, Name, Opts);
-  return Rc;
-}
-
-int cmdRun(const char *Path, const char *Fn,
-           const std::vector<int64_t> &Args, const Options &Opts) {
-  // Fault injection: --faults wins; the FEARLESS_FAULTS env var is the
-  // hook for harnesses that cannot edit the command line. A malformed
-  // spec is an invocation error (exit 2), reported before any work.
-  Expected<std::optional<FaultPlan>> Plan = resolveFaultPlan(Opts);
-  if (!Plan) {
-    std::fprintf(stderr, "fearlessc: bad fault spec: %s\n",
-                 Plan.error().Message.c_str());
-    return ExitUsage;
-  }
-  std::unique_ptr<FaultInjector> Faults;
-  if (*Plan)
-    Faults = std::make_unique<FaultInjector>(**Plan);
-
-  // --spawn / --schedule: resolved up front so a malformed spec or an
-  // unreadable/corrupt schedule file is a clean error before any work.
-  std::vector<std::pair<std::string, std::vector<int64_t>>> Spawns;
-  for (const std::string &Spec : Opts.SpawnSpecs) {
-    std::pair<std::string, std::vector<int64_t>> S;
-    if (!parseSpawnSpec(Spec, S)) {
-      std::fprintf(stderr,
-                   "fearlessc: bad --spawn spec '%s' (expected FN or "
-                   "FN:int,int,...)\n",
-                   Spec.c_str());
-      return ExitUsage;
-    }
-    Spawns.push_back(std::move(S));
-  }
-  std::optional<mc::Schedule> Sched;
-  if (!Opts.SchedulePath.empty()) {
-    Expected<mc::Schedule> S = mc::Schedule::loadFile(Opts.SchedulePath);
-    if (!S) {
-      std::fprintf(stderr, "fearlessc: %s\n", S.error().Message.c_str());
-      return ExitUsage;
-    }
-    Sched.emplace(S.take());
-  }
-
-  Expected<std::string> Source = readFile(Path);
-  if (!Source) {
-    std::fprintf(stderr, "%s\n", Source.error().render().c_str());
-    return exitCodeFor(Source.error());
-  }
-
-  // Tracing: probe the sink *before* the run so an unwritable path is a
-  // clean up-front error, not a lost trace after minutes of execution.
-  TraceSession Trace;
-  bool UseTrace = !Opts.TracePath.empty();
-  if (UseTrace) {
-    std::ofstream Probe(Opts.TracePath, std::ios::app);
-    if (!Probe) {
-      std::fprintf(stderr,
-                   "fearlessc: cannot open trace output '%s' for "
-                   "writing\n",
-                   Opts.TracePath.c_str());
-      return 1;
-    }
-#if !FEARLESS_TRACING_ENABLED
-    std::fprintf(stderr,
-                 "fearlessc: warning: tracing is compiled out "
-                 "(FEARLESS_TRACE=OFF); '%s' will hold an empty trace\n",
-                 Opts.TracePath.c_str());
-#endif
-  }
-
-  Expected<std::shared_ptr<const CompiledArtifact>> A = buildArtifact(
-      *Source, pipelineOptions(Opts), UseTrace ? &Trace : nullptr);
-  if (!A) {
-    std::fprintf(stderr, "%s\n", A.error().render().c_str());
-    return exitCodeFor(A.error());
-  }
-
-  RunSpec Spec;
-  Spec.Fn = Fn;
-  Spec.Args = Args;
-  Spec.Seed = Opts.Seed;
-  Spec.Workers = Opts.Workers;
-  Spec.WorkersSet = Opts.WorkersSet;
-  Spec.SchedSeed = Opts.SchedSeed;
-  Spec.Stats = Opts.Stats;
-  Spec.Metrics = Opts.Metrics;
-  Spec.Faults = Faults.get();
-  Spec.Trace = UseTrace ? &Trace : nullptr;
-  Spec.Spawns = std::move(Spawns);
-  Spec.Schedule = Sched ? &*Sched : nullptr;
-  RunOutcome O = runArtifact(**A, Spec);
-
-  // Write whatever was traced even when the run fails — a trace of the
-  // failing run is exactly what the flag is for.
-  if (UseTrace) {
-    std::string TraceError;
-    if (!Trace.writeChromeJson(Opts.TracePath, TraceError)) {
-      std::fprintf(stderr, "fearlessc: %s\n", TraceError.c_str());
-      return ExitError;
-    }
-  }
-  std::fputs(O.Out.c_str(), stdout);
-  std::fputs(O.Err.c_str(), stderr);
-  return O.Exit;
-}
-
 int cmdMc(const char *Path, const char *Fn,
           const std::vector<int64_t> &Args, const Options &Opts) {
-  Expected<std::optional<FaultPlan>> Plan = resolveFaultPlan(Opts);
-  if (!Plan) {
-    std::fprintf(stderr, "fearlessc: bad fault spec: %s\n",
-                 Plan.error().Message.c_str());
+  std::optional<FaultPlan> Plan;
+  SpawnList Spawns;
+  if (!resolveFaultPlan(Opts, Plan) || !parseSpawns(Opts, Spawns))
     return ExitUsage;
-  }
-  std::vector<std::pair<std::string, std::vector<int64_t>>> Spawns;
-  for (const std::string &Spec : Opts.SpawnSpecs) {
-    std::pair<std::string, std::vector<int64_t>> S;
-    if (!parseSpawnSpec(Spec, S)) {
-      std::fprintf(stderr,
-                   "fearlessc: bad --spawn spec '%s' (expected FN or "
-                   "FN:int,int,...)\n",
-                   Spec.c_str());
-      return ExitUsage;
-    }
-    Spawns.push_back(std::move(S));
-  }
 
   Expected<std::string> Source = readFile(Path);
   if (!Source) {
@@ -540,12 +356,12 @@ int cmdMc(const char *Path, const char *Fn,
   // --mc-checks=off composes with the user's --no-checks: exploration
   // runs with dynamic reservation checks erased, while the §6 invariant
   // validator below still machine-checks every intermediate state —
-  // that asymmetry is the erasure-soundness gate.
-  bool EffChecks = Opts.Checks && Opts.McChecksOn;
-  Options ArtifactOpts = Opts;
-  ArtifactOpts.Checks = EffChecks;
-  Expected<std::shared_ptr<const CompiledArtifact>> A =
-      buildArtifact(*Source, pipelineOptions(ArtifactOpts));
+  // that asymmetry is the erasure-soundness gate. The artifact is built
+  // for the deterministic machine mc explores, whatever --workers says.
+  PipelineOptions PO = Opts.Req.Pipeline;
+  bool EffChecks = PO.Checks && Opts.McChecksOn;
+  PO.Checks = EffChecks;
+  ArtifactResult A = buildArtifact(*Source, artifactOptions(PO, {}));
   if (!A) {
     std::fprintf(stderr, "%s\n", A.error().render().c_str());
     return exitCodeFor(A.error());
@@ -576,12 +392,12 @@ int cmdMc(const char *Path, const char *Fn,
   // state, exactly like the heap.
   std::unique_ptr<FaultInjector> InjSlot;
   mc::MachineFactory Factory = [&]() {
-    if (*Plan)
-      InjSlot = std::make_unique<FaultInjector>(**Plan);
+    if (Plan)
+      InjSlot = std::make_unique<FaultInjector>(*Plan);
     MachineOptions MO;
     MO.CheckReservations = EffChecks;
     MO.StaticVerdicts = &Art.Verdicts;
-    MO.ElideDisconnect = Opts.Elide;
+    MO.ElideDisconnect = PO.Elide;
     MO.Faults = InjSlot.get();
     if (Art.VmCode)
       MO.VmCode = &*Art.VmCode;
@@ -608,7 +424,7 @@ int cmdMc(const char *Path, const char *Fn,
   MO.UseDpor = Opts.McDpor;
   // An injected fault may legally kill one interleaving and not another,
   // so result divergence is only a violation in fault-free exploration.
-  MO.CheckDivergence = !*Plan;
+  MO.CheckDivergence = !Plan;
 
   // Tracing: one mc.run span covering the whole exploration (the
   // per-execution machines run untraced — thousands of executions would
@@ -633,15 +449,15 @@ int cmdMc(const char *Path, const char *Fn,
     return ExitError;
   }
 
-  if (Opts.Metrics) {
+  if (Opts.Req.Run.Metrics) {
     RuntimeMetrics M;
     M.McSchedulesExplored = Rep->SchedulesExplored;
     M.McSchedulesPruned = Rep->SchedulesPruned;
     M.McStatesFingerprinted = Rep->StatesFingerprinted;
     M.Steps = Rep->StepsExecuted;
-    M.AnalysisMustDisconnected = Art.MustDisconnectedSites;
-    M.AnalysisMustConnected = Art.MustConnectedSites;
-    M.AnalysisUnknown = Art.UnknownSites;
+    M.AnalysisMustDisconnected = Art.Split.MustDisconnected;
+    M.AnalysisMustConnected = Art.Split.MustConnected;
+    M.AnalysisUnknown = Art.Split.Unknown;
     std::printf("%s\n", M.toJson().c_str());
   }
 
@@ -658,8 +474,8 @@ int cmdMc(const char *Path, const char *Fn,
       Replay += " --spawn " + Spec;
     if (!EffChecks)
       Replay += " --no-checks";
-    if (Opts.FaultSpecSet)
-      Replay += " --faults " + Opts.FaultSpec;
+    if (Opts.FaultSpec)
+      Replay += " --faults " + *Opts.FaultSpec;
     Replay += " --schedule " + Out;
     size_t Pos = 0;
     while (Pos < CE.Reason.size()) {
@@ -711,12 +527,10 @@ int cmdDisasm(const char *Path, const Options &Opts) {
     std::fprintf(stderr, "%s\n", Source.error().render().c_str());
     return exitCodeFor(Source.error());
   }
-  PipelineOptions PO = pipelineOptions(Opts);
   // Disassembly always shows the bytecode with the checks --no-checks
   // controls, independent of --workers.
-  PO.EmitChecks = Opts.Checks;
-  Expected<std::shared_ptr<const CompiledArtifact>> A =
-      buildArtifact(*Source, PO);
+  ArtifactResult A =
+      buildArtifact(*Source, artifactOptions(Opts.Req.Pipeline, {}));
   if (!A) {
     std::fprintf(stderr, "%s\n", A.error().render().c_str());
     return exitCodeFor(A.error());
@@ -790,8 +604,76 @@ int cmdSample(const char *Name) {
 }
 
 //===----------------------------------------------------------------------===//
-// --daemon client mode
+// check, analyze and run: one request, served here or by fearlessd
 //===----------------------------------------------------------------------===//
+
+/// The local-only side of a `run`: --faults, --trace, --spawn and
+/// --schedule, resolved before the source is read so that a malformed
+/// spec, a corrupt schedule file or an unwritable trace path is a clean
+/// error before any work.
+struct LocalRun {
+  std::unique_ptr<FaultInjector> Faults;
+  TraceSession Trace;
+  std::optional<mc::Schedule> Sched;
+  LocalHooks Hooks;
+};
+
+/// Fills \p L from \p Opts; returns 0, or the exit code of the error it
+/// printed.
+int prepareLocalRun(const Options &Opts, LocalRun &L) {
+  std::optional<FaultPlan> Plan;
+  if (!resolveFaultPlan(Opts, Plan) || !parseSpawns(Opts, L.Hooks.Spawns))
+    return ExitUsage;
+  if (Plan) {
+    L.Faults = std::make_unique<FaultInjector>(*Plan);
+    L.Hooks.Faults = L.Faults.get();
+  }
+  if (!Opts.SchedulePath.empty()) {
+    Expected<mc::Schedule> S = mc::Schedule::loadFile(Opts.SchedulePath);
+    if (!S) {
+      std::fprintf(stderr, "fearlessc: %s\n", S.error().Message.c_str());
+      return ExitUsage;
+    }
+    L.Hooks.Schedule = &L.Sched.emplace(S.take());
+  }
+  if (!Opts.TracePath.empty()) {
+    if (!std::ofstream(Opts.TracePath, std::ios::app)) {
+      std::fprintf(stderr,
+                   "fearlessc: cannot open trace output '%s' for "
+                   "writing\n",
+                   Opts.TracePath.c_str());
+      return ExitError;
+    }
+    L.Hooks.Trace = &L.Trace;
+  }
+  return 0;
+}
+
+/// Serves \p Reqs in this process; exit codes are OR-ed.
+int serveLocally(const std::vector<server::WireRequest> &Reqs,
+                 const Options &Opts, const LocalRun &L) {
+  int Rc = 0;
+  for (const Request &R : Reqs) {
+    RequestOutcome O = serveRequest(
+        R,
+        [&](const PipelineOptions &PO) {
+          return buildArtifact(R.Source, PO, L.Hooks.Trace);
+        },
+        L.Hooks);
+    // Write whatever was traced even when the run fails — a trace of the
+    // failing run is exactly what the flag is for.
+    std::string TraceError;
+    if (L.Hooks.Trace &&
+        !L.Trace.writeChromeJson(Opts.TracePath, TraceError)) {
+      std::fprintf(stderr, "fearlessc: %s\n", TraceError.c_str());
+      return ExitError;
+    }
+    std::fputs(O.Out.c_str(), stdout);
+    std::fputs(O.Err.c_str(), stderr);
+    Rc |= O.Exit;
+  }
+  return Rc;
+}
 
 /// Prints a daemon response the way the standalone command would have:
 /// the exact stdout/stderr bytes, or a synthesized diagnostic for
@@ -808,120 +690,82 @@ int printResponse(const server::WireResponse &R) {
   return R.Exit;
 }
 
-/// Fills the wire request's option block from the parsed CLI options —
-/// the client-side half of the standalone/daemon equivalence.
-server::WireRequest baseRequest(const Options &Opts) {
-  server::WireRequest R;
-  R.Oracle = Opts.UseOracle;
-  R.Interprocedural = Opts.Interprocedural;
-  R.Checks = Opts.Checks;
-  R.Elide = Opts.Elide;
-  R.Seed = Opts.Seed;
-  R.Stats = Opts.Stats;
-  R.Metrics = Opts.Metrics;
-  R.Workers = Opts.WorkersSet ? static_cast<int64_t>(Opts.Workers) : -1;
-  R.SchedSeed = Opts.SchedSeed;
-  R.Json = Opts.Json;
-  R.Summaries = Opts.DumpSummaries;
-  R.Werror = Opts.Werror;
-  return R;
-}
-
-int cmdDaemon(const std::vector<const char *> &Positional,
-              const Options &Opts) {
-  if (!Opts.TracePath.empty() || Opts.FaultSpecSet) {
-    std::fprintf(stderr, "fearlessc: --trace and --faults are local "
-                         "debugging hooks; they do not compose with "
-                         "--daemon\n");
-    return ExitUsage;
-  }
-  if (!Opts.SchedulePath.empty() || !Opts.SpawnSpecs.empty() ||
-      !std::strcmp(Positional[0], "mc")) {
-    std::fprintf(stderr, "fearlessc: mc, --schedule, and --spawn drive "
-                         "the local deterministic machine; they do not "
-                         "compose with --daemon\n");
-    return ExitUsage;
-  }
-  const char *Cmd = Positional[0];
+/// Sends \p Reqs to the fearlessd instance at \p Socket on one
+/// connection; exit codes are OR-ed.
+int sendToDaemon(const std::string &Socket,
+                 const std::vector<server::WireRequest> &Reqs) {
   server::WireClient Client;
-  if (ExpectedVoid C = Client.connect(Opts.DaemonSocket); !C) {
-    std::fprintf(stderr, "fearlessc: %s\n",
-                 C.error().Message.c_str());
+  if (ExpectedVoid C = Client.connect(Socket); !C) {
+    std::fprintf(stderr, "fearlessc: %s\n", C.error().Message.c_str());
     return ExitError;
   }
-  auto roundTrip = [&](const server::WireRequest &R) {
+  int Rc = 0;
+  for (const server::WireRequest &R : Reqs) {
     Expected<server::WireResponse> Resp = Client.request(R);
     if (!Resp) {
       std::fprintf(stderr, "fearlessc: %s\n",
                    Resp.error().Message.c_str());
       return ExitError;
     }
-    return printResponse(*Resp);
-  };
+    Rc |= printResponse(*Resp);
+  }
+  return Rc;
+}
 
-  if (!std::strcmp(Cmd, "metrics") && Positional.size() == 1) {
-    server::WireRequest R = baseRequest(Opts);
-    R.Op = server::WireOp::Metrics;
-    return roundTrip(R);
-  }
-  if (!std::strcmp(Cmd, "shutdown") && Positional.size() == 1) {
-    server::WireRequest R = baseRequest(Opts);
-    R.Op = server::WireOp::Shutdown;
-    return roundTrip(R);
-  }
-  if (!std::strcmp(Cmd, "check") && Positional.size() == 2) {
-    Expected<std::string> Source = readFile(Positional[1]);
-    if (!Source) {
-      std::fprintf(stderr, "%s\n", Source.error().render().c_str());
-      return exitCodeFor(Source.error());
-    }
-    server::WireRequest R = baseRequest(Opts);
-    R.Op = server::WireOp::Check;
-    R.Name = Positional[1];
-    R.Source = Source.take();
-    return roundTrip(R);
-  }
-  if (!std::strcmp(Cmd, "analyze") && Positional.size() == 2) {
-    if (!std::strcmp(Positional[1], "--samples")) {
-      // Mirrors cmdAnalyzeSamples: one request per embedded sample on
-      // the same connection, exit codes OR-ed.
-      int Rc = 0;
-      for (const auto &[Name, Text] : embeddedSamples()) {
-        server::WireRequest R = baseRequest(Opts);
-        R.Op = server::WireOp::Analyze;
-        R.Name = Name;
-        R.Source = Text;
-        Rc |= roundTrip(R);
-      }
-      return Rc;
-    }
-    Expected<std::string> Source = readFile(Positional[1]);
-    if (!Source) {
-      std::fprintf(stderr, "%s\n", Source.error().render().c_str());
-      return 1;
-    }
-    server::WireRequest R = baseRequest(Opts);
-    R.Op = server::WireOp::Analyze;
-    R.Name = Positional[1];
-    R.Source = Source.take();
-    return roundTrip(R);
-  }
-  if (!std::strcmp(Cmd, "run") && Positional.size() >= 3) {
-    Expected<std::string> Source = readFile(Positional[1]);
-    if (!Source) {
-      std::fprintf(stderr, "%s\n", Source.error().render().c_str());
-      return exitCodeFor(Source.error());
-    }
-    server::WireRequest R = baseRequest(Opts);
-    R.Op = server::WireOp::Run;
-    R.Name = Positional[1];
-    R.Source = Source.take();
-    R.Fn = Positional[2];
-    if (!parseIntArgs(Positional, 3, R.Args))
+/// check, analyze, run, and with --daemon metrics and shutdown: builds
+/// the request from the command line, then serves it here or sends it to
+/// the daemon.
+int serveCommand(const std::vector<const char *> &Positional,
+                 Options &Opts) {
+  bool Daemon = !Opts.DaemonSocket.empty();
+  server::WireRequest &Req = Opts.Req;
+  const char *Cmd = Positional[0];
+  size_t N = Positional.size();
+  if (!std::strcmp(Cmd, "check") && N == 2) {
+    Req.Op = RequestOp::Check;
+  } else if (!std::strcmp(Cmd, "analyze") && N == 2) {
+    Req.Op = RequestOp::Analyze;
+  } else if (!std::strcmp(Cmd, "run") && N >= 3) {
+    Req.Op = RequestOp::Run;
+    Req.Fn = Positional[2];
+    if (!parseIntArgs(Positional, 3, Req.Args))
       return ExitUsage;
-    return roundTrip(R);
+  } else if (Daemon && !std::strcmp(Cmd, "metrics") && N == 1) {
+    Req.Op = RequestOp::Metrics;
+  } else if (Daemon && !std::strcmp(Cmd, "shutdown") && N == 1) {
+    Req.Op = RequestOp::Shutdown;
+  } else {
+    return usage();
   }
-  return usage();
+
+  LocalRun Local;
+  if (!Daemon && Req.Op == RequestOp::Run)
+    if (int Rc = prepareLocalRun(Opts, Local))
+      return Rc;
+
+  std::vector<server::WireRequest> Reqs;
+  if (Req.Op == RequestOp::Analyze &&
+      !std::strcmp(Positional[1], "--samples")) {
+    // One request per embedded sample.
+    for (const auto &[Name, Text] : embeddedSamples()) {
+      server::WireRequest &R = Reqs.emplace_back(Req);
+      R.Name = Name;
+      R.Source = Text;
+    }
+  } else {
+    if (N >= 2) {
+      Expected<std::string> Source = readFile(Positional[1]);
+      if (!Source) {
+        std::fprintf(stderr, "%s\n", Source.error().render().c_str());
+        return exitCodeFor(Source.error());
+      }
+      Req.Name = Positional[1];
+      Req.Source = Source.take();
+    }
+    Reqs.push_back(std::move(Req));
+  }
+  return Daemon ? sendToDaemon(Opts.DaemonSocket, Reqs)
+                : serveLocally(Reqs, Opts, Local);
 }
 
 } // namespace
@@ -931,6 +775,8 @@ int main(int argc, char **argv) {
     return usage();
 
   Options Opts;
+  RunOptions &Run = Opts.Req.Run;
+  PipelineOptions &Pipe = Opts.Req.Pipeline;
   std::vector<const char *> Positional;
   auto BadNumber = [](const char *Flag, const char *V) {
     std::fprintf(stderr, "fearlessc: bad %s value '%s' (expected a base-10 "
@@ -938,13 +784,25 @@ int main(int argc, char **argv) {
                  Flag, V);
     return ExitUsage;
   };
+  // "--NAME=on|off" switches.
+  auto OnOff = [](const char *Arg, size_t NameLen, bool &Out) {
+    const char *V = Arg + NameLen + 1;
+    if (!std::strcmp(V, "on") || !std::strcmp(V, "off")) {
+      Out = !std::strcmp(V, "on");
+      return true;
+    }
+    std::fprintf(stderr, "fearlessc: bad %.*s value '%s' (expected on or "
+                         "off)\n",
+                 static_cast<int>(NameLen), Arg, V);
+    return false;
+  };
   for (int I = 1; I < argc; ++I) {
     // Numeric flags: the value must parse in full.
     uint64_t *UintFlag = nullptr;
     if (!std::strcmp(argv[I], "--seed"))
-      UintFlag = &Opts.Seed;
+      UintFlag = &Run.Seed;
     else if (!std::strcmp(argv[I], "--sched-seed"))
-      UintFlag = &Opts.SchedSeed;
+      UintFlag = &Run.SchedSeed;
     else if (!std::strcmp(argv[I], "--mc-depth"))
       UintFlag = &Opts.McDepth;
     else if (!std::strcmp(argv[I], "--mc-schedules"))
@@ -959,77 +817,45 @@ int main(int argc, char **argv) {
       uint64_t N;
       if (!parseUint(argv[++I], N))
         return BadNumber("--workers", argv[I]);
-      Opts.Workers = N;
-      Opts.WorkersSet = true;
+      Run.Workers = N;
     } else if (!std::strcmp(argv[I], "--mc-preemptions") && I + 1 < argc) {
       if (!parseInt(argv[++I], Opts.McPreemptions))
         return BadNumber("--mc-preemptions", argv[I]);
     } else if (!std::strcmp(argv[I], "--no-oracle"))
-      Opts.UseOracle = false;
+      Pipe.UseOracle = false;
     else if (!std::strcmp(argv[I], "--no-checks"))
-      Opts.Checks = false;
+      Pipe.Checks = false;
     else if (!std::strcmp(argv[I], "--no-elide"))
-      Opts.Elide = false;
+      Pipe.Elide = false;
     else if (!std::strcmp(argv[I], "--interprocedural"))
-      Opts.Interprocedural = true;
+      Pipe.Interprocedural = true;
     else if (!std::strncmp(argv[I], "--interprocedural=", 18)) {
-      const char *V = argv[I] + 18;
-      if (!std::strcmp(V, "on"))
-        Opts.Interprocedural = true;
-      else if (!std::strcmp(V, "off"))
-        Opts.Interprocedural = false;
-      else {
-        std::fprintf(stderr,
-                     "fearlessc: bad --interprocedural value '%s' "
-                     "(expected on or off)\n",
-                     V);
+      if (!OnOff(argv[I], 17, Pipe.Interprocedural))
         return ExitUsage;
-      }
     } else if (!std::strcmp(argv[I], "--json"))
-      Opts.Json = true;
+      Opts.Req.Analyze.Json = true;
     else if (!std::strcmp(argv[I], "--summaries"))
-      Opts.DumpSummaries = true;
+      Opts.Req.Analyze.DumpSummaries = true;
     else if (!std::strcmp(argv[I], "--werror"))
-      Opts.Werror = true;
+      Opts.Req.Analyze.Werror = true;
     else if (!std::strcmp(argv[I], "--stats"))
-      Opts.Stats = true;
+      Run.Stats = true;
     else if (!std::strcmp(argv[I], "--metrics"))
-      Opts.Metrics = true;
+      Run.Metrics = true;
     else if (!std::strcmp(argv[I], "--trace") && I + 1 < argc)
       Opts.TracePath = argv[++I];
-    else if (!std::strcmp(argv[I], "--faults") && I + 1 < argc) {
+    else if (!std::strcmp(argv[I], "--faults") && I + 1 < argc)
       Opts.FaultSpec = argv[++I];
-      Opts.FaultSpecSet = true;
-    } else if (!std::strcmp(argv[I], "--spawn") && I + 1 < argc)
+    else if (!std::strcmp(argv[I], "--spawn") && I + 1 < argc)
       Opts.SpawnSpecs.push_back(argv[++I]);
     else if (!std::strcmp(argv[I], "--schedule") && I + 1 < argc)
       Opts.SchedulePath = argv[++I];
     else if (!std::strncmp(argv[I], "--mc-checks=", 12)) {
-      const char *V = argv[I] + 12;
-      if (!std::strcmp(V, "on"))
-        Opts.McChecksOn = true;
-      else if (!std::strcmp(V, "off"))
-        Opts.McChecksOn = false;
-      else {
-        std::fprintf(stderr,
-                     "fearlessc: bad --mc-checks value '%s' (expected "
-                     "on or off)\n",
-                     V);
+      if (!OnOff(argv[I], 11, Opts.McChecksOn))
         return ExitUsage;
-      }
     } else if (!std::strncmp(argv[I], "--mc-dpor=", 10)) {
-      const char *V = argv[I] + 10;
-      if (!std::strcmp(V, "on"))
-        Opts.McDpor = true;
-      else if (!std::strcmp(V, "off"))
-        Opts.McDpor = false;
-      else {
-        std::fprintf(stderr,
-                     "fearlessc: bad --mc-dpor value '%s' (expected on "
-                     "or off)\n",
-                     V);
+      if (!OnOff(argv[I], 9, Opts.McDpor))
         return ExitUsage;
-      }
     } else if (!std::strcmp(argv[I], "--mc-out") && I + 1 < argc)
       Opts.McOut = argv[++I];
     else if (!std::strcmp(argv[I], "--daemon") && I + 1 < argc)
@@ -1048,40 +874,41 @@ int main(int argc, char **argv) {
   if (Positional.empty())
     return usage();
 
-  if (!Opts.DaemonSocket.empty())
-    return cmdDaemon(Positional, Opts);
-
   const char *Cmd = Positional[0];
-  if (!std::strcmp(Cmd, "check") && Positional.size() == 2)
-    return cmdCheck(Positional[1], Opts);
-  if (!std::strcmp(Cmd, "analyze") && Positional.size() == 2) {
-    if (!std::strcmp(Positional[1], "--samples"))
-      return cmdAnalyzeSamples(Opts);
-    return cmdAnalyze(Positional[1], Opts);
-  }
-  if (!std::strcmp(Cmd, "run") && Positional.size() >= 3) {
-    std::vector<int64_t> Args;
-    if (!parseIntArgs(Positional, 3, Args))
+  size_t N = Positional.size();
+  if (!Opts.DaemonSocket.empty()) {
+    // Local debugging hooks and the local machine never reach the daemon.
+    if (!Opts.TracePath.empty() || Opts.FaultSpec) {
+      std::fprintf(stderr, "fearlessc: --trace and --faults are local "
+                           "debugging hooks; they do not compose with "
+                           "--daemon\n");
       return ExitUsage;
-    return cmdRun(Positional[1], Positional[2], Args, Opts);
-  }
-  if (!std::strcmp(Cmd, "mc") && Positional.size() >= 2) {
-    std::vector<int64_t> Args;
-    if (!parseIntArgs(Positional, 3, Args))
+    }
+    if (!Opts.SchedulePath.empty() || !Opts.SpawnSpecs.empty() ||
+        !std::strcmp(Cmd, "mc")) {
+      std::fprintf(stderr, "fearlessc: mc, --schedule, and --spawn drive "
+                           "the local deterministic machine; they do not "
+                           "compose with --daemon\n");
       return ExitUsage;
-    return cmdMc(Positional[1],
-                 Positional.size() >= 3 ? Positional[2] : "main", Args,
-                 Opts);
+    }
+  } else {
+    if (!std::strcmp(Cmd, "mc") && N >= 2) {
+      std::vector<int64_t> Args;
+      if (!parseIntArgs(Positional, 3, Args))
+        return ExitUsage;
+      return cmdMc(Positional[1], N >= 3 ? Positional[2] : "main", Args,
+                   Opts);
+    }
+    if (!std::strcmp(Cmd, "disasm") && N == 2)
+      return cmdDisasm(Positional[1], Opts);
+    if (!std::strcmp(Cmd, "sig") && N == 2)
+      return cmdSig(Positional[1], Opts);
+    if (!std::strcmp(Cmd, "derive") && N == 3)
+      return cmdDerive(Positional[1], Positional[2], Opts);
+    if (!std::strcmp(Cmd, "dot") && N == 3)
+      return cmdDot(Positional[1], Positional[2], Opts);
+    if (!std::strcmp(Cmd, "sample") && N == 2)
+      return cmdSample(Positional[1]);
   }
-  if (!std::strcmp(Cmd, "disasm") && Positional.size() == 2)
-    return cmdDisasm(Positional[1], Opts);
-  if (!std::strcmp(Cmd, "sig") && Positional.size() == 2)
-    return cmdSig(Positional[1], Opts);
-  if (!std::strcmp(Cmd, "derive") && Positional.size() == 3)
-    return cmdDerive(Positional[1], Positional[2], Opts);
-  if (!std::strcmp(Cmd, "dot") && Positional.size() == 3)
-    return cmdDot(Positional[1], Positional[2], Opts);
-  if (!std::strcmp(Cmd, "sample") && Positional.size() == 2)
-    return cmdSample(Positional[1]);
-  return usage();
+  return serveCommand(Positional, Opts);
 }
