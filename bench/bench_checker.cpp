@@ -60,8 +60,7 @@ void BM_Check_RedBlackTree_NoDerivations(benchmark::State &State) {
   Opts.EmitDerivations = false;
   for (auto _ : State)
     benchmark::DoNotOptimize(
-        compile(programs::RedBlackTree, Opts, /*Verify=*/false)
-            .hasValue());
+        compile(programs::RedBlackTree, Opts).hasValue());
 }
 BENCHMARK(BM_Check_RedBlackTree_NoDerivations);
 
@@ -128,7 +127,7 @@ void BM_Unify_Oracle(benchmark::State &State) {
   Opts.EmitDerivations = false;
   size_t Candidates = 0;
   for (auto _ : State) {
-    Expected<Pipeline> P = compile(Source, Opts, false);
+    Expected<Pipeline> P = compile(Source, Opts);
     if (!P)
       State.SkipWithError(P.error().Message.c_str());
     else
@@ -147,7 +146,7 @@ void BM_Unify_NaiveSearch(benchmark::State &State) {
   Opts.UnifySearchLimit = 1 << 20;
   size_t Candidates = 0;
   for (auto _ : State) {
-    Expected<Pipeline> P = compile(Source, Opts, false);
+    Expected<Pipeline> P = compile(Source, Opts);
     if (!P)
       State.SkipWithError(P.error().Message.c_str());
     else
@@ -163,8 +162,8 @@ BENCHMARK(BM_Unify_NaiveSearch)->DenseRange(2, 12, 2);
 //===----------------------------------------------------------------------===//
 
 void BM_Verify_RedBlackTree(benchmark::State &State) {
-  Expected<Pipeline> P =
-      compile(programs::RedBlackTree, CheckerOptions{}, /*Verify=*/false);
+  // checkSource keeps the derivations that compile() verifies and drops.
+  Expected<FrontendResult> P = checkSource(programs::RedBlackTree);
   if (!P) {
     State.SkipWithError(P.error().Message.c_str());
     return;
@@ -183,8 +182,8 @@ void BM_Verify_RedBlackTree(benchmark::State &State) {
 BENCHMARK(BM_Verify_RedBlackTree);
 
 void BM_Verify_DllSuite(benchmark::State &State) {
-  Expected<Pipeline> P =
-      compile(programs::DllSuite, CheckerOptions{}, /*Verify=*/false);
+  // checkSource keeps the derivations that compile() verifies and drops.
+  Expected<FrontendResult> P = checkSource(programs::DllSuite);
   if (!P) {
     State.SkipWithError(P.error().Message.c_str());
     return;

@@ -191,8 +191,8 @@ int writeTracedPipeline(const char *Path) {
 /// restarts the results must be bit-identical to the baseline. CI's
 /// chaos smoke loops this over seeds:
 ///
-///   FEARLESS_FAULTS='thread.start=prob:0.3,seed=7' \
-///     ./bench_concurrency --benchmark_filter=NONE
+///   export FEARLESS_FAULTS='thread.start=prob:0.3,seed=7'
+///   ./bench_concurrency --benchmark_filter=NONE
 int runChaosPipeline() {
   std::string FaultError;
   std::unique_ptr<FaultInjector> Faults =

@@ -20,34 +20,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "HeapCount.h"
 #include "support/FaultInjector.h"
 
 #include <benchmark/benchmark.h>
-
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
-//===----------------------------------------------------------------------===//
-// Global allocation counter: proves the query path is allocation-free
-// (BENCH_*.json tracks allocs_per_iter).
-//===----------------------------------------------------------------------===//
-
-namespace {
-std::atomic<uint64_t> GHeapAllocs{0};
-} // namespace
-
-void *operator new(std::size_t Size) {
-  GHeapAllocs.fetch_add(1, std::memory_order_relaxed);
-  if (void *P = std::malloc(Size ? Size : 1))
-    return P;
-  throw std::bad_alloc();
-}
-void *operator new[](std::size_t Size) { return ::operator new(Size); }
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t) noexcept { std::free(P); }
-void operator delete[](void *P) noexcept { std::free(P); }
-void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
 
 using namespace fearless;
 
@@ -55,11 +31,11 @@ namespace {
 
 template <typename Fn>
 void runAllocCounted(benchmark::State &State, Fn Body) {
-  uint64_t AllocsBefore = GHeapAllocs.load(std::memory_order_relaxed);
+  uint64_t AllocsBefore = heapAllocs();
   for (auto _ : State)
     Body();
   uint64_t AllocsInLoop =
-      GHeapAllocs.load(std::memory_order_relaxed) - AllocsBefore;
+      heapAllocs() - AllocsBefore;
   State.counters["allocs_per_iter"] =
       State.iterations()
           ? static_cast<double>(AllocsInLoop) /

@@ -23,6 +23,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "HeapCount.h"
 #include "analysis/StaticDisconnect.h"
 #include "checker/Checker.h"
 #include "parser/Parser.h"
@@ -32,31 +33,8 @@
 
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <new>
-
-//===----------------------------------------------------------------------===//
-// Global allocation counter: proves the scratch-reuse paths are
-// allocation-free in steady state (BENCH_*.json tracks allocs_per_iter).
-//===----------------------------------------------------------------------===//
-
-namespace {
-std::atomic<uint64_t> GHeapAllocs{0};
-} // namespace
-
-void *operator new(std::size_t Size) {
-  GHeapAllocs.fetch_add(1, std::memory_order_relaxed);
-  if (void *P = std::malloc(Size ? Size : 1))
-    return P;
-  throw std::bad_alloc();
-}
-void *operator new[](std::size_t Size) { return ::operator new(Size); }
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t) noexcept { std::free(P); }
-void operator delete[](void *P) noexcept { std::free(P); }
-void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
 
 using namespace fearless;
 
@@ -124,14 +102,14 @@ struct node {
 template <typename CheckFn>
 void runCheckLoop(benchmark::State &State, Workload &W, CheckFn Check) {
   DisconnectOutcome Last = Check(W); // warm-up: grows the scratch tables
-  uint64_t AllocsBefore = GHeapAllocs.load(std::memory_order_relaxed);
+  uint64_t AllocsBefore = heapAllocs();
   for (auto _ : State) {
     DisconnectOutcome Out = Check(W);
     benchmark::DoNotOptimize(Out.Disconnected);
     Last = Out;
   }
   uint64_t AllocsInLoop =
-      GHeapAllocs.load(std::memory_order_relaxed) - AllocsBefore;
+      heapAllocs() - AllocsBefore;
   State.counters["visited"] = static_cast<double>(Last.ObjectsVisited);
   State.counters["edges"] = static_cast<double>(Last.EdgesTraversed);
   State.counters["losing_side_visited"] =
@@ -245,7 +223,7 @@ void BM_Elided_DetachSubgraph(benchmark::State &State) {
   Workload W(/*N=*/1 << 18, K, /*Connected=*/false);
   ElisionOracle Oracle;
   DisconnectOutcome Warm{};
-  uint64_t AllocsBefore = GHeapAllocs.load(std::memory_order_relaxed);
+  uint64_t AllocsBefore = heapAllocs();
   for (auto _ : State) {
     auto It = Oracle.Table.find(Oracle.Site);
     bool Disc = It != Oracle.Table.end() &&
@@ -253,7 +231,7 @@ void BM_Elided_DetachSubgraph(benchmark::State &State) {
     benchmark::DoNotOptimize(Disc);
   }
   uint64_t AllocsInLoop =
-      GHeapAllocs.load(std::memory_order_relaxed) - AllocsBefore;
+      heapAllocs() - AllocsBefore;
   State.counters["visited"] = static_cast<double>(Warm.ObjectsVisited);
   State.counters["edges"] = static_cast<double>(Warm.EdgesTraversed);
   State.counters["losing_side_visited"] =

@@ -19,38 +19,17 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "HeapCount.h"
 #include "concurrency/ParallelExec.h"
 #include "driver/Driver.h"
 
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <cstdlib>
-#include <new>
 #include <string>
 #include <thread>
 
 using namespace fearless;
-
-namespace {
-/// Global C++ heap allocation counter for the differential steady-state
-/// measurement (same idiom as tests/fault_test.cpp).
-std::atomic<uint64_t> GHeapAllocs{0};
-} // namespace
-
-void *operator new(std::size_t Size) {
-  GHeapAllocs.fetch_add(1, std::memory_order_relaxed);
-  if (void *P = std::malloc(Size ? Size : 1))
-    return P;
-  throw std::bad_alloc();
-}
-
-void *operator new[](std::size_t Size) { return ::operator new(Size); }
-
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete[](void *P) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t) noexcept { std::free(P); }
-void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
 
 namespace {
 
@@ -249,9 +228,9 @@ uint64_t pingPongAllocs(Pipeline &P, int64_t Exchanges) {
   ParallelExec Exec(P.Checked, Opts);
   Exec.spawn(P.Prog->Names.intern("ping"), {Value::intVal(Exchanges)});
   Exec.spawn(P.Prog->Names.intern("pong"), {Value::intVal(Exchanges)});
-  uint64_t Before = GHeapAllocs.load(std::memory_order_relaxed);
+  uint64_t Before = heapAllocs();
   Expected<std::vector<Value>> R = Exec.run();
-  uint64_t After = GHeapAllocs.load(std::memory_order_relaxed);
+  uint64_t After = heapAllocs();
   if (!R || !((*R)[0] == Value::intVal(Exchanges)))
     return UINT64_MAX;
   return After - Before;

@@ -23,37 +23,14 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "HeapCount.h"
 #include "driver/Driver.h"
 #include "runtime/Machine.h"
 #include "support/Trace.h"
 
 #include <benchmark/benchmark.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <string>
-
-//===----------------------------------------------------------------------===//
-// Global allocation counter: proves record/span paths are allocation-free
-// in steady state (BENCH_*.json tracks allocs_per_iter).
-//===----------------------------------------------------------------------===//
-
-namespace {
-std::atomic<uint64_t> GHeapAllocs{0};
-} // namespace
-
-void *operator new(std::size_t Size) {
-  GHeapAllocs.fetch_add(1, std::memory_order_relaxed);
-  if (void *P = std::malloc(Size ? Size : 1))
-    return P;
-  throw std::bad_alloc();
-}
-void *operator new[](std::size_t Size) { return ::operator new(Size); }
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t) noexcept { std::free(P); }
-void operator delete[](void *P) noexcept { std::free(P); }
-void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
 
 using namespace fearless;
 
@@ -63,11 +40,11 @@ namespace {
 /// exports allocs_per_iter (expected 0 for every hot-path bench here).
 template <typename Fn>
 void runAllocCounted(benchmark::State &State, Fn Body) {
-  uint64_t AllocsBefore = GHeapAllocs.load(std::memory_order_relaxed);
+  uint64_t AllocsBefore = heapAllocs();
   for (auto _ : State)
     Body();
   uint64_t AllocsInLoop =
-      GHeapAllocs.load(std::memory_order_relaxed) - AllocsBefore;
+      heapAllocs() - AllocsBefore;
   State.counters["allocs_per_iter"] =
       State.iterations()
           ? static_cast<double>(AllocsInLoop) /

@@ -19,27 +19,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
-// Allocation counting for the dispatch-loop claim: the binary replaces
-// global operator new so the differential spin measurement sees every
-// heap allocation.
-static std::atomic<uint64_t> GHeapAllocs{0};
-
-void *operator new(std::size_t Size) {
-  GHeapAllocs.fetch_add(1, std::memory_order_relaxed);
-  if (void *P = std::malloc(Size ? Size : 1))
-    return P;
-  throw std::bad_alloc();
-}
-void *operator new[](std::size_t Size) { return ::operator new(Size); }
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t) noexcept { std::free(P); }
-void operator delete[](void *P) noexcept { std::free(P); }
-void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
-
+#include "HeapCount.h"
 #include "driver/Driver.h"
 #include "runtime/Machine.h"
 #include "vm/Compiler.h"
@@ -100,6 +80,7 @@ void runWorkload(benchmark::State &State, const std::string &Source,
   RuntimeMetrics Last;
   for (auto _ : State) {
     MachineOptions Opts;
+    Opts.CheckReservations = Code->Checked;
     Opts.VmCode = &*Code;
     Machine M(P->Checked, Opts);
     M.spawn(Drive, Args);
@@ -153,12 +134,13 @@ BENCHMARK(BM_SllWalk_VmErased)->Arg(64)->Arg(256)->Arg(1024);
 uint64_t spinAllocs(Pipeline &P, const vm::CompiledProgram &Code,
                     int64_t N) {
   MachineOptions Opts;
+  Opts.CheckReservations = Code.Checked;
   Opts.VmCode = &Code;
   Machine M(P.Checked, Opts);
   M.spawn(P.Prog->Names.intern("drive"), {Value::intVal(N)});
-  uint64_t Before = GHeapAllocs.load(std::memory_order_relaxed);
+  uint64_t Before = heapAllocs();
   Expected<MachineSummary> R = M.run();
-  uint64_t After = GHeapAllocs.load(std::memory_order_relaxed);
+  uint64_t After = heapAllocs();
   if (!R || !(R->ThreadResults[0] == Value::intVal(N)))
     return UINT64_MAX;
   return After - Before;

@@ -37,14 +37,15 @@ public:
       : P(P), Structs(Structs), Signatures(Signatures), Opts(Opts),
         Uses(Uses), Supply(Supply), SendTypes(SendTypes) {}
 
-  Expected<CheckedFunction> run(const FnDecl &F) {
+  /// Checks \p F into \p Out, whose Deriv must be empty.
+  ExpectedVoid run(const FnDecl &F, CheckedFunction &Out) {
     auto SigIt = Signatures.find(F.Name);
     assert(SigIt != Signatures.end() && "signature missing");
     const FnSignature &Sig = SigIt->second;
     ReturnType = Sig.ReturnType;
     Ctx = Sig.Input;
 
-    CheckedFunction Out;
+    assert(Out.Deriv.empty() && "derivation arena not rolled back");
     Out.Sig = Sig;
     if (Opts.EmitDerivations) {
       D = &Out.Deriv;
@@ -85,7 +86,7 @@ public:
       (*D)[Root].ResultType = Res->Ty;
     }
     Out.Stats = Stats;
-    return Out;
+    return {};
   }
 
 private:
@@ -1099,8 +1100,9 @@ private:
 
 } // namespace
 
-Expected<CheckedProgram> fearless::checkProgram(const Program &P,
-                                                const CheckerOptions &Opts) {
+Expected<CheckedProgram>
+fearless::checkProgram(const Program &P, const CheckerOptions &Opts,
+                       const FunctionContinuation &Then) {
   CheckedProgram Out;
   Out.Prog = &P;
 
@@ -1119,20 +1121,32 @@ Expected<CheckedProgram> fearless::checkProgram(const Program &P,
     Out.Signatures.emplace(F.Name, Sig.take());
   }
 
+  // Every function is checked into Current. Without a continuation its
+  // derivation moves into the result; with one, Current's arena is
+  // rolled back for the next function and keeps its chunks.
+  CheckedFunction Current;
   for (const FnDecl &F : P.Functions) {
     UseCache Uses(P);
     FnChecker Checker(P, Out.Structs, Out.Signatures, Opts, Uses, Supply,
                       Out.SendTypes);
-    Expected<CheckedFunction> Checked = Checker.run(F);
-    if (!Checked)
+    Current.Deriv.rollback({});
+    if (ExpectedVoid Checked = Checker.run(F, Current); !Checked)
       return Checked.takeFailure();
-    Out.Functions.emplace(F.Name, std::move(*Checked));
+    if (!Then) {
+      Out.Functions.emplace(F.Name, std::move(Current));
+      continue;
+    }
+    if (ExpectedVoid Done = Then(Out, Current); !Done)
+      return Done.takeFailure();
+    Out.Functions.emplace(
+        F.Name, CheckedFunction{std::move(Current.Sig), {}, Current.Stats});
   }
   return Out;
 }
 
-Expected<FrontendResult> fearless::checkSource(std::string_view Source,
-                                               const CheckerOptions &Opts) {
+Expected<FrontendResult>
+fearless::checkSource(std::string_view Source, const CheckerOptions &Opts,
+                      const FunctionContinuation &Then) {
   DiagnosticEngine Diags;
   std::optional<Program> Parsed = parseProgram(Source, Diags);
   if (!Parsed) {
@@ -1141,7 +1155,7 @@ Expected<FrontendResult> fearless::checkSource(std::string_view Source,
     return F;
   }
   FrontendResult Out{std::make_unique<Program>(std::move(*Parsed)), {}};
-  Expected<CheckedProgram> Checked = checkProgram(*Out.Prog, Opts);
+  Expected<CheckedProgram> Checked = checkProgram(*Out.Prog, Opts, Then);
   if (!Checked) {
     Failure F = Checked.takeFailure();
     F.Diag.Stage = DiagnosticStage::Check;

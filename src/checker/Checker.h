@@ -11,9 +11,10 @@
 /// merges (§4.6/§5.1), and emission of explicit derivations that the
 /// verifier re-checks independently.
 ///
-/// Entry point: checkProgram. Well-typed programs are guaranteed free of
-/// destructive data races (Theorems 6.1/6.2); the runtime's dynamic
-/// reservation checks never fire on them (validated by tests).
+/// Entry points: checkProgram and checkSource. Well-typed programs are
+/// guaranteed free of destructive data races (Theorems 6.1/6.2); the
+/// runtime's dynamic reservation checks never fire on them (validated by
+/// tests).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +26,7 @@
 #include "sema/StructTable.h"
 #include "support/Expected.h"
 
+#include <functional>
 #include <map>
 #include <memory>
 
@@ -49,7 +51,9 @@ struct CheckStats {
 /// One successfully checked function.
 struct CheckedFunction {
   FnSignature Sig;
-  Derivation Deriv; ///< Empty if not emitted.
+  /// Empty if not emitted, or if checkProgram handed it to a
+  /// continuation.
+  Derivation Deriv;
   CheckStats Stats;
 };
 
@@ -65,19 +69,34 @@ struct CheckedProgram {
   std::map<const Expr *, Type> SendTypes;
 };
 
-/// Checks all functions of \p P. On failure the diagnostic names the rule
-/// that could not be applied and the offending contexts.
+/// Runs on each function as soon as it is checked, while its derivation
+/// is still in the checker's arena. \p Program holds every signature but
+/// only the functions declared before \p Fn. A failure stops the check.
+using FunctionContinuation = std::function<ExpectedVoid(
+    const CheckedProgram &Program, const CheckedFunction &Fn)>;
+
+/// Checks all functions of \p P, in declaration order. On failure the
+/// diagnostic names the rule that could not be applied and the offending
+/// contexts.
+///
+/// Without \p Then every function keeps its derivation. With it, the
+/// functions are checked one at a time in a single derivation arena that
+/// is handed to \p Then and emptied before the next function, so every
+/// returned Deriv is empty: compile() passes the verifier here.
 Expected<CheckedProgram> checkProgram(const Program &P,
-                                      const CheckerOptions &Opts = {});
+                                      const CheckerOptions &Opts = {},
+                                      const FunctionContinuation &Then = {});
 
 /// Convenience: parse + sema + check. Returns the program (owned) and the
 /// checked artifacts, or diagnostics rendered in the failure message.
+/// \p Then is passed to checkProgram.
 struct FrontendResult {
   std::unique_ptr<Program> Prog;
   CheckedProgram Checked;
 };
 Expected<FrontendResult> checkSource(std::string_view Source,
-                                     const CheckerOptions &Opts = {});
+                                     const CheckerOptions &Opts = {},
+                                     const FunctionContinuation &Then = {});
 
 } // namespace fearless
 

@@ -70,9 +70,9 @@ struct PipelineOptions {
 };
 
 /// The immutable product of the compile pipeline: AST + checked program
-/// + verifier stats (Pipeline), the static region-graph analysis report
-/// and its runtime verdict table, and the compiled bytecode. Shared
-/// read-only by concurrent runs.
+/// without derivations + verifier stats (Pipeline), the static
+/// region-graph analysis report and its runtime verdict table, and the
+/// compiled bytecode. Shared read-only by concurrent runs.
 struct CompiledArtifact {
   Pipeline P;
   AnalysisReport Report;
@@ -90,7 +90,7 @@ struct CompiledArtifact {
   size_t SourceBytes = 0;
 
   /// Conservative estimate of resident bytes for cache budgeting: the
-  /// AST, derivations, verdict table, and chunks all scale with source
+  /// AST, signatures, verdict table, and chunks all scale with source
   /// length, so the estimate is a calibrated multiple of it plus the
   /// bytecode pool actually measured.
   size_t approxBytes() const;

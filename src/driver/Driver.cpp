@@ -11,23 +11,24 @@
 using namespace fearless;
 
 Expected<Pipeline> fearless::compile(std::string_view Source,
-                                     const CheckerOptions &Opts,
-                                     bool Verify) {
-  Expected<FrontendResult> Front = checkSource(Source, Opts);
+                                     const CheckerOptions &Opts) {
+  Pipeline Out;
+  FunctionContinuation Verify;
+  if (Opts.EmitDerivations)
+    Verify = [&Out](const CheckedProgram &Program,
+                    const CheckedFunction &Fn) -> ExpectedVoid {
+      Expected<VerifyStats> Stats = verifyFunction(Program, Fn);
+      if (!Stats)
+        return Stats.takeFailure();
+      Out.Verified.StepsChecked += Stats->StepsChecked;
+      Out.Verified.VirtualStepsChecked += Stats->VirtualStepsChecked;
+      return {};
+    };
+  Expected<FrontendResult> Front = checkSource(Source, Opts, Verify);
   if (!Front)
     return Front.takeFailure();
-  Pipeline Out;
   Out.Prog = std::move(Front->Prog);
   Out.Checked = std::move(Front->Checked);
-  if (Verify && Opts.EmitDerivations) {
-    Expected<VerifyStats> Stats = verifyProgram(Out.Checked);
-    if (!Stats) {
-      Failure F = Stats.takeFailure();
-      F.Diag.Stage = DiagnosticStage::Check;
-      return F;
-    }
-    Out.Verified = *Stats;
-  }
   return Out;
 }
 

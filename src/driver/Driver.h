@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Convenience pipeline (parse → sema → check → verify) plus the surface-
+/// Convenience pipeline (parse → sema → check and verify) plus the surface-
 /// language sample programs shared by tests, examples, and benchmarks:
 /// the paper's singly and doubly linked lists (Figs. 1, 2, 5, 14), the
 /// broken Fig. 4 variant (which must be rejected), a red-black tree (the
@@ -21,17 +21,22 @@
 
 namespace fearless {
 
-/// Parses, resolves, checks, and (optionally) verifies a source buffer.
+/// A parsed, resolved, checked and verified source buffer. It keeps no
+/// derivation: every Checked.Functions[...].Deriv is empty.
 struct Pipeline {
   std::unique_ptr<Program> Prog;
   CheckedProgram Checked;
   VerifyStats Verified;
 };
 
-/// Runs the full pipeline; \p Verify re-checks all derivations.
+/// Runs the full pipeline. Each function's derivation is verified as soon
+/// as it is checked, in declaration order, and then dropped; a verifier
+/// failure is a DiagnosticStage::Check failure. With
+/// Opts.EmitDerivations off nothing is verified. Callers that read
+/// derivations (`fearlessc derive`/`dot`, tests) use checkSource, which
+/// keeps them, and verifyProgram.
 Expected<Pipeline> compile(std::string_view Source,
-                           const CheckerOptions &Opts = {},
-                           bool Verify = true);
+                           const CheckerOptions &Opts = {});
 
 /// Sample surface programs.
 namespace programs {

@@ -16,8 +16,18 @@ using namespace fearless;
 
 Machine::Machine(const CheckedProgram &Checked, MachineOptions Opts)
     : Checked(Checked), Opts(Opts), TheHeap(Checked.Structs) {
-  if (Opts.VmCode)
+  if (Opts.VmCode) {
+    // Bytecode of the other mode would run without the checks asked for,
+    // or with checks not asked for: fail the run like a lowering would.
+    if (Opts.VmCode->Checked != Opts.CheckReservations) {
+      Lowered.emplace(fail(
+          std::string("bytecode mode mismatch: reservation checks are ") +
+          (Opts.CheckReservations ? "on" : "off") + " but the bytecode is " +
+          (Opts.VmCode->Checked ? "checked" : "erased")));
+      this->Opts.VmCode = nullptr;
+    }
     return;
+  }
   vm::CompileOptions CO;
   CO.EmitChecks = Opts.CheckReservations;
   CO.Verdicts = Opts.StaticVerdicts;

@@ -74,7 +74,9 @@ struct MachineOptions {
   std::function<std::optional<std::string>(const Machine &)>
       StepValidator;
   /// The bytecode threads execute (vm/Vm.h). Must be lowered from the
-  /// same CheckedProgram and outlive run(). Null = the machine lowers
+  /// same CheckedProgram, in the mode CheckReservations names (checked
+  /// bytecode iff checks are on; run() and beginStepping() report a
+  /// mismatch), and outlive run(). Null = the machine lowers
   /// the program itself at construction, from CheckReservations,
   /// StaticVerdicts, ElideDisconnect and CrossCheckElision. The VM
   /// batches instructions, so one "step" (MaxSteps, StepValidator,
@@ -124,8 +126,9 @@ public:
   /// \p Checked must outlive the machine. The program is expected to have
   /// passed the checker; running unchecked programs is possible (tests use
   /// it for failure injection) and surfaces violations as errors. Without
-  /// Opts.VmCode the program is lowered here; a lowering failure is
-  /// reported by run() / beginStepping().
+  /// Opts.VmCode the program is lowered here; a lowering failure, like a
+  /// VmCode whose mode mismatches Opts.CheckReservations, is reported by
+  /// run() / beginStepping().
   explicit Machine(const CheckedProgram &Checked, MachineOptions Opts = {});
   /// Opts.VmCode may point into the machine itself.
   Machine(const Machine &) = delete;
@@ -253,7 +256,8 @@ private:
 
   const CheckedProgram &Checked;
   MachineOptions Opts;
-  /// The machine's own lowering, when Opts.VmCode was not given.
+  /// The machine's own lowering, when Opts.VmCode was not given; a
+  /// failure when the given VmCode's mode mismatched CheckReservations.
   std::optional<Expected<vm::CompiledProgram>> Lowered;
   Heap TheHeap;
   MachineStats Stats;

@@ -6,8 +6,10 @@
 ///
 /// \file
 /// The daemon's derivation cache: content hash of (source text, pipeline
-/// options) → shared CompiledArtifact (interned AST, typing derivations,
-/// check result, region-graph verdict table, bytecode chunks). The
+/// options) → shared CompiledArtifact (interned AST, check result with
+/// signatures and verifier counts, region-graph verdict table, bytecode
+/// chunks). An artifact keeps no typing derivation: compile() verifies
+/// each function's as soon as it is checked and drops it. The
 /// paper's checked artifacts are pure functions of the source — the same
 /// cache-the-proof framing that makes region capabilities shareable once
 /// proven — so repeated submissions skip parse/check/analyze/compile

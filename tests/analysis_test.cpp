@@ -550,9 +550,10 @@ void expectNoDowngrade(const CheckedProgram &CP) {
   ASSERT_EQ(A.Sites.size(), B.Sites.size());
   for (size_t I = 0; I < A.Sites.size(); ++I) {
     ASSERT_EQ(A.Sites[I].Site, B.Sites[I].Site);
-    if (A.Sites[I].Verdict != DisconnectVerdict::Unknown)
+    if (A.Sites[I].Verdict != DisconnectVerdict::Unknown) {
       EXPECT_EQ(B.Sites[I].Verdict, A.Sites[I].Verdict)
           << "site at " << toString(A.Sites[I].Loc);
+    }
   }
 }
 

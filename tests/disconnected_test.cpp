@@ -12,6 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "HeapCount.h"
 #include "runtime/Disconnected.h"
 #include "runtime/Heap.h"
 #include "sema/StructTable.h"
@@ -20,38 +21,11 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <random>
-
-//===----------------------------------------------------------------------===//
-// Allocation counting: this binary replaces global operator new so tests
-// can assert that the scratch-reuse paths perform zero heap allocations
-// in steady state (the PR-2 acceptance criterion).
-//===----------------------------------------------------------------------===//
-
-static std::atomic<uint64_t> GHeapAllocs{0};
-
-void *operator new(std::size_t Size) {
-  GHeapAllocs.fetch_add(1, std::memory_order_relaxed);
-  if (void *P = std::malloc(Size ? Size : 1))
-    return P;
-  throw std::bad_alloc();
-}
-void *operator new[](std::size_t Size) { return ::operator new(Size); }
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t) noexcept { std::free(P); }
-void operator delete[](void *P) noexcept { std::free(P); }
-void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
 
 using namespace fearless;
 
 namespace {
-
-uint64_t heapAllocs() {
-  return GHeapAllocs.load(std::memory_order_relaxed);
-}
 
 /// A tiny heap world with one struct: node { next, prev: node?; iso item }.
 struct World {

@@ -13,6 +13,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "HeapCount.h"
 #include "TestUtil.h"
 
 #include "concurrency/ParallelExec.h"
@@ -21,42 +22,8 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
 using namespace fearless;
 using namespace fearless::testutil;
-
-//===----------------------------------------------------------------------===//
-// Allocation counting (same idiom as trace_test.cpp): global operator
-// new/delete instrumented so tests can assert a code path allocates
-// nothing.
-//===----------------------------------------------------------------------===//
-
-namespace {
-std::atomic<uint64_t> GHeapAllocs{0};
-uint64_t heapAllocs() {
-  return GHeapAllocs.load(std::memory_order_relaxed);
-}
-} // namespace
-
-void *operator new(std::size_t Size) {
-  GHeapAllocs.fetch_add(1, std::memory_order_relaxed);
-  if (void *P = std::malloc(Size ? Size : 1))
-    return P;
-  throw std::bad_alloc();
-}
-void *operator new[](std::size_t Size) {
-  GHeapAllocs.fetch_add(1, std::memory_order_relaxed);
-  if (void *P = std::malloc(Size ? Size : 1))
-    return P;
-  throw std::bad_alloc();
-}
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete[](void *P) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t) noexcept { std::free(P); }
-void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
 
 namespace {
 

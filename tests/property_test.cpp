@@ -329,11 +329,12 @@ struct node {
           << " vs loc#" << Y.Index << " (round " << Round << ")";
       EXPECT_EQ(FastShared.ObjectsVisited, FastRef.ObjectsVisited);
       EXPECT_EQ(FastShared.EdgesTraversed, FastRef.EdgesTraversed);
-      if (FastShared.Disconnected)
+      if (FastShared.Disconnected) {
         EXPECT_TRUE(ExactShared.Disconnected)
             << "shared-scratch refcount check unsound for loc#"
             << X.Index << " vs loc#" << Y.Index << " (round " << Round
             << ")";
+      }
     }
   }
 }

@@ -275,21 +275,21 @@ bool referenceEquivalent(const Contexts &A, RegionId RootA,
   return CanonRoot(FormA, RootA) == CanonRoot(FormB, RootB);
 }
 
-/// The six samples, compiled once.
-const std::vector<Pipeline> &samplePipelines() {
-  static const std::vector<Pipeline> Pipelines = [] {
-    std::vector<Pipeline> Out;
+/// The six samples, checked once with their derivations kept.
+const std::vector<FrontendResult> &sampleChecks() {
+  static const std::vector<FrontendResult> Checks = [] {
+    std::vector<FrontendResult> Out;
     for (const char *Source :
          {programs::SllSuite, programs::DllSuite, programs::RedBlackTree,
           programs::MessagePassing, programs::BitTrie, programs::Extras}) {
-      Expected<Pipeline> P = compile(Source);
+      Expected<FrontendResult> P = checkSource(Source);
       EXPECT_TRUE(P.hasValue()) << (P ? "" : P.error().render());
       if (P)
         Out.push_back(P.take());
     }
     return Out;
   }();
-  return Pipelines;
+  return Checks;
 }
 
 /// An H;Γ snapshot and the names to print it with.
@@ -302,7 +302,7 @@ struct Snapshot {
 /// the six samples, in recording order.
 std::vector<Snapshot> sampleSnapshots() {
   std::vector<Snapshot> Out;
-  for (const Pipeline &P : samplePipelines())
+  for (const FrontendResult &P : sampleChecks())
     for (const auto &[Name, Fn] : P.Checked.Functions)
       for (SnapshotId I = 0; I < Fn.Deriv.numSnapshots(); ++I)
         Out.push_back({&Fn.Deriv.context(I), &P.Prog->Names});

@@ -284,4 +284,43 @@ def work(n : int) : int {
   }
 }
 
+TEST(Runtime, BytecodeModeMismatchIsReported) {
+  Pipeline P = mustCompile("def main() : int { 7 }");
+  for (bool Checks : {true, false}) {
+    // Bytecode of the other mode: erased code for a checked run, and
+    // checked code for an erased one.
+    vm::CompileOptions VO;
+    VO.EmitChecks = !Checks;
+    Expected<vm::CompiledProgram> Code = vm::compileProgram(P.Checked, VO);
+    ASSERT_TRUE(Code.hasValue());
+    MachineOptions MO;
+    MO.CheckReservations = Checks;
+    MO.VmCode = &*Code;
+    std::string Want = std::string("bytecode mode mismatch: reservation "
+                                   "checks are ") +
+                       (Checks ? "on" : "off") + " but the bytecode is " +
+                       (Checks ? "erased" : "checked");
+
+    Machine Run(P.Checked, MO);
+    Run.spawn(sym(P, "main"));
+    Expected<MachineSummary> R = Run.run();
+    ASSERT_FALSE(R.hasValue()) << "checks " << Checks;
+    EXPECT_EQ(R.error().Message, Want);
+
+    Machine Stepped(P.Checked, MO);
+    Stepped.spawn(sym(P, "main"));
+    ExpectedVoid Begin = Stepped.beginStepping();
+    ASSERT_FALSE(Begin.hasValue()) << "checks " << Checks;
+    EXPECT_EQ(Begin.error().Message, Want);
+
+    // The matching mode runs.
+    MO.CheckReservations = !Checks;
+    Machine Matched(P.Checked, MO);
+    Matched.spawn(sym(P, "main"));
+    Expected<MachineSummary> Ok = Matched.run();
+    ASSERT_TRUE(Ok.hasValue()) << (Ok ? "" : Ok.error().render());
+    EXPECT_EQ(Ok->ThreadResults[0], Value::intVal(7));
+  }
+}
+
 } // namespace

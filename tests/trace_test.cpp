@@ -24,26 +24,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
-// Allocation counting: this binary replaces global operator new so tests
-// can assert the trace record path allocates nothing in steady state.
-static std::atomic<uint64_t> GHeapAllocs{0};
-
-void *operator new(std::size_t Size) {
-  GHeapAllocs.fetch_add(1, std::memory_order_relaxed);
-  if (void *P = std::malloc(Size ? Size : 1))
-    return P;
-  throw std::bad_alloc();
-}
-void *operator new[](std::size_t Size) { return ::operator new(Size); }
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t) noexcept { std::free(P); }
-void operator delete[](void *P) noexcept { std::free(P); }
-void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
-
+#include "HeapCount.h"
 #include "TestUtil.h"
 
 #include "analysis/StaticDisconnect.h"
@@ -62,10 +43,6 @@ using namespace fearless;
 using namespace fearless::testutil;
 
 namespace {
-
-uint64_t heapAllocs() {
-  return GHeapAllocs.load(std::memory_order_relaxed);
-}
 
 //===----------------------------------------------------------------------===//
 // A small strict JSON parser: enough to *actually parse* exporter output

@@ -11,28 +11,33 @@
 //===----------------------------------------------------------------------===//
 
 #include "ast/AstPrinter.h"
+#include "driver/CompilePipeline.h"
 #include "driver/Driver.h"
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <set>
 
 using namespace fearless;
 
 namespace {
 
-Pipeline mustCompile(std::string_view Source) {
-  Expected<Pipeline> Result = compile(Source);
+/// Checks \p Source keeping every function's derivation (compile()
+/// verifies and drops them).
+FrontendResult mustCheck(std::string_view Source) {
+  Expected<FrontendResult> Result = checkSource(Source);
   EXPECT_TRUE(Result.hasValue())
       << (Result.hasValue() ? "" : Result.error().render());
-  return Result ? std::move(*Result) : Pipeline{};
+  return Result ? std::move(*Result) : FrontendResult{};
 }
 
 TEST(Verifier, AllSuitesVerify) {
   for (const char *Source :
        {programs::SllSuite, programs::DllSuite, programs::RedBlackTree,
         programs::MessagePassing, programs::BitTrie, programs::Extras}) {
-    Pipeline P = mustCompile(Source);
+    FrontendResult P = mustCheck(Source);
     Expected<VerifyStats> Stats = verifyProgram(P.Checked);
     ASSERT_TRUE(Stats.hasValue())
         << (Stats ? "" : Stats.error().render());
@@ -67,7 +72,7 @@ const Expr *enclosingExpr(const Derivation &D, StepId Target, StepId From,
 }
 
 /// The "[at ...]" suffix a verifier failure at \p Step carries.
-std::string locationOf(const Pipeline &P, const Derivation &D,
+std::string locationOf(const FrontendResult &P, const Derivation &D,
                        StepId Step) {
   const Expr *E = enclosingExpr(D, Step, D.root());
   EXPECT_NE(E, nullptr);
@@ -111,7 +116,7 @@ void collectSnapshots(const Derivation &D, StepId Step,
 }
 
 TEST(Verifier, CatchesCorruptedFocus) {
-  Pipeline P = mustCompile(programs::SllSuite);
+  FrontendResult P = mustCheck(programs::SllSuite);
   Symbol Sum = P.Prog->Names.intern("sum_node");
   CheckedFunction &Fn = P.Checked.Functions.at(Sum);
   Derivation &D = Fn.Deriv;
@@ -131,7 +136,7 @@ TEST(Verifier, CatchesCorruptedFocus) {
 }
 
 TEST(Verifier, CatchesCorruptedExploreTarget) {
-  Pipeline P = mustCompile(programs::SllSuite);
+  FrontendResult P = mustCheck(programs::SllSuite);
   Symbol Sum = P.Prog->Names.intern("sum_node");
   CheckedFunction &Fn = P.Checked.Functions.at(Sum);
   Derivation &D = Fn.Deriv;
@@ -158,7 +163,7 @@ TEST(Verifier, CatchesCorruptedExploreTarget) {
 }
 
 TEST(Verifier, CatchesIllFormedContext) {
-  Pipeline P = mustCompile(programs::SllSuite);
+  FrontendResult P = mustCheck(programs::SllSuite);
   Symbol Length = P.Prog->Names.intern("length_node");
   CheckedFunction &Fn = P.Checked.Functions.at(Length);
   Derivation &D = Fn.Deriv;
@@ -178,7 +183,7 @@ TEST(Verifier, CatchesIllFormedContext) {
 }
 
 TEST(Verifier, CatchesWrongFinalContext) {
-  Pipeline P = mustCompile(programs::SllSuite);
+  FrontendResult P = mustCheck(programs::SllSuite);
   Symbol Length = P.Prog->Names.intern("length");
   CheckedFunction &Fn = P.Checked.Functions.at(Length);
   Derivation &D = Fn.Deriv;
@@ -198,7 +203,7 @@ TEST(Verifier, CatchesWrongFinalContext) {
 }
 
 TEST(Verifier, RejectsFocusRelabelledUnfocus) {
-  Pipeline P = mustCompile(programs::SllSuite);
+  FrontendResult P = mustCheck(programs::SllSuite);
   Symbol Sum = P.Prog->Names.intern("sum_node");
   CheckedFunction &Fn = P.Checked.Functions.at(Sum);
   Derivation &D = Fn.Deriv;
@@ -215,7 +220,7 @@ TEST(Verifier, RejectsFocusRelabelledUnfocus) {
 }
 
 TEST(Verifier, RejectsSendWithoutOperand) {
-  Pipeline P = mustCompile(programs::MessagePassing);
+  FrontendResult P = mustCheck(programs::MessagePassing);
   Symbol Producer = P.Prog->Names.intern("producer");
   CheckedFunction &Fn = P.Checked.Functions.at(Producer);
   Derivation &D = Fn.Deriv;
@@ -239,7 +244,7 @@ TEST(Verifier, RejectsSendWithoutOperand) {
 }
 
 TEST(Verifier, UnchangedStepsShareSnapshots) {
-  Pipeline P = mustCompile(programs::SllSuite);
+  FrontendResult P = mustCheck(programs::SllSuite);
   Symbol Sum = P.Prog->Names.intern("sum_node");
   const CheckedFunction &Fn = P.Checked.Functions.at(Sum);
   const Derivation &D = Fn.Deriv;
@@ -259,7 +264,7 @@ TEST(Verifier, UnchangedStepsShareSnapshots) {
 }
 
 TEST(Verifier, DerivationPrintingMentionsRules) {
-  Pipeline P = mustCompile(programs::SllSuite);
+  FrontendResult P = mustCheck(programs::SllSuite);
   Symbol Sum = P.Prog->Names.intern("sum_node");
   const CheckedFunction &Fn = P.Checked.Functions.at(Sum);
   std::string Text = printDerivation(Fn.Deriv, P.Prog->Names);
@@ -269,10 +274,90 @@ TEST(Verifier, DerivationPrintingMentionsRules) {
 }
 
 TEST(Verifier, StatsCountVirtualSteps) {
-  Pipeline P = mustCompile(programs::DllSuite);
+  FrontendResult P = mustCheck(programs::DllSuite);
   Expected<VerifyStats> Stats = verifyProgram(P.Checked);
   ASSERT_TRUE(Stats.hasValue());
   EXPECT_GT(Stats->VirtualStepsChecked, 10u);
+}
+
+//===----------------------------------------------------------------------===//
+// Verified as soon as checked: compile() keeps no derivation
+//===----------------------------------------------------------------------===//
+
+/// The embedded samples and every example program, by name.
+std::vector<std::pair<std::string, std::string>> everySource() {
+  std::vector<std::pair<std::string, std::string>> Out;
+  for (const char *Source :
+       {programs::SllSuite, programs::DllSuite, programs::RedBlackTree,
+        programs::MessagePassing, programs::BitTrie, programs::Extras})
+    Out.emplace_back("sample " + std::to_string(Out.size()), Source);
+  for (const auto &Entry :
+       std::filesystem::directory_iterator(FEARLESS_EXAMPLES_DIR)) {
+    if (Entry.path().extension() != ".fls")
+      continue;
+    std::ifstream In(Entry.path(), std::ios::binary);
+    Out.emplace_back(Entry.path().filename().string(),
+                     std::string(std::istreambuf_iterator<char>(In), {}));
+  }
+  return Out;
+}
+
+TEST(VerifyAsChecked, ArtifactsKeepNoDerivation) {
+  size_t Checked = 0;
+  for (const auto &[Name, Source] : everySource()) {
+    Expected<FrontendResult> Kept = checkSource(Source);
+    ArtifactResult A = buildArtifact(Source, PipelineOptions{});
+    ASSERT_EQ(Kept.hasValue(), A.hasValue()) << Name;
+    if (!Kept)
+      continue; // an example that demonstrates a rejection
+    ++Checked;
+    Expected<VerifyStats> Want = verifyProgram(Kept->Checked);
+    ASSERT_TRUE(Want.hasValue()) << Name;
+    const Pipeline &P = (*A)->P;
+    ASSERT_EQ(P.Checked.Functions.size(), Kept->Checked.Functions.size())
+        << Name;
+    for (const auto &[Fn, CF] : P.Checked.Functions) {
+      EXPECT_TRUE(CF.Deriv.empty()) << Name;
+      EXPECT_FALSE(Kept->Checked.Functions.at(Fn).Deriv.empty()) << Name;
+    }
+    EXPECT_GT(Want->StepsChecked, 0u) << Name;
+    EXPECT_EQ(P.Verified.StepsChecked, Want->StepsChecked) << Name;
+    EXPECT_EQ(P.Verified.VirtualStepsChecked, Want->VirtualStepsChecked)
+        << Name;
+  }
+  EXPECT_GT(Checked, 6u);
+}
+
+TEST(VerifyAsChecked, FailingContinuationStopsTheCheck) {
+  FrontendResult Full = mustCheck(programs::SllSuite);
+  const std::vector<FnDecl> &Decls = Full.Prog->Functions;
+  ASSERT_GT(Decls.size(), 2u);
+  for (size_t K : {size_t{1}, Decls.size() / 2, Decls.size()}) {
+    std::vector<std::string> Seen;
+    FunctionContinuation FailAtK =
+        [&](const CheckedProgram &Program,
+            const CheckedFunction &Fn) -> ExpectedVoid {
+      // The derivation is still there, and only the functions declared
+      // before this one are stored.
+      EXPECT_FALSE(Fn.Deriv.empty());
+      EXPECT_EQ(Program.Functions.size(), Seen.size());
+      Seen.push_back(Program.Prog->Names.spelling(
+          Fn.Deriv[Fn.Deriv.root()].Ops.Var));
+      if (Seen.size() == K)
+        return fail("rejected function " + std::to_string(K));
+      return ExpectedVoid();
+    };
+    Expected<FrontendResult> R =
+        checkSource(programs::SllSuite, CheckerOptions{}, FailAtK);
+    ASSERT_FALSE(R.hasValue());
+    EXPECT_EQ(R.error().Message, "rejected function " + std::to_string(K));
+    EXPECT_EQ(R.error().Stage, DiagnosticStage::Check);
+    EXPECT_EQ(exitCodeForStage(R.error().Stage), 4);
+    // Checked in declaration order, stopping at the k-th function.
+    ASSERT_EQ(Seen.size(), K);
+    for (size_t I = 0; I < K; ++I)
+      EXPECT_EQ(Seen[I], Full.Prog->Names.spelling(Decls[I].Name));
+  }
 }
 
 } // namespace

@@ -17,26 +17,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
-// Allocation counting: this binary replaces global operator new so tests
-// can assert the dispatch loop allocates nothing in steady state.
-static std::atomic<uint64_t> GHeapAllocs{0};
-
-void *operator new(std::size_t Size) {
-  GHeapAllocs.fetch_add(1, std::memory_order_relaxed);
-  if (void *P = std::malloc(Size ? Size : 1))
-    return P;
-  throw std::bad_alloc();
-}
-void *operator new[](std::size_t Size) { return ::operator new(Size); }
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t) noexcept { std::free(P); }
-void operator delete[](void *P) noexcept { std::free(P); }
-void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
-
+#include "HeapCount.h"
 #include "TestUtil.h"
 
 #include "analysis/StaticDisconnect.h"
@@ -76,6 +57,15 @@ vm::CompiledProgram mustCompileVm(Pipeline &P, bool EmitChecks,
   return C ? std::move(*C) : vm::CompiledProgram{};
 }
 
+/// Machine options that run \p Code, or the machine's own checked
+/// lowering when it is null, with reservation checks matching its mode.
+MachineOptions runOptions(const vm::CompiledProgram *Code) {
+  MachineOptions MO;
+  MO.VmCode = Code;
+  MO.CheckReservations = !Code || Code->Checked;
+  return MO;
+}
+
 /// One engine run over a Machine: results on success, the exact error
 /// message on failure, and the aggregated counters and per-thread trace
 /// event names either way.
@@ -112,8 +102,7 @@ eventsByLane(const TraceSession &Trace) {
 Outcome runMachine(Pipeline &P, const vm::CompiledProgram *Code,
                    const Setup &S, uint64_t Seed = 0) {
   TraceSession Trace;
-  MachineOptions MO;
-  MO.VmCode = Code;
+  MachineOptions MO = runOptions(Code);
   MO.Trace = &Trace;
   Machine M(P.Checked, MO);
   S(P, M);
@@ -584,8 +573,7 @@ def consumer() : int {
     auto RunWithFaults = [&](const vm::CompiledProgram *VmCode) {
       FaultPlan Plan = *parseFaultSpec(Spec);
       FaultInjector FI(Plan);
-      MachineOptions MO;
-      MO.VmCode = VmCode;
+      MachineOptions MO = runOptions(VmCode);
       MO.Faults = &FI;
       Machine M(P.Checked, MO);
       M.spawn(sym(P, "producer"), {Value::intVal(4)});
@@ -647,16 +635,15 @@ def spin(n : int) : int {
 )");
   vm::CompiledProgram Code = mustCompileVm(P, false);
   auto AllocsFor = [&](int64_t N) {
-    MachineOptions MO;
-    MO.VmCode = &Code;
-    Machine M(P.Checked, MO);
+    Machine M(P.Checked, runOptions(&Code));
     M.spawn(sym(P, "spin"), {Value::intVal(N)});
-    uint64_t Before = GHeapAllocs.load(std::memory_order_relaxed);
+    uint64_t Before = heapAllocs();
     Expected<MachineSummary> R = M.run();
-    uint64_t After = GHeapAllocs.load(std::memory_order_relaxed);
+    uint64_t After = heapAllocs();
     EXPECT_TRUE(R.hasValue()) << (R ? "" : R.error().render());
-    if (R)
+    if (R) {
       EXPECT_EQ(R->ThreadResults[0], Value::intVal(N));
+    }
     return After - Before;
   };
   // Differential measurement: quadrupling the iteration count must not

@@ -5,7 +5,8 @@
 #
 #===----------------------------------------------------------------------===#
 #
-# Local CI gate: a regular build + test pass (followed by a benchmark
+# Local CI gate: a regular build (from clean, failing on any compiler
+# warning) + test pass (followed by a benchmark
 # smoke run — every bench binary must execute to completion; no perf
 # thresholds, that is tools/bench_compare.py's job), a CLI exit-code
 # smoke, a fearlessd server smoke (daemon output bit-identical to
@@ -37,13 +38,27 @@ set -euo pipefail
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
+# The default pass must build warning-free. It builds from clean, so the
+# log holds every translation unit's diagnostics, and fails on any
+# `warning:` line in it.
 run_pass() {
   local name="$1" dir="$2"
   shift 2
   echo "==> [$name] configure"
   cmake -B "$dir" -S "$ROOT" "$@" >/dev/null
   echo "==> [$name] build"
-  cmake --build "$dir" -j "$JOBS"
+  if [[ "$name" == default ]]; then
+    cmake --build "$dir" -j "$JOBS" --clean-first 2>&1 |
+      tee "$dir/ci_build.log"
+    if grep -q "warning:" "$dir/ci_build.log"; then
+      echo "==> [$name] FAIL: the build emitted warnings:" >&2
+      grep "warning:" "$dir/ci_build.log" >&2
+      exit 1
+    fi
+    echo "    build log: no warnings"
+  else
+    cmake --build "$dir" -j "$JOBS"
+  fi
   echo "==> [$name] test"
   (cd "$dir" && ctest --output-on-failure -j "$JOBS" "${CTEST_ARGS[@]}")
 }

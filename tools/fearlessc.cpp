@@ -552,11 +552,27 @@ int cmdSig(const char *Path, const Options &Opts) {
   return 0;
 }
 
-int cmdDerive(const char *Path, const char *Fn, const Options &Opts) {
-  Expected<Pipeline> P = compileFile(Path, Opts);
+/// `derive` and `dot`: checks \p Path keeping every function's
+/// derivation (compile() keeps none), verifies them, and prints \p Fn's
+/// with \p Print.
+int cmdDerive(const char *Path, const char *Fn, const Options &Opts,
+              std::string (*Print)(const Derivation &, const Interner &)) {
+  Expected<std::string> Source = readFile(Path);
+  if (!Source) {
+    std::fprintf(stderr, "%s\n", Source.error().render().c_str());
+    return exitCodeFor(Source.error());
+  }
+  CheckerOptions CO;
+  CO.UseLivenessOracle = Opts.Req.Pipeline.UseOracle;
+  Expected<FrontendResult> P = checkSource(*Source, CO);
   if (!P) {
     std::fprintf(stderr, "%s\n", P.error().render().c_str());
     return exitCodeFor(P.error());
+  }
+  if (Expected<VerifyStats> Verified = verifyProgram(P->Checked);
+      !Verified) {
+    std::fprintf(stderr, "%s\n", Verified.error().render().c_str());
+    return exitCodeForStage(DiagnosticStage::Check);
   }
   Symbol Name = P->Prog->Names.intern(Fn);
   auto It = P->Checked.Functions.find(Name);
@@ -564,27 +580,7 @@ int cmdDerive(const char *Path, const char *Fn, const Options &Opts) {
     std::fprintf(stderr, "no derivation for '%s'\n", Fn);
     return 1;
   }
-  std::printf("%s", printDerivation(It->second.Deriv,
-                                    P->Prog->Names)
-                        .c_str());
-  return 0;
-}
-
-int cmdDot(const char *Path, const char *Fn, const Options &Opts) {
-  Expected<Pipeline> P = compileFile(Path, Opts);
-  if (!P) {
-    std::fprintf(stderr, "%s\n", P.error().render().c_str());
-    return exitCodeFor(P.error());
-  }
-  Symbol Name = P->Prog->Names.intern(Fn);
-  auto It = P->Checked.Functions.find(Name);
-  if (It == P->Checked.Functions.end() || It->second.Deriv.empty()) {
-    std::fprintf(stderr, "no derivation for '%s'\n", Fn);
-    return 1;
-  }
-  std::printf("%s", printDerivationDot(It->second.Deriv,
-                                       P->Prog->Names)
-                        .c_str());
+  std::printf("%s", Print(It->second.Deriv, P->Prog->Names).c_str());
   return 0;
 }
 
@@ -904,9 +900,10 @@ int main(int argc, char **argv) {
     if (!std::strcmp(Cmd, "sig") && N == 2)
       return cmdSig(Positional[1], Opts);
     if (!std::strcmp(Cmd, "derive") && N == 3)
-      return cmdDerive(Positional[1], Positional[2], Opts);
+      return cmdDerive(Positional[1], Positional[2], Opts, printDerivation);
     if (!std::strcmp(Cmd, "dot") && N == 3)
-      return cmdDot(Positional[1], Positional[2], Opts);
+      return cmdDerive(Positional[1], Positional[2], Opts,
+                       printDerivationDot);
     if (!std::strcmp(Cmd, "sample") && N == 2)
       return cmdSample(Positional[1]);
   }
