@@ -196,19 +196,9 @@ void ChannelSet::wakeHandoff(ChannelWaiter &W) {
     Sink->unpark(W);
 }
 
-ChannelState ChannelSet::state() const {
-  std::lock_guard<std::mutex> Lock(M);
-  return Shutdown;
-}
-
 void ChannelSet::setUnparkSink(TaskUnparkSink *S) {
   std::lock_guard<std::mutex> Lock(M);
   Sink = S;
-}
-
-void ChannelSet::setShutdownHook(std::function<void()> Hook) {
-  std::lock_guard<std::mutex> Lock(M);
-  ShutdownHook = std::move(Hook);
 }
 
 void ChannelSet::maybeQuiesceLocked() {
@@ -246,8 +236,6 @@ void ChannelSet::shutdownLocked(ChannelState To) {
       W = Next;
     }
   }
-  if (ShutdownHook)
-    ShutdownHook();
 }
 
 void ChannelSet::collectMetrics(RuntimeMetrics &Out) {

@@ -30,9 +30,9 @@
 /// every waiter with the Closed/Aborted result instead.
 ///
 /// Lock order (global, deadlock-freedom invariant): set mutex -> channel
-/// mutex -> scheduler internals. The unpark sink and the shutdown hook
-/// are invoked with the set mutex held and may take scheduler locks, but
-/// must never re-enter the channel set.
+/// mutex -> scheduler internals. The unpark sink is invoked with the set
+/// mutex held and may take scheduler locks, but must never re-enter the
+/// channel set.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,7 +44,6 @@
 #include "support/Metrics.h"
 #include "support/Trace.h"
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -218,12 +217,6 @@ public:
   /// queued values are discarded.
   void abortAll();
 
-  /// The set-wide shutdown state (Open until quiescence/closeAll/abort).
-  /// Restarting tasks consult it so a post-restart attempt observes a
-  /// closing run as clean cancellation instead of retrying into closed
-  /// channels.
-  ChannelState state() const;
-
   /// One task parked on a channel: until it is woken it is no longer a
   /// potential sender. May complete quiescence
   /// (which immediately wakes the parked task with RecvResult::Closed).
@@ -234,12 +227,6 @@ public:
   /// set before any task parks and cleared (null) only once no waiter
   /// can remain. Invoked with the set mutex held.
   void setUnparkSink(TaskUnparkSink *Sink);
-
-  /// Installs a callback fired on every set-wide shutdown transition
-  /// (Open→Closed, →Aborted), with the set mutex held. The scheduler
-  /// uses it to expedite restart-backoff timers instead of letting a
-  /// task sleep seconds into a dead run. Null detaches.
-  void setShutdownHook(std::function<void()> Hook);
 
   /// Adds this set's channel counters into \p Out.
   void collectMetrics(RuntimeMetrics &Out);
@@ -270,7 +257,7 @@ private:
   /// remains and no value is in flight.
   void maybeQuiesceLocked();
 
-  mutable std::mutex M;
+  std::mutex M;
   std::map<Type, std::unique_ptr<ValueChannel>> Channels;
   /// Registered threads that are neither finished nor parked in recv.
   size_t ActiveThreads = 0;
@@ -282,8 +269,6 @@ private:
   TraceBuffer *Trace = nullptr;
   /// Wake callback for parked tasks; guarded by M, invoked under M.
   TaskUnparkSink *Sink = nullptr;
-  /// Shutdown-transition callback; guarded by M, invoked under M.
-  std::function<void()> ShutdownHook;
 };
 
 } // namespace fearless

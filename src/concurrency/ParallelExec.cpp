@@ -67,9 +67,7 @@ Expected<std::vector<Value>> ParallelExec::run() {
   Metrics.FaultsInjected = Opts.Faults ? Opts.Faults->totalFired() : 0;
   for (const ThreadRunResult &S : Slots) {
     Metrics.mergeThread(S.Stats);
-    Metrics.ThreadsRestarted += S.Restarts;
-    Metrics.RestartBackoffMillis += S.BackoffMillis;
-    Metrics.FaultsEscalated += S.Escalated ? 1 : 0;
+    Metrics.FaultsEscalated += S.Faulted ? 1 : 0;
     switch (S.Out) {
     case ThreadRunOutcome::Finished:
       ++Metrics.ThreadsFinished;

@@ -22,23 +22,13 @@
 /// Shutdown protocol: when every thread that could still send has
 /// finished, the channel set closes cleanly and threads parked in recv
 /// stop as *cancelled* rather than deadlocking run() (see Channel.h). A
-/// thread error or the optional watchdog aborts the run instead, waking
+/// thread error — a program error or a structured fault, injected or a
+/// runtime trap — or the optional watchdog aborts the run instead, waking
 /// every parked receiver; all thread errors are reported, not just the
-/// first. Per-thread counters are aggregated into a RuntimeMetrics
-/// registry at join.
-///
-/// Supervision (Erlang-style, enabled by MaxRestarts > 0): a thread
-/// attempt that dies to a structured fault — injected or a genuine
-/// runtime trap — is restarted with capped exponential backoff, but
-/// *only* when the dying attempt externalized nothing (zero sends, zero
-/// recvs). Region isolation makes that restart sound: the dead attempt's
-/// reservation was disjoint from every peer by construction, so dropping
-/// it cannot poison them, and an effect-free attempt is observationally
-/// a no-op — a recovered run's results are identical to a fault-free
-/// run's. A fault past the first send/recv, or past the restart budget,
-/// escalates to the existing quiescence abort. The watchdog escalates in
-/// two stages: soft cancel (close the channels, let blocked receivers
-/// drain-then-stop within a grace period), then hard abortAll.
+/// first. The watchdog escalates in two stages: soft cancel (close the
+/// channels, let blocked receivers drain-then-stop within a grace
+/// period), then hard abortAll. Per-thread counters are aggregated into
+/// a RuntimeMetrics registry at join.
 ///
 /// Used by bench_concurrency (E7) and the message-passing example.
 ///
@@ -73,23 +63,11 @@ struct ParallelExecOptions {
   /// hard abort immediately.
   uint64_t WatchdogGraceMillis = 50;
   /// Deterministic fault injection (support/FaultInjector.h): consulted
-  /// per attempt start (`thread.start`), per worker step (`sched.step`),
-  /// and by the VM's instrumented sites. Null = disabled (one pointer
-  /// test per site). Shared by all workers; must outlive run().
+  /// per thread start (`thread.start`), per worker step (`sched.step`),
+  /// and by the VM's instrumented sites. A fired fault aborts the run.
+  /// Null = disabled (one pointer test per site). Shared by all workers;
+  /// must outlive run().
   FaultInjector *Faults = nullptr;
-  /// Supervision: restart budget per thread for attempts that die to a
-  /// structured fault before externalizing any effect. 0 disables
-  /// supervision (a fault aborts the run, the pre-supervision behavior).
-  uint32_t MaxRestarts = 0;
-  /// Backoff before restart attempt k (1-based): min(cap, base << (k-1))
-  /// plus a deterministic jitter in [0, backoff] drawn from RestartSeed,
-  /// the thread index, and k. Counted in RuntimeMetrics as
-  /// RestartBackoffMillis.
-  uint64_t RestartBackoffMillis = 1;
-  uint64_t RestartBackoffCapMillis = 64;
-  /// Seed for the backoff jitter (conventionally the fault plan's seed),
-  /// keeping recovery timelines reproducible.
-  uint64_t RestartSeed = 0;
   /// Structured tracing (support/Trace.h): when set, run() gives every
   /// worker its own ring buffer (channel send/recv spans including
   /// blocked time, `if disconnected` spans, step ticks, a whole-thread
@@ -112,8 +90,7 @@ struct ParallelExecOptions {
   /// same CheckedProgram and outlive run(). Null = the executor lowers
   /// the program itself at construction, with checks erased and every
   /// `if disconnected` site dynamic. The VM's per-thread state lives in
-  /// the ThreadState, so parking, supervision resets, and preemption
-  /// work unchanged.
+  /// the ThreadState, so parking and preemption work unchanged.
   const vm::CompiledProgram *VmCode = nullptr;
 };
 

@@ -6,12 +6,11 @@
 
 #include "concurrency/TaskScheduler.h"
 
-#include "concurrency/Backoff.h"
 #include "runtime/StepOps.h"
 #include "support/FaultInjector.h"
 
 #include <algorithm>
-#include <cassert>
+#include <chrono>
 
 using namespace fearless;
 
@@ -47,7 +46,7 @@ void TaskScheduler::unpark(ChannelWaiter &W) {
 StepServices TaskScheduler::services(Task &T) {
   StepServices Services;
   Services.TheHeap = &TheHeap;
-  Services.Stats = &T.AttemptStats;
+  Services.Stats = &T.R.Stats;
   Services.Faults = Opts.Faults;
   Services.VmCode = Opts.VmCode;
   return Services;
@@ -61,26 +60,14 @@ void TaskScheduler::workerLoop(size_t W) {
 TaskScheduler::Task *TaskScheduler::nextTask(size_t W) {
   Worker &Me = Workers[W];
   for (;;) {
-    // Global sources first — unparked tasks and due backoff timers —
-    // so a busy local queue can never starve them. A shutdown (abort or
-    // channel closure) expedites every pending timer: the woken attempt
-    // observes the dead run and stops cleanly instead of sleeping a
-    // multi-second backoff into it.
+    // Unparked tasks first, so a busy local queue can never starve
+    // them.
     {
-      std::unique_lock<std::mutex> Lock(SchedM);
+      std::lock_guard<std::mutex> Lock(SchedM);
       if (StopWorkers)
         return nullptr;
       if (Task *T = Inject.pop())
         return T;
-      if (!Timers.empty() &&
-          (AbortFlag.load(std::memory_order_relaxed) ||
-           ShutdownSeen.load(std::memory_order_relaxed) ||
-           Timers.front().first <= Clock::now())) {
-        std::pop_heap(Timers.begin(), Timers.end(), timerAfter);
-        Task *T = Timers.back().second;
-        Timers.pop_back();
-        return T;
-      }
     }
     // Own queue, then steal from peers in this worker's victim order.
     {
@@ -96,20 +83,16 @@ TaskScheduler::Task *TaskScheduler::nextTask(size_t W) {
         return T;
       }
     }
-    // Idle: sleep until the next timer deadline, an unpark, or stop —
-    // with a short poll as the safety net for work that is only
-    // stealable (peer queues are not covered by WorkCV).
+    // Idle: sleep until an unpark or stop — with a short poll as the
+    // safety net for work that is only stealable (peer queues are not
+    // covered by WorkCV).
     {
       std::unique_lock<std::mutex> Lock(SchedM);
       if (StopWorkers)
         return nullptr;
       if (!Inject.empty())
         continue;
-      Clock::time_point Deadline =
-          Clock::now() + std::chrono::milliseconds(2);
-      if (!Timers.empty())
-        Deadline = std::min(Deadline, Timers.front().first);
-      WorkCV.wait_until(Lock, Deadline);
+      WorkCV.wait_for(Lock, std::chrono::milliseconds(2));
     }
   }
 }
@@ -121,6 +104,17 @@ void TaskScheduler::resume(size_t W, Task &T) {
   if (!T.Started) {
     T.Started = true;
     T.TraceRunStartNs = Me.TB ? Me.TB->now() : 0;
+    T.T.Id = static_cast<ThreadId>(T.Index);
+    enterThread(T.T, *Opts.VmCode, T.E->Fn, T.E->Args);
+    // Pre-size the `if disconnected` scratch to the graphs built before
+    // run(), keeping growth out of the measured region.
+    T.T.Scratch.reserve(TheHeap.size());
+    // thread.start fault point: the thread dies before its first step.
+    if (Faults && Faults->shouldFire(FaultPoint::ThreadStart)) {
+      abortRun(W, T, injectedFault(FaultPoint::ThreadStart, T.T.Id).render(),
+               true);
+      return;
+    }
   }
 
   if (T.ResumeFromPark) {
@@ -134,7 +128,7 @@ void TaskScheduler::resume(size_t W, Task &T) {
                     Me.TB->now() - T.T.TraceBlockStartNs);
     switch (T.WakeResult) {
     case RecvResult::Ok:
-      ++T.AttemptStats.Recvs;
+      ++T.R.Stats.Recvs;
       resumeThread(T.T, T.Handoff);
       T.Handoff = Value();
       break;
@@ -151,45 +145,6 @@ void TaskScheduler::resume(size_t W, Task &T) {
     }
   }
 
-  if (T.NeedsReset) {
-    // A restart attempt that wakes into a closing run stops cleanly
-    // instead of retrying against closed channels (which would read as a
-    // fresh fault, not the cancellation it really is).
-    if (T.Attempt > 0 &&
-        (AbortFlag.load(std::memory_order_relaxed) ||
-         Channels.state() != ChannelState::Open)) {
-      T.R.Result = Value::unitVal();
-      T.R.Error.clear();
-      T.R.Fault.reset();
-      T.R.Out = ThreadRunOutcome::Cancelled;
-      finish(W, T);
-      return;
-    }
-    // Fresh configuration per attempt: the dead attempt's partial
-    // reservation is simply dropped — region isolation guarantees no
-    // peer could see it.
-    T.T = ThreadState();
-    T.T.Id = static_cast<ThreadId>(T.Index);
-    enterThread(T.T, *Opts.VmCode, T.E->Fn, T.E->Args);
-    // Pre-size the `if disconnected` scratch to the graphs built before
-    // run(), keeping growth out of the measured region.
-    T.T.Scratch.reserve(TheHeap.size());
-    T.AttemptStats = MachineStats();
-    T.R.Fault.reset();
-    T.R.Error.clear();
-    T.R.Out = ThreadRunOutcome::Cancelled;
-    T.NeedsReset = false;
-    // thread.start fault point: the attempt dies before its first step
-    // (always effect-free, so always retryable).
-    if (Faults && Faults->shouldFire(FaultPoint::ThreadStart)) {
-      T.R.Fault = injectedFault(FaultPoint::ThreadStart, T.T.Id);
-      T.R.Error = T.R.Fault->render();
-      T.R.Out = ThreadRunOutcome::Errored;
-      supervise(W, T);
-      return;
-    }
-  }
-
   // The task records into the current worker's buffer for this quantum;
   // exactly one worker runs a task at a time, so the single-writer rule
   // holds even as the task migrates.
@@ -199,17 +154,15 @@ void TaskScheduler::resume(size_t W, Task &T) {
   for (uint32_t Step = 0; Step < Opts.PreemptQuantum; ++Step) {
     if (AbortFlag.load(std::memory_order_relaxed)) {
       // Hard abort: stop at the step boundary; the outcome stays
-      // Cancelled (set at attempt start) — the originating error is
-      // reported by whoever aborted.
+      // Cancelled — the originating error is reported by whoever
+      // aborted.
       finish(W, T);
       return;
     }
     // sched.step fault point: the scheduler's per-step pulse.
     if (Faults && Faults->shouldFire(FaultPoint::SchedStep)) {
-      T.R.Fault = injectedFault(FaultPoint::SchedStep, T.T.Id);
-      T.R.Error = T.R.Fault->render();
-      T.R.Out = ThreadRunOutcome::Errored;
-      supervise(W, T);
+      abortRun(W, T, injectedFault(FaultPoint::SchedStep, T.T.Id).render(),
+               true);
       return;
     }
     switch (stepThread(T.T, Services)) {
@@ -225,7 +178,7 @@ void TaskScheduler::resume(size_t W, Task &T) {
       // gets the value handed to it directly).
       TraceSpan Span(T.T.Trace, "chan.send", "channel");
       Channels.channelFor(T.T.CommType).send(T.T.PendingSend);
-      ++T.AttemptStats.Sends;
+      ++T.R.Stats.Sends;
       T.T.PendingSend = Value();
       resumeThread(T.T, Value::unitVal());
       break;
@@ -257,7 +210,7 @@ void TaskScheduler::resume(size_t W, Task &T) {
         Me.TB->record("chan.recv", "channel", 'X', RecvStart,
                       Me.TB->now() - RecvStart);
       if (A == RecvAttempt::Got) {
-        ++T.AttemptStats.Recvs;
+        ++T.R.Stats.Recvs;
         resumeThread(T.T, Received);
         break;
       }
@@ -268,17 +221,14 @@ void TaskScheduler::resume(size_t W, Task &T) {
       return;
     }
     case StepOutcome::Stuck:
-      T.R.Error = T.T.Error;
-      T.R.Fault = T.T.Fault;
-      T.R.Out = ThreadRunOutcome::Errored;
-      supervise(W, T);
+      abortRun(W, T, T.T.Error, T.T.Fault.has_value());
       return;
     }
   }
 
   // Quantum exhausted: preempt back to the local queue so a spinner
   // cannot monopolize this worker (the global-first order in nextTask
-  // then guarantees unparked tasks and timers get a turn).
+  // then guarantees unparked tasks get a turn).
   {
     std::lock_guard<std::mutex> Lock(Me.QM);
     Me.Q.push(&T);
@@ -286,51 +236,16 @@ void TaskScheduler::resume(size_t W, Task &T) {
   WorkCV.notify_one();
 }
 
-void TaskScheduler::supervise(size_t W, Task &T) {
+void TaskScheduler::abortRun(size_t W, Task &T, std::string Error,
+                             bool Faulted) {
   Worker &Me = Workers[W];
-  // Restart only a *fault* death (typed — injected or a runtime trap;
-  // plain program errors stay fail-fast) whose attempt externalized
-  // nothing: one send or recv and replaying could duplicate effects.
-  bool Retryable = T.R.Fault.has_value() && T.AttemptStats.Sends == 0 &&
-                   T.AttemptStats.Recvs == 0 &&
-                   !AbortFlag.load(std::memory_order_relaxed);
-  if (Retryable && T.Attempt < Opts.MaxRestarts) {
-    T.Lifetime.merge(T.AttemptStats);
-    T.AttemptStats = MachineStats();
-    uint64_t Sleep = jitteredRestartMillis(
-        Opts.RestartBackoffMillis, Opts.RestartBackoffCapMillis,
-        Opts.RestartSeed, T.Index, T.Attempt);
-    T.R.BackoffMillis += Sleep;
-    ++T.R.Restarts;
-    if (Me.TB)
-      Me.TB->instant("thread.restart", "thread", "attempt", T.Attempt + 1);
-    ++T.Attempt;
-    T.NeedsReset = true;
-    if (Sleep == 0) {
-      std::lock_guard<std::mutex> Lock(Me.QM);
-      Me.Q.push(&T);
-      return;
-    }
-    // Backoff without blocking a worker: park the task on the timer
-    // heap. It keeps its active-sender count, so quiescence cannot fire
-    // mid-recovery and cancel its waiting peers.
-    {
-      std::lock_guard<std::mutex> Lock(SchedM);
-      Timers.emplace_back(Clock::now() + std::chrono::milliseconds(Sleep),
-                          &T);
-      std::push_heap(Timers.begin(), Timers.end(), timerAfter);
-    }
-    WorkCV.notify_all(); // idle workers re-arm their wait deadline
-    return;
-  }
-
-  // Escalation: the existing quiescence abort — fail the run and wake
-  // every blocked receiver (parked tasks get RecvResult::Aborted).
-  if (T.R.Fault) {
-    T.R.Escalated = true;
-    if (Me.TB)
-      Me.TB->instant("fault.escalated", "fault", "attempts", T.Attempt + 1);
-  }
+  T.R.Error = std::move(Error);
+  T.R.Out = ThreadRunOutcome::Errored;
+  T.R.Faulted = Faulted;
+  if (Faulted && Me.TB)
+    Me.TB->instant("fault.escalated", "fault");
+  // Parked tasks wake with RecvResult::Aborted; running ones stop at
+  // their next step boundary.
   AbortFlag.store(true, std::memory_order_relaxed);
   Channels.abortAll();
   finish(W, T);
@@ -338,8 +253,6 @@ void TaskScheduler::supervise(size_t W, Task &T) {
 
 void TaskScheduler::finish(size_t W, Task &T) {
   Worker &Me = Workers[W];
-  T.Lifetime.merge(T.AttemptStats);
-  T.AttemptStats = MachineStats();
   if (Me.TB) {
     const char *OutName = T.R.Out == ThreadRunOutcome::Finished ? "finished"
                           : T.R.Out == ThreadRunOutcome::Errored
@@ -348,9 +261,8 @@ void TaskScheduler::finish(size_t W, Task &T) {
     Me.TB->instant(OutName, "thread");
     Me.TB->record("thread.run", "thread", 'X', T.TraceRunStartNs,
                   Me.TB->now() - T.TraceRunStartNs, "steps",
-                  T.Lifetime.Steps);
+                  T.R.Stats.Steps);
   }
-  T.R.Stats = T.Lifetime;
   Channels.threadFinished();
   bool AllDone = false;
   {
@@ -390,7 +302,6 @@ TaskScheduler::run(const std::vector<SpawnEntry> &Work, RunStats &Stats) {
     T.E = &Work[I];
   }
   Inject.init(Work.size());
-  Timers.reserve(Work.size());
   for (size_t WI = 0; WI < N; ++WI) {
     Workers.emplace_back();
     Workers.back().Q.init(Work.size());
@@ -418,15 +329,6 @@ TaskScheduler::run(const std::vector<SpawnEntry> &Work, RunStats &Stats) {
 
   Channels.registerThreads(Work.size());
   Channels.setUnparkSink(this);
-  Channels.setShutdownHook([this] {
-    // Fired under the set mutex on every Open->Closed/Aborted
-    // transition. Expedite pending backoff timers and wake everyone so
-    // shutdown is observed promptly (set -> sched lock direction).
-    ShutdownSeen.store(true, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> Lock(SchedM);
-    WorkCV.notify_all();
-    DoneCV.notify_all();
-  });
 
   // Tracing: register every buffer up front (worker W -> tid W+1) so no
   // worker touches the session mutex after it starts. The executor's
@@ -499,10 +401,9 @@ TaskScheduler::run(const std::vector<SpawnEntry> &Work, RunStats &Stats) {
   for (size_t WI = 0; WI < N; ++WI)
     Workers[WI].Thread.join();
 
-  // Every task is finished, so no waiter or timer can remain; detach the
-  // callbacks before this (stack-local to the caller) object dies.
+  // Every task is finished, so no waiter can remain; detach the sink
+  // before this (stack-local to the caller) object dies.
   Channels.setUnparkSink(nullptr);
-  Channels.setShutdownHook(nullptr);
 
   for (size_t WI = 0; WI < N; ++WI) {
     Stats.Steals += Workers[WI].Steals;

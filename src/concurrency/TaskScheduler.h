@@ -7,23 +7,21 @@
 /// \file
 /// The M:N green-thread engine behind ParallelExec: language threads are
 /// resumable tasks — the VM (runtime/StepOps.h) already yields at step
-/// boundaries, so a task is just a ThreadState plus supervision
-/// bookkeeping — scheduled onto a fixed pool of OS workers. Each worker
-/// owns a run queue; work is taken own-queue first and stolen from peers
-/// when empty, with a global inject queue for unparked tasks and a timer
-/// heap for supervision backoff. Channel recv parks the *task* (an
-/// intrusive ChannelWaiter — no allocation) instead of blocking an OS
-/// thread; send hands values directly to parked waiters and unparks
-/// them.
+/// boundaries, so a task is just a ThreadState plus its result record —
+/// scheduled onto a fixed pool of OS workers. Each worker owns a run
+/// queue; work is taken own-queue first and stolen from peers when
+/// empty, with a global inject queue for unparked tasks. Channel recv
+/// parks the *task* (an intrusive ChannelWaiter — no allocation) instead
+/// of blocking an OS thread; send hands values directly to parked
+/// waiters and unparks them.
 ///
 /// It implements the executor's whole observable surface: the quiescence
 /// shutdown and two-stage watchdog, the fault-injection points
-/// (`thread.start`, `sched.step`, plus the VM's instrumented
-/// sites), supervised restart with saturating backoff (Backoff.h), the
-/// trace event vocabulary (`thread.run`, `chan.send`, `chan.recv`,
-/// `thread.restart`, `fault.escalated`, `watchdog.*`), and the
-/// RuntimeMetrics counters, including `tasks_spawned`, `steals`, and
-/// `parks`.
+/// (`thread.start`, `sched.step`, plus the VM's instrumented sites), the
+/// abort on the first thread error, the trace event vocabulary
+/// (`thread.run`, `chan.send`, `chan.recv`, `fault.escalated`,
+/// `watchdog.*`), and the RuntimeMetrics counters, including
+/// `tasks_spawned`, `steals`, and `parks`.
 ///
 /// Scheduling is seeded (`SchedSeed`): seed 0 keeps round-robin initial
 /// placement and sequential steal order; a nonzero seed permutes both
@@ -39,11 +37,9 @@
 #include "concurrency/ParallelExec.h"
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -60,12 +56,9 @@ struct ThreadRunResult {
   std::string Error;
   ThreadRunOutcome Out = ThreadRunOutcome::Cancelled;
   MachineStats Stats;
-  /// Structured fault of the final attempt, when it died to one.
-  std::optional<RuntimeFault> Fault;
-  /// Supervision bookkeeping (merged into RuntimeMetrics at join).
-  uint32_t Restarts = 0;
-  uint64_t BackoffMillis = 0;
-  bool Escalated = false;
+  /// The thread died to a structured fault (injected or a runtime trap),
+  /// not a plain program error.
+  bool Faulted = false;
 };
 
 /// Runs a batch of language threads as green tasks on a fixed worker
@@ -100,8 +93,6 @@ public:
   void unpark(ChannelWaiter &W) override;
 
 private:
-  using Clock = std::chrono::steady_clock;
-
   /// One resumable language thread. Derives from ChannelWaiter so
   /// parking on a channel is intrusive: the channel queues this very
   /// object, and unpark casts back. All fields are owned by whichever
@@ -111,16 +102,7 @@ private:
     ThreadState T;
     size_t Index = 0;
     const SpawnEntry *E = nullptr;
-    /// Counters of the in-flight attempt; folded into Lifetime when the
-    /// attempt ends. The supervisor reads it to decide restartability
-    /// (an attempt that externalized a send/recv must not be replayed).
-    MachineStats AttemptStats;
-    MachineStats Lifetime;
-    uint32_t Attempt = 0;
     ThreadRunResult R;
-    /// Build a fresh ThreadState before the next step (first run or
-    /// post-restart).
-    bool NeedsReset = true;
     /// The next resume consumes WakeResult/Handoff (the task was parked
     /// on a channel). Set *before* the waiter is published.
     bool ResumeFromPark = false;
@@ -171,17 +153,12 @@ private:
     std::thread Thread;
   };
 
-  static bool timerAfter(const std::pair<Clock::time_point, Task *> &A,
-                         const std::pair<Clock::time_point, Task *> &B) {
-    return A.first > B.first;
-  }
-
   void workerLoop(size_t W);
   Task *nextTask(size_t W);
   void resume(size_t W, Task &T);
-  /// Attempt died to a fault or error: restart (immediately or via the
-  /// timer heap) or escalate to a run abort.
-  void supervise(size_t W, Task &T);
+  /// The thread died with \p Error: fail it, abort the run and wake every
+  /// parked receiver.
+  void abortRun(size_t W, Task &T, std::string Error, bool Faulted);
   void finish(size_t W, Task &T);
   StepServices services(Task &T);
 
@@ -192,7 +169,7 @@ private:
   std::vector<Task> Tasks;
   std::deque<Worker> Workers; ///< Deque: workers are never moved.
 
-  /// Global scheduler mutex: inject queue, timer heap, done counter,
+  /// Global scheduler mutex: inject queue, done counter,
   /// worker sleep/wake. Innermost in the global lock order (after the
   /// channel-set and channel mutexes) — code holding it never calls
   /// back into the channel layer.
@@ -200,17 +177,9 @@ private:
   std::condition_variable WorkCV; ///< Workers idle-wait here.
   std::condition_variable DoneCV; ///< run() waits for completion here.
   TaskRing Inject;                ///< Unparked tasks; guarded by SchedM.
-  /// Min-heap of (deadline, task) for supervision backoff; guarded by
-  /// SchedM. A backoff task stays a potential sender (no taskParked), so
-  /// quiescence cannot fire mid-recovery.
-  std::vector<std::pair<Clock::time_point, Task *>> Timers;
   size_t DoneCount = 0;   ///< Guarded by SchedM.
   bool StopWorkers = false; ///< Guarded by SchedM.
   std::atomic<bool> AbortFlag{false};
-  /// Set by the channel set's shutdown hook: expedites pending backoff
-  /// timers so a restarting task observes closure promptly instead of
-  /// sleeping into a dead run.
-  std::atomic<bool> ShutdownSeen{false};
 };
 
 } // namespace fearless

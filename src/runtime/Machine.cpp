@@ -228,9 +228,8 @@ ExpectedVoid Machine::beginStepping() {
 
   // Fault points the VM cannot see: thread.start fires once per
   // started thread (before its first step), sched.step per scheduler
-  // pulse in stepChosen. The machine has no supervision — an injected
-  // fault here fails the run with a typed diagnostic (exit-code 5 on the
-  // CLI).
+  // pulse in stepChosen. An injected fault here fails the run with a
+  // typed diagnostic (exit-code 5 on the CLI).
   if (Opts.Faults) {
     for (ThreadState &T : Threads) {
       if (T.Status == ThreadStatus::Finished)

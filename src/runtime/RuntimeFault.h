@@ -20,8 +20,8 @@
 /// diagnostic and `fearlessc` maps to a distinct exit code. Debug builds
 /// keep the loud abort for genuine memory-safety traps, where a live
 /// debugger beats an unwound stack. Injected faults (support/
-/// FaultInjector.h) always throw: they exist to exercise recovery, in
-/// every build flavor.
+/// FaultInjector.h) always throw: they exist to exercise the fault path,
+/// in every build flavor.
 ///
 /// This is the only exception used by the runtime; library code
 /// otherwise stays on Expected<T>. The throw happens only on the fault
@@ -82,7 +82,7 @@ struct RuntimeFaultError {
 [[noreturn]] void raiseRuntimeFault(const RuntimeFault &F);
 
 /// Raises an injected fault: always throws, in every build flavor
-/// (injected faults exist to exercise the recovery path, not to stop a
+/// (injected faults exist to exercise the fault path, not to stop a
 /// debugger).
 [[noreturn]] void raiseInjectedFault(const RuntimeFault &F);
 

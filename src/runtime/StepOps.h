@@ -80,8 +80,8 @@ struct ThreadState {
   std::string Error;
   /// Structured description when the thread died to a runtime fault
   /// (trap or injection) rather than a plain stuck state. Set alongside
-  /// Error by stepThread's trap handler; executors use it to decide
-  /// supervision (restart vs escalate) and exit-code mapping.
+  /// Error by stepThread's trap handler; executors count it as an
+  /// escalated fault, which the CLI maps to exit code 5.
   std::optional<RuntimeFault> Fault;
 
   /// Blocking communication state.

@@ -90,8 +90,7 @@ struct FaultTrigger {
 /// A full parsed spec: one trigger per point plus the decision seed.
 struct FaultPlan {
   std::array<FaultTrigger, NumFaultPoints> Triggers{};
-  /// Seeds the per-occurrence probability decisions (and is the
-  /// conventional source for supervision backoff jitter).
+  /// Seeds the per-occurrence probability decisions.
   uint64_t Seed = 0;
 
   bool empty() const {

@@ -8,22 +8,6 @@
 
 using namespace fearless;
 
-void MachineStats::merge(const MachineStats &O) {
-  Steps += O.Steps;
-  ReservationChecks += O.ReservationChecks;
-  DisconnectChecks += O.DisconnectChecks;
-  DisconnectTaken += O.DisconnectTaken;
-  DisconnectElided += O.DisconnectElided;
-  DisconnectObjectsVisited += O.DisconnectObjectsVisited;
-  DisconnectEdgesTraversed += O.DisconnectEdgesTraversed;
-  Sends += O.Sends;
-  Recvs += O.Recvs;
-  Allocations += O.Allocations;
-  VmInstructions += O.VmInstructions;
-  IcHits += O.IcHits;
-  IcMisses += O.IcMisses;
-}
-
 void RuntimeMetrics::mergeThread(const MachineStats &S) {
   Steps += S.Steps;
   Sends += S.Sends;
@@ -69,8 +53,6 @@ void RuntimeMetrics::merge(const RuntimeMetrics &O) {
   Steals += O.Steals;
   Parks += O.Parks;
   FaultsInjected += O.FaultsInjected;
-  ThreadsRestarted += O.ThreadsRestarted;
-  RestartBackoffMillis += O.RestartBackoffMillis;
   FaultsEscalated += O.FaultsEscalated;
   ChannelsCreated += O.ChannelsCreated;
   ChannelSends += O.ChannelSends;
@@ -111,8 +93,6 @@ void RuntimeMetrics::forEach(
   Fn("steals", Steals);
   Fn("parks", Parks);
   Fn("faults_injected", FaultsInjected);
-  Fn("threads_restarted", ThreadsRestarted);
-  Fn("restart_backoff_millis", RestartBackoffMillis);
   Fn("faults_escalated", FaultsEscalated);
   Fn("channels_created", ChannelsCreated);
   Fn("channel_sends", ChannelSends);

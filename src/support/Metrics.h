@@ -43,10 +43,6 @@ struct MachineStats {
   /// Field-access inline-cache hits/misses.
   uint64_t IcHits = 0;
   uint64_t IcMisses = 0;
-
-  /// Accumulates another stats block. Supervised restarts use it to fold
-  /// a dying attempt's work into the thread's lifetime totals.
-  void merge(const MachineStats &O);
 };
 
 /// Aggregated counters for one runtime execution (one Machine::run or
@@ -105,17 +101,11 @@ struct RuntimeMetrics {
   /// Times a task parked on a channel waiting for a value.
   uint64_t Parks = 0;
 
-  // Robustness counters (fault injection + supervision).
+  // Robustness counters (fault injection).
   /// Faults fired by the deterministic injector during the run.
   uint64_t FaultsInjected = 0;
-  /// Thread attempts restarted by the supervision policy.
-  uint64_t ThreadsRestarted = 0;
-  /// Total supervision backoff slept before restarts (computed, so the
-  /// value is deterministic for a given plan/seed).
-  uint64_t RestartBackoffMillis = 0;
-  /// Faults that could not be recovered and escalated to a run abort
-  /// (restart budget exhausted, effects already externalized, or
-  /// supervision disabled).
+  /// Threads that died to a structured fault (injected or a runtime
+  /// trap), aborting the run.
   uint64_t FaultsEscalated = 0;
 
   // Channel counters (parallel executor only).

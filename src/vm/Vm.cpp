@@ -503,9 +503,8 @@ StepOutcome fearless::stepThread(ThreadState &T,
   // The step boundary is the trap frontier: a structured fault raised
   // anywhere inside the batch (invalid heap/field access deep in the
   // heap, heap exhaustion, an injected fault) unwinds to here and fails
-  // this one thread as a typed error. The executors then decide between
-  // supervision restart, escalation, and diagnostic reporting — the
-  // process never dies in release builds.
+  // this one thread as a typed error, which the executors escalate to a
+  // run abort and report — the process never dies in release builds.
   try {
     return runBatch(T, Services);
   } catch (const RuntimeFaultError &E) {

@@ -4,26 +4,23 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The M:N work-stealing task scheduler (concurrency/TaskScheduler.h) and
-// the supervision-backoff fixes that shipped with it. Units cover the
-// saturating backoff math; rings, fan-in, and many-tasks-few-workers
-// workloads on the task executor; bit-identical results against the
-// deterministic abstract machine running checked bytecode (including
-// an `if disconnected` oracle across eight scheduling seeds); the
-// supervision cases; and regressions for abort-aware backoff (a hard
-// abort or channel shutdown must cancel a pending multi-second backoff
-// promptly and cleanly).
+// The M:N work-stealing task scheduler (concurrency/TaskScheduler.h).
+// Units cover rings, fan-in, and many-tasks-few-workers workloads on the
+// task executor; bit-identical results against the deterministic
+// abstract machine running checked bytecode (including an `if
+// disconnected` oracle across eight scheduling seeds); and the table of
+// observable differences that remain between the two executors.
 //
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 
-#include "concurrency/Backoff.h"
 #include "concurrency/ParallelExec.h"
-#include "support/FaultInjector.h"
+#include "runtime/Machine.h"
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,69 +29,6 @@ using namespace fearless;
 using namespace fearless::testutil;
 
 namespace {
-
-//===----------------------------------------------------------------------===//
-// Backoff math: saturation instead of shift overflow
-//===----------------------------------------------------------------------===//
-
-TEST(BackoffMath, GrowsExponentiallyThenSaturatesAtCap) {
-  EXPECT_EQ(restartBackoffMillis(1, 64, 0), 1u);
-  EXPECT_EQ(restartBackoffMillis(1, 64, 1), 2u);
-  EXPECT_EQ(restartBackoffMillis(1, 64, 5), 32u);
-  EXPECT_EQ(restartBackoffMillis(1, 64, 6), 64u);
-  EXPECT_EQ(restartBackoffMillis(1, 64, 7), 64u); // capped, not 128
-  EXPECT_EQ(restartBackoffMillis(3, 1000, 3), 24u);
-  // Base at or above the cap clamps immediately (attempt 0 included).
-  EXPECT_EQ(restartBackoffMillis(100, 50, 0), 50u);
-  // Zero base means backoff disabled at every attempt.
-  EXPECT_EQ(restartBackoffMillis(0, 1000, 0), 0u);
-  EXPECT_EQ(restartBackoffMillis(0, 1000, 63), 0u);
-}
-
-TEST(BackoffMath, HighAttemptNumbersCannotOverflowThePlannedBackoff) {
-  // Regression: the old `Base << Attempt` wraps uint64_t (and is UB from
-  // attempt 64 up). A maxed-out budget must pin to the cap, never wrap
-  // back to a small or zero sleep.
-  EXPECT_EQ(restartBackoffMillis(1, 64, 63), 64u);
-  EXPECT_EQ(restartBackoffMillis(1, 64, 64), 64u);   // UB territory before
-  EXPECT_EQ(restartBackoffMillis(1, 64, 1000), 64u);
-  // 2^32 << 33 == 2^65 wraps to 0 without saturation.
-  EXPECT_EQ(restartBackoffMillis(uint64_t(1) << 32, uint64_t(1) << 40, 33),
-            uint64_t(1) << 40);
-  EXPECT_EQ(restartBackoffMillis(5, uint64_t(1) << 62, 100),
-            uint64_t(1) << 62);
-}
-
-TEST(BackoffMath, MonotoneNonDecreasingInAttempt) {
-  // The observable symptom of the overflow bug was a *decreasing* backoff
-  // at high attempt counts; the saturating form is monotone by
-  // construction.
-  uint64_t Prev = 0;
-  for (uint32_t Attempt = 0; Attempt < 200; ++Attempt) {
-    uint64_t B = restartBackoffMillis(3, 1000, Attempt);
-    EXPECT_GE(B, Prev) << "attempt " << Attempt;
-    EXPECT_LE(B, 1000u) << "attempt " << Attempt;
-    Prev = B;
-  }
-  EXPECT_EQ(Prev, 1000u);
-}
-
-TEST(BackoffMath, JitterIsDeterministicAndBounded) {
-  // jittered = backoff + seeded draw in [0, backoff]: a pure function of
-  // (seed, thread, attempt), bounded by [backoff, 2*backoff] even at
-  // attempt numbers that would have overflowed the shift.
-  for (uint32_t Attempt : {0u, 1u, 7u, 63u, 64u, 150u}) {
-    uint64_t A = jitteredRestartMillis(1, 64, 42, 3, Attempt);
-    uint64_t B = jitteredRestartMillis(1, 64, 42, 3, Attempt);
-    EXPECT_EQ(A, B) << "attempt " << Attempt;
-    uint64_t Planned = restartBackoffMillis(1, 64, Attempt);
-    EXPECT_GE(A, Planned) << "attempt " << Attempt;
-    EXPECT_LE(A, 2 * Planned) << "attempt " << Attempt;
-  }
-  // Different threads draw different jitter (herd decorrelation).
-  EXPECT_NE(jitteredRestartMillis(16, 4096, 9, 0, 3),
-            jitteredRestartMillis(16, 4096, 9, 1, 3));
-}
 
 //===----------------------------------------------------------------------===//
 // Task scheduler workloads
@@ -161,28 +95,6 @@ TEST(TaskScheduler, ManyTasksFewWorkersWithTightPreemption) {
   EXPECT_EQ(M.ChannelSends, 48u);
   EXPECT_EQ(M.ChannelRecvs, 48u);
   EXPECT_EQ(M.WatchdogFired, 0u);
-}
-
-TEST(TaskScheduler, LoneConsumerParksOnceThenQuiesces) {
-  // A single receiver with no producer: the task must *park* (not block a
-  // worker), which completes quiescence and wakes it with a clean
-  // cancellation. The new counters surface the protocol in the JSON.
-  Pipeline P = mustCompile(programs::MessagePassing);
-  ParallelExecOptions O;
-  O.WatchdogMillis = 10'000;
-  ParallelExec Exec(P.Checked, O);
-  Exec.spawn(sym(P, "consumer"), {Value::intVal(1)});
-  Expected<std::vector<Value>> R = Exec.run();
-  ASSERT_TRUE(R.hasValue()) << (R ? "" : R.error().render());
-  const RuntimeMetrics &M = Exec.metrics();
-  EXPECT_EQ(M.Parks, 1u);
-  EXPECT_EQ(M.TasksSpawned, 1u);
-  EXPECT_EQ(M.ThreadsCancelled, 1u);
-  EXPECT_EQ(M.WatchdogFired, 0u);
-  std::string Json = M.toJson();
-  EXPECT_NE(Json.find("\"tasks_spawned\": 1"), std::string::npos) << Json;
-  EXPECT_NE(Json.find("\"parks\": 1"), std::string::npos) << Json;
-  EXPECT_NE(Json.find("\"steals\""), std::string::npos) << Json;
 }
 
 TEST(TaskScheduler, SchedSeedVariesScheduleNotResults) {
@@ -329,142 +241,123 @@ TEST(ModeParity, DisconnectOracleAcrossEightSchedSeeds) {
 }
 
 //===----------------------------------------------------------------------===//
-// Supervision on the task scheduler
+// The observable differences between the machine and the task pool
 //===----------------------------------------------------------------------===//
 
-TEST(SupervisionOnTasks, EffectFreeFaultRecoversOnOneAndTwoWorkers) {
+/// Steps \p M's thread \p Pick until it takes a communication step
+/// (blocks, or blocks and pairs at once) and returns that step.
+McStepRecord stepUntilComm(Machine &M, size_t Pick) {
+  for (int I = 0; I < 10'000; ++I) {
+    Expected<McStepRecord> Rec = M.stepChosen(Pick);
+    EXPECT_TRUE(Rec.hasValue()) << (Rec ? "" : Rec.error().render());
+    if (!Rec || (Rec->StepKind != McStepRecord::Kind::Local &&
+                 Rec->StepKind != McStepRecord::Kind::Finish))
+      return Rec ? *Rec : McStepRecord();
+  }
+  ADD_FAILURE() << "thread " << Pick << " never communicated";
+  return McStepRecord();
+}
+
+TEST(ExecutorDifferences, MachineAgainstPool) {
+  // Every way the two executors still differ on one program, one row
+  // each: what the pool does, then what the machine does instead.
+  struct Row {
+    const char *Name;
+    SpawnSet Spawns;
+    std::function<void(const Expected<std::vector<Value>> &,
+                       const RuntimeMetrics &)>
+        OnPool;
+    std::function<void(Pipeline &, const SpawnSet &)> OnMachine;
+  };
+  const std::vector<Row> Rows = {
+      {"buffered send against rendezvous",
+       {{"producer", {Value::intVal(2)}}, {"consumer", {Value::intVal(2)}}},
+       [](const Expected<std::vector<Value>> &R, const RuntimeMetrics &M) {
+         // The sender runs first on the one worker: its sends buffer
+         // and it finishes without waiting for the receiver.
+         ASSERT_TRUE(R.hasValue()) << R.error().render();
+         EXPECT_EQ((*R)[1], Value::intVal(1));
+         EXPECT_EQ(M.ThreadsFinished, 2u);
+         EXPECT_GE(M.ChannelPeakDepth, 1u);
+       },
+       [](Pipeline &P, const SpawnSet &Spawns) {
+         // The machine blocks the sender at its first send (EC3) until
+         // the receiver arrives to pair with it.
+         Machine M(P.Checked);
+         for (const auto &[Fn, Args] : Spawns)
+           M.spawn(sym(P, Fn), Args);
+         ASSERT_TRUE(M.beginStepping().hasValue());
+         EXPECT_EQ(stepUntilComm(M, 0).StepKind,
+                   McStepRecord::Kind::BlockSend);
+         EXPECT_EQ(M.threads()[0].Status, ThreadStatus::BlockedSend);
+         McStepRecord Pair = stepUntilComm(M, 1);
+         EXPECT_EQ(Pair.StepKind, McStepRecord::Kind::CommPair);
+         EXPECT_EQ(Pair.Partner, 0u);
+         EXPECT_EQ(M.threads()[0].Status, ThreadStatus::Runnable);
+       }},
+      {"closure-as-cancel against a deadlock report",
+       {{"consumer", {Value::intVal(1)}}},
+       [](const Expected<std::vector<Value>> &R, const RuntimeMetrics &M) {
+         // The lone receiver parks, which completes quiescence and wakes
+         // it with a clean cancellation; the counters surface the
+         // protocol in the JSON.
+         ASSERT_TRUE(R.hasValue()) << R.error().render();
+         EXPECT_EQ((*R)[0], Value::unitVal());
+         EXPECT_EQ(M.Parks, 1u);
+         EXPECT_EQ(M.TasksSpawned, 1u);
+         EXPECT_EQ(M.ThreadsCancelled, 1u);
+         EXPECT_EQ(M.WatchdogFired, 0u);
+         std::string Json = M.toJson();
+         EXPECT_NE(Json.find("\"tasks_spawned\": 1"), std::string::npos)
+             << Json;
+         EXPECT_NE(Json.find("\"parks\": 1"), std::string::npos) << Json;
+         EXPECT_NE(Json.find("\"steals\""), std::string::npos) << Json;
+       },
+       [](Pipeline &P, const SpawnSet &Spawns) {
+         Machine M(P.Checked);
+         for (const auto &[Fn, Args] : Spawns)
+           M.spawn(sym(P, Fn), Args);
+         Expected<MachineSummary> R = M.run();
+         ASSERT_FALSE(R.hasValue());
+         EXPECT_EQ(R.error().Message.rfind("deadlock: ", 0), 0u)
+             << R.error().Message;
+       }},
+      {"checked against erased",
+       {{"producer_lists", {Value::intVal(2), Value::intVal(3)}},
+        {"consumer_lists", {Value::intVal(2)}}},
+       [](const Expected<std::vector<Value>> &R, const RuntimeMetrics &M) {
+         // The pool always runs erased bytecode.
+         ASSERT_TRUE(R.hasValue()) << R.error().render();
+         EXPECT_EQ(M.ReservationChecks, 0u);
+         EXPECT_GT(M.ChecksErased, 0u);
+       },
+       [](Pipeline &P, const SpawnSet &Spawns) {
+         // The machine runs in its bytecode's mode: checked by default.
+         for (bool Checked : {true, false}) {
+           MachineOptions O;
+           O.CheckReservations = Checked;
+           Machine M(P.Checked, O);
+           for (const auto &[Fn, Args] : Spawns)
+             M.spawn(sym(P, Fn), Args);
+           ASSERT_TRUE(M.run().hasValue());
+           EXPECT_EQ(M.metrics().ReservationChecks > 0, Checked)
+               << "checked=" << Checked;
+         }
+       }},
+  };
   Pipeline P = mustCompile(programs::MessagePassing);
-  for (size_t Workers : {size_t(1), size_t(2)}) {
-    FaultPlan Plan = *parseFaultSpec("thread.start=nth:1,seed=3");
-    FaultInjector FI(Plan);
+  for (const Row &Case : Rows) {
+    SCOPED_TRACE(Case.Name);
     ParallelExecOptions O;
-    O.Faults = &FI;
-    O.MaxRestarts = 3;
-    O.RestartBackoffMillis = 1;
-    O.RestartBackoffCapMillis = 4;
-    O.RestartSeed = 3;
-    O.NumWorkers = Workers;
+    O.NumWorkers = 1;
     O.WatchdogMillis = 10'000;
     ParallelExec Exec(P.Checked, O);
-    Exec.spawn(sym(P, "producer"), {Value::intVal(10)});
-    Exec.spawn(sym(P, "consumer"), {Value::intVal(10)});
+    for (const auto &[Fn, Args] : Case.Spawns)
+      Exec.spawn(sym(P, Fn), Args);
     Expected<std::vector<Value>> R = Exec.run();
-    ASSERT_TRUE(R.hasValue())
-        << Workers << " workers: " << (R ? "" : R.error().render());
-    EXPECT_EQ((*R)[1], Value::intVal(45)) << Workers << " workers";
-    const RuntimeMetrics &M = Exec.metrics();
-    EXPECT_EQ(M.FaultsInjected, 1u) << Workers << " workers";
-    EXPECT_EQ(M.ThreadsRestarted, 1u) << Workers << " workers";
-    EXPECT_GE(M.RestartBackoffMillis, 1u) << Workers << " workers";
-    EXPECT_EQ(M.FaultsEscalated, 0u) << Workers << " workers";
-    EXPECT_EQ(M.ThreadsErrored, 0u) << Workers << " workers";
+    Case.OnPool(R, Exec.metrics());
+    Case.OnMachine(P, Case.Spawns);
   }
-}
-
-TEST(SupervisionOnTasks, ExhaustedBudgetEscalatesToAbort) {
-  Pipeline P = mustCompile(programs::MessagePassing);
-  FaultPlan Plan = *parseFaultSpec("thread.start=every:1");
-  FaultInjector FI(Plan);
-  ParallelExecOptions O;
-  O.Faults = &FI;
-  O.MaxRestarts = 2;
-  O.RestartBackoffMillis = 1;
-  O.RestartBackoffCapMillis = 2;
-  O.NumWorkers = 2;
-  O.WatchdogMillis = 10'000;
-  ParallelExec Exec(P.Checked, O);
-  Exec.spawn(sym(P, "producer"), {Value::intVal(5)});
-  Exec.spawn(sym(P, "consumer"), {Value::intVal(5)});
-  Expected<std::vector<Value>> R = Exec.run();
-  ASSERT_FALSE(R.hasValue());
-  EXPECT_NE(R.error().Message.find("thread.start"), std::string::npos);
-  const RuntimeMetrics &M = Exec.metrics();
-  EXPECT_GE(M.FaultsEscalated, 1u);
-  EXPECT_GE(M.ThreadsRestarted, 2u); // at least one task spent its budget
-  EXPECT_GE(M.ThreadsErrored, 1u);
-}
-
-TEST(SupervisionOnTasks, FaultAfterFirstSendIsNotReplayed) {
-  // The dying attempt already externalized a value: the supervisor must
-  // escalate, not replay.
-  Pipeline P = mustCompile(programs::MessagePassing);
-  FaultPlan Plan = *parseFaultSpec("chan.send=nth:2");
-  FaultInjector FI(Plan);
-  ParallelExecOptions O;
-  O.Faults = &FI;
-  O.MaxRestarts = 5;
-  O.NumWorkers = 2;
-  O.WatchdogMillis = 10'000;
-  ParallelExec Exec(P.Checked, O);
-  Exec.spawn(sym(P, "producer"), {Value::intVal(10)});
-  Exec.spawn(sym(P, "consumer"), {Value::intVal(10)});
-  Expected<std::vector<Value>> R = Exec.run();
-  ASSERT_FALSE(R.hasValue());
-  const RuntimeMetrics &M = Exec.metrics();
-  EXPECT_EQ(M.ThreadsRestarted, 0u);
-  EXPECT_EQ(M.FaultsEscalated, 1u);
-}
-
-//===----------------------------------------------------------------------===//
-// Abort-aware backoff (regressions for the sleep_for-era bugs)
-//===----------------------------------------------------------------------===//
-
-TEST(BackoffInterrupt, HardAbortCancelsPendingMultiSecondBackoff) {
-  // One thread dies at attempt start and is scheduled to back off for
-  // 5+ seconds. The watchdog (no grace: straight to hard abort) must
-  // interrupt that backoff promptly; under the old uninterruptible
-  // sleep_for the run could not end before the full backoff elapsed.
-  Pipeline P = mustCompile(programs::MessagePassing);
-  FaultPlan Plan = *parseFaultSpec("thread.start=every:1");
-  FaultInjector FI(Plan);
-  ParallelExecOptions O;
-  O.Faults = &FI;
-  O.MaxRestarts = 3;
-  O.RestartBackoffMillis = 5'000;
-  O.RestartBackoffCapMillis = 8'000;
-  O.WatchdogMillis = 100;
-  O.WatchdogGraceMillis = 0; // hard abort immediately
-  ParallelExec Exec(P.Checked, O);
-  Exec.spawn(sym(P, "consumer"), {Value::intVal(1)});
-  Expected<std::vector<Value>> R = Exec.run();
-  ASSERT_FALSE(R.hasValue());
-  EXPECT_NE(R.error().Message.find("watchdog"), std::string::npos);
-  const RuntimeMetrics &M = Exec.metrics();
-  EXPECT_EQ(M.WatchdogFired, 1u);
-  EXPECT_EQ(M.ThreadsRestarted, 1u);
-  // Well under the 5-10s backoff: the wait was actually interrupted.
-  EXPECT_LT(M.WallMicros, 4'000'000u);
-}
-
-TEST(BackoffInterrupt, ShutdownDuringBackoffIsCleanCancellation) {
-  // Soft-cancel variant: the channels close while the thread is backing
-  // off. The post-restart attempt must observe the closed run as a clean
-  // cancellation — not retry into closed channels and count a fresh
-  // fault or escalate.
-  Pipeline P = mustCompile(programs::MessagePassing);
-  FaultPlan Plan = *parseFaultSpec("thread.start=every:1");
-  FaultInjector FI(Plan);
-  ParallelExecOptions O;
-  O.Faults = &FI;
-  O.MaxRestarts = 3;
-  O.RestartBackoffMillis = 5'000;
-  O.RestartBackoffCapMillis = 8'000;
-  O.WatchdogMillis = 100;
-  O.WatchdogGraceMillis = 2'000; // soft cancel, generous grace
-  ParallelExec Exec(P.Checked, O);
-  Exec.spawn(sym(P, "consumer"), {Value::intVal(1)});
-  Expected<std::vector<Value>> R = Exec.run();
-  ASSERT_FALSE(R.hasValue());
-  const RuntimeMetrics &M = Exec.metrics();
-  EXPECT_EQ(M.WatchdogFired, 1u);
-  // Exactly the one injected fault and the one restart: the cancelled
-  // retry neither re-consulted thread.start nor escalated.
-  EXPECT_EQ(M.FaultsInjected, 1u);
-  EXPECT_EQ(M.ThreadsRestarted, 1u);
-  EXPECT_EQ(M.FaultsEscalated, 0u);
-  EXPECT_EQ(M.ThreadsErrored, 0u);
-  EXPECT_EQ(M.ThreadsCancelled, 1u);
-  EXPECT_LT(M.WallMicros, 4'000'000u);
 }
 
 } // namespace

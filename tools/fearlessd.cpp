@@ -14,13 +14,16 @@
 // Options:
 //   --socket PATH        unix socket path (required; the daemon owns it)
 //   --workers N          session workers = max concurrent sessions
-//                        (0 = auto, default)
+//                        (0 = auto, default; at most 1024)
 //   --max-sessions N     pending-session queue bound before typed
 //                        `overloaded` rejections (default 64)
 //   --cache-bytes N      derivation-cache budget in bytes (default
 //                        67108864 = 64 MiB; 0 disables caching)
 //   --max-frame-bytes N  largest accepted request frame (default 16 MiB)
 //   --trace FILE         write a Chrome trace of server activity on exit
+//
+// Every N is decimal digits only: a sign, a blank or an out-of-range
+// value is a usage error, never a wrapped or truncated number.
 //
 // Exit codes: 0 clean shutdown, 1 startup/runtime failure, 2 usage.
 // Clients: `fearlessc --daemon PATH <check|analyze|run|metrics|
@@ -31,6 +34,8 @@
 #include "server/Server.h"
 #include "support/Trace.h"
 
+#include <cctype>
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -42,13 +47,16 @@ using namespace fearless::server;
 
 namespace {
 
+/// Ceiling on --workers: each is an OS thread serving one session.
+constexpr size_t MaxWorkers = 1024;
+
 int usage() {
   std::fprintf(
       stderr,
       "usage: fearlessd --socket PATH [options]\n"
       "  --socket PATH        unix socket path (required)\n"
       "  --workers N          session workers = max concurrent sessions\n"
-      "                       (0 = auto)\n"
+      "                       (0 = auto; at most 1024)\n"
       "  --max-sessions N     pending-session queue bound before typed\n"
       "                       overloaded rejections (default 64)\n"
       "  --cache-bytes N      derivation-cache budget in bytes\n"
@@ -59,10 +67,16 @@ int usage() {
   return 2;
 }
 
+/// Parses \p Text as a base-10 count, the whole string or nothing. A
+/// leading sign or blank is rejected, since strtoull would accept it and
+/// wrap ("-1" is not SIZE_MAX workers), and so is an out-of-range value.
 bool parseSize(const char *Text, size_t &Out) {
+  if (!std::isdigit(static_cast<unsigned char>(*Text)))
+    return false;
+  errno = 0;
   char *End = nullptr;
   unsigned long long V = std::strtoull(Text, &End, 10);
-  if (End == Text || *End != '\0')
+  if (*End != '\0' || errno == ERANGE)
     return false;
   Out = static_cast<size_t>(V);
   return true;
@@ -77,7 +91,7 @@ int main(int argc, char **argv) {
     if (!std::strcmp(argv[I], "--socket") && I + 1 < argc)
       Opts.SocketPath = argv[++I];
     else if (!std::strcmp(argv[I], "--workers") && I + 1 < argc) {
-      if (!parseSize(argv[++I], Opts.Workers))
+      if (!parseSize(argv[++I], Opts.Workers) || Opts.Workers > MaxWorkers)
         return usage();
     } else if (!std::strcmp(argv[I], "--max-sessions") && I + 1 < argc) {
       if (!parseSize(argv[++I], Opts.MaxSessions) ||
