@@ -8,7 +8,10 @@
 /// The channels the parallel executor's tasks communicate over: one MPMC
 /// queue per static type τ, realizing send-τ / recv-τ. Because the
 /// type system guarantees reservation safety, the transferred object
-/// graphs need no synchronization — only the channel itself is locked.
+/// graphs need no synchronization — only the channels are locked, all
+/// of them by the one mutex of their ChannelSet. Every operation is one
+/// critical section: the τ lookup, the queue or waiter change, the
+/// counters and the shutdown accounting happen together.
 ///
 /// The channel set also implements the executor's shutdown protocol.
 /// Every language thread registers as a potential sender; a thread stops
@@ -17,22 +20,21 @@
 /// global quiescence — no potential sender left and no value in flight —
 /// and closes every channel *cleanly*: receivers drain what remains and
 /// then observe RecvResult::Closed, a clean stop rather than an error.
-/// Channels created after shutdown are born in the shutdown state, so a
-/// late recv cannot resurrect a closed run. A hard abort (thread error or
-/// watchdog) instead puts channels in the Aborted state, which wakes
-/// receivers immediately without draining.
+/// The set has one lifecycle state, so a channel created after shutdown
+/// is born in it and a late recv cannot resurrect a closed run. A hard
+/// abort (thread error or watchdog) instead puts the set in the Aborted
+/// state, which discards queued values and wakes receivers without
+/// draining.
 ///
 /// Receiving never blocks an OS thread (docs/SCHEDULER.md): when no
 /// value is ready, `recvOrPark` queues the caller's intrusive
 /// ChannelWaiter on the channel and the *task* parks. A later send hands
-/// its value directly to the oldest waiter (no queue round-trip) and
-/// unparks it through the set's TaskUnparkSink; channel closure wakes
-/// every waiter with the Closed/Aborted result instead.
-///
-/// Lock order (global, deadlock-freedom invariant): set mutex -> channel
-/// mutex -> scheduler internals. The unpark sink is invoked with the set
-/// mutex held and may take scheduler locks, but must never re-enter the
-/// channel set.
+/// its value directly to the oldest waiter (no queue round-trip); channel
+/// closure wakes every waiter with the Closed/Aborted result instead.
+/// The set never calls out: each operation returns the chain of waiters
+/// it woke, and the caller makes them runnable after the set mutex is
+/// released, so the set mutex is never held together with a scheduler
+/// lock.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,57 +47,38 @@
 #include "support/Trace.h"
 
 #include <map>
-#include <memory>
 #include <mutex>
 #include <vector>
 
 namespace fearless {
 
-class ChannelSet;
-
-/// Lifecycle of a channel (and, for the set, of the whole run).
+/// Lifecycle of the channels of one run.
 enum class ChannelState {
   Open,    ///< Senders may still publish.
   Closed,  ///< Every possible sender finished: drain, then stop cleanly.
   Aborted, ///< Hard shutdown (error / watchdog): stop immediately.
 };
 
-/// How a parked receive ended (ChannelWaiter::WakeResult).
+/// How a receive ended, or (Parked) that it has not ended yet.
 enum class RecvResult {
-  Ok,      ///< A value was dequeued.
-  Closed,  ///< Drained and no sender can ever publish again.
-  Aborted, ///< The run was torn down.
-};
-
-/// Outcome of a non-blocking receive-or-park attempt.
-enum class RecvAttempt {
-  Got,     ///< A value was dequeued; the task keeps running.
-  Parked,  ///< The waiter was queued on the channel; the task parked.
+  Ok,      ///< A value was dequeued or handed over.
+  Parked,  ///< The waiter was queued on the channel; the task parks.
   Closed,  ///< Drained and no sender can ever publish again.
   Aborted, ///< The run was torn down.
 };
 
 /// Intrusive park node for one blocked task. Embedded in the scheduler's
 /// task object, so parking and unparking allocate nothing. While queued
-/// on a channel the node is owned by that channel (guarded by its
-/// mutex); after the wake callback fires it belongs to the scheduler
-/// again, with `WakeResult` (and `Handoff` when Ok) telling the resumed
-/// task how its recv ended.
+/// on a channel the node belongs to the channel set (guarded by its
+/// mutex). A set operation that wakes it unlinks it, sets `WakeResult`
+/// (and `Handoff` when Ok), and returns it in a chain linked through
+/// `NextWaiter`; from then on it belongs to the caller again.
 struct ChannelWaiter {
   ChannelWaiter *NextWaiter = nullptr;
   /// The value a sender handed directly to this waiter (WakeResult Ok).
   Value Handoff;
+  /// Ok, Closed or Aborted once woken.
   RecvResult WakeResult = RecvResult::Ok;
-};
-
-/// Scheduler-side wake callback: makes a previously parked task runnable
-/// again. Invoked with the set mutex held (see the lock-order note in
-/// the file header); implementations may take scheduler locks but must
-/// not call back into the channel set.
-class TaskUnparkSink {
-public:
-  virtual ~TaskUnparkSink() = default;
-  virtual void unpark(ChannelWaiter &W) = 0;
 };
 
 /// Growable FIFO ring of in-flight values. Steady-state push/pop cycles
@@ -145,91 +128,57 @@ private:
   size_t Head = 0, Count = 0;
 };
 
-/// A multi-producer multi-consumer value queue with parked receivers.
-class ValueChannel {
-public:
-  ValueChannel(ChannelSet &Parent, ChannelState Initial)
-      : Parent(Parent), State(Initial) {}
-
-  /// Enqueues \p V; never blocks (unbounded). When a task is parked on
-  /// this channel the value is handed to the oldest waiter directly and
-  /// the waiter is unparked through the set's sink. During shutdown the
-  /// value is dropped and counted in the set's dropped-value metric.
-  void send(Value V);
-
-  /// Non-blocking receive: dequeues into \p Out (Got), or queues \p W
-  /// on the channel (Parked — the caller must then tell the set via
-  /// taskParked() that this task is no longer a potential sender), or
-  /// reports the shutdown state. On a Closed channel the queue is drained
-  /// first; on an Aborted channel the call returns Aborted immediately.
-  RecvAttempt recvOrPark(Value &Out, ChannelWaiter &W);
-
-  /// Transitions to \p To (Closed or Aborted) and wakes all parked
-  /// receivers. Open → Closed → Aborted transitions only; a close never
-  /// reopens and an abort is terminal. Returns the chain of task
-  /// waiters that were queued (their WakeResult already set); the caller
-  /// (ChannelSet::shutdownLocked) re-activates and unparks them.
-  ChannelWaiter *close(ChannelState To);
-
-  size_t sizeApprox() const;
-
-private:
-  friend class ChannelSet;
-
-  ChannelSet &Parent;
-  mutable std::mutex M;
-  ValueRing Queue;
-  ChannelState State;
-  /// FIFO chain of parked tasks. Invariant: non-empty only
-  /// while Queue is empty and State is Open — a send prefers handoff to
-  /// enqueueing, and a task parks only on an empty open channel.
-  ChannelWaiter *Waiters = nullptr;
-  ChannelWaiter *WaitersTail = nullptr;
-  // Per-channel counters, guarded by M.
-  uint64_t Sends = 0;
-  uint64_t Recvs = 0;
-  uint64_t PeakDepth = 0;
-};
-
 /// One channel per static type τ, plus the shutdown protocol state for a
-/// single executor run.
+/// single executor run, all under one mutex. Each operation below takes
+/// it exactly once. Those that can wake parked tasks return them as a
+/// chain linked through ChannelWaiter::NextWaiter (null when none), each
+/// with its WakeResult/Handoff set and already counted as a potential
+/// sender again; the caller must make every one runnable.
 class ChannelSet {
 public:
-  /// Returns the channel for \p Ty, creating it on first use. A channel
-  /// created after shutdown is born Closed/Aborted.
-  ValueChannel &channelFor(const Type &Ty);
-
   /// Registers \p N language threads as potential senders. Must be
   /// called before any of them runs; a set shuts down the moment no
   /// potential sender remains, so registering late would race the
   /// detection.
   void registerThreads(size_t N);
 
+  /// Publishes \p V on τ's channel (creating it on first use); never
+  /// blocks (unbounded). When a task is parked there, the value is handed
+  /// to the oldest waiter, which is returned. After shutdown the value is
+  /// dropped and counted in `channel_dropped_values`.
+  [[nodiscard]] ChannelWaiter *send(const Type &Ty, Value V);
+
+  /// Non-blocking receive on τ's channel (creating it on first use):
+  /// dequeues into \p Out (Ok), or queues \p W and parks (Parked), or
+  /// reports the shutdown state. Closed channels drain first; Aborted
+  /// ones report Aborted at once. Parking takes the caller out of the
+  /// potential senders in the same critical section, which may complete
+  /// quiescence: then \p Woken holds every waiter closure woke, \p W
+  /// included. After Parked the caller must not touch \p W again except
+  /// through \p Woken.
+  [[nodiscard]] RecvResult recvOrPark(const Type &Ty, Value &Out,
+                                      ChannelWaiter &W,
+                                      ChannelWaiter *&Woken);
+
   /// One thread finished (normally or not): it can never send again.
   /// May trigger clean closure of every channel.
-  void threadFinished();
+  [[nodiscard]] ChannelWaiter *threadFinished();
 
   /// Closes every channel cleanly (queues drain, then RecvResult::Closed)
   /// and marks the set so later-created channels are born closed.
-  void closeAll();
+  [[nodiscard]] ChannelWaiter *closeAll();
 
   /// Hard shutdown: every channel (including ones created later) aborts;
   /// queued values are discarded.
-  void abortAll();
-
-  /// One task parked on a channel: until it is woken it is no longer a
-  /// potential sender. May complete quiescence
-  /// (which immediately wakes the parked task with RecvResult::Closed).
-  /// Call *after* recvOrPark returned Parked, outside any channel lock.
-  void taskParked();
-
-  /// Installs the scheduler's wake callback for parked tasks. Must be
-  /// set before any task parks and cleared (null) only once no waiter
-  /// can remain. Invoked with the set mutex held.
-  void setUnparkSink(TaskUnparkSink *Sink);
+  [[nodiscard]] ChannelWaiter *abortAll();
 
   /// Adds this set's channel counters into \p Out.
   void collectMetrics(RuntimeMetrics &Out);
+
+  /// Values queued on τ's channel right now (0 if it does not exist; it
+  /// is not created). Read-only: lets tests see that an abort discards
+  /// the queue, which no send or recv can show.
+  size_t depth(const Type &Ty);
 
   /// Attaches a trace buffer for lifecycle events (channel creation,
   /// Open→Closed/Aborted transitions, dropped sends). The set records
@@ -238,37 +187,38 @@ public:
   void setTrace(TraceBuffer *Buffer);
 
 private:
-  friend class ValueChannel;
+  /// One channel's data; its lifecycle is the set's State.
+  struct Channel {
+    ValueRing Queue;
+    /// FIFO chain of parked tasks. Invariant: non-empty only while Queue
+    /// is empty and the set is Open — a send prefers handoff to
+    /// enqueueing, and a task parks only on an empty open channel.
+    ChannelWaiter *Waiters = nullptr;
+    ChannelWaiter *WaitersTail = nullptr;
+    uint64_t Sends = 0;
+    uint64_t Recvs = 0;
+    uint64_t PeakDepth = 0;
+  };
 
-  // Quiescence-detection hooks, called by ValueChannel *without* its
-  // queue lock held (lock order is set mutex, then queue mutex).
-  void noteSend();        ///< A value is about to be published.
-  void noteSendDropped(); ///< The publish was refused (shutdown).
-  void noteRecv();        ///< A value was consumed.
-  /// A sender handed its value straight to the parked waiter \p W: the
-  /// task becomes a potential sender again (+1 active, applied before
-  /// the task can be rescheduled) and is unparked through the sink.
-  void wakeHandoff(ChannelWaiter &W);
-
-  /// Pre: M held. Closes every existing channel and records the state
-  /// for channels created later.
-  void shutdownLocked(ChannelState To);
-  /// Pre: M held. Triggers clean closure once no potential sender
-  /// remains and no value is in flight.
-  void maybeQuiesceLocked();
+  /// Pre: M held. The channel for \p Ty, created on first use.
+  Channel &channelLocked(const Type &Ty);
+  /// Pre: M held. Moves the set to \p To (monotone: Open < Closed <
+  /// Aborted) and returns every waiter it woke.
+  ChannelWaiter *shutdownLocked(ChannelState To);
+  /// Pre: M held. Clean closure once no potential sender remains and no
+  /// value is in flight; returns the waiters it woke.
+  ChannelWaiter *maybeQuiesceLocked();
 
   std::mutex M;
-  std::map<Type, std::unique_ptr<ValueChannel>> Channels;
+  std::map<Type, Channel> Channels;
+  ChannelState State = ChannelState::Open;
   /// Registered threads that are neither finished nor parked in recv.
   size_t ActiveThreads = 0;
-  /// Values sent but not yet received, across all channels.
+  /// Values queued but not yet received, across all channels.
   size_t PendingValues = 0;
   uint64_t DroppedValues = 0;
-  ChannelState Shutdown = ChannelState::Open;
   /// Lifecycle trace buffer; written only under M.
   TraceBuffer *Trace = nullptr;
-  /// Wake callback for parked tasks; guarded by M, invoked under M.
-  TaskUnparkSink *Sink = nullptr;
 };
 
 } // namespace fearless

@@ -30,7 +30,9 @@
 /// period), then hard abortAll. Per-thread counters are aggregated into
 /// a RuntimeMetrics registry at join.
 ///
-/// Used by bench_concurrency (E7) and the message-passing example.
+/// Runs `fearlessc run --workers N`, `fearlessd` run requests,
+/// perfbench's exec-programs workload, bench_concurrency (E7),
+/// bench_scheduler and the message-passing example.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,12 +58,10 @@ struct ParallelExecOptions {
   /// infinite loop — is otherwise unobservable from outside). 0 disables
   /// the watchdog; pure recv deadlocks are already resolved by channel
   /// closure and need no watchdog.
+  /// When the budget expires, the run is first *soft* cancelled
+  /// (channels close cleanly; blocked receivers drain then stop) and
+  /// given a 50 ms grace to finish before the hard abortAll.
   uint64_t WatchdogMillis = 0;
-  /// Watchdog grace: when the budget expires, the run is first *soft*
-  /// cancelled (channels close cleanly; blocked receivers drain then
-  /// stop) and given this long to finish before the hard abortAll. 0 =
-  /// hard abort immediately.
-  uint64_t WatchdogGraceMillis = 50;
   /// Deterministic fault injection (support/FaultInjector.h): consulted
   /// per thread start (`thread.start`), per worker step (`sched.step`),
   /// and by the VM's instrumented sites. A fired fault aborts the run.

@@ -10,7 +10,9 @@
 #include "support/FaultInjector.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
+#include <cstdlib>
 
 using namespace fearless;
 
@@ -25,22 +27,37 @@ uint64_t mix64(uint64_t X) {
   return X ^ (X >> 31);
 }
 
+/// The watchdog's soft-cancel grace: after the budget expires the
+/// channels close cleanly, and the run gets this long to quiesce before
+/// the hard abort.
+constexpr uint64_t WatchdogGraceMillis = 50;
+
 } // namespace
 
 TaskScheduler::TaskScheduler(Heap &TheHeap, ChannelSet &Channels,
                              const ParallelExecOptions &Opts)
     : TheHeap(TheHeap), Channels(Channels), Opts(Opts) {}
 
-void TaskScheduler::unpark(ChannelWaiter &W) {
-  // Called with the channel-set mutex held (set -> sched is the permitted
-  // lock direction). Only enqueue: running the task inline here could
-  // re-enter the channel set (threadFinished) and self-deadlock.
-  Task *T = static_cast<Task *>(&W);
+void TaskScheduler::unpark(ChannelWaiter *Woken) {
+  if (!Woken)
+    return;
+  // Only enqueue. The chain belongs to the caller until it is pushed,
+  // and the whole push holds SchedM, under which alone a worker pops the
+  // inject queue: no woken task can run (and relink NextWaiter) before
+  // the lock is released.
+  bool Many = Woken->NextWaiter != nullptr;
   {
     std::lock_guard<std::mutex> Lock(SchedM);
-    Inject.push(T);
+    while (Woken) {
+      ChannelWaiter *Next = Woken->NextWaiter;
+      Inject.push(static_cast<Task *>(Woken));
+      Woken = Next;
+    }
   }
-  WorkCV.notify_one();
+  if (Many)
+    WorkCV.notify_all();
+  else
+    WorkCV.notify_one();
 }
 
 StepServices TaskScheduler::services(Task &T) {
@@ -132,6 +149,11 @@ void TaskScheduler::resume(size_t W, Task &T) {
       resumeThread(T.T, T.Handoff);
       T.Handoff = Value();
       break;
+    case RecvResult::Parked:
+      // A woken waiter always carries Ok, Closed or Aborted; Parked here
+      // is a broken channel-set invariant, not a cancellation.
+      assert(false && "Parked is never a wake result");
+      std::abort();
     case RecvResult::Closed:
     case RecvResult::Aborted:
       // Closed: every possible sender finished — a clean stop, the task
@@ -177,7 +199,7 @@ void TaskScheduler::resume(size_t W, Task &T) {
       // Sends never block (channels are unbounded; a parked receiver
       // gets the value handed to it directly).
       TraceSpan Span(T.T.Trace, "chan.send", "channel");
-      Channels.channelFor(T.T.CommType).send(T.T.PendingSend);
+      unpark(Channels.send(T.T.CommType, T.T.PendingSend));
       ++T.R.Stats.Sends;
       T.T.PendingSend = Value();
       resumeThread(T.T, Value::unitVal());
@@ -193,23 +215,22 @@ void TaskScheduler::resume(size_t W, Task &T) {
       T.T.TraceBlockStartNs = RecvStart;
       T.ResumeFromPark = true;
       Value Received;
-      RecvAttempt A =
-          Channels.channelFor(T.T.CommType).recvOrPark(Received, T);
-      if (A == RecvAttempt::Parked) {
+      ChannelWaiter *Woken = nullptr;
+      RecvResult A = Channels.recvOrPark(T.T.CommType, Received, T, Woken);
+      if (A == RecvResult::Parked) {
         ++Me.Parks;
-        // Tell the set this task is no longer a potential sender. Runs
-        // after the waiter is queued, so a racing wake's +1 can only
-        // overcount — delaying quiescence, never firing it early. The
-        // task may already be running elsewhere: touch nothing of it
-        // from here on.
-        Channels.taskParked();
+        // Parking already took the task out of the potential senders;
+        // if that quiesced the run, the task itself is in Woken. It may
+        // already be running elsewhere: touch nothing of it from here
+        // on.
+        unpark(Woken);
         return;
       }
       T.ResumeFromPark = false;
       if (Me.TB)
         Me.TB->record("chan.recv", "channel", 'X', RecvStart,
                       Me.TB->now() - RecvStart);
-      if (A == RecvAttempt::Got) {
+      if (A == RecvResult::Ok) {
         ++T.R.Stats.Recvs;
         resumeThread(T.T, Received);
         break;
@@ -247,7 +268,7 @@ void TaskScheduler::abortRun(size_t W, Task &T, std::string Error,
   // Parked tasks wake with RecvResult::Aborted; running ones stop at
   // their next step boundary.
   AbortFlag.store(true, std::memory_order_relaxed);
-  Channels.abortAll();
+  unpark(Channels.abortAll());
   finish(W, T);
 }
 
@@ -263,7 +284,7 @@ void TaskScheduler::finish(size_t W, Task &T) {
                   Me.TB->now() - T.TraceRunStartNs, "steps",
                   T.R.Stats.Steps);
   }
-  Channels.threadFinished();
+  unpark(Channels.threadFinished());
   bool AllDone = false;
   {
     std::lock_guard<std::mutex> Lock(SchedM);
@@ -328,7 +349,6 @@ TaskScheduler::run(const std::vector<SpawnEntry> &Work, RunStats &Stats) {
   }
 
   Channels.registerThreads(Work.size());
-  Channels.setUnparkSink(this);
 
   // Tracing: register every buffer up front (worker W -> tid W+1) so no
   // worker touches the session mutex after it starts. The executor's
@@ -354,8 +374,8 @@ TaskScheduler::run(const std::vector<SpawnEntry> &Work, RunStats &Stats) {
   }
 
   // Completion / watchdog wait with two-stage escalation. The scheduler
-  // mutex is released around the channel shutdown calls (the set mutex
-  // must always be taken first).
+  // mutex is released around the channel shutdown calls: it is never
+  // held together with the set mutex, and unpark takes it again.
   {
     std::unique_lock<std::mutex> Lock(SchedM);
     auto AllDone = [&] { return DoneCount == Tasks.size(); };
@@ -370,18 +390,14 @@ TaskScheduler::run(const std::vector<SpawnEntry> &Work, RunStats &Stats) {
         // Stage 1, soft cancel: close the channels cleanly so parked
         // receivers drain what is buffered and stop as cancelled, and
         // give the run a grace period to quiesce on its own.
-        bool Quiesced = false;
-        if (Opts.WatchdogGraceMillis > 0) {
-          if (TraceCtl)
-            TraceCtl->instant("watchdog.soft_cancel", "executor",
-                              "grace_ms", Opts.WatchdogGraceMillis);
-          Lock.unlock();
-          Channels.closeAll();
-          Lock.lock();
-          Quiesced = DoneCV.wait_for(
-              Lock, std::chrono::milliseconds(Opts.WatchdogGraceMillis),
-              AllDone);
-        }
+        if (TraceCtl)
+          TraceCtl->instant("watchdog.soft_cancel", "executor", "grace_ms",
+                            WatchdogGraceMillis);
+        Lock.unlock();
+        unpark(Channels.closeAll());
+        Lock.lock();
+        bool Quiesced = DoneCV.wait_for(
+            Lock, std::chrono::milliseconds(WatchdogGraceMillis), AllDone);
         // Stage 2, hard abort: spinners ignore the soft cancel; stop
         // them at the next step boundary and wake everyone.
         if (!Quiesced) {
@@ -389,7 +405,7 @@ TaskScheduler::run(const std::vector<SpawnEntry> &Work, RunStats &Stats) {
             TraceCtl->instant("watchdog.hard_abort", "executor");
           AbortFlag.store(true, std::memory_order_relaxed);
           Lock.unlock();
-          Channels.abortAll();
+          unpark(Channels.abortAll());
           Lock.lock();
           DoneCV.wait(Lock, AllDone);
         }
@@ -400,10 +416,6 @@ TaskScheduler::run(const std::vector<SpawnEntry> &Work, RunStats &Stats) {
   }
   for (size_t WI = 0; WI < N; ++WI)
     Workers[WI].Thread.join();
-
-  // Every task is finished, so no waiter can remain; detach the sink
-  // before this (stack-local to the caller) object dies.
-  Channels.setUnparkSink(nullptr);
 
   for (size_t WI = 0; WI < N; ++WI) {
     Stats.Steals += Workers[WI].Steals;

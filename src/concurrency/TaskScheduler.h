@@ -13,7 +13,10 @@
 /// empty, with a global inject queue for unparked tasks. Channel recv
 /// parks the *task* (an intrusive ChannelWaiter — no allocation) instead
 /// of blocking an OS thread; send hands values directly to parked
-/// waiters and unparks them.
+/// waiters. Every channel-set call returns the tasks it woke, and the
+/// scheduler pushes them onto the inject queue after the set's mutex is
+/// released: the set mutex, the scheduler mutex and the run-queue
+/// mutexes are never held together.
 ///
 /// It implements the executor's whole observable surface: the quiescence
 /// shutdown and two-stage watchdog, the fault-injection points
@@ -27,7 +30,7 @@
 /// placement and sequential steal order; a nonzero seed permutes both
 /// deterministically so property sweeps explore distinct schedules
 /// reproducibly. docs/SCHEDULER.md documents task states, the parking
-/// protocol, the lock order, and the determinism knobs.
+/// protocol, the lock rule, and the determinism knobs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,7 +67,7 @@ struct ThreadRunResult {
 /// Runs a batch of language threads as green tasks on a fixed worker
 /// pool. Single-use: one run() per instance (ParallelExec constructs one
 /// per run and enforces its own single-use contract on top).
-class TaskScheduler final : public TaskUnparkSink {
+class TaskScheduler {
 public:
   /// Opts.VmCode must be set: the tasks run that bytecode.
   TaskScheduler(Heap &TheHeap, ChannelSet &Channels,
@@ -86,11 +89,6 @@ public:
   /// and returns one result record per entry, in spawn order.
   std::vector<ThreadRunResult> run(const std::vector<SpawnEntry> &Work,
                                    RunStats &Stats);
-
-  /// TaskUnparkSink: a parked task became runnable (value handoff or
-  /// channel closure). Called with the channel-set mutex held; only
-  /// enqueues — the task runs later on a worker.
-  void unpark(ChannelWaiter &W) override;
 
 private:
   /// One resumable language thread. Derives from ChannelWaiter so
@@ -160,6 +158,11 @@ private:
   /// parked receiver.
   void abortRun(size_t W, Task &T, std::string Error, bool Faulted);
   void finish(size_t W, Task &T);
+  /// Makes every task of a chain a channel-set call returned runnable
+  /// (value handoff or channel closure): only enqueues on the inject
+  /// queue — each runs later on a worker. Never called with the set
+  /// mutex held.
+  void unpark(ChannelWaiter *Woken);
   StepServices services(Task &T);
 
   Heap &TheHeap;
@@ -170,9 +173,8 @@ private:
   std::deque<Worker> Workers; ///< Deque: workers are never moved.
 
   /// Global scheduler mutex: inject queue, done counter,
-  /// worker sleep/wake. Innermost in the global lock order (after the
-  /// channel-set and channel mutexes) — code holding it never calls
-  /// back into the channel layer.
+  /// worker sleep/wake. Never held together with the channel-set mutex
+  /// or a worker's QM.
   std::mutex SchedM;
   std::condition_variable WorkCV; ///< Workers idle-wait here.
   std::condition_variable DoneCV; ///< run() waits for completion here.

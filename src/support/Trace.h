@@ -25,9 +25,9 @@
 ///  3. **No synchronization at record time.** Each buffer has exactly one
 ///     writer (a worker thread, a language thread stepped by the
 ///     deterministic machine, or a lock-protected subsystem such as
-///     ChannelSet, which records only under its own mutex). The session
-///     mutex is taken only at registration and export, both outside the
-///     measured region.
+///     ChannelSet, which records only inside the one critical section of
+///     each of its operations). The session mutex is taken only at
+///     registration and export, both outside the measured region.
 ///
 /// Ring semantics: when a buffer is full, new events overwrite the
 /// oldest — a trace always holds the *newest* window of activity, and

@@ -310,16 +310,21 @@ TEST(Concurrency, LateCreatedChannelsAreBornClosed) {
   // must be born in the shutdown state.
   ChannelSet S;
   S.registerThreads(1);
-  S.threadFinished(); // quiescent: clean shutdown
+  EXPECT_EQ(S.threadFinished(), nullptr); // quiescent: clean shutdown
   Value V;
-  ChannelWaiter W;
-  EXPECT_EQ(S.channelFor(Type::intTy()).recvOrPark(V, W),
-            RecvAttempt::Closed);
+  ChannelWaiter W, *Woken = nullptr;
+  EXPECT_EQ(S.recvOrPark(Type::intTy(), V, W, Woken), RecvResult::Closed);
+  EXPECT_EQ(Woken, nullptr);
 
   ChannelSet S2;
-  S2.abortAll();
-  EXPECT_EQ(S2.channelFor(Type::boolTy()).recvOrPark(V, W),
-            RecvAttempt::Aborted);
+  EXPECT_EQ(S2.abortAll(), nullptr);
+  EXPECT_EQ(S2.recvOrPark(Type::boolTy(), V, W, Woken),
+            RecvResult::Aborted);
+  EXPECT_EQ(Woken, nullptr);
+  RuntimeMetrics M;
+  S.collectMetrics(M);
+  S2.collectMetrics(M);
+  EXPECT_EQ(M.ChannelsCreated, 2u);
 }
 
 TEST(Concurrency, ClosedChannelDrainsBeforeStopping) {
@@ -327,34 +332,95 @@ TEST(Concurrency, ClosedChannelDrainsBeforeStopping) {
   // delivered; only then do receivers observe Closed.
   ChannelSet S;
   S.registerThreads(1); // one sender keeps the set from quiescing
-  ValueChannel &C = S.channelFor(Type::intTy());
-  C.send(Value::intVal(1));
-  C.send(Value::intVal(2));
-  S.closeAll();
+  EXPECT_EQ(S.send(Type::intTy(), Value::intVal(1)), nullptr);
+  EXPECT_EQ(S.send(Type::intTy(), Value::intVal(2)), nullptr);
+  EXPECT_EQ(S.closeAll(), nullptr);
   Value V;
-  ChannelWaiter W;
-  ASSERT_EQ(C.recvOrPark(V, W), RecvAttempt::Got);
+  ChannelWaiter W, *Woken = nullptr;
+  ASSERT_EQ(S.recvOrPark(Type::intTy(), V, W, Woken), RecvResult::Ok);
   EXPECT_EQ(V, Value::intVal(1));
-  ASSERT_EQ(C.recvOrPark(V, W), RecvAttempt::Got);
+  ASSERT_EQ(S.recvOrPark(Type::intTy(), V, W, Woken), RecvResult::Ok);
   EXPECT_EQ(V, Value::intVal(2));
-  EXPECT_EQ(C.recvOrPark(V, W), RecvAttempt::Closed);
+  EXPECT_EQ(S.recvOrPark(Type::intTy(), V, W, Woken), RecvResult::Closed);
+  EXPECT_EQ(Woken, nullptr);
 }
 
 TEST(Concurrency, AbortedChannelDiscardsQueuedValues) {
   ChannelSet S;
   S.registerThreads(1);
-  ValueChannel &C = S.channelFor(Type::intTy());
-  C.send(Value::intVal(1));
-  S.abortAll();
-  Value V;
-  ChannelWaiter W;
-  EXPECT_EQ(C.recvOrPark(V, W), RecvAttempt::Aborted);
+  EXPECT_EQ(S.send(Type::intTy(), Value::intVal(1)), nullptr);
+  EXPECT_EQ(S.depth(Type::intTy()), 1u);
+  EXPECT_EQ(S.abortAll(), nullptr);
+  EXPECT_EQ(S.depth(Type::intTy()), 0u); // the queued 1 was discarded
+  Value V = Value::intVal(7);
+  ChannelWaiter W, *Woken = nullptr;
+  EXPECT_EQ(S.recvOrPark(Type::intTy(), V, W, Woken), RecvResult::Aborted);
+  EXPECT_EQ(V, Value::intVal(7));
   // Sends into an aborted run are dropped, not queued.
-  C.send(Value::intVal(2));
-  EXPECT_EQ(C.sizeApprox(), 0u);
+  EXPECT_EQ(S.send(Type::intTy(), Value::intVal(2)), nullptr);
+  EXPECT_EQ(S.depth(Type::intTy()), 0u);
+  EXPECT_EQ(S.recvOrPark(Type::intTy(), V, W, Woken), RecvResult::Aborted);
+  EXPECT_EQ(V, Value::intVal(7));
   RuntimeMetrics M;
   S.collectMetrics(M);
+  EXPECT_EQ(M.ChannelSends, 1u);
+  EXPECT_EQ(M.ChannelRecvs, 0u);
   EXPECT_EQ(M.ChannelDroppedValues, 1u);
+}
+
+TEST(Concurrency, WakeChainsCarryExactAccounting) {
+  // Every set operation returns the waiters it woke, already counted as
+  // potential senders again: the accounting is exact at every step, so
+  // quiescence closes the set neither early nor late.
+  ChannelSet S;
+  S.registerThreads(2); // a receiver and a sender
+  Value V;
+  ChannelWaiter Receiver, *Woken = nullptr;
+  ASSERT_EQ(S.recvOrPark(Type::intTy(), V, Receiver, Woken),
+            RecvResult::Parked);
+  EXPECT_EQ(Woken, nullptr); // the sender is still active
+
+  // The send hands its value to exactly the parked receiver.
+  ChannelWaiter *Handed = S.send(Type::intTy(), Value::intVal(42));
+  ASSERT_EQ(Handed, &Receiver);
+  EXPECT_EQ(Handed->NextWaiter, nullptr);
+  EXPECT_EQ(Handed->WakeResult, RecvResult::Ok);
+  EXPECT_EQ(Handed->Handoff, Value::intVal(42));
+
+  // The receiver is active again, so the sender finishing closes nothing
+  // — a later send is still delivered.
+  EXPECT_EQ(S.threadFinished(), nullptr);
+  EXPECT_EQ(S.send(Type::intTy(), Value::intVal(1)), nullptr);
+  ASSERT_EQ(S.recvOrPark(Type::intTy(), V, Receiver, Woken),
+            RecvResult::Ok);
+  EXPECT_EQ(V, Value::intVal(1));
+
+  // The receiver finishing quiesces the set: later receives see Closed.
+  EXPECT_EQ(S.threadFinished(), nullptr);
+  EXPECT_EQ(S.recvOrPark(Type::intTy(), V, Receiver, Woken),
+            RecvResult::Closed);
+  RuntimeMetrics M;
+  S.collectMetrics(M);
+  EXPECT_EQ(M.ChannelSends, 2u);
+  EXPECT_EQ(M.ChannelRecvs, 2u);
+  EXPECT_EQ(M.ChannelDroppedValues, 0u);
+
+  // The last active thread parking quiesces the set in the same critical
+  // section and gets itself back, closed.
+  ChannelSet Lone;
+  Lone.registerThreads(1);
+  ChannelWaiter Last;
+  ASSERT_EQ(Lone.recvOrPark(Type::intTy(), V, Last, Woken),
+            RecvResult::Parked);
+  ASSERT_EQ(Woken, &Last);
+  EXPECT_EQ(Last.NextWaiter, nullptr);
+  EXPECT_EQ(Last.WakeResult, RecvResult::Closed);
+  // Woken, it is a potential sender again until it finishes.
+  EXPECT_EQ(Lone.send(Type::intTy(), Value::intVal(3)), nullptr);
+  EXPECT_EQ(Lone.threadFinished(), nullptr);
+  RuntimeMetrics LoneM;
+  Lone.collectMetrics(LoneM);
+  EXPECT_EQ(LoneM.ChannelDroppedValues, 1u); // sent after the close
 }
 
 TEST(Concurrency, WatchdogAbortsSpinningRun) {

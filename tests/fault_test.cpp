@@ -400,8 +400,7 @@ def spin() : int {
   Pipeline P = mustCompile(Source);
   TraceSession Trace;
   ParallelExecOptions O;
-  O.WatchdogMillis = 100;
-  O.WatchdogGraceMillis = 50;
+  O.WatchdogMillis = 100; // then the 50 ms soft-cancel grace
   O.Trace = &Trace;
   ParallelExec Exec(P.Checked, O);
   Exec.spawn(sym(P, "spin"));
@@ -414,6 +413,7 @@ def spin() : int {
   std::string Json = Trace.toChromeJson();
   EXPECT_NE(Json.find("watchdog.fired"), std::string::npos);
   EXPECT_NE(Json.find("watchdog.soft_cancel"), std::string::npos);
+  EXPECT_NE(Json.find("\"grace_ms\":50"), std::string::npos);
   EXPECT_NE(Json.find("watchdog.hard_abort"), std::string::npos);
 }
 
@@ -444,14 +444,22 @@ TEST(Shutdown, ChannelCreatedAfterAbortIsBornAborted) {
   // the aborted state — recv returns immediately (no park), send drops.
   ChannelSet S;
   S.registerThreads(2);
-  S.abortAll();
-  ValueChannel &C = S.channelFor(Type::intTy()); // created post-abort
-  Value V;
-  ChannelWaiter W;
-  EXPECT_EQ(C.recvOrPark(V, W), RecvAttempt::Aborted); // never parks
-  C.send(Value::intVal(1));                            // dropped
-  EXPECT_EQ(C.sizeApprox(), 0u);
-  EXPECT_EQ(C.recvOrPark(V, W), RecvAttempt::Aborted);
+  EXPECT_EQ(S.abortAll(), nullptr);
+  Value V = Value::intVal(7);
+  ChannelWaiter W, *Woken = nullptr;
+  // Created post-abort: recv never parks.
+  EXPECT_EQ(S.recvOrPark(Type::intTy(), V, W, Woken), RecvResult::Aborted);
+  EXPECT_EQ(Woken, nullptr);
+  EXPECT_EQ(S.send(Type::intTy(), Value::intVal(1)), nullptr); // dropped
+  EXPECT_EQ(S.depth(Type::intTy()), 0u);
+  EXPECT_EQ(S.recvOrPark(Type::intTy(), V, W, Woken), RecvResult::Aborted);
+  EXPECT_EQ(V, Value::intVal(7));
+  RuntimeMetrics M;
+  S.collectMetrics(M);
+  EXPECT_EQ(M.ChannelsCreated, 1u);
+  EXPECT_EQ(M.ChannelSends, 0u); // nothing was queued
+  EXPECT_EQ(M.ChannelPeakDepth, 0u);
+  EXPECT_EQ(M.ChannelDroppedValues, 1u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -21,8 +21,9 @@
 # smoke, a 20k-statement long-block smoke, a model-checker smoke (the
 # erasure-soundness gate: `fearlessc mc --mc-checks=off` over the
 # examples and corpus, plus a deadlock fixture whose counterexample
-# schedule must replay deterministically), then the same test suite,
-# server smoke, and chaos smoke under ThreadSanitizer plus the
+# schedule must replay deterministically), then the same test suite
+# (the task pool's suites repeated), server smoke, and chaos smoke
+# under ThreadSanitizer plus the
 # checker-side and runtime unit tests and the corpus, nesting-cap and
 # long-block smokes under AddressSanitizer. The
 # concurrent runtime (ParallelExec, ChannelSet) is the part of this repo
@@ -566,6 +567,14 @@ run_chaos_smoke "default" "$ROOT/build"
 echo "==> [default] bench smoke"
 "$ROOT/tools/bench.sh" --smoke -B "$ROOT/build"
 run_pass "tsan" "$ROOT/build-tsan" -DFEARLESS_SANITIZE=thread
+# The channel set's single critical section and the scheduler's wake
+# chains are the pool's whole synchronization protocol: run its three
+# suites three more times under TSan, so a rare interleaving gets more
+# chances to show.
+echo "==> [tsan] channel/scheduler stress (3 repeats)"
+(cd "$ROOT/build-tsan" &&
+  ctest --output-on-failure -j "$JOBS" --repeat until-fail:3 \
+    -R "^(scheduler_test|concurrency_test|fault_test)\$" "${CTEST_ARGS[@]}")
 run_analyze "tsan" "$ROOT/build-tsan"
 run_vm_smoke "tsan" "$ROOT/build-tsan"
 run_server_smoke "tsan" "$ROOT/build-tsan"
