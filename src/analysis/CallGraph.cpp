@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 
 using namespace fearless;
 
@@ -38,29 +39,26 @@ void collectCalls(const Expr &Root, std::vector<const Expr *> &Stack,
 
 CallGraph CallGraph::build(const Program &P) {
   CallGraph G;
-
-  // A function's position in P.Functions; the per-function tables below
-  // are indexed by it.
-  auto posOf = [&P](const FnDecl *F) {
-    return static_cast<size_t>(F - P.Functions.data());
-  };
+  G.Prog = &P;
+  size_t NumFns = P.Functions.size();
+  G.Callees.resize(NumFns);
+  G.CallSites.resize(NumFns);
+  G.SccIndex.resize(NumFns);
 
   std::vector<const Expr *> Stack;
   std::vector<Symbol> Sites;
   // Per callee: 1 + the position of the last caller that listed it,
   // which deduplicates without a set per function.
-  std::vector<size_t> ListedBy(P.Functions.size(), 0);
-  for (size_t I = 0; I < P.Functions.size(); ++I) {
-    const FnDecl &Fn = P.Functions[I];
+  std::vector<size_t> ListedBy(NumFns, 0);
+  for (size_t I = 0; I < NumFns; ++I) {
     Sites.clear();
-    collectCalls(*Fn.Body, Stack, Sites);
-    G.CallSites[Fn.Name] = Sites.size();
-    std::vector<Symbol> &Kids = G.Callees[Fn.Name];
-    Kids.clear();
+    collectCalls(*P.Functions[I].Body, Stack, Sites);
+    G.CallSites[I] = Sites.size();
+    std::vector<Symbol> &Kids = G.Callees[I];
     for (Symbol Callee : Sites)
-      if (const FnDecl *C = P.findFunction(Callee);
-          C && ListedBy[posOf(C)] != I + 1) {
-        ListedBy[posOf(C)] = I + 1;
+      if (size_t C = G.positionOf(Callee);
+          C != SIZE_MAX && ListedBy[C] != I + 1) {
+        ListedBy[C] = I + 1;
         Kids.push_back(Callee);
       }
   }
@@ -73,55 +71,53 @@ CallGraph CallGraph::build(const Program &P) {
     size_t Lowlink = 0;
     bool OnStack = false;
   };
-  std::vector<VState> States(P.Functions.size());
-  auto state = [&](Symbol Fn) -> VState & {
-    return States[posOf(P.findFunction(Fn))];
-  };
-  std::vector<Symbol> TarjanStack;
+  std::vector<VState> States(NumFns);
+  std::vector<size_t> TarjanStack;
   size_t NextIndex = 0;
 
   struct Frame {
-    Symbol Fn;
+    size_t Fn;
     size_t NextChild = 0;
   };
   std::vector<Frame> Work;
 
-  for (const FnDecl &Root : P.Functions) {
-    VState &RS = state(Root.Name);
+  for (size_t Root = 0; Root < NumFns; ++Root) {
+    VState &RS = States[Root];
     if (RS.Index != SIZE_MAX)
       continue;
-    Work.push_back({Root.Name, 0});
+    Work.push_back({Root, 0});
     RS.Index = RS.Lowlink = NextIndex++;
     RS.OnStack = true;
-    TarjanStack.push_back(Root.Name);
+    TarjanStack.push_back(Root);
 
     while (!Work.empty()) {
       Frame &F = Work.back();
       const std::vector<Symbol> &Kids = G.Callees[F.Fn];
       if (F.NextChild < Kids.size()) {
-        Symbol Child = Kids[F.NextChild++];
-        VState &CS = state(Child);
+        size_t Child = G.positionOf(Kids[F.NextChild++]);
+        VState &CS = States[Child];
         if (CS.Index == SIZE_MAX) {
           CS.Index = CS.Lowlink = NextIndex++;
           CS.OnStack = true;
           TarjanStack.push_back(Child);
           Work.push_back({Child, 0});
         } else if (CS.OnStack) {
-          VState &FS = state(F.Fn);
+          VState &FS = States[F.Fn];
           FS.Lowlink = std::min(FS.Lowlink, CS.Index);
         }
         continue;
       }
       // F's children are exhausted: maybe pop an SCC, then propagate the
       // lowlink into the parent frame.
-      VState &FS = state(F.Fn);
+      VState &FS = States[F.Fn];
       if (FS.Lowlink == FS.Index) {
         std::vector<Symbol> Scc;
         for (;;) {
-          Symbol Member = TarjanStack.back();
+          size_t Member = TarjanStack.back();
           TarjanStack.pop_back();
-          state(Member).OnStack = false;
-          Scc.push_back(Member);
+          States[Member].OnStack = false;
+          G.SccIndex[Member] = G.Sccs.size();
+          Scc.push_back(P.Functions[Member].Name);
           if (Member == F.Fn)
             break;
         }
@@ -130,15 +126,13 @@ CallGraph CallGraph::build(const Program &P) {
         // engine wants. Keep members in declaration order for stable
         // reporting.
         std::sort(Scc.begin(), Scc.end());
-        for (Symbol Member : Scc)
-          G.SccIndex[Member] = G.Sccs.size();
         G.Sccs.push_back(std::move(Scc));
       }
-      Symbol Done = F.Fn;
+      size_t Done = F.Fn;
       Work.pop_back();
       if (!Work.empty()) {
-        VState &PS = state(Work.back().Fn);
-        PS.Lowlink = std::min(PS.Lowlink, state(Done).Lowlink);
+        VState &PS = States[Work.back().Fn];
+        PS.Lowlink = std::min(PS.Lowlink, States[Done].Lowlink);
       }
     }
   }
@@ -146,15 +140,20 @@ CallGraph CallGraph::build(const Program &P) {
   return G;
 }
 
+size_t CallGraph::positionOf(Symbol Fn) const {
+  const FnDecl *D = Prog ? Prog->findFunction(Fn) : nullptr;
+  return D ? static_cast<size_t>(D - Prog->Functions.data()) : SIZE_MAX;
+}
+
 const std::vector<Symbol> &CallGraph::callees(Symbol Fn) const {
   static const std::vector<Symbol> Empty;
-  auto It = Callees.find(Fn);
-  return It == Callees.end() ? Empty : It->second;
+  size_t Pos = positionOf(Fn);
+  return Pos == SIZE_MAX ? Empty : Callees[Pos];
 }
 
 size_t CallGraph::callSiteCount(Symbol Fn) const {
-  auto It = CallSites.find(Fn);
-  return It == CallSites.end() ? 0 : It->second;
+  size_t Pos = positionOf(Fn);
+  return Pos == SIZE_MAX ? 0 : CallSites[Pos];
 }
 
 bool CallGraph::isRecursiveScc(size_t SccIndex) const {
@@ -167,14 +166,14 @@ bool CallGraph::isRecursiveScc(size_t SccIndex) const {
 }
 
 size_t CallGraph::sccOf(Symbol Fn) const {
-  auto It = SccIndex.find(Fn);
-  assert(It != SccIndex.end() && "function not in the graph");
-  return It->second;
+  size_t Pos = positionOf(Fn);
+  assert(Pos != SIZE_MAX && "function not in the graph");
+  return SccIndex[Pos];
 }
 
 size_t CallGraph::edgeCount() const {
   size_t N = 0;
-  for (const auto &[Fn, Kids] : Callees)
+  for (const std::vector<Symbol> &Kids : Callees)
     N += Kids.size();
   return N;
 }

@@ -27,14 +27,16 @@
 
 #include "support/Interner.h"
 
-#include <unordered_map>
 #include <vector>
 
 namespace fearless {
 
 struct Program;
 
-/// Call graph over the named functions of one program.
+/// Call graph over the named functions of one program. Its tables are
+/// indexed by Program::Functions position; the Symbol queries find the
+/// position through Program::findFunction, so the graph must not outlive
+/// the program it was built from.
 class CallGraph {
 public:
   /// Builds the graph by walking every function body.
@@ -63,9 +65,14 @@ public:
   size_t edgeCount() const;
 
 private:
-  std::unordered_map<Symbol, std::vector<Symbol>> Callees;
-  std::unordered_map<Symbol, size_t> CallSites;
-  std::unordered_map<Symbol, size_t> SccIndex;
+  /// The declaration position of \p Fn, or SIZE_MAX for an unknown name.
+  size_t positionOf(Symbol Fn) const;
+
+  const Program *Prog = nullptr;
+  // Per declaration position.
+  std::vector<std::vector<Symbol>> Callees;
+  std::vector<size_t> CallSites;
+  std::vector<size_t> SccIndex;
   std::vector<std::vector<Symbol>> Sccs;
 };
 

@@ -6,14 +6,12 @@
 
 #include "analysis/RegionGraph.h"
 
-#include <deque>
-
 namespace fearless {
 
 PointsTo joinPointsTo(const PointsTo &A, const PointsTo &B) {
   PointsTo Out;
   Out.Targets = A.Targets;
-  Out.Targets.insert(B.Targets.begin(), B.Targets.end());
+  Out.Targets.merge(B.Targets);
   Out.Definite = A.Definite && B.Definite && A.Targets == B.Targets;
   return Out;
 }
@@ -86,26 +84,20 @@ void RegionGraph::writeField(AbsNodeId Base, Symbol Field, const PointsTo &V,
     if (WildIt != FieldMap.end() && Field.isValid())
       E.Targets = WildIt->second.Targets;
   }
-  E.Targets.insert(V.Targets.begin(), V.Targets.end());
+  E.Targets.merge(V.Targets);
   E.Must = false;
   E.Iso = E.Iso || Iso;
 }
 
 NodeSet RegionGraph::reachableFrom(const NodeSet &Roots) const {
-  NodeSet Seen = Roots;
-  std::deque<AbsNodeId> Frontier(Roots.begin(), Roots.end());
-  while (!Frontier.empty()) {
-    AbsNodeId N = Frontier.front();
-    Frontier.pop_front();
+  return reachableClosure(Roots, [this](AbsNodeId N, auto Visit) {
     auto It = Edges.find(N);
     if (It == Edges.end())
-      continue;
+      return;
     for (const auto &[Field, E] : It->second)
       for (AbsNodeId T : E.Targets)
-        if (Seen.insert(T).second)
-          Frontier.push_back(T);
-  }
-  return Seen;
+        Visit(T);
+  });
 }
 
 bool RegionGraph::hasExternalEdgeInto(const NodeSet &Side) const {
@@ -113,21 +105,20 @@ bool RegionGraph::hasExternalEdgeInto(const NodeSet &Side) const {
     if (Side.contains(From))
       continue;
     for (const auto &[Field, E] : FieldMap)
-      for (AbsNodeId T : E.Targets)
-        if (Side.contains(T))
-          return true;
+      if (E.Targets.intersects(Side))
+        return true;
   }
   return false;
 }
 
-std::map<AbsNodeId, RegionGraph::MustStep>
+std::vector<RegionGraph::MustStep>
 RegionGraph::mustClosure(AbsNodeId Root, const NodeTable &Nodes) const {
-  std::map<AbsNodeId, MustStep> Out;
-  Out[Root] = MustStep{AbsNodeId{}, Symbol{}};
-  std::deque<AbsNodeId> Frontier{Root};
-  while (!Frontier.empty()) {
-    AbsNodeId N = Frontier.front();
-    Frontier.pop_front();
+  std::vector<MustStep> Out(Nodes.size());
+  Out[Root.Id] = MustStep{true, AbsNodeId{}, Symbol{}};
+  // Breadth-first, so each node's recorded step lies on a shortest path.
+  std::vector<AbsNodeId> Frontier{Root};
+  for (size_t Next = 0; Next < Frontier.size(); ++Next) {
+    AbsNodeId N = Frontier[Next];
     auto It = Edges.find(N);
     if (It == Edges.end())
       continue;
@@ -140,8 +131,10 @@ RegionGraph::mustClosure(AbsNodeId Root, const NodeTable &Nodes) const {
       AbsNodeId T = *E.Targets.begin();
       if (!Nodes[T].Exact)
         continue;
-      if (Out.try_emplace(T, MustStep{N, Field}).second)
+      if (!Out[T.Id].Reached) {
+        Out[T.Id] = MustStep{true, N, Field};
         Frontier.push_back(T);
+      }
     }
   }
   return Out;
@@ -178,7 +171,7 @@ void RegionGraph::join(const RegionGraph &Other) {
         FieldEdge E = OE;
         if (Field.isValid()) {
           if (const FieldEdge *W = Fallback(*this, N)) {
-            E.Targets.insert(W->Targets.begin(), W->Targets.end());
+            E.Targets.merge(W->Targets);
             E.Must = false;
             E.Iso = E.Iso || W->Iso;
           }
@@ -188,18 +181,18 @@ void RegionGraph::join(const RegionGraph &Other) {
       }
       FieldEdge &E = It->second;
       bool SameTargets = E.Targets == OE.Targets;
-      E.Targets.insert(OE.Targets.begin(), OE.Targets.end());
+      E.Targets.merge(OE.Targets);
       E.Must = E.Must && OE.Must && SameTargets;
       E.Iso = E.Iso || OE.Iso;
     }
     // Entries present here but not on the other side: widen with the other
     // side's wildcard fallback and drop must.
     for (auto &[Field, E] : MyFields) {
-      if (OtherFields.contains(Field))
+      if (OtherFields.count(Field))
         continue;
       if (Field.isValid()) {
         if (const FieldEdge *W = Fallback(Other, N)) {
-          E.Targets.insert(W->Targets.begin(), W->Targets.end());
+          E.Targets.merge(W->Targets);
           E.Iso = E.Iso || W->Iso;
         }
       }
@@ -209,7 +202,7 @@ void RegionGraph::join(const RegionGraph &Other) {
   // Nodes with edges here but absent entirely on the other side: their
   // entries are one-sided facts; drop must.
   for (auto &[N, MyFields] : Edges) {
-    if (Other.Edges.contains(N))
+    if (Other.Edges.count(N))
       continue;
     for (auto &[Field, E] : MyFields)
       E.Must = false;

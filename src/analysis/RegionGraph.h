@@ -30,11 +30,15 @@
 #define FEARLESS_ANALYSIS_REGIONGRAPH_H
 
 #include "support/Diagnostics.h"
+#include "support/FlatMap.h"
 #include "support/Interner.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <set>
+#include <initializer_list>
+#include <iterator>
 #include <vector>
 
 namespace fearless {
@@ -96,7 +100,169 @@ private:
   std::vector<AbsNode> Nodes;
 };
 
-using NodeSet = std::set<AbsNodeId>;
+/// A set of node ids of one function analysis, as a bitset over the dense
+/// AbsNodeIds: bit I of word I / 64. The first word is inline, so a
+/// function with at most 64 nodes never allocates for a set; words past
+/// it live on the heap. Iteration is in ascending id order, which is
+/// std::set's order, so everything rendered from a set is unchanged.
+/// Equality ignores trailing zero words: two sets that spilled to
+/// different lengths but hold the same ids are equal.
+class NodeSet {
+public:
+  class const_iterator {
+  public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = AbsNodeId;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const AbsNodeId *;
+    using reference = AbsNodeId;
+
+    AbsNodeId operator*() const {
+      return AbsNodeId{static_cast<uint32_t>(
+          Word * 64 + static_cast<size_t>(std::countr_zero(Bits)))};
+    }
+    const_iterator &operator++() {
+      Bits &= Bits - 1;
+      skipEmpty();
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator Old = *this;
+      ++*this;
+      return Old;
+    }
+    bool operator==(const const_iterator &O) const {
+      return Word == O.Word && Bits == O.Bits;
+    }
+
+  private:
+    friend class NodeSet;
+    const_iterator(const NodeSet *S, size_t Word)
+        : S(S), Word(Word), Bits(Word < S->words() ? S->word(Word) : 0) {
+      skipEmpty();
+    }
+    void skipEmpty() {
+      while (Bits == 0 && ++Word < S->words())
+        Bits = S->word(Word);
+      if (Bits == 0)
+        Word = S->words();
+    }
+
+    const NodeSet *S;
+    size_t Word;
+    uint64_t Bits;
+  };
+
+  NodeSet() = default;
+  NodeSet(std::initializer_list<AbsNodeId> Ids) {
+    for (AbsNodeId Id : Ids)
+      insert(Id);
+  }
+
+  const_iterator begin() const { return const_iterator(this, 0); }
+  const_iterator end() const { return const_iterator(this, words()); }
+
+  bool empty() const {
+    if (First)
+      return false;
+    for (uint64_t W : Rest)
+      if (W)
+        return false;
+    return true;
+  }
+  size_t size() const {
+    size_t N = static_cast<size_t>(std::popcount(First));
+    for (uint64_t W : Rest)
+      N += static_cast<size_t>(std::popcount(W));
+    return N;
+  }
+  bool contains(AbsNodeId Id) const {
+    size_t W = Id.Id / 64;
+    return W < words() && ((word(W) >> (Id.Id % 64)) & 1) != 0;
+  }
+
+  /// Adds \p Id; returns true when it was not yet present.
+  bool insert(AbsNodeId Id) {
+    size_t W = Id.Id / 64;
+    if (W >= words())
+      Rest.resize(W, 0);
+    uint64_t &Word = wordRef(W);
+    uint64_t Bit = uint64_t{1} << (Id.Id % 64);
+    if (Word & Bit)
+      return false;
+    Word |= Bit;
+    return true;
+  }
+
+  /// Removes \p Id. The words keep their count, so a set may end in zero
+  /// words; every query treats them as absent.
+  void erase(AbsNodeId Id) {
+    size_t W = Id.Id / 64;
+    if (W < words())
+      wordRef(W) &= ~(uint64_t{1} << (Id.Id % 64));
+  }
+
+  /// Adds every element of \p Other (set union, one pass over its words).
+  void merge(const NodeSet &Other) {
+    First |= Other.First;
+    if (Other.Rest.size() > Rest.size())
+      Rest.resize(Other.Rest.size(), 0);
+    for (size_t I = 0; I < Other.Rest.size(); ++I)
+      Rest[I] |= Other.Rest[I];
+  }
+
+  /// True when the two sets share an element.
+  bool intersects(const NodeSet &Other) const {
+    if (First & Other.First)
+      return true;
+    size_t N = std::min(Rest.size(), Other.Rest.size());
+    for (size_t I = 0; I < N; ++I)
+      if (Rest[I] & Other.Rest[I])
+        return true;
+    return false;
+  }
+
+  bool operator==(const NodeSet &Other) const {
+    if (First != Other.First)
+      return false;
+    const std::vector<uint64_t> &Short =
+        Rest.size() <= Other.Rest.size() ? Rest : Other.Rest;
+    const std::vector<uint64_t> &Long =
+        Rest.size() <= Other.Rest.size() ? Other.Rest : Rest;
+    for (size_t I = 0; I < Short.size(); ++I)
+      if (Short[I] != Long[I])
+        return false;
+    for (size_t I = Short.size(); I < Long.size(); ++I)
+      if (Long[I])
+        return false;
+    return true;
+  }
+
+private:
+  size_t words() const { return 1 + Rest.size(); }
+  uint64_t word(size_t W) const { return W == 0 ? First : Rest[W - 1]; }
+  uint64_t &wordRef(size_t W) { return W == 0 ? First : Rest[W - 1]; }
+
+  uint64_t First = 0;
+  std::vector<uint64_t> Rest; ///< Words 1, 2, ...: ids 64 and up.
+};
+
+/// Every node reachable from \p Roots, \p Roots included, where
+/// \p ForEachSucc(N, Visit) calls Visit(T) for every successor T of N.
+template <typename SuccFn>
+NodeSet reachableClosure(const NodeSet &Roots, SuccFn ForEachSucc) {
+  NodeSet Seen = Roots;
+  NodeSet Frontier = Roots;
+  while (!Frontier.empty()) {
+    AbsNodeId N = *Frontier.begin();
+    Frontier.erase(N);
+    ForEachSucc(N, [&](AbsNodeId T) {
+      if (Seen.insert(T))
+        Frontier.insert(T);
+    });
+  }
+  return Seen;
+}
 
 /// Abstract value of a regionful expression / variable.
 struct PointsTo {
@@ -123,10 +289,16 @@ struct FieldEdge {
 };
 
 /// The abstract state at one program point.
+///
+/// Both maps are FlatMaps (support/FlatMap.h): an insert invalidates every
+/// reference into the map that receives it, so look an entry up again
+/// after adding to the same map.
 class RegionGraph {
 public:
-  std::map<Symbol, PointsTo> Vars;
-  std::map<AbsNodeId, std::map<Symbol, FieldEdge>> Edges;
+  using FieldMap = FlatMap<Symbol, FieldEdge>;
+
+  FlatMap<Symbol, PointsTo> Vars;
+  FlatMap<AbsNodeId, FieldMap> Edges;
 
   /// Adds a may edge (unions targets; clears Must if already present).
   void addMayEdge(AbsNodeId From, Symbol Field, AbsNodeId To,
@@ -155,14 +327,15 @@ public:
 
   /// Must-reachability: the closure of \p Root over non-iso Must edges
   /// whose targets are Exact nodes, with the discovering edge recorded per
-  /// node (for witness paths). \p Root itself is included with an invalid
-  /// predecessor.
+  /// node (for witness paths). Indexed by node id, one entry per node of
+  /// \p Nodes; \p Root itself is reached with an invalid predecessor.
   struct MustStep {
+    bool Reached = false;
     AbsNodeId Prev; ///< Invalid for the root.
     Symbol Field;
   };
-  std::map<AbsNodeId, MustStep> mustClosure(AbsNodeId Root,
-                                            const NodeTable &Nodes) const;
+  std::vector<MustStep> mustClosure(AbsNodeId Root,
+                                    const NodeTable &Nodes) const;
 
   /// Least upper bound (branch merge / loop head). Edge entries present on
   /// one side only are widened with the other side's wildcard fallback.

@@ -42,7 +42,9 @@
 #include "support/JsonEscape.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <iterator>
+#include <span>
 #include <sstream>
 
 namespace fearless {
@@ -73,18 +75,70 @@ bool isHubKind(AbsNodeKind K) {
   }
 }
 
+/// True when the ascending region lists \p A and \p B share a region.
+bool sharesRegion(const std::vector<RegionId> &A,
+                  const std::vector<RegionId> &B) {
+  auto IA = A.begin(), IB = B.begin();
+  while (IA != A.end() && IB != B.end()) {
+    if (*IA == *IB)
+      return true;
+    if (*IA < *IB)
+      ++IA;
+    else
+      ++IB;
+  }
+  return false;
+}
+
+/// Union-find over the slots 0..N-1 of one signature or call site.
+class SlotGroups {
+public:
+  /// One buffer: the parent links, then forEachClass's member list.
+  explicit SlotGroups(size_t N) : N(N), Buf(2 * N) {
+    for (size_t I = 0; I < N; ++I)
+      Buf[I] = I;
+  }
+
+  size_t find(size_t I) {
+    while (Buf[I] != I)
+      I = Buf[I] = Buf[Buf[I]];
+    return I;
+  }
+  /// Merges the classes; \p B's representative represents the union.
+  void unite(size_t A, size_t B) { Buf[find(A)] = find(B); }
+
+  /// Calls \p Visit(Rep, Members) once per class of the slots
+  /// 0..Count-1, by ascending representative, members ascending.
+  template <typename VisitFn> void forEachClass(size_t Count, VisitFn Visit) {
+    size_t *Members = Buf.data() + N;
+    for (size_t Rep = 0; Rep < N; ++Rep) {
+      size_t K = 0;
+      for (size_t I = 0; I < Count; ++I)
+        if (find(I) == Rep)
+          Members[K++] = I;
+      if (K)
+        Visit(Rep, std::span<const size_t>(Members, K));
+    }
+  }
+
+private:
+  size_t N;
+  std::vector<size_t> Buf;
+};
+
 //===----------------------------------------------------------------------===//
 // Per-function abstract interpreter
 //===----------------------------------------------------------------------===//
 
 class FnAnalyzer {
 public:
-  /// \p Summaries may be null (intra-procedural mode: every call applies
-  /// the signature-derived havoc).
-  FnAnalyzer(const CheckedProgram &CP, const CheckedFunction &Fn,
-             const SummaryTable *Summaries, SummaryStats &Stats)
-      : CP(CP), Fn(Fn), Summaries(Summaries), Stats(Stats),
-        Names(CP.Prog->Names) {}
+  /// Analyzes the function at position \p Pos of \p Fns, which must be
+  /// checked. \p Summaries, by position, may be null (intra-procedural
+  /// mode: every call applies the signature-derived havoc).
+  FnAnalyzer(const CheckedProgram &CP, const FunctionTable &Fns, size_t Pos,
+             const std::vector<FnSummary> *Summaries, SummaryStats &Stats)
+      : CP(CP), Fns(Fns), Info(Fns[Pos]), Fn(*Info.Checked),
+        Summaries(Summaries), Stats(Stats), Names(CP.Prog->Names) {}
 
   /// Interprets the body once, counted in Stats.EffectRuns, replacing
   /// \p Report with its site verdicts and diagnostics; returns the body's
@@ -95,8 +149,10 @@ public:
 
 private:
   const CheckedProgram &CP;
+  const FunctionTable &Fns;
+  const FunctionEntry &Info;
   const CheckedFunction &Fn;
-  const SummaryTable *Summaries;
+  const std::vector<FnSummary> *Summaries;
   SummaryStats &Stats;
   const Interner &Names;
 
@@ -104,16 +160,17 @@ private:
   RegionGraph G;
   int LoopDepth = 0;
 
-  // Effect collection for the interprocedural summary engine. EverEdges
+  // Effect collection for the interprocedural summary engine. EverSucc
   // is the monotone union of every edge ever added to any program
-  // point's graph (as untyped may-edges), so reachability over it
-  // over-approximates reachability at *every* point of the execution —
-  // strong updates remove edges from G but never from EverEdges.
+  // point's graph (as untyped may-edges), as successor sets by node id,
+  // so reachability over it over-approximates reachability at *every*
+  // point of the execution — strong updates remove edges from G but
+  // never from EverSucc.
   // WriteTouched holds every node that was the base of a field write,
   // was sent, or was havocked by a call; StoredValues every node that
   // was stored as a field value (a new stored reference the §5.2
   // refcount check would observe).
-  RegionGraph EverEdges;
+  std::vector<NodeSet> EverSucc;
   NodeSet WriteTouched;
   NodeSet StoredValues;
   // Per regionful parameter (declaration order): its entry cohort (the
@@ -125,9 +182,17 @@ private:
   void noteEdges(AbsNodeId From, const NodeSet &Targets) {
     if (Targets.empty())
       return;
-    FieldEdge &W = EverEdges.Edges[From][Symbol{}];
-    W.Targets.insert(Targets.begin(), Targets.end());
-    W.Must = false;
+    if (From.Id >= EverSucc.size())
+      EverSucc.resize(From.Id + 1);
+    EverSucc[From.Id].merge(Targets);
+  }
+  /// Every node reachable from \p Roots over EverSucc.
+  NodeSet everReachableFrom(const NodeSet &Roots) const {
+    return reachableClosure(Roots, [this](AbsNodeId N, auto Visit) {
+      if (N.Id < EverSucc.size())
+        for (AbsNodeId T : EverSucc[N.Id])
+          Visit(T);
+    });
   }
 
   // Site-memoized nodes, so fixpoint revisits reuse ids.
@@ -158,108 +223,55 @@ private:
 
   bool fieldIsIso(AbsNodeId N, Symbol F) const;
   std::string describeNode(AbsNodeId N) const;
-  std::string renderMustPath(Symbol Var, AbsNodeId Target,
-                             const std::map<AbsNodeId, RegionGraph::MustStep>
-                                 &Closure) const;
+  std::string
+  renderMustPath(Symbol Var, AbsNodeId Target,
+                 const std::vector<RegionGraph::MustStep> &Closure) const;
 };
 
 void FnAnalyzer::buildEntryState() {
-  const FnSignature &Sig = Fn.Sig;
-  const FnDecl &Decl = *Sig.Decl;
-
-  // Region adjacency of the input heap context: region -> tracked-field
-  // target regions.
-  std::map<RegionId, std::set<RegionId>> Adj;
-  for (const auto &[R, Track] : Sig.Input.Heap.entries())
-    for (const auto &[Var, VT] : Track.Vars)
-      for (const auto &[Field, Target] : VT.Fields)
-        Adj[R].insert(Target);
-
-  auto regionClosure = [&](RegionId Root) {
-    std::set<RegionId> Seen{Root};
-    std::vector<RegionId> Frontier{Root};
-    while (!Frontier.empty()) {
-      RegionId R = Frontier.back();
-      Frontier.pop_back();
-      auto It = Adj.find(R);
-      if (It == Adj.end())
-        continue;
-      for (RegionId T : It->second)
-        if (Seen.insert(T).second)
-          Frontier.push_back(T);
-    }
-    return Seen;
-  };
-
-  // Regionful parameters and their input-region closures.
-  struct ParamInfo {
-    Symbol Name;
-    Type Ty;
-    SourceLoc Loc;
-    std::set<RegionId> Regions;
-    AbsNodeId Node;
-    size_t Group = 0;
-  };
-  std::vector<ParamInfo> Ps;
-  for (const ParamDecl &P : Decl.Params) {
-    if (!P.ParamType.isRegionful())
-      continue;
-    ParamInfo PI;
-    PI.Name = P.Name;
-    PI.Ty = P.ParamType;
-    PI.Loc = P.Loc;
-    auto It = Sig.ParamRegion.find(P.Name);
-    if (It != Sig.ParamRegion.end())
-      PI.Regions = regionClosure(It->second);
-    Ps.push_back(PI);
-  }
+  const FnDecl &Decl = *Fn.Sig.Decl;
+  const std::vector<SignatureSlot> &Ps = Info.Slots;
 
   // Group parameters whose input-region closures intersect (before:
   // relations, tracked fields targeting a shared region): such parameters
   // may alias or reach one another at entry.
-  std::vector<size_t> Group(Ps.size());
+  SlotGroups Groups(Ps.size());
   for (size_t I = 0; I < Ps.size(); ++I)
-    Group[I] = I;
-  auto findRep = [&](size_t I) {
-    while (Group[I] != I)
-      I = Group[I] = Group[Group[I]];
-    return I;
-  };
-  for (size_t I = 0; I < Ps.size(); ++I)
-    for (size_t J = I + 1; J < Ps.size(); ++J) {
-      bool Related = std::any_of(
-          Ps[I].Regions.begin(), Ps[I].Regions.end(),
-          [&](RegionId R) { return Ps[J].Regions.contains(R); });
-      if (Related)
-        Group[findRep(J)] = findRep(I);
-    }
+    for (size_t J = I + 1; J < Ps.size(); ++J)
+      if (sharesRegion(Ps[I].InRegions, Ps[J].InRegions))
+        Groups.unite(J, I);
 
   // Materialize one node per parameter and one summary node per group for
   // the unknown rest of the group's entry regions.
-  for (ParamInfo &PI : Ps) {
+  std::vector<AbsNodeId> ParamNode(Ps.size());
+  ParamNames.reserve(Ps.size());
+  ParamCohorts.reserve(Ps.size());
+  for (size_t I = 0; I < Ps.size(); ++I) {
+    const ParamDecl &P = Decl.Params[Ps[I].ParamIndex];
     AbsNode N;
     N.Kind = AbsNodeKind::Param;
     N.Exact = true;
-    N.StructName = PI.Ty.StructName;
-    N.Origin = PI.Name;
-    N.Loc = PI.Loc;
-    PI.Node = Nodes.add(N);
+    N.StructName = P.ParamType.StructName;
+    N.Origin = P.Name;
+    N.Loc = P.Loc;
+    ParamNode[I] = Nodes.add(N);
   }
-  std::map<size_t, std::vector<size_t>> Groups;
-  for (size_t I = 0; I < Ps.size(); ++I)
-    Groups[findRep(I)].push_back(I);
-  std::vector<AbsNodeId> GroupHub(Ps.size());
-  for (const auto &[Rep, Members] : Groups) {
+  for (size_t I = 0; I < Ps.size(); ++I) {
+    ParamNames.push_back(Ps[I].Name);
+    ParamCohorts.push_back(NodeSet{ParamNode[I]});
+  }
+  Groups.forEachClass(Ps.size(), [&](size_t Rep,
+                                     std::span<const size_t> Members) {
     AbsNode S;
     S.Kind = AbsNodeKind::Summary;
     S.Havocked = true;
     S.Origin = Ps[Rep].Name;
-    S.Loc = Ps[Rep].Loc;
+    S.Loc = Decl.Params[Ps[Rep].ParamIndex].Loc;
     AbsNodeId Sum = Nodes.add(S);
 
     NodeSet Cohort{Sum};
     for (size_t I : Members)
-      Cohort.insert(Ps[I].Node);
+      Cohort.insert(ParamNode[I]);
     for (AbsNodeId M : Cohort) {
       FieldEdge &W = G.Edges[M][Symbol{}];
       W.Targets = Cohort;
@@ -270,19 +282,14 @@ void FnAnalyzer::buildEntryState() {
     }
     Nodes[Sum].Havocked = true;
     for (size_t I : Members)
-      GroupHub[I] = Sum;
-  }
+      ParamCohorts[I].insert(Sum);
+  });
 
   for (size_t I = 0; I < Ps.size(); ++I) {
-    ParamNames.push_back(Ps[I].Name);
-    ParamCohorts.push_back(NodeSet{Ps[I].Node, GroupHub[I]});
-  }
-
-  for (const ParamInfo &PI : Ps) {
     PointsTo V;
-    V.Targets = {PI.Node};
-    V.Definite = PI.Ty.isStruct();
-    G.Vars[PI.Name] = V;
+    V.Targets = {ParamNode[I]};
+    V.Definite = Decl.Params[Ps[I].ParamIndex].ParamType.isStruct();
+    G.Vars[Ps[I].Name] = V;
   }
 }
 
@@ -343,7 +350,7 @@ PointsTo FnAnalyzer::evalNew(const NewExpr &E) {
     }
     G.writeField(Self, F.Name, V, /*Strong=*/Exact, F.Iso);
     noteEdges(Self, V.Targets);
-    StoredValues.insert(V.Targets.begin(), V.Targets.end());
+    StoredValues.merge(V.Targets);
   }
   return PointsTo{{Self}, Exact};
 }
@@ -375,7 +382,7 @@ PointsTo FnAnalyzer::evalRecv(const RecvExpr &E) {
   NodeSet Cohort{Root, Rest};
   for (AbsNodeId M : Cohort) {
     FieldEdge &W = G.Edges[M][Symbol{}];
-    W.Targets.insert(Cohort.begin(), Cohort.end());
+    W.Targets.merge(Cohort);
     W.Must = false;
     noteEdges(M, Cohort);
   }
@@ -393,66 +400,28 @@ PointsTo FnAnalyzer::evalCall(const CallExpr &E) {
   for (const ExprPtr &A : E.Args)
     ArgVals.push_back(evaluate(A.get()));
 
-  auto SigIt = CP.Signatures.find(E.Callee);
-  const FnSignature *Sig =
-      SigIt == CP.Signatures.end() ? nullptr : &SigIt->second;
-  const FnDecl *Decl = Sig ? Sig->Decl : nullptr;
-
-  // Regionful argument slots.
-  struct Slot {
-    size_t ArgIndex;
-    Symbol ParamName;
-    bool Consumed = false;
-    std::set<RegionId> InRegions; ///< Input-region closure.
-  };
-  std::vector<Slot> Slots;
+  size_t CalleePos = Fns.positionOf(E.Callee);
+  const FunctionEntry *Callee =
+      CalleePos == SIZE_MAX ? nullptr : &Fns[CalleePos];
+  const FnSignature *Sig = Callee ? Callee->Sig : nullptr;
   bool ResultRegionful = Sig ? Sig->ReturnType.isRegionful() : true;
 
-  std::map<RegionId, std::set<RegionId>> Adj;
-  if (Sig)
-    for (const auto &[R, Track] : Sig->Input.Heap.entries())
-      for (const auto &[Var, VT] : Track.Vars)
-        for (const auto &[Field, Target] : VT.Fields)
-          Adj[R].insert(Target);
-  auto regionClosure = [&](RegionId RootR) {
-    std::set<RegionId> Seen{RootR};
-    std::vector<RegionId> Frontier{RootR};
-    while (!Frontier.empty()) {
-      RegionId R = Frontier.back();
-      Frontier.pop_back();
-      auto AIt = Adj.find(R);
-      if (AIt == Adj.end())
-        continue;
-      for (RegionId T : AIt->second)
-        if (Seen.insert(T).second)
-          Frontier.push_back(T);
-    }
-    return Seen;
-  };
-
-  if (Decl) {
-    for (size_t I = 0; I < Decl->Params.size() && I < E.Args.size(); ++I) {
-      const ParamDecl &P = Decl->Params[I];
-      if (!P.ParamType.isRegionful())
-        continue;
-      Slot S;
-      S.ArgIndex = I;
-      S.ParamName = P.Name;
-      auto RIt = Sig->ParamRegion.find(P.Name);
-      if (RIt != Sig->ParamRegion.end()) {
-        S.InRegions = regionClosure(RIt->second);
-        auto OIt = Sig->OutputImage.find(RIt->second);
-        S.Consumed = OIt == Sig->OutputImage.end() || !OIt->second.isValid();
-      } else {
-        S.Consumed = true; // Unknown region: be conservative.
-      }
-      Slots.push_back(S);
-    }
+  // Regionful argument slots: the callee's signature slots that receive
+  // an argument. An unresolvable callee (cannot happen in a checked
+  // program) havocs every argument together with the result.
+  std::vector<SignatureSlot> Unresolved;
+  std::span<const SignatureSlot> Slots;
+  if (Sig) {
+    size_t N = 0;
+    while (N < Callee->Slots.size() &&
+           Callee->Slots[N].ParamIndex < E.Args.size())
+      ++N;
+    Slots = std::span<const SignatureSlot>(Callee->Slots).first(N);
   } else {
-    // Unresolvable callee (cannot happen in a checked program): havoc
-    // every regionful-looking argument together with the result.
+    Unresolved.resize(E.Args.size());
     for (size_t I = 0; I < E.Args.size(); ++I)
-      Slots.push_back(Slot{I, Symbol{}, /*Consumed=*/true, {}});
+      Unresolved[I].ParamIndex = I;
+    Slots = Unresolved;
   }
 
   // Interprocedural mode: a valid callee summary replaces both the
@@ -461,45 +430,23 @@ PointsTo FnAnalyzer::evalCall(const CallExpr &E) {
   // (cannot happen for a checked program) falls back to the signature
   // path, the sound bottom.
   const FnSummary *Sum = nullptr;
-  if (Summaries && Decl) {
-    auto SumIt = Summaries->find(E.Callee);
-    if (SumIt != Summaries->end() && SumIt->second.Valid &&
-        SumIt->second.Params.size() == Slots.size()) {
-      Sum = &SumIt->second;
+  if (Summaries && Sig) {
+    const FnSummary &S = (*Summaries)[CalleePos];
+    if (S.Valid && S.Params.size() == Slots.size()) {
+      Sum = &S;
       for (size_t I = 0; I < Slots.size(); ++I)
-        if (Slots[I].ParamName != Sum->Params[I]) {
+        if (Slots[I].Name != S.Params[I]) {
           Sum = nullptr;
           break;
         }
     }
   }
 
-  // Output-region image of a slot's input closure.
-  auto outImage = [&](const Slot &S) {
-    std::set<RegionId> Out;
-    if (!Sig)
-      return Out;
-    for (RegionId R : S.InRegions) {
-      auto OIt = Sig->OutputImage.find(R);
-      if (OIt != Sig->OutputImage.end() && OIt->second.isValid())
-        Out.insert(OIt->second);
-    }
-    return Out;
-  };
-
   // Union-find over slot indices plus a virtual result slot: two slots
   // group when the callee may leave their graphs connected.
   size_t NumGroups = Slots.size() + 1; // last = result
   size_t ResultSlot = Slots.size();
-  std::vector<size_t> Group(NumGroups);
-  for (size_t I = 0; I < NumGroups; ++I)
-    Group[I] = I;
-  auto findRep = [&](size_t I) {
-    while (Group[I] != I)
-      I = Group[I] = Group[Group[I]];
-    return I;
-  };
-  auto unite = [&](size_t A, size_t B) { Group[findRep(A)] = findRep(B); };
+  SlotGroups Groups(NumGroups);
 
   if (Sum) {
     // Summary-driven grouping: the callee's measured may-connect
@@ -509,39 +456,32 @@ PointsTo FnAnalyzer::evalCall(const CallExpr &E) {
     for (size_t I = 0; I < Slots.size(); ++I)
       for (size_t J = I + 1; J < Slots.size(); ++J)
         if (Sum->mayConnect(I, J))
-          unite(I, J);
+          Groups.unite(I, J);
     if (ResultRegionful)
       for (size_t I = 0; I < Slots.size(); ++I)
         if (Sum->mayConnect(I, Sum->resultSlot()))
-          unite(I, ResultSlot);
+          Groups.unite(I, ResultSlot);
   } else {
-    std::vector<std::set<RegionId>> Images;
-    for (const Slot &S : Slots)
-      Images.push_back(outImage(S));
     for (size_t I = 0; I < Slots.size(); ++I)
-      for (size_t J = I + 1; J < Slots.size(); ++J) {
-        bool InRelated = std::any_of(
-            Slots[I].InRegions.begin(), Slots[I].InRegions.end(),
-            [&](RegionId R) { return Slots[J].InRegions.contains(R); });
-        bool OutRelated =
-            std::any_of(Images[I].begin(), Images[I].end(),
-                        [&](RegionId R) { return Images[J].contains(R); });
-        if (InRelated || OutRelated)
-          unite(I, J);
-      }
+      for (size_t J = I + 1; J < Slots.size(); ++J)
+        if (sharesRegion(Slots[I].InRegions, Slots[J].InRegions) ||
+            sharesRegion(Slots[I].OutRegions, Slots[J].OutRegions))
+          Groups.unite(I, J);
     for (size_t I = 0; I < Slots.size(); ++I) {
       if (Slots[I].Consumed) {
         // A consumed region may have been sent away — or retracted into
         // any other argument or the result. Group with everything.
         for (size_t J = 0; J < NumGroups; ++J)
-          unite(I, J);
+          Groups.unite(I, J);
       }
-      if (Sig && ResultRegionful && Images[I].contains(Sig->ResultRegion))
-        unite(I, ResultSlot);
+      if (Sig && ResultRegionful &&
+          std::binary_search(Slots[I].OutRegions.begin(),
+                             Slots[I].OutRegions.end(), Sig->ResultRegion))
+        Groups.unite(I, ResultSlot);
     }
     if (!Sig)
       for (size_t I = 0; I < NumGroups; ++I)
-        unite(I, 0);
+        Groups.unite(I, 0);
   }
 
   // Result nodes (memoized per site).
@@ -571,7 +511,7 @@ PointsTo FnAnalyzer::evalCall(const CallExpr &E) {
     NodeSet Cohort{Root, Rest};
     for (AbsNodeId M : Cohort) {
       FieldEdge &W = G.Edges[M][Symbol{}];
-      W.Targets.insert(Cohort.begin(), Cohort.end());
+      W.Targets.merge(Cohort);
       W.Must = false;
       noteEdges(M, Cohort);
     }
@@ -582,11 +522,9 @@ PointsTo FnAnalyzer::evalCall(const CallExpr &E) {
   // cohort when the result belongs to the group). The hub models every
   // connection the callee may have created, including through objects it
   // allocated itself.
-  std::map<size_t, std::vector<size_t>> Groups;
-  for (size_t I = 0; I < Slots.size(); ++I)
-    Groups[findRep(I)].push_back(I);
-  for (const auto &[Rep, Members] : Groups) {
-    bool HasResult = ResultRegionful && findRep(ResultSlot) == Rep;
+  Groups.forEachClass(Slots.size(), [&](size_t Rep,
+                                        std::span<const size_t> Members) {
+    bool HasResult = ResultRegionful && Groups.find(ResultSlot) == Rep;
     // Preserved groups: the summary proves the callee neither wrote into
     // nor stored a new reference to anything reachable from these
     // arguments, and the result does not alias them — leave the caller's
@@ -598,19 +536,14 @@ PointsTo FnAnalyzer::evalCall(const CallExpr &E) {
     if (Sum && !HasResult &&
         std::all_of(Members.begin(), Members.end(),
                     [&](size_t I) { return Sum->Preserved[I]; }))
-      continue;
+      return;
     NodeSet Reach;
-    for (size_t I : Members) {
-      const PointsTo &AV = ArgVals[Slots[I].ArgIndex];
-      NodeSet R = G.reachableFrom(AV.Targets);
-      Reach.insert(R.begin(), R.end());
-    }
-    if (HasResult) {
-      NodeSet R = G.reachableFrom({Root, Rest});
-      Reach.insert(R.begin(), R.end());
-    }
+    for (size_t I : Members)
+      Reach.merge(G.reachableFrom(ArgVals[Slots[I].ParamIndex].Targets));
+    if (HasResult)
+      Reach.merge(G.reachableFrom({Root, Rest}));
     if (Reach.empty())
-      continue;
+      return;
 
     AbsNodeId Glue;
     auto GIt = GlueNodes.find({&E, Rep});
@@ -629,18 +562,21 @@ PointsTo FnAnalyzer::evalCall(const CallExpr &E) {
     for (AbsNodeId N : Reach) {
       Nodes[N].Havocked = true;
       WriteTouched.insert(N);
-      auto &FieldMap = G.Edges[N];
-      // The callee may have rewritten any field of any reachable object
-      // to point anywhere in the (merged) region: degrade every named
-      // entry and widen it with the hub.
-      for (auto &[Field, Edge] : FieldMap) {
-        Edge.Must = false;
-        if (Field.isValid())
-          Edge.Targets.insert(Glue);
+      {
+        // The callee may have rewritten any field of any reachable object
+        // to point anywhere in the (merged) region: degrade every named
+        // entry and widen it with the hub. The references die before the
+        // hub's own entry is added below, which may shift G.Edges.
+        RegionGraph::FieldMap &FieldMap = G.Edges[N];
+        for (auto &[Field, Edge] : FieldMap) {
+          Edge.Must = false;
+          if (Field.isValid())
+            Edge.Targets.insert(Glue);
+        }
+        FieldEdge &W = FieldMap[Symbol{}];
+        W.Targets.insert(Glue);
+        W.Must = false;
       }
-      FieldEdge &W = FieldMap[Symbol{}];
-      W.Targets.insert(Glue);
-      W.Must = false;
       FieldEdge &GW = G.Edges[Glue][Symbol{}];
       GW.Targets.insert(N);
       GW.Must = false;
@@ -648,7 +584,7 @@ PointsTo FnAnalyzer::evalCall(const CallExpr &E) {
       noteEdges(Glue, {N});
     }
     G.Edges[Glue][Symbol{}].Targets.insert(Glue);
-  }
+  });
 
   if (!ResultRegionful)
     return PointsTo{};
@@ -672,8 +608,8 @@ bool FnAnalyzer::fieldIsIso(AbsNodeId N, Symbol F) const {
 void FnAnalyzer::assignField(const PointsTo &Base, Symbol F,
                              const PointsTo &V) {
   bool Strong = Base.Definite && Base.Targets.size() == 1;
-  WriteTouched.insert(Base.Targets.begin(), Base.Targets.end());
-  StoredValues.insert(V.Targets.begin(), V.Targets.end());
+  WriteTouched.merge(Base.Targets);
+  StoredValues.merge(V.Targets);
   for (AbsNodeId N : Base.Targets) {
     bool NodeStrong = Strong && Nodes[N].Exact && !Nodes[N].Havocked;
     G.writeField(N, F, V, NodeStrong, fieldIsIso(N, F));
@@ -681,7 +617,8 @@ void FnAnalyzer::assignField(const PointsTo &Base, Symbol F,
     // Keep cohorts closed under mutation: if this node belongs to an
     // entry/call cohort (its wildcard mentions a hub), objects denoted by
     // cohort mates may be the one actually written — make the value
-    // reachable from the hub so their may-information stays sound.
+    // reachable from the hub so their may-information stays sound. The
+    // hubs are copied out first: addMayEdge may shift G.Edges.
     auto It = G.Edges.find(N);
     if (It == G.Edges.end())
       continue;
@@ -726,15 +663,12 @@ std::string FnAnalyzer::describeNode(AbsNodeId N) const {
 
 std::string FnAnalyzer::renderMustPath(
     Symbol Var, AbsNodeId Target,
-    const std::map<AbsNodeId, RegionGraph::MustStep> &Closure) const {
+    const std::vector<RegionGraph::MustStep> &Closure) const {
   std::vector<Symbol> Fields;
   AbsNodeId N = Target;
-  while (true) {
-    auto It = Closure.find(N);
-    if (It == Closure.end() || !It->second.Prev.isValid())
-      break;
-    Fields.push_back(It->second.Field);
-    N = It->second.Prev;
+  while (Closure[N.Id].Reached && Closure[N.Id].Prev.isValid()) {
+    Fields.push_back(Closure[N.Id].Field);
+    N = Closure[N.Id].Prev;
   }
   std::string Out = "`" + Names.spelling(Var);
   for (auto It = Fields.rbegin(); It != Fields.rend(); ++It)
@@ -769,10 +703,11 @@ void FnAnalyzer::classify(const IfDisconnectedExpr &E) {
     } else if (Nodes[NA].Exact && Nodes[NB].Exact) {
       auto CA = G.mustClosure(NA, Nodes);
       auto CB = G.mustClosure(NB, Nodes);
+      // The lowest shared node id, as the closures' node order gives it.
       AbsNodeId Shared;
-      for (const auto &[N, Step] : CA)
-        if (CB.contains(N)) {
-          Shared = N;
+      for (size_t N = 0; N < CA.size(); ++N)
+        if (CA[N].Reached && CB[N].Reached) {
+          Shared = AbsNodeId{static_cast<uint32_t>(N)};
           break;
         }
       if (Shared.isValid()) {
@@ -792,9 +727,7 @@ void FnAnalyzer::classify(const IfDisconnectedExpr &E) {
       !PB.Targets.empty()) {
     NodeSet RA = G.reachableFrom(PA.Targets);
     NodeSet RB = G.reachableFrom(PB.Targets);
-    bool Disjoint = std::none_of(RA.begin(), RA.end(), [&](AbsNodeId N) {
-      return RB.contains(N);
-    });
+    bool Disjoint = !RA.intersects(RB);
     auto sideOk = [&](const NodeSet &Side) {
       for (AbsNodeId N : Side) {
         const AbsNode &Node = Nodes[N];
@@ -944,8 +877,7 @@ PointsTo FnAnalyzer::evaluate(const Expr *E) {
     // The sent subgraph leaves the thread: everything reachable from the
     // operand counts as touched for the effects summary (a caller must
     // not treat the argument's region as preserved).
-    NodeSet R = G.reachableFrom(Op.Targets);
-    WriteTouched.insert(R.begin(), R.end());
+    WriteTouched.merge(G.reachableFrom(Op.Targets));
     return PointsTo{};
   }
   case ExprKind::Recv:
@@ -1025,28 +957,22 @@ FnEffects FnAnalyzer::effects(const PointsTo &Exit) const {
   // edge any program point had, so a write into a subgraph the function
   // later strong-updated away from is still charged to the parameter.
   std::vector<NodeSet> Reach;
+  Reach.reserve(ParamCohorts.size() + 1);
   for (const NodeSet &Cohort : ParamCohorts)
-    Reach.push_back(EverEdges.reachableFrom(Cohort));
-  Reach.push_back(EverEdges.reachableFrom(Exit.Targets)); // result slot
+    Reach.push_back(everReachableFrom(Cohort));
+  Reach.push_back(everReachableFrom(Exit.Targets)); // result slot
 
-  NodeSet Touched = WriteTouched;
-  Touched.insert(StoredValues.begin(), StoredValues.end());
-  for (size_t I = 0; I < ParamCohorts.size(); ++I) {
-    bool Hit = std::any_of(Reach[I].begin(), Reach[I].end(),
-                           [&](AbsNodeId N) { return Touched.contains(N); });
-    E.Touched.push_back(Hit);
-  }
+  for (size_t I = 0; I < ParamCohorts.size(); ++I)
+    E.Touched.push_back(Reach[I].intersects(WriteTouched) ||
+                        Reach[I].intersects(StoredValues));
 
   size_t N = Reach.size();
-  E.SlotOverlap.assign(N, std::vector<bool>(N, false));
+  E.SlotOverlap.assign(N * N, false);
   for (size_t I = 0; I < N; ++I) {
-    E.SlotOverlap[I][I] = true;
-    for (size_t J = I + 1; J < N; ++J) {
-      bool Overlap =
-          std::any_of(Reach[I].begin(), Reach[I].end(),
-                      [&](AbsNodeId M) { return Reach[J].contains(M); });
-      E.SlotOverlap[I][J] = E.SlotOverlap[J][I] = Overlap;
-    }
+    E.SlotOverlap[I * N + I] = true;
+    for (size_t J = I + 1; J < N; ++J)
+      E.SlotOverlap[I * N + J] = E.SlotOverlap[J * N + I] =
+          Reach[I].intersects(Reach[J]);
   }
   return E;
 }
@@ -1247,11 +1173,10 @@ VerdictCounts AnalysisReport::countVerdicts() const {
   return C;
 }
 
-FnEffects analyzeFunction(const CheckedProgram &CP,
-                          const CheckedFunction &Fn,
-                          const SummaryTable &Summaries, FnReport &Report,
-                          SummaryStats &Stats) {
-  FnAnalyzer A(CP, Fn, &Summaries, Stats);
+FnEffects analyzeFunction(const CheckedProgram &CP, const FunctionTable &Fns,
+                          size_t Pos, const std::vector<FnSummary> &Summaries,
+                          FnReport &Report, SummaryStats &Stats) {
+  FnAnalyzer A(CP, Fns, Pos, &Summaries, Stats);
   return A.effects(A.run(Report));
 }
 
@@ -1264,12 +1189,11 @@ AnalysisReport analyzeProgram(const CheckedProgram &CP,
     Report.Summaries =
         computeSummaries(CP, &Report.SummaryInfo, &FnReports);
   } else {
-    for (size_t I = 0; I < FnReports.size(); ++I) {
-      auto It = CP.Functions.find(CP.Prog->Functions[I].Name);
-      if (It != CP.Functions.end())
-        FnAnalyzer(CP, It->second, nullptr, Report.SummaryInfo)
+    FunctionTable Fns(CP);
+    for (size_t I = 0; I < FnReports.size(); ++I)
+      if (Fns[I].Checked)
+        FnAnalyzer(CP, Fns, I, nullptr, Report.SummaryInfo)
             .run(FnReports[I]);
-    }
   }
   for (FnReport &F : FnReports) {
     std::move(F.Sites.begin(), F.Sites.end(),

@@ -9,48 +9,99 @@
 #include "analysis/CallGraph.h"
 #include "analysis/StaticDisconnect.h"
 #include "ast/Ast.h"
+#include "support/FlatMap.h"
 
+#include <algorithm>
 #include <sstream>
 
 using namespace fearless;
 
 namespace {
 
-/// The regionful parameters of \p Sig in declaration order, with the
-/// consumed bit derived from the output image exactly as the call-site
-/// havoc derives it (an input region with no valid output image was
-/// released by the callee).
-void signatureSlots(const FnSignature &Sig, std::vector<Symbol> &Params,
-                    std::vector<bool> &Consumed) {
-  for (const ParamDecl &P : Sig.Decl->Params) {
+/// The closure of \p Root over the tracked-field edges of \p Adj, in
+/// ascending order.
+std::vector<RegionId>
+regionClosure(const FlatMap<RegionId, std::vector<RegionId>> &Adj,
+              RegionId Root) {
+  std::vector<RegionId> Seen{Root};
+  std::vector<RegionId> Frontier{Root};
+  while (!Frontier.empty()) {
+    RegionId R = Frontier.back();
+    Frontier.pop_back();
+    auto It = Adj.find(R);
+    if (It == Adj.end())
+      continue;
+    for (RegionId T : It->second)
+      if (std::find(Seen.begin(), Seen.end(), T) == Seen.end()) {
+        Seen.push_back(T);
+        Frontier.push_back(T);
+      }
+  }
+  std::sort(Seen.begin(), Seen.end());
+  return Seen;
+}
+
+/// The regionful parameters of \p Sig in declaration order, each with
+/// its input-region closure, the closure's output image, and the
+/// consumed bit (an input region with no valid output image was released
+/// by the callee).
+std::vector<SignatureSlot> signatureSlots(const FnSignature &Sig) {
+  // Region adjacency of the input heap context: region -> tracked-field
+  // target regions.
+  FlatMap<RegionId, std::vector<RegionId>> Adj;
+  for (const auto &[R, Track] : Sig.Input.Heap.entries())
+    for (const auto &[Var, VT] : Track.Vars)
+      for (const auto &[Field, Target] : VT.Fields) {
+        std::vector<RegionId> &Targets = Adj[R];
+        if (std::find(Targets.begin(), Targets.end(), Target) ==
+            Targets.end())
+          Targets.push_back(Target);
+      }
+
+  std::vector<SignatureSlot> Slots;
+  for (size_t I = 0; I < Sig.Decl->Params.size(); ++I) {
+    const ParamDecl &P = Sig.Decl->Params[I];
     if (!P.ParamType.isRegionful())
       continue;
-    Params.push_back(P.Name);
-    bool IsConsumed = true;
+    SignatureSlot S;
+    S.ParamIndex = I;
+    S.Name = P.Name;
     auto RIt = Sig.ParamRegion.find(P.Name);
     if (RIt != Sig.ParamRegion.end()) {
+      S.InRegions = regionClosure(Adj, RIt->second);
       auto OIt = Sig.OutputImage.find(RIt->second);
-      IsConsumed = OIt == Sig.OutputImage.end() || !OIt->second.isValid();
+      S.Consumed = OIt == Sig.OutputImage.end() || !OIt->second.isValid();
+      for (RegionId R : S.InRegions) {
+        auto Img = Sig.OutputImage.find(R);
+        if (Img != Sig.OutputImage.end() && Img->second.isValid())
+          S.OutRegions.push_back(Img->second);
+      }
+      std::sort(S.OutRegions.begin(), S.OutRegions.end());
+      S.OutRegions.erase(
+          std::unique(S.OutRegions.begin(), S.OutRegions.end()),
+          S.OutRegions.end());
     }
-    Consumed.push_back(IsConsumed);
+    Slots.push_back(std::move(S));
   }
+  return Slots;
 }
 
 /// The optimistic starting point for an SCC member: every non-consumed
 /// parameter preserved, nothing connected beyond the diagonal. Degraded
 /// monotonically by the fixpoint below.
-FnSummary optimisticSummary(const FnSignature &Sig) {
+FnSummary optimisticSummary(const FunctionEntry &F) {
   FnSummary S;
   S.Valid = true;
-  signatureSlots(Sig, S.Params, S.Consumed);
-  S.Preserved.resize(S.Params.size());
-  for (size_t I = 0; I < S.Params.size(); ++I)
-    S.Preserved[I] = !S.Consumed[I];
-  S.ResultRegionful = Sig.ReturnType.isRegionful();
-  size_t N = S.Params.size() + 1;
-  S.MayConnect.assign(N, std::vector<bool>(N, false));
+  for (const SignatureSlot &Slot : F.Slots) {
+    S.Params.push_back(Slot.Name);
+    S.Consumed.push_back(Slot.Consumed);
+    S.Preserved.push_back(!Slot.Consumed);
+  }
+  S.ResultRegionful = F.Sig->ReturnType.isRegionful();
+  size_t N = S.slotCount();
+  S.MayConnect.assign(N * N, false);
   for (size_t I = 0; I < N; ++I)
-    S.MayConnect[I][I] = true;
+    S.MayConnect[I * N + I] = true;
   return S;
 }
 
@@ -75,23 +126,41 @@ bool degradeWith(FnSummary &S, const FnEffects &E) {
       S.Preserved[I] = false;
       Changed = true;
     }
-  size_t N = S.Params.size() + 1;
-  for (size_t I = 0; I < N; ++I)
-    for (size_t J = 0; J < N; ++J)
-      if (I < E.SlotOverlap.size() && J < E.SlotOverlap[I].size() &&
-          E.SlotOverlap[I][J] && !S.MayConnect[I][J]) {
-        S.MayConnect[I][J] = true;
-        Changed = true;
-      }
+  for (size_t I = 0; I < S.MayConnect.size() && I < E.SlotOverlap.size();
+       ++I)
+    if (E.SlotOverlap[I] && !S.MayConnect[I]) {
+      S.MayConnect[I] = true;
+      Changed = true;
+    }
   return Changed;
 }
 
 } // namespace
 
+FunctionTable::FunctionTable(const CheckedProgram &CP)
+    : Prog(CP.Prog), Entries(CP.Prog->Functions.size()) {
+  for (const auto &[Name, Sig] : CP.Signatures)
+    if (size_t Pos = positionOf(Name); Pos != SIZE_MAX) {
+      Entries[Pos].Sig = &Sig;
+      Entries[Pos].Slots = signatureSlots(Sig);
+    }
+  for (const auto &[Name, Fn] : CP.Functions)
+    if (size_t Pos = positionOf(Name); Pos != SIZE_MAX)
+      Entries[Pos].Checked = &Fn;
+}
+
+size_t FunctionTable::positionOf(Symbol Fn) const {
+  const FnDecl *D = Prog->findFunction(Fn);
+  return D ? static_cast<size_t>(D - Prog->Functions.data()) : SIZE_MAX;
+}
+
 SummaryTable fearless::computeSummaries(const CheckedProgram &CP,
                                         SummaryStats *Stats,
                                         std::vector<FnReport> *Reports) {
-  SummaryTable Table;
+  FunctionTable Fns(CP);
+  // The working summaries, by declaration position; converted to a
+  // SummaryTable once at the end.
+  std::vector<FnSummary> Work(Fns.size());
   SummaryStats Local;
   CallGraph CG = CallGraph::build(*CP.Prog);
   Local.Functions = CP.Prog->Functions.size();
@@ -100,16 +169,16 @@ SummaryTable fearless::computeSummaries(const CheckedProgram &CP,
   // Each run overwrites the function's report, so after the loop below
   // every report comes from the run against the final table.
   FnReport Scratch;
-  auto analyze = [&](Symbol Fn) {
-    FnReport &Out =
-        Reports ? (*Reports)[CP.Prog->findFunction(Fn) -
-                             CP.Prog->Functions.data()]
-                : Scratch;
-    return analyzeFunction(CP, CP.Functions.at(Fn), Table, Out, Local);
+  auto analyze = [&](size_t Pos) {
+    FnReport &Out = Reports ? (*Reports)[Pos] : Scratch;
+    return analyzeFunction(CP, Fns, Pos, Work, Out, Local);
   };
 
+  std::vector<size_t> Members;
   for (size_t SccI = 0; SccI < CG.sccs().size(); ++SccI) {
-    const std::vector<Symbol> &Scc = CG.sccs()[SccI];
+    Members.clear();
+    for (Symbol Fn : CG.sccs()[SccI])
+      Members.push_back(Fns.positionOf(Fn));
     bool Recursive = CG.isRecursiveScc(SccI);
     if (Recursive)
       ++Local.RecursiveSccs;
@@ -118,14 +187,12 @@ SummaryTable fearless::computeSummaries(const CheckedProgram &CP,
     // sites resolve against the current approximation instead of the
     // havoc bottom.
     bool Usable = true;
-    for (Symbol Fn : Scc) {
-      auto SigIt = CP.Signatures.find(Fn);
-      auto FnIt = CP.Functions.find(Fn);
-      if (SigIt == CP.Signatures.end() || FnIt == CP.Functions.end()) {
+    for (size_t Pos : Members) {
+      if (!Fns[Pos].Sig || !Fns[Pos].Checked) {
         Usable = false;
         continue;
       }
-      Table[Fn] = optimisticSummary(SigIt->second);
+      Work[Pos] = optimisticSummary(Fns[Pos]);
     }
 
     // One pass suffices for non-recursive components: their callees'
@@ -134,13 +201,13 @@ SummaryTable fearless::computeSummaries(const CheckedProgram &CP,
     // every member against the final table. The lattice height is
     // bounded by the members' parameter and slot-pair counts, so the cap
     // below is a backstop, not a tuning knob.
-    size_t Cap = Recursive ? 4 * Scc.size() + 4 : 1;
+    size_t Cap = Recursive ? 4 * Members.size() + 4 : 1;
     bool Stable = false;
     for (size_t Iter = 0; Usable && Iter < Cap && !Stable; ++Iter) {
       Stable = true;
-      for (Symbol Fn : Scc) {
-        FnEffects E = analyze(Fn);
-        if (degradeWith(Table[Fn], E))
+      for (size_t Pos : Members) {
+        FnEffects E = analyze(Pos);
+        if (degradeWith(Work[Pos], E))
           Stable = false;
       }
       if (!Recursive)
@@ -150,23 +217,25 @@ SummaryTable fearless::computeSummaries(const CheckedProgram &CP,
       // Unusable or not converged under the cap: drop to the sound
       // bottom, and re-run the members against it so their reports
       // describe the table their call sites see.
-      for (Symbol Fn : Scc)
-        Table[Fn].Valid = false;
-      Local.Invalidated += Scc.size();
-      for (Symbol Fn : Scc)
-        if (CP.Functions.contains(Fn))
-          analyze(Fn);
+      for (size_t Pos : Members)
+        Work[Pos].Valid = false;
+      Local.Invalidated += Members.size();
+      for (size_t Pos : Members)
+        if (Fns[Pos].Checked)
+          analyze(Pos);
     }
   }
 
-  for (const auto &[Fn, S] : Table) {
-    (void)Fn;
-    if (!S.Valid)
-      continue;
-    Local.TotalParams += S.Params.size();
-    for (size_t I = 0; I < S.Params.size(); ++I)
-      if (S.Preserved[I])
-        ++Local.PreservedParams;
+  SummaryTable Table;
+  for (size_t Pos = 0; Pos < Work.size(); ++Pos) {
+    const FnSummary &S = Work[Pos];
+    if (S.Valid) {
+      Local.TotalParams += S.Params.size();
+      for (size_t I = 0; I < S.Params.size(); ++I)
+        if (S.Preserved[I])
+          ++Local.PreservedParams;
+    }
+    Table.emplace(CP.Prog->Functions[Pos].Name, std::move(Work[Pos]));
   }
   if (Stats)
     *Stats = Local;
@@ -207,7 +276,7 @@ std::string fearless::renderSummary(Symbol Fn, const FnSummary &S,
   };
   for (size_t I = 0; I < N; ++I)
     for (size_t J = I + 1; J < N; ++J)
-      if (S.MayConnect[I][J]) {
+      if (S.mayConnect(I, J)) {
         if (J == S.Params.size() && !S.ResultRegionful)
           continue;
         OS << (First ? "" : ", ") << SlotName(I) << "~" << SlotName(J);

@@ -37,6 +37,7 @@
 
 #include "checker/Checker.h"
 
+#include <cstdint>
 #include <map>
 #include <vector>
 
@@ -63,19 +64,21 @@ struct FnSummary {
   /// group) is left untouched by evalCall.
   std::vector<bool> Preserved;
   /// Symmetric (Params.size()+1)^2 matrix over parameter slots plus the
-  /// result slot: MayConnect[i][j] is true when the callee may leave the
-  /// two slots' graphs physically connected (reach overlap at exit in
-  /// the callee's own abstract graph, accumulated over all program
-  /// points). The diagonal is true by convention.
-  std::vector<std::vector<bool>> MayConnect;
+  /// result slot, row-major: mayConnect(i, j) is true when the callee may
+  /// leave the two slots' graphs physically connected (reach overlap at
+  /// exit in the callee's own abstract graph, accumulated over all
+  /// program points). The diagonal is true by convention.
+  std::vector<bool> MayConnect;
   bool ResultRegionful = false;
 
   bool operator==(const FnSummary &) const = default;
 
   size_t resultSlot() const { return Params.size(); }
+  size_t slotCount() const { return Params.size() + 1; }
   bool mayConnect(size_t I, size_t J) const {
-    return I < MayConnect.size() && J < MayConnect[I].size() &&
-           MayConnect[I][J];
+    size_t N = slotCount();
+    return I < N && J < N && I * N + J < MayConnect.size() &&
+           MayConnect[I * N + J];
   }
 };
 
@@ -104,25 +107,62 @@ struct SummaryStats {
 /// Touched[i] is true when any node ever reachable from parameter i's
 /// entry cohort was the base of a field write, was stored as a field
 /// value, was sent, or was havocked by an inner call; SlotOverlap is the
-/// ever-reach overlap over parameter slots plus the result slot.
+/// ever-reach overlap over parameter slots plus the result slot, a
+/// row-major (Params.size()+1)^2 matrix like FnSummary::MayConnect.
 struct FnEffects {
   std::vector<Symbol> Params;
   std::vector<bool> Touched;
-  std::vector<std::vector<bool>> SlotOverlap;
+  std::vector<bool> SlotOverlap;
   bool ResultRegionful = false;
+};
+
+/// One regionful parameter of a signature, as the callee's entry state,
+/// every call site and its summary see it.
+struct SignatureSlot {
+  size_t ParamIndex = 0; ///< Position in FnDecl::Params.
+  Symbol Name;
+  /// The callee releases the region (send / retraction): its input region
+  /// has no valid output image, or the parameter has no input region.
+  bool Consumed = true;
+  std::vector<RegionId> InRegions;  ///< Input-region closure, ascending.
+  std::vector<RegionId> OutRegions; ///< Valid output images, ascending.
+};
+
+/// What the analysis reads of one function.
+struct FunctionEntry {
+  const FnSignature *Sig = nullptr;       ///< Null when not elaborated.
+  const CheckedFunction *Checked = nullptr; ///< Null when not checked.
+  std::vector<SignatureSlot> Slots; ///< Regionful parameters, in order.
+};
+
+/// The per-function facts of one checked program, computed once per
+/// analysis and indexed by Program::Functions position; a Symbol finds
+/// its entry through Program::findFunction.
+class FunctionTable {
+public:
+  explicit FunctionTable(const CheckedProgram &CP);
+
+  size_t size() const { return Entries.size(); }
+  const FunctionEntry &operator[](size_t Pos) const { return Entries[Pos]; }
+  /// The declaration position of \p Fn, or SIZE_MAX for an unknown name.
+  size_t positionOf(Symbol Fn) const;
+
+private:
+  const Program *Prog;
+  std::vector<FunctionEntry> Entries;
 };
 
 struct FnReport; // analysis/StaticDisconnect.h
 
-/// Runs the abstract interpreter once over \p Fn, resolving inner calls
-/// against \p Summaries (absent or invalid entries fall back to signature
-/// havoc): replaces \p Report with the function's site verdicts and
-/// diagnostics, counts the run in \p Stats, and returns the effects it
-/// observed. Implemented in StaticDisconnect.cpp.
-FnEffects analyzeFunction(const CheckedProgram &CP,
-                          const CheckedFunction &Fn,
-                          const SummaryTable &Summaries, FnReport &Report,
-                          SummaryStats &Stats);
+/// Runs the abstract interpreter once over the function at position
+/// \p Pos of \p Fns, resolving inner calls against \p Summaries (by
+/// position; invalid entries fall back to signature havoc): replaces
+/// \p Report with the function's site verdicts and diagnostics, counts
+/// the run in \p Stats, and returns the effects it observed. Implemented
+/// in StaticDisconnect.cpp.
+FnEffects analyzeFunction(const CheckedProgram &CP, const FunctionTable &Fns,
+                          size_t Pos, const std::vector<FnSummary> &Summaries,
+                          FnReport &Report, SummaryStats &Stats);
 
 /// Computes the summary of every checked function of \p CP bottom-up
 /// over the SCC condensation of its call graph, interpreting each

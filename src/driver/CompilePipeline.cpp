@@ -35,7 +35,8 @@ size_t CompiledArtifact::approxBytes() const {
   // within a small constant factor of the source length for real
   // programs (no typing derivation is kept); the bytecode is measured
   // exactly. The cache budget is a ceiling, not a ledger; EXPERIMENTS.md
-  // E18 measured this estimate at 92% of what an artifact holds.
+  // E19 measured this estimate at 96% of what an artifact holds, and a
+  // factor of 25 lowered fearlessd's hit ratio, so 24 stays.
   size_t Bytes = SourceBytes * 24 + 4096;
   for (const vm::Chunk &C : VmCode->Chunks)
     Bytes += C.Code.size() * sizeof(vm::Instr) +

@@ -19,12 +19,15 @@
 
 #include "TestUtil.h"
 #include "analysis/CallGraph.h"
+#include "analysis/RegionGraph.h"
 #include "analysis/StaticDisconnect.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <random>
+#include <set>
 #include <sstream>
 
 using namespace fearless;
@@ -155,6 +158,101 @@ def main() : int {
 }
 
 //===----------------------------------------------------------------------===//
+// NodeSet against std::set
+//===----------------------------------------------------------------------===//
+
+using RefSet = std::set<AbsNodeId>;
+
+/// Expects \p S to hold exactly \p Ref, through every read the analysis
+/// makes: size, emptiness, membership and ascending iteration.
+void expectSameSet(const NodeSet &S, const RefSet &Ref, uint32_t Universe) {
+  EXPECT_EQ(S.size(), Ref.size());
+  EXPECT_EQ(S.empty(), Ref.empty());
+  EXPECT_EQ(std::vector<AbsNodeId>(S.begin(), S.end()),
+            std::vector<AbsNodeId>(Ref.begin(), Ref.end()));
+  for (uint32_t Id = 0; Id < Universe; ++Id)
+    EXPECT_EQ(S.contains(AbsNodeId{Id}), Ref.contains(AbsNodeId{Id})) << Id;
+}
+
+bool refIntersects(const RefSet &A, const RefSet &B) {
+  return std::any_of(A.begin(), A.end(),
+                     [&](AbsNodeId N) { return B.contains(N); });
+}
+
+TEST(NodeSetDifferential, RandomOperationsMatchStdSet) {
+  std::mt19937 Rng(25);
+  // Universes inside the inline word and across one and two heap words.
+  for (uint32_t Universe : {40u, 70u, 140u, 200u}) {
+    for (int Round = 0; Round < 50; ++Round) {
+      NodeSet A, B;
+      RefSet RA, RB;
+      for (int Op = 0; Op < 80; ++Op) {
+        AbsNodeId Id{static_cast<uint32_t>(Rng() % Universe)};
+        switch (Rng() % 8) {
+        case 0:
+        case 1:
+        case 2:
+          EXPECT_EQ(A.insert(Id), RA.insert(Id).second);
+          break;
+        case 3:
+        case 4:
+          EXPECT_EQ(B.insert(Id), RB.insert(Id).second);
+          break;
+        case 5:
+          A.erase(Id);
+          RA.erase(Id);
+          break;
+        case 6:
+          A.merge(B);
+          RA.insert(RB.begin(), RB.end());
+          break;
+        case 7:
+          B = A;
+          RB = RA;
+          break;
+        }
+        expectSameSet(A, RA, Universe);
+        expectSameSet(B, RB, Universe);
+        EXPECT_EQ(A == B, RA == RB);
+        EXPECT_EQ(B == A, RA == RB);
+        EXPECT_EQ(A.intersects(B), refIntersects(RA, RB));
+        EXPECT_EQ(B.intersects(A), refIntersects(RA, RB));
+      }
+    }
+  }
+}
+
+TEST(NodeSetDifferential, EqualityIgnoresTrailingZeroWords) {
+  // Long spills to three words, then drops its high ids: it equals Short,
+  // which never left the inline word, in both directions.
+  NodeSet Short{AbsNodeId{3}, AbsNodeId{63}};
+  NodeSet Long{AbsNodeId{3}, AbsNodeId{63}, AbsNodeId{64}, AbsNodeId{130}};
+  EXPECT_FALSE(Short == Long);
+  Long.erase(AbsNodeId{64});
+  Long.erase(AbsNodeId{130});
+  EXPECT_TRUE(Short == Long);
+  EXPECT_TRUE(Long == Short);
+  EXPECT_EQ(Long.size(), 2u);
+  EXPECT_EQ(std::vector<AbsNodeId>(Long.begin(), Long.end()),
+            (std::vector<AbsNodeId>{AbsNodeId{3}, AbsNodeId{63}}));
+
+  // Two spilled sets of different lengths that hold the same id past 64.
+  NodeSet Mid{AbsNodeId{70}};
+  NodeSet Far{AbsNodeId{70}, AbsNodeId{190}};
+  Far.erase(AbsNodeId{190});
+  EXPECT_TRUE(Mid == Far);
+  EXPECT_TRUE(Far.intersects(Mid));
+
+  // Emptied sets, spilled or not, equal the empty set.
+  NodeSet Emptied{AbsNodeId{200}};
+  Emptied.erase(AbsNodeId{200});
+  EXPECT_TRUE(Emptied.empty());
+  EXPECT_EQ(Emptied.begin(), Emptied.end());
+  EXPECT_TRUE(Emptied == NodeSet{});
+  EXPECT_FALSE(Emptied.intersects(Far));
+}
+
+//===----------------------------------------------------------------------===//
 // Golden-file lint fixtures
 //===----------------------------------------------------------------------===//
 
@@ -173,7 +271,7 @@ TEST(AnalysisGolden, FixturesMatchExactly) {
   const char *Fixtures[] = {
       "must_disconnected", "must_connected", "dead_branch",
       "use_after_consumes", "never_populated", "cross_call_disconnected",
-      "recursive_scc", "summary_downgrade",
+      "recursive_scc", "summary_downgrade", "wide_function",
   };
   for (const char *Name : Fixtures) {
     std::string Base = std::string(FEARLESS_FIXTURES_DIR) + "/" + Name;

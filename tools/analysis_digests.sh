@@ -29,18 +29,17 @@
 #
 #   tools/analysis_digests.sh build > tests/fixtures/analysis_digests.sha256
 #
+# tools/analyzer_digests_check.sh sources this file to recompute only the
+# analyzer's lines (`analyze` and `check --stats`) in seconds; ctest runs
+# it as `analyzer_digests`.
+#
 #===----------------------------------------------------------------------===#
 
 set -euo pipefail
 
-ROOT="$(cd "$(dirname "$0")/.." && pwd)"
-BUILD="${1:?usage: tools/analysis_digests.sh BUILD_DIR}"
-FC="$(cd "$BUILD" && pwd)/tools/fearlessc"
-WORK="$(mktemp -d)"
-trap 'rm -rf "$WORK"' EXIT
+ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
-# digest LABEL DIR ARGS...: digests the stdout of `fearlessc ARGS` run in
-# DIR.
+# digest LABEL DIR ARGS...: digests the stdout of `$FC ARGS` run in DIR.
 digest() {
   local label="$1" dir="$2" status=0 out
   shift 2
@@ -49,58 +48,82 @@ digest() {
     "$(printf '%s\n' "$out" | sha256sum | cut -d' ' -f1)" "$label" "$status"
 }
 
-progs=()
-for seed in 7 21 42; do
-  for shape in chain diamond scc cross mixed; do
-    src="$WORK/ci_corpus_${shape}_${seed}.fls"
-    python3 "$ROOT/tools/gen_corpus.py" \
-      --seed "$seed" --functions 60 --shape "$shape" --out "$src"
-    progs+=("$src")
+# collect_programs: writes the corpus-smoke programs to $WORK and lists
+# every program in the array `progs`.
+collect_programs() {
+  progs=()
+  local seed shape src
+  for seed in 7 21 42; do
+    for shape in chain diamond scc cross mixed; do
+      src="$WORK/ci_corpus_${shape}_${seed}.fls"
+      python3 "$ROOT/tools/gen_corpus.py" \
+        --seed "$seed" --functions 60 --shape "$shape" --out "$src"
+      progs+=("$src")
+    done
   done
-done
-progs+=("$ROOT"/examples/*.fls "$ROOT"/tests/fixtures/*.fls)
+  progs+=("$ROOT"/examples/*.fls "$ROOT"/tests/fixtures/*.fls)
+}
 
-for src in "${progs[@]}"; do
-  rel="${src#"$WORK/"}"
-  rel="${rel#"$ROOT/"}"
-  for mode in --json --summaries; do
-    digest "$rel analyze $mode" "$WORK" analyze "$mode" "$src"
+# analyzer_digests: the `analyze --json`, `analyze --summaries` and
+# `check --stats` lines.
+analyzer_digests() {
+  local src rel mode
+  for src in "${progs[@]}"; do
+    rel="${src#"$WORK/"}"
+    rel="${rel#"$ROOT/"}"
+    for mode in --json --summaries; do
+      digest "$rel analyze $mode" "$WORK" analyze "$mode" "$src"
+    done
   done
-done
-digest "samples analyze --summaries" "$WORK" analyze --summaries --samples
+  digest "samples analyze --summaries" "$WORK" analyze --summaries --samples
 
-for src in "${progs[@]}"; do
-  rel="${src#"$WORK/"}"
-  rel="${rel#"$ROOT/"}"
-  digest "$rel check --stats" "$(dirname "$src")" \
-    check --stats "$(basename "$src")"
-done
-
-for src in "$ROOT"/examples/*.fls; do
-  rel="${src#"$ROOT/"}"
-  for fn in $(sed -n 's/^def \([A-Za-z_][A-Za-z0-9_]*\).*/\1/p' "$src"); do
-    digest "$rel derive $fn" "$WORK" derive "$src" "$fn"
+  for src in "${progs[@]}"; do
+    rel="${src#"$WORK/"}"
+    rel="${rel#"$ROOT/"}"
+    digest "$rel check --stats" "$(dirname "$src")" \
+      check --stats "$(basename "$src")"
   done
-done
+}
 
-for src in "$ROOT"/examples/*.fls; do
-  rel="${src#"$ROOT/"}"
-  for fn in $(sed -n 's/^def \([A-Za-z_][A-Za-z0-9_]*\).*/\1/p' "$src"); do
-    digest "$rel dot $fn" "$WORK" dot "$src" "$fn"
+# derivation_and_run_digests: the `derive`, `dot` and `run` lines.
+derivation_and_run_digests() {
+  local src rel fn
+  for src in "$ROOT"/examples/*.fls; do
+    rel="${src#"$ROOT/"}"
+    for fn in $(sed -n 's/^def \([A-Za-z_][A-Za-z0-9_]*\).*/\1/p' "$src"); do
+      digest "$rel derive $fn" "$WORK" derive "$src" "$fn"
+    done
   done
-done
 
-for src in "${progs[@]}"; do
-  [[ "$src" == "$WORK/"* ]] || continue
-  grep -q '^def main(' "$src" || continue
-  digest "${src#"$WORK/"} derive main" "$WORK" derive "$src" main
-done
+  for src in "$ROOT"/examples/*.fls; do
+    rel="${src#"$ROOT/"}"
+    for fn in $(sed -n 's/^def \([A-Za-z_][A-Za-z0-9_]*\).*/\1/p' "$src"); do
+      digest "$rel dot $fn" "$WORK" dot "$src" "$fn"
+    done
+  done
 
-for src in "${progs[@]}"; do
-  grep -q '^def main(' "$src" || continue
-  rel="${src#"$WORK/"}"
-  rel="${rel#"$ROOT/"}"
-  digest "$rel run main --stats" "$WORK" run "$src" main --stats
-  digest "$rel run main --no-checks --stats" "$WORK" \
-    run "$src" main --no-checks --stats
-done
+  for src in "${progs[@]}"; do
+    [[ "$src" == "$WORK/"* ]] || continue
+    grep -q '^def main(' "$src" || continue
+    digest "${src#"$WORK/"} derive main" "$WORK" derive "$src" main
+  done
+
+  for src in "${progs[@]}"; do
+    grep -q '^def main(' "$src" || continue
+    rel="${src#"$WORK/"}"
+    rel="${rel#"$ROOT/"}"
+    digest "$rel run main --stats" "$WORK" run "$src" main --stats
+    digest "$rel run main --no-checks --stats" "$WORK" \
+      run "$src" main --no-checks --stats
+  done
+}
+
+if [[ "${BASH_SOURCE[0]}" == "$0" ]]; then
+  BUILD="${1:?usage: tools/analysis_digests.sh BUILD_DIR}"
+  FC="$(cd "$BUILD" && pwd)/tools/fearlessc"
+  WORK="$(mktemp -d)"
+  trap 'rm -rf "$WORK"' EXIT
+  collect_programs
+  analyzer_digests
+  derivation_and_run_digests
+fi
