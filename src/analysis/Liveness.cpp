@@ -30,7 +30,7 @@ UseSet UseCache::compute(const Expr &E) {
     break;
   case ExprKind::FieldRef: {
     const auto &F = cast<FieldRefExpr>(E);
-    if (const auto *Var = dyn_cast<VarRefExpr>(F.Base.get()))
+    if (const auto *Var = dyn_cast<VarRefExpr>(F.Base))
       Set.FieldUses.insert({Var->Name, F.Field});
     break;
   }
@@ -39,7 +39,7 @@ UseSet UseCache::compute(const Expr &E) {
     break;
   case ExprKind::AssignField: {
     const auto &A = cast<AssignFieldExpr>(E);
-    if (const auto *Var = dyn_cast<VarRefExpr>(A.Base.get()))
+    if (const auto *Var = dyn_cast<VarRefExpr>(A.Base))
       Set.FieldUses.insert({Var->Name, A.Field});
     break;
   }
@@ -69,7 +69,7 @@ UseSet UseCache::compute(const Expr &E) {
              ++I) {
           if (Callee->Params[I].Name != Path.Base)
             continue;
-          if (const auto *Var = dyn_cast<VarRefExpr>(C.Args[I].get()))
+          if (const auto *Var = dyn_cast<VarRefExpr>(C.Args[I]))
             Set.FieldUses.insert({Var->Name, Path.Field});
         }
       };

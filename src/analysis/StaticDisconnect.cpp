@@ -298,8 +298,8 @@ PointsTo FnAnalyzer::evalNew(const NewExpr &E) {
   // remember the values of regionful initializers.
   std::vector<PointsTo> ArgVals;
   ArgVals.reserve(E.Args.size());
-  for (const ExprPtr &A : E.Args)
-    ArgVals.push_back(evaluate(A.get()));
+  for (const Expr *A : E.Args)
+    ArgVals.push_back(evaluate(A));
 
   auto It = AllocNodes.find(&E);
   AbsNodeId Self;
@@ -397,8 +397,8 @@ PointsTo FnAnalyzer::evalRecv(const RecvExpr &E) {
 PointsTo FnAnalyzer::evalCall(const CallExpr &E) {
   std::vector<PointsTo> ArgVals;
   ArgVals.reserve(E.Args.size());
-  for (const ExprPtr &A : E.Args)
-    ArgVals.push_back(evaluate(A.get()));
+  for (const Expr *A : E.Args)
+    ArgVals.push_back(evaluate(A));
 
   size_t CalleePos = Fns.positionOf(E.Callee);
   const FunctionEntry *Callee =
@@ -760,10 +760,10 @@ void FnAnalyzer::evalIfDisconnected(const IfDisconnectedExpr &E,
   // change the physical heap, so no abstract transfer is needed beyond
   // the join.
   RegionGraph Saved = G;
-  PointsTo VThen = evaluate(E.Then.get());
+  PointsTo VThen = evaluate(E.Then);
   RegionGraph GThen = std::move(G);
   G = std::move(Saved);
-  PointsTo VElse = E.Else ? evaluate(E.Else.get()) : PointsTo{};
+  PointsTo VElse = E.Else ? evaluate(E.Else) : PointsTo{};
   G.join(GThen);
   Value = joinPointsTo(VThen, VElse);
 }
@@ -787,47 +787,47 @@ PointsTo FnAnalyzer::evaluate(const Expr *E) {
   }
   case ExprKind::FieldRef: {
     const auto &FR = cast<FieldRefExpr>(*E);
-    PointsTo Base = evaluate(FR.Base.get());
+    PointsTo Base = evaluate(FR.Base);
     return G.readField(Base.Targets, FR.Field, Nodes);
   }
   case ExprKind::AssignVar: {
     const auto &AV = cast<AssignVarExpr>(*E);
-    G.Vars[AV.Name] = evaluate(AV.Value.get());
+    G.Vars[AV.Name] = evaluate(AV.Value);
     return PointsTo{};
   }
   case ExprKind::AssignField: {
     const auto &AF = cast<AssignFieldExpr>(*E);
-    PointsTo Base = evaluate(AF.Base.get());
-    PointsTo V = evaluate(AF.Value.get());
+    PointsTo Base = evaluate(AF.Base);
+    PointsTo V = evaluate(AF.Value);
     assignField(Base, AF.Field, V);
     return PointsTo{};
   }
   case ExprKind::Let: {
     const auto &L = cast<LetExpr>(*E);
-    G.Vars[L.Name] = evaluate(L.Init.get());
-    return evaluate(L.Body.get());
+    G.Vars[L.Name] = evaluate(L.Init);
+    return evaluate(L.Body);
   }
   case ExprKind::LetSome: {
     const auto &LS = cast<LetSomeExpr>(*E);
-    PointsTo Scrut = evaluate(LS.Scrutinee.get());
+    PointsTo Scrut = evaluate(LS.Scrutinee);
     RegionGraph Saved = G;
     G.Vars[LS.Name] = Scrut;
-    PointsTo VSome = evaluate(LS.SomeBody.get());
+    PointsTo VSome = evaluate(LS.SomeBody);
     RegionGraph GSome = std::move(G);
     G = std::move(Saved);
     PointsTo VNone =
-        LS.NoneBody ? evaluate(LS.NoneBody.get()) : PointsTo{};
+        LS.NoneBody ? evaluate(LS.NoneBody) : PointsTo{};
     G.join(GSome);
     return joinPointsTo(VSome, VNone);
   }
   case ExprKind::If: {
     const auto &I = cast<IfExpr>(*E);
-    evaluate(I.Cond.get());
+    evaluate(I.Cond);
     RegionGraph Saved = G;
-    PointsTo VThen = evaluate(I.Then.get());
+    PointsTo VThen = evaluate(I.Then);
     RegionGraph GThen = std::move(G);
     G = std::move(Saved);
-    PointsTo VElse = I.Else ? evaluate(I.Else.get()) : PointsTo{};
+    PointsTo VElse = I.Else ? evaluate(I.Else) : PointsTo{};
     G.join(GThen);
     return joinPointsTo(VThen, VElse);
   }
@@ -838,7 +838,7 @@ PointsTo FnAnalyzer::evaluate(const Expr *E) {
   }
   case ExprKind::While: {
     const auto &W = cast<WhileExpr>(*E);
-    evaluate(W.Cond.get());
+    evaluate(W.Cond);
     RegionGraph H = G;
     // Monotone join-at-head fixpoint; the domain is finite once all sites
     // have materialized their nodes, so this terminates well inside the
@@ -846,8 +846,8 @@ PointsTo FnAnalyzer::evaluate(const Expr *E) {
     for (int Iter = 0; Iter < 64; ++Iter) {
       ++LoopDepth;
       G = H;
-      evaluate(W.Body.get());
-      evaluate(W.Cond.get());
+      evaluate(W.Body);
+      evaluate(W.Cond);
       --LoopDepth;
       RegionGraph Next = H;
       Next.join(G);
@@ -861,19 +861,19 @@ PointsTo FnAnalyzer::evaluate(const Expr *E) {
   case ExprKind::Seq: {
     const auto &S = cast<SeqExpr>(*E);
     PointsTo Last;
-    for (const ExprPtr &Elem : S.Elems)
-      Last = evaluate(Elem.get());
+    for (const Expr *Elem : S.Elems)
+      Last = evaluate(Elem);
     return Last;
   }
   case ExprKind::New:
     return evalNew(cast<NewExpr>(*E));
   case ExprKind::SomeExpr:
-    return evaluate(cast<SomeExpr>(*E).Operand.get());
+    return evaluate(cast<SomeExpr>(*E).Operand);
   case ExprKind::IsNone:
-    evaluate(cast<IsNoneExpr>(*E).Operand.get());
+    evaluate(cast<IsNoneExpr>(*E).Operand);
     return PointsTo{};
   case ExprKind::Send: {
-    PointsTo Op = evaluate(cast<SendExpr>(*E).Operand.get());
+    PointsTo Op = evaluate(cast<SendExpr>(*E).Operand);
     // The sent subgraph leaves the thread: everything reachable from the
     // operand counts as touched for the effects summary (a caller must
     // not treat the argument's region as preserved).
@@ -886,12 +886,12 @@ PointsTo FnAnalyzer::evaluate(const Expr *E) {
     return evalCall(cast<CallExpr>(*E));
   case ExprKind::Binary: {
     const auto &B = cast<BinaryExpr>(*E);
-    evaluate(B.Lhs.get());
-    evaluate(B.Rhs.get());
+    evaluate(B.Lhs);
+    evaluate(B.Rhs);
     return PointsTo{};
   }
   case ExprKind::Unary:
-    evaluate(cast<UnaryExpr>(*E).Operand.get());
+    evaluate(cast<UnaryExpr>(*E).Operand);
     return PointsTo{};
   }
   return PointsTo{};
@@ -900,7 +900,7 @@ PointsTo FnAnalyzer::evaluate(const Expr *E) {
 PointsTo FnAnalyzer::run(FnReport &Report) {
   ++Stats.EffectRuns;
   buildEntryState();
-  PointsTo Exit = evaluate(Fn.Sig.Decl->Body.get());
+  PointsTo Exit = evaluate(Fn.Sig.Decl->Body);
 
   Report = FnReport{};
   for (const IfDisconnectedExpr *Site : SiteOrder) {
@@ -930,8 +930,8 @@ PointsTo FnAnalyzer::run(FnReport &Report) {
 
     if (R.Verdict != DisconnectVerdict::Unknown) {
       const Expr *Dead = R.Verdict == DisconnectVerdict::MustDisconnected
-                             ? Site->Else.get()
-                             : Site->Then.get();
+                             ? Site->Else
+                             : Site->Then;
       const char *Which =
           R.Verdict == DisconnectVerdict::MustDisconnected ? "else" : "then";
       if (Dead) {
@@ -1051,7 +1051,7 @@ void LintWalker::walk(const Expr &E) {
   case ExprKind::Let: {
     const auto &L = cast<LetExpr>(E);
     walk(*L.Init);
-    if (const auto *N = dyn_cast<NewExpr>(L.Init.get());
+    if (const auto *N = dyn_cast<NewExpr>(L.Init);
         N && N->Args.empty() && !mentionsVar(*L.Body, L.Name)) {
       AnalysisDiag D;
       D.Kind = AnalysisDiagKind::NeverPopulated;
@@ -1112,7 +1112,7 @@ void LintWalker::walk(const Expr &E) {
   case ExprKind::Send: {
     const auto &S = cast<SendExpr>(E);
     walk(*S.Operand);
-    if (const auto *V = dyn_cast<VarRefExpr>(S.Operand.get()))
+    if (const auto *V = dyn_cast<VarRefExpr>(S.Operand))
       Consumed.emplace(V->Name, E.loc());
     return;
   }
@@ -1122,7 +1122,7 @@ void LintWalker::walk(const Expr &E) {
     if (const FnDecl *Callee = P.findFunction(C.Callee))
       for (size_t I = 0; I < C.Args.size() && I < Callee->Params.size();
            ++I)
-        if (const auto *V = dyn_cast<VarRefExpr>(C.Args[I].get());
+        if (const auto *V = dyn_cast<VarRefExpr>(C.Args[I]);
             V && Callee->isConsumed(Callee->Params[I].Name))
           Consumed.emplace(V->Name, E.loc());
     return;

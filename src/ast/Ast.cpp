@@ -10,6 +10,71 @@
 
 using namespace fearless;
 
+namespace {
+
+/// First-block bytes per source byte. The generated corpora need 3.0 to
+/// 3.5, so a typical program fits its first block; a denser one (long
+/// operator chains) continues in blocks from a quarter of that size up.
+constexpr size_t ArenaBytesPerSourceByte = 4;
+constexpr size_t MinBlockBytes = 1024;
+/// Block payloads start this far into a block, keeping operator new's
+/// alignment.
+constexpr size_t BlockHeaderBytes = __STDCPP_DEFAULT_NEW_ALIGNMENT__;
+
+} // namespace
+
+AstArena::AstArena(size_t SourceBytes)
+    : NextBlockBytes(std::max(MinBlockBytes,
+                              SourceBytes * ArenaBytesPerSourceByte)) {}
+
+AstArena::AstArena(AstArena &&Other) noexcept
+    : Last(std::exchange(Other.Last, nullptr)),
+      Cur(std::exchange(Other.Cur, nullptr)),
+      End(std::exchange(Other.End, nullptr)),
+      NextBlockBytes(Other.NextBlockBytes),
+      Used(std::exchange(Other.Used, 0)),
+      Reserved(std::exchange(Other.Reserved, 0)) {}
+
+AstArena &AstArena::operator=(AstArena &&Other) noexcept {
+  if (this != &Other) {
+    release();
+    Last = std::exchange(Other.Last, nullptr);
+    Cur = std::exchange(Other.Cur, nullptr);
+    End = std::exchange(Other.End, nullptr);
+    NextBlockBytes = Other.NextBlockBytes;
+    Used = std::exchange(Other.Used, 0);
+    Reserved = std::exchange(Other.Reserved, 0);
+  }
+  return *this;
+}
+
+void *AstArena::allocateInNewBlock(size_t Size, size_t Align) {
+  assert(Align <= BlockHeaderBytes && "over-aligned arena object");
+  (void)Align;
+  // An object larger than a block gets a block of its own, and the
+  // current block stays open.
+  bool Oversized = Size + BlockHeaderBytes > NextBlockBytes;
+  size_t Bytes = Oversized ? Size + BlockHeaderBytes : NextBlockBytes;
+  auto *B = static_cast<Block *>(::operator new(Bytes));
+  B->Prev = Last;
+  Last = B;
+  Reserved += Bytes;
+  Used += Size;
+  char *Payload = reinterpret_cast<char *>(B) + BlockHeaderBytes;
+  if (!Oversized) {
+    NextBlockBytes = End ? NextBlockBytes * 2
+                         : std::max(MinBlockBytes, NextBlockBytes / 4);
+    Cur = Payload + Size;
+    End = reinterpret_cast<char *>(B) + Bytes;
+  }
+  return Payload;
+}
+
+void AstArena::release() {
+  while (Last)
+    ::operator delete(std::exchange(Last, Last->Prev));
+}
+
 const char *fearless::toString(BinaryOp Op) {
   switch (Op) {
   case BinaryOp::Add:

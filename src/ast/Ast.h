@@ -10,7 +10,11 @@
 /// introduction/elimination, `if disconnected`, `send`/`recv`, and function
 /// declarations with `consumes` / `pinned` / `after: a ~ b` annotations.
 ///
-/// Nodes use an LLVM-style kind tag with classof; there is no RTTI.
+/// Nodes use an LLVM-style kind tag with classof; there is no RTTI. Every
+/// node and every child list lives in its Program's AstArena: children
+/// are plain pointers and spans into it, no node owns another, and every
+/// node class is trivially destructible, so dropping a Program frees its
+/// AST block by block without visiting a node.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,18 +25,94 @@
 #include "support/Diagnostics.h"
 #include "support/Interner.h"
 
+#include <algorithm>
 #include <cassert>
-#include <memory>
+#include <cstddef>
+#include <cstdint>
+#include <new>
+#include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace fearless {
+
+//===----------------------------------------------------------------------===//
+// Storage
+//===----------------------------------------------------------------------===//
+
+/// Bump storage for one program's AST. Nodes and child spans are carved
+/// out of blocks that live exactly as long as the arena and are freed
+/// together. The first block is sized from the source length; later
+/// blocks grow geometrically, so a cached program keeps little slack.
+/// Move-only: moving keeps every node at its address.
+class AstArena {
+public:
+  /// An arena whose first block suits a source of \p SourceBytes bytes;
+  /// no block is allocated until the first node.
+  explicit AstArena(size_t SourceBytes = 0);
+  AstArena(AstArena &&Other) noexcept;
+  AstArena &operator=(AstArena &&Other) noexcept;
+  AstArena(const AstArena &) = delete;
+  AstArena &operator=(const AstArena &) = delete;
+  ~AstArena() { release(); }
+
+  /// Constructs a T in the arena. T is never destroyed.
+  template <typename T, typename... ArgTs> T *make(ArgTs &&...Args) {
+    static_assert(std::is_trivially_destructible_v<T>,
+                  "arena objects are freed without running a destructor");
+    return new (allocate(sizeof(T), alignof(T)))
+        T(std::forward<ArgTs>(Args)...);
+  }
+
+  /// Copies \p Elems into the arena.
+  template <typename T> std::span<T> copy(std::span<const T> Elems) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    if (Elems.empty())
+      return {};
+    T *Out = static_cast<T *>(allocate(Elems.size_bytes(), alignof(T)));
+    std::copy(Elems.begin(), Elems.end(), Out);
+    return {Out, Elems.size()};
+  }
+
+  /// Bytes handed out, and bytes held in blocks.
+  size_t bytesUsed() const { return Used; }
+  size_t bytesReserved() const { return Reserved; }
+
+private:
+  struct Block {
+    Block *Prev;
+  };
+
+  void *allocate(size_t Size, size_t Align) {
+    size_t Pad = -reinterpret_cast<uintptr_t>(Cur) & (Align - 1);
+    if (Pad + Size > static_cast<size_t>(End - Cur))
+      return allocateInNewBlock(Size, Align);
+    char *Out = Cur + Pad;
+    Cur = Out + Size;
+    Used += Size;
+    return Out;
+  }
+  void *allocateInNewBlock(size_t Size, size_t Align);
+  void release();
+
+  Block *Last = nullptr;
+  char *Cur = nullptr;
+  char *End = nullptr;
+  size_t NextBlockBytes;
+  size_t Used = 0;
+  size_t Reserved = 0;
+};
 
 //===----------------------------------------------------------------------===//
 // Expressions
 //===----------------------------------------------------------------------===//
 
 class Expr;
-using ExprPtr = std::unique_ptr<Expr>;
+/// A child link. The pointee lives in the Program's AstArena.
+using ExprPtr = Expr *;
+/// An ordered child list, allocated in the same arena.
+using ExprList = std::span<Expr *>;
 
 /// Discriminator for the expression hierarchy.
 enum class ExprKind {
@@ -63,8 +143,6 @@ enum class ExprKind {
 /// Base class of all expressions.
 class Expr {
 public:
-  virtual ~Expr() = default;
-
   ExprKind kind() const { return Kind; }
   SourceLoc loc() const { return Loc; }
 
@@ -139,7 +217,7 @@ public:
 class FieldRefExpr : public Expr {
 public:
   FieldRefExpr(ExprPtr Base, Symbol Field, SourceLoc Loc)
-      : Expr(ExprKind::FieldRef, Loc), Base(std::move(Base)), Field(Field) {}
+      : Expr(ExprKind::FieldRef, Loc), Base(Base), Field(Field) {}
   ExprPtr Base;
   Symbol Field;
   static bool classof(const Expr *E) {
@@ -151,7 +229,7 @@ public:
 class AssignVarExpr : public Expr {
 public:
   AssignVarExpr(Symbol Name, ExprPtr Value, SourceLoc Loc)
-      : Expr(ExprKind::AssignVar, Loc), Name(Name), Value(std::move(Value)) {}
+      : Expr(ExprKind::AssignVar, Loc), Name(Name), Value(Value) {}
   Symbol Name;
   ExprPtr Value;
   static bool classof(const Expr *E) {
@@ -163,8 +241,8 @@ public:
 class AssignFieldExpr : public Expr {
 public:
   AssignFieldExpr(ExprPtr Base, Symbol Field, ExprPtr Value, SourceLoc Loc)
-      : Expr(ExprKind::AssignField, Loc), Base(std::move(Base)),
-        Field(Field), Value(std::move(Value)) {}
+      : Expr(ExprKind::AssignField, Loc), Base(Base), Field(Field),
+        Value(Value) {}
   ExprPtr Base;
   Symbol Field;
   ExprPtr Value;
@@ -182,7 +260,7 @@ public:
   LetExpr(Symbol Name, Type Declared, ExprPtr Init, ExprPtr Body,
           SourceLoc Loc)
       : Expr(ExprKind::Let, Loc), Name(Name), Declared(Declared),
-        Init(std::move(Init)), Body(std::move(Body)) {}
+        Init(Init), Body(Body) {}
   Symbol Name;
   Type Declared; ///< Invalid when no ascription was written.
   ExprPtr Init;
@@ -196,8 +274,7 @@ public:
   LetSomeExpr(Symbol Name, ExprPtr Scrutinee, ExprPtr SomeBody,
               ExprPtr NoneBody, SourceLoc Loc)
       : Expr(ExprKind::LetSome, Loc), Name(Name),
-        Scrutinee(std::move(Scrutinee)), SomeBody(std::move(SomeBody)),
-        NoneBody(std::move(NoneBody)) {}
+        Scrutinee(Scrutinee), SomeBody(SomeBody), NoneBody(NoneBody) {}
   Symbol Name;
   ExprPtr Scrutinee;
   ExprPtr SomeBody;
@@ -211,8 +288,7 @@ public:
 class IfExpr : public Expr {
 public:
   IfExpr(ExprPtr Cond, ExprPtr Then, ExprPtr Else, SourceLoc Loc)
-      : Expr(ExprKind::If, Loc), Cond(std::move(Cond)),
-        Then(std::move(Then)), Else(std::move(Else)) {}
+      : Expr(ExprKind::If, Loc), Cond(Cond), Then(Then), Else(Else) {}
   ExprPtr Cond;
   ExprPtr Then;
   ExprPtr Else; ///< May be null.
@@ -227,7 +303,7 @@ public:
   IfDisconnectedExpr(Symbol VarA, Symbol VarB, ExprPtr Then, ExprPtr Else,
                      SourceLoc Loc)
       : Expr(ExprKind::IfDisconnected, Loc), VarA(VarA), VarB(VarB),
-        Then(std::move(Then)), Else(std::move(Else)) {}
+        Then(Then), Else(Else) {}
   Symbol VarA;
   Symbol VarB;
   ExprPtr Then;
@@ -241,8 +317,7 @@ public:
 class WhileExpr : public Expr {
 public:
   WhileExpr(ExprPtr Cond, ExprPtr Body, SourceLoc Loc)
-      : Expr(ExprKind::While, Loc), Cond(std::move(Cond)),
-        Body(std::move(Body)) {}
+      : Expr(ExprKind::While, Loc), Cond(Cond), Body(Body) {}
   ExprPtr Cond;
   ExprPtr Body;
   static bool classof(const Expr *E) {
@@ -255,9 +330,9 @@ public:
 /// UnitLitExpr in that case).
 class SeqExpr : public Expr {
 public:
-  SeqExpr(std::vector<ExprPtr> Elems, SourceLoc Loc)
-      : Expr(ExprKind::Seq, Loc), Elems(std::move(Elems)) {}
-  std::vector<ExprPtr> Elems;
+  SeqExpr(ExprList Elems, SourceLoc Loc)
+      : Expr(ExprKind::Seq, Loc), Elems(Elems) {}
+  ExprList Elems;
   static bool classof(const Expr *E) { return E->kind() == ExprKind::Seq; }
 };
 
@@ -271,11 +346,10 @@ public:
 /// field in declaration order.
 class NewExpr : public Expr {
 public:
-  NewExpr(Symbol StructName, std::vector<ExprPtr> Args, SourceLoc Loc)
-      : Expr(ExprKind::New, Loc), StructName(StructName),
-        Args(std::move(Args)) {}
+  NewExpr(Symbol StructName, ExprList Args, SourceLoc Loc)
+      : Expr(ExprKind::New, Loc), StructName(StructName), Args(Args) {}
   Symbol StructName;
-  std::vector<ExprPtr> Args; ///< Empty, or one initializer per field.
+  ExprList Args; ///< Empty, or one initializer per field.
   static bool classof(const Expr *E) { return E->kind() == ExprKind::New; }
 };
 
@@ -283,7 +357,7 @@ public:
 class SomeExpr : public Expr {
 public:
   SomeExpr(ExprPtr Operand, SourceLoc Loc)
-      : Expr(ExprKind::SomeExpr, Loc), Operand(std::move(Operand)) {}
+      : Expr(ExprKind::SomeExpr, Loc), Operand(Operand) {}
   ExprPtr Operand;
   static bool classof(const Expr *E) {
     return E->kind() == ExprKind::SomeExpr;
@@ -305,7 +379,7 @@ public:
 class IsNoneExpr : public Expr {
 public:
   IsNoneExpr(ExprPtr Operand, SourceLoc Loc)
-      : Expr(ExprKind::IsNone, Loc), Operand(std::move(Operand)) {}
+      : Expr(ExprKind::IsNone, Loc), Operand(Operand) {}
   ExprPtr Operand;
   static bool classof(const Expr *E) {
     return E->kind() == ExprKind::IsNone;
@@ -317,7 +391,7 @@ public:
 class SendExpr : public Expr {
 public:
   SendExpr(ExprPtr Operand, SourceLoc Loc)
-      : Expr(ExprKind::Send, Loc), Operand(std::move(Operand)) {}
+      : Expr(ExprKind::Send, Loc), Operand(Operand) {}
   ExprPtr Operand;
   static bool classof(const Expr *E) { return E->kind() == ExprKind::Send; }
 };
@@ -334,10 +408,10 @@ public:
 /// A call `f(e1, ..., en)`.
 class CallExpr : public Expr {
 public:
-  CallExpr(Symbol Callee, std::vector<ExprPtr> Args, SourceLoc Loc)
-      : Expr(ExprKind::Call, Loc), Callee(Callee), Args(std::move(Args)) {}
+  CallExpr(Symbol Callee, ExprList Args, SourceLoc Loc)
+      : Expr(ExprKind::Call, Loc), Callee(Callee), Args(Args) {}
   Symbol Callee;
-  std::vector<ExprPtr> Args;
+  ExprList Args;
   static bool classof(const Expr *E) { return E->kind() == ExprKind::Call; }
 };
 
@@ -364,8 +438,7 @@ const char *toString(BinaryOp Op);
 class BinaryExpr : public Expr {
 public:
   BinaryExpr(BinaryOp Op, ExprPtr Lhs, ExprPtr Rhs, SourceLoc Loc)
-      : Expr(ExprKind::Binary, Loc), Op(Op), Lhs(std::move(Lhs)),
-        Rhs(std::move(Rhs)) {}
+      : Expr(ExprKind::Binary, Loc), Op(Op), Lhs(Lhs), Rhs(Rhs) {}
   BinaryOp Op;
   ExprPtr Lhs;
   ExprPtr Rhs;
@@ -383,13 +456,37 @@ const char *toString(UnaryOp Op);
 class UnaryExpr : public Expr {
 public:
   UnaryExpr(UnaryOp Op, ExprPtr Operand, SourceLoc Loc)
-      : Expr(ExprKind::Unary, Loc), Op(Op), Operand(std::move(Operand)) {}
+      : Expr(ExprKind::Unary, Loc), Op(Op), Operand(Operand) {}
   UnaryOp Op;
   ExprPtr Operand;
   static bool classof(const Expr *E) {
     return E->kind() == ExprKind::Unary;
   }
 };
+
+// The arena frees nodes without destroying them.
+static_assert(std::is_trivially_destructible_v<IntLitExpr> &&
+              std::is_trivially_destructible_v<BoolLitExpr> &&
+              std::is_trivially_destructible_v<UnitLitExpr> &&
+              std::is_trivially_destructible_v<VarRefExpr> &&
+              std::is_trivially_destructible_v<FieldRefExpr> &&
+              std::is_trivially_destructible_v<AssignVarExpr> &&
+              std::is_trivially_destructible_v<AssignFieldExpr> &&
+              std::is_trivially_destructible_v<LetExpr> &&
+              std::is_trivially_destructible_v<LetSomeExpr> &&
+              std::is_trivially_destructible_v<IfExpr> &&
+              std::is_trivially_destructible_v<IfDisconnectedExpr> &&
+              std::is_trivially_destructible_v<WhileExpr> &&
+              std::is_trivially_destructible_v<SeqExpr> &&
+              std::is_trivially_destructible_v<NewExpr> &&
+              std::is_trivially_destructible_v<SomeExpr> &&
+              std::is_trivially_destructible_v<NoneLitExpr> &&
+              std::is_trivially_destructible_v<IsNoneExpr> &&
+              std::is_trivially_destructible_v<SendExpr> &&
+              std::is_trivially_destructible_v<RecvExpr> &&
+              std::is_trivially_destructible_v<CallExpr> &&
+              std::is_trivially_destructible_v<BinaryExpr> &&
+              std::is_trivially_destructible_v<UnaryExpr>);
 
 /// Calls \p Fn with each child of \p E, in source order; an absent `else`
 /// of an IfExpr is skipped. This is the one list of every kind's
@@ -451,11 +548,11 @@ template <typename F> void forEachChild(const Expr &E, F &&Fn) {
     return;
   }
   case ExprKind::Seq:
-    for (const ExprPtr &Elem : cast<SeqExpr>(E).Elems)
+    for (const Expr *Elem : cast<SeqExpr>(E).Elems)
       Fn(*Elem);
     return;
   case ExprKind::New:
-    for (const ExprPtr &Arg : cast<NewExpr>(E).Args)
+    for (const Expr *Arg : cast<NewExpr>(E).Args)
       Fn(*Arg);
     return;
   case ExprKind::SomeExpr:
@@ -468,7 +565,7 @@ template <typename F> void forEachChild(const Expr &E, F &&Fn) {
     Fn(*cast<SendExpr>(E).Operand);
     return;
   case ExprKind::Call:
-    for (const ExprPtr &Arg : cast<CallExpr>(E).Args)
+    for (const Expr *Arg : cast<CallExpr>(E).Args)
       Fn(*Arg);
     return;
   case ExprKind::Binary: {
@@ -548,9 +645,11 @@ struct FnDecl {
   bool isPinned(Symbol Param) const;
 };
 
-/// A whole translation unit: interner plus declarations.
+/// A whole translation unit: interner, AST storage and declarations.
+/// Move-only, like its arena.
 struct Program {
   Interner Names;
+  AstArena Nodes; ///< Every Expr of every FnDecl::Body.
   std::vector<StructDecl> Structs;
   std::vector<FnDecl> Functions;
   /// Symbol id -> position in Functions + 1 (0: no function of that

@@ -52,7 +52,7 @@ public:
       CurrentSink =
           D->addStep(RuleId::T0FunctionDefinition, {F.Name, {}, {}, {}});
       DerivStep &Root = (*D)[CurrentSink];
-      Root.E = F.Body.get();
+      Root.E = F.Body;
       Root.Before = D->addSnapshot(Ctx);
     }
 
@@ -229,7 +229,7 @@ private:
   /// \p Cont: element I's adds the uses of every later element. Built back
   /// to front, one merge per element, so long blocks stay linear.
   std::vector<Continuation>
-  suffixContinuations(const std::vector<ExprPtr> &Elems,
+  suffixContinuations(std::span<Expr *const> Elems,
                       const Continuation &Cont) {
     std::vector<Continuation> Out(Elems.size());
     if (Elems.empty())
@@ -367,7 +367,7 @@ private:
     auto Rule = [&](RuleId Id) { setRule(Node, Id); };
     // Determine the base type first (without committing effects for the
     // iso case: the base must be a variable there).
-    if (const auto *Var = dyn_cast<VarRefExpr>(E.Base.get())) {
+    if (const auto *Var = dyn_cast<VarRefExpr>(E.Base)) {
       Expected<ExprResult> Base = check(*E.Base, Cont, nullptr);
       if (!Base)
         return Base;
@@ -477,7 +477,7 @@ private:
 
     if (Field->Iso) {
       Rule(RuleId::T7IsolatedFieldAssignment);
-      const auto *Var = dyn_cast<VarRefExpr>(E.Base.get());
+      const auto *Var = dyn_cast<VarRefExpr>(E.Base);
       if (!Var)
         return fail("iso field '" + P.Names.spelling(E.Field) +
                         "' can only be assigned on a variable; bind '" +
@@ -957,7 +957,7 @@ private:
       const ParamDecl &Param = Sig.Decl->Params[I];
       const Continuation &ArgCont = ArgConts[I];
       if (Param.ParamType.isRegionful()) {
-        const auto *Var = dyn_cast<VarRefExpr>(E.Args[I].get());
+        const auto *Var = dyn_cast<VarRefExpr>(E.Args[I]);
         if (!Var)
           return fail("argument for parameter '" +
                           P.Names.spelling(Param.Name) + "' of '" +

@@ -6,10 +6,6 @@
 
 #include "lexer/Lexer.h"
 
-#include <cassert>
-#include <cctype>
-#include <unordered_map>
-
 using namespace fearless;
 
 const char *fearless::tokenKindName(TokenKind Kind) {
@@ -128,208 +124,218 @@ const char *fearless::tokenKindName(TokenKind Kind) {
 
 namespace {
 
-const std::unordered_map<std::string_view, TokenKind> &keywordTable() {
-  static const std::unordered_map<std::string_view, TokenKind> Table = {
-      {"struct", TokenKind::KwStruct},
-      {"def", TokenKind::KwDef},
-      {"let", TokenKind::KwLet},
-      {"some", TokenKind::KwSome},
-      {"none", TokenKind::KwNone},
-      {"in", TokenKind::KwIn},
-      {"else", TokenKind::KwElse},
-      {"if", TokenKind::KwIf},
-      {"while", TokenKind::KwWhile},
-      {"disconnected", TokenKind::KwDisconnected},
-      {"new", TokenKind::KwNew},
-      {"iso", TokenKind::KwIso},
-      {"unit", TokenKind::KwUnit},
-      {"int", TokenKind::KwInt},
-      {"bool", TokenKind::KwBool},
-      {"true", TokenKind::KwTrue},
-      {"false", TokenKind::KwFalse},
-      {"is_none", TokenKind::KwIsNone},
-      {"send", TokenKind::KwSend},
-      {"recv", TokenKind::KwRecv},
-      {"consumes", TokenKind::KwConsumes},
-      {"pinned", TokenKind::KwPinned},
-      {"after", TokenKind::KwAfter},
-      {"before", TokenKind::KwBefore},
-      {"result", TokenKind::KwResult},
-  };
-  return Table;
+// Explicit ASCII classes: the C locale's isspace/isalpha/isdigit, without
+// the calls.
+bool isSpace(char C) {
+  return C == ' ' || (C >= '\t' && C <= '\r'); // \t \n \v \f \r
 }
+bool isDigit(char C) { return C >= '0' && C <= '9'; }
+bool isIdentStart(char C) {
+  return (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z') || C == '_';
+}
+bool isIdentChar(char C) { return isIdentStart(C) || isDigit(C); }
 
-/// Streaming lexer over one source buffer.
-class LexerImpl {
-public:
-  LexerImpl(std::string_view Source, DiagnosticEngine &Diags)
-      : Source(Source), Diags(Diags) {}
-
-  std::vector<Token> run() {
-    std::vector<Token> Tokens;
-    for (;;) {
-      Token Tok = next();
-      Tokens.push_back(Tok);
-      if (Tok.is(TokenKind::EndOfFile))
-        break;
-    }
-    return Tokens;
+/// The keyword spelled \p Text, or Identifier.
+TokenKind keywordKind(std::string_view Text) {
+  switch (Text.size()) {
+  case 2:
+    if (Text == "if")
+      return TokenKind::KwIf;
+    if (Text == "in")
+      return TokenKind::KwIn;
+    break;
+  case 3:
+    if (Text == "let")
+      return TokenKind::KwLet;
+    if (Text == "new")
+      return TokenKind::KwNew;
+    if (Text == "int")
+      return TokenKind::KwInt;
+    if (Text == "def")
+      return TokenKind::KwDef;
+    if (Text == "iso")
+      return TokenKind::KwIso;
+    break;
+  case 4:
+    if (Text == "some")
+      return TokenKind::KwSome;
+    if (Text == "none")
+      return TokenKind::KwNone;
+    if (Text == "else")
+      return TokenKind::KwElse;
+    if (Text == "unit")
+      return TokenKind::KwUnit;
+    if (Text == "bool")
+      return TokenKind::KwBool;
+    if (Text == "true")
+      return TokenKind::KwTrue;
+    if (Text == "send")
+      return TokenKind::KwSend;
+    if (Text == "recv")
+      return TokenKind::KwRecv;
+    break;
+  case 5:
+    if (Text == "while")
+      return TokenKind::KwWhile;
+    if (Text == "false")
+      return TokenKind::KwFalse;
+    if (Text == "after")
+      return TokenKind::KwAfter;
+    break;
+  case 6:
+    if (Text == "struct")
+      return TokenKind::KwStruct;
+    if (Text == "result")
+      return TokenKind::KwResult;
+    if (Text == "pinned")
+      return TokenKind::KwPinned;
+    if (Text == "before")
+      return TokenKind::KwBefore;
+    break;
+  case 7:
+    if (Text == "is_none")
+      return TokenKind::KwIsNone;
+    break;
+  case 8:
+    if (Text == "consumes")
+      return TokenKind::KwConsumes;
+    break;
+  case 12:
+    if (Text == "disconnected")
+      return TokenKind::KwDisconnected;
+    break;
+  default:
+    break;
   }
-
-private:
-  bool atEnd() const { return Pos >= Source.size(); }
-  char peek() const { return atEnd() ? '\0' : Source[Pos]; }
-  char peekAhead() const {
-    return Pos + 1 < Source.size() ? Source[Pos + 1] : '\0';
-  }
-
-  char advance() {
-    char C = Source[Pos++];
-    if (C == '\n') {
-      ++Line;
-      Column = 1;
-    } else {
-      ++Column;
-    }
-    return C;
-  }
-
-  void skipTrivia() {
-    for (;;) {
-      if (atEnd())
-        return;
-      char C = peek();
-      if (std::isspace(static_cast<unsigned char>(C))) {
-        advance();
-        continue;
-      }
-      if (C == '/' && peekAhead() == '/') {
-        while (!atEnd() && peek() != '\n')
-          advance();
-        continue;
-      }
-      return;
-    }
-  }
-
-  Token make(TokenKind Kind, size_t Start, SourceLoc Loc) {
-    return Token{Kind, Source.substr(Start, Pos - Start), 0, Loc};
-  }
-
-  Token next() {
-    skipTrivia();
-    SourceLoc Loc{Line, Column};
-    if (atEnd())
-      return Token{TokenKind::EndOfFile, {}, 0, Loc};
-
-    size_t Start = Pos;
-    char C = advance();
-
-    if (std::isalpha(static_cast<unsigned char>(C)) || C == '_') {
-      while (!atEnd() && (std::isalnum(static_cast<unsigned char>(peek())) ||
-                          peek() == '_'))
-        advance();
-      std::string_view Text = Source.substr(Start, Pos - Start);
-      auto It = keywordTable().find(Text);
-      TokenKind Kind =
-          It != keywordTable().end() ? It->second : TokenKind::Identifier;
-      return Token{Kind, Text, 0, Loc};
-    }
-
-    if (std::isdigit(static_cast<unsigned char>(C))) {
-      while (!atEnd() && std::isdigit(static_cast<unsigned char>(peek())))
-        advance();
-      Token Tok = make(TokenKind::IntLiteral, Start, Loc);
-      int64_t Value = 0;
-      for (char Digit : Tok.Text) {
-        if (Value > (INT64_MAX - (Digit - '0')) / 10) {
-          Diags.error("integer literal overflows 64 bits", Loc);
-          return Token{TokenKind::Error, Tok.Text, 0, Loc};
-        }
-        Value = Value * 10 + (Digit - '0');
-      }
-      Tok.IntValue = Value;
-      return Tok;
-    }
-
-    auto Single = [&](TokenKind Kind) { return make(Kind, Start, Loc); };
-    auto Pair = [&](char Second, TokenKind Long, TokenKind Short) {
-      if (peek() == Second) {
-        advance();
-        return make(Long, Start, Loc);
-      }
-      return make(Short, Start, Loc);
-    };
-
-    switch (C) {
-    case '{':
-      return Single(TokenKind::LBrace);
-    case '}':
-      return Single(TokenKind::RBrace);
-    case '(':
-      return Single(TokenKind::LParen);
-    case ')':
-      return Single(TokenKind::RParen);
-    case ';':
-      return Single(TokenKind::Semicolon);
-    case ':':
-      return Single(TokenKind::Colon);
-    case ',':
-      return Single(TokenKind::Comma);
-    case '.':
-      return Single(TokenKind::Dot);
-    case '?':
-      return Single(TokenKind::Question);
-    case '~':
-      return Single(TokenKind::Tilde);
-    case '+':
-      return Single(TokenKind::Plus);
-    case '-':
-      return Single(TokenKind::Minus);
-    case '*':
-      return Single(TokenKind::Star);
-    case '/':
-      return Single(TokenKind::Slash);
-    case '%':
-      return Single(TokenKind::Percent);
-    case '=':
-      return Pair('=', TokenKind::EqEq, TokenKind::Assign);
-    case '!':
-      return Pair('=', TokenKind::NotEq, TokenKind::Bang);
-    case '<':
-      return Pair('=', TokenKind::LessEq, TokenKind::Less);
-    case '>':
-      return Pair('=', TokenKind::GreaterEq, TokenKind::Greater);
-    case '&':
-      if (peek() == '&') {
-        advance();
-        return make(TokenKind::AmpAmp, Start, Loc);
-      }
-      break;
-    case '|':
-      if (peek() == '|') {
-        advance();
-        return make(TokenKind::PipePipe, Start, Loc);
-      }
-      break;
-    default:
-      break;
-    }
-
-    Diags.error(std::string("unexpected character '") + C + "'", Loc);
-    return make(TokenKind::Error, Start, Loc);
-  }
-
-  std::string_view Source;
-  DiagnosticEngine &Diags;
-  size_t Pos = 0;
-  uint32_t Line = 1;
-  uint32_t Column = 1;
-};
+  return TokenKind::Identifier;
+}
 
 } // namespace
 
+void Lexer::skipTrivia() {
+  while (Pos < Source.size()) {
+    char C = Source[Pos];
+    if (C == '\n') {
+      ++Line;
+      LineStart = ++Pos;
+    } else if (isSpace(C)) {
+      ++Pos;
+    } else if (C == '/' && Pos + 1 < Source.size() &&
+               Source[Pos + 1] == '/') {
+      size_t Newline = Source.find('\n', Pos + 2);
+      Pos = Newline == std::string_view::npos ? Source.size() : Newline;
+    } else {
+      return;
+    }
+  }
+}
+
+Token Lexer::make(TokenKind Kind, size_t Start) const {
+  return Token{Kind, Source.substr(Start, Pos - Start), 0, locOf(Start)};
+}
+
+Token Lexer::next() {
+  skipTrivia();
+  if (Pos >= Source.size())
+    return Token{TokenKind::EndOfFile, {}, 0, locOf(Pos)};
+
+  size_t Start = Pos;
+  char C = Source[Pos++];
+  auto peek = [&] { return Pos < Source.size() ? Source[Pos] : '\0'; };
+
+  if (isIdentStart(C)) {
+    while (Pos < Source.size() && isIdentChar(Source[Pos]))
+      ++Pos;
+    Token Tok = make(TokenKind::Identifier, Start);
+    Tok.Kind = keywordKind(Tok.Text);
+    return Tok;
+  }
+
+  if (isDigit(C)) {
+    while (Pos < Source.size() && isDigit(Source[Pos]))
+      ++Pos;
+    Token Tok = make(TokenKind::IntLiteral, Start);
+    int64_t Value = 0;
+    for (char Digit : Tok.Text) {
+      if (Value > (INT64_MAX - (Digit - '0')) / 10) {
+        Diags.error("integer literal overflows 64 bits", Tok.Loc);
+        Tok.Kind = TokenKind::Error;
+        return Tok;
+      }
+      Value = Value * 10 + (Digit - '0');
+    }
+    Tok.IntValue = Value;
+    return Tok;
+  }
+
+  auto Pair = [&](char Second, TokenKind Long, TokenKind Short) {
+    if (peek() != Second)
+      return make(Short, Start);
+    ++Pos;
+    return make(Long, Start);
+  };
+
+  switch (C) {
+  case '{':
+    return make(TokenKind::LBrace, Start);
+  case '}':
+    return make(TokenKind::RBrace, Start);
+  case '(':
+    return make(TokenKind::LParen, Start);
+  case ')':
+    return make(TokenKind::RParen, Start);
+  case ';':
+    return make(TokenKind::Semicolon, Start);
+  case ':':
+    return make(TokenKind::Colon, Start);
+  case ',':
+    return make(TokenKind::Comma, Start);
+  case '.':
+    return make(TokenKind::Dot, Start);
+  case '?':
+    return make(TokenKind::Question, Start);
+  case '~':
+    return make(TokenKind::Tilde, Start);
+  case '+':
+    return make(TokenKind::Plus, Start);
+  case '-':
+    return make(TokenKind::Minus, Start);
+  case '*':
+    return make(TokenKind::Star, Start);
+  case '/':
+    return make(TokenKind::Slash, Start);
+  case '%':
+    return make(TokenKind::Percent, Start);
+  case '=':
+    return Pair('=', TokenKind::EqEq, TokenKind::Assign);
+  case '!':
+    return Pair('=', TokenKind::NotEq, TokenKind::Bang);
+  case '<':
+    return Pair('=', TokenKind::LessEq, TokenKind::Less);
+  case '>':
+    return Pair('=', TokenKind::GreaterEq, TokenKind::Greater);
+  case '&':
+  case '|':
+    if (peek() == C) {
+      ++Pos;
+      return make(C == '&' ? TokenKind::AmpAmp : TokenKind::PipePipe, Start);
+    }
+    break;
+  default:
+    break;
+  }
+
+  Token Tok = make(TokenKind::Error, Start);
+  Diags.error(std::string("unexpected character '") + C + "'", Tok.Loc);
+  return Tok;
+}
+
 std::vector<Token> fearless::lex(std::string_view Source,
                                  DiagnosticEngine &Diags) {
-  return LexerImpl(Source, Diags).run();
+  Lexer Lex(Source, Diags);
+  std::vector<Token> Tokens;
+  do
+    Tokens.push_back(Lex.next());
+  while (!Tokens.back().is(TokenKind::EndOfFile));
+  return Tokens;
 }

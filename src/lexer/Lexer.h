@@ -96,6 +96,31 @@ struct Token {
   bool is(TokenKind K) const { return Kind == K; }
 };
 
+/// A pull lexer over one source buffer: each next() returns the following
+/// token, and EndOfFile forever once the source is exhausted. Lexical
+/// errors are reported to the diagnostic engine, in source order, as the
+/// offending token is pulled, and produce an Error token.
+class Lexer {
+public:
+  Lexer(std::string_view Source, DiagnosticEngine &Diags)
+      : Source(Source), Diags(Diags) {}
+
+  Token next();
+
+private:
+  void skipTrivia();
+  Token make(TokenKind Kind, size_t Start) const;
+  SourceLoc locOf(size_t Start) const {
+    return SourceLoc{Line, static_cast<uint32_t>(Start - LineStart + 1)};
+  }
+
+  std::string_view Source;
+  DiagnosticEngine &Diags;
+  size_t Pos = 0;
+  size_t LineStart = 0; ///< Offset of the first byte of the current line.
+  uint32_t Line = 1;
+};
+
 /// Lexes \p Source completely into a token vector ending with EndOfFile.
 /// Lexical errors are reported to \p Diags and produce Error tokens.
 std::vector<Token> lex(std::string_view Source, DiagnosticEngine &Diags);

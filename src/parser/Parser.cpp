@@ -9,16 +9,39 @@
 #include "lexer/Lexer.h"
 
 #include <cassert>
+#include <vector>
 
 using namespace fearless;
 
 namespace {
 
-/// Recursive-descent parser over a pre-lexed token stream.
+/// Recursive-descent parser pulling tokens from a Lexer through a
+/// two-token window; no token stream is kept. Nodes go to \p Nodes.
+///
+/// A source with any lexical error yields every lexical error, in source
+/// order, and nothing from the parser; otherwise the output is the
+/// parser's. So the lexer reports to the caller's engine as tokens are
+/// pulled, the parser's own diagnostics wait in Diags, and finish()
+/// drains the lexer before deciding which to keep.
 class Parser {
 public:
-  Parser(std::vector<Token> Tokens, Interner &Names, DiagnosticEngine &Diags)
-      : Tokens(std::move(Tokens)), Names(Names), Diags(Diags) {}
+  Parser(std::string_view Source, DiagnosticEngine &LexDiags,
+         Interner &Names, AstArena &Nodes)
+      : Lex(Source, LexDiags), Names(Names), Nodes(Nodes),
+        Cur(Lex.next()) {}
+
+  /// Lexes the rest of the source. Returns false if \p Out then holds an
+  /// error (lexical, or from before the parse); otherwise moves the
+  /// parser's diagnostics to \p Out.
+  bool finish(DiagnosticEngine &Out) {
+    while (!Cur.is(TokenKind::EndOfFile))
+      advance();
+    if (Out.hasErrors())
+      return false;
+    for (const Diagnostic &D : Diags.diagnostics())
+      Out.report(D.Severity, D.Message, D.Loc);
+    return true;
+  }
 
   /// Parses declarations until end of file into \p P.
   bool parseDecls(Program &P) {
@@ -85,11 +108,25 @@ private:
   // Token-stream helpers
   //===--------------------------------------------------------------------===
 
-  const Token &peek(unsigned Offset = 0) const {
-    size_t Index = std::min(Pos + Offset, Tokens.size() - 1);
-    return Tokens[Index];
+  const Token &peek() const { return Cur; }
+  /// The token after peek(); only `let some` needs it.
+  const Token &peekNext() {
+    if (!HasNext) {
+      Next = Lex.next();
+      HasNext = true;
+    }
+    return Next;
   }
-  const Token &advance() { return Tokens[Pos++]; }
+  Token advance() {
+    Token Tok = Cur;
+    if (HasNext) {
+      Cur = Next;
+      HasNext = false;
+    } else if (!Cur.is(TokenKind::EndOfFile)) {
+      Cur = Lex.next();
+    }
+    return Tok;
+  }
   bool consumeIf(TokenKind Kind) {
     if (!peek().is(Kind))
       return false;
@@ -320,7 +357,7 @@ private:
 
   /// Parses expressions up to (not consuming) the closing brace.
   ExprPtr parseSeqUntilRBrace(SourceLoc Loc) {
-    std::vector<ExprPtr> Elems;
+    PendingList Elems(*this);
     bool EndsWithValue = false;
     while (!peek().is(TokenKind::RBrace)) {
       if (peek().is(TokenKind::EndOfFile)) {
@@ -328,12 +365,11 @@ private:
         return nullptr;
       }
       // Bare `let` binds the remainder of the block.
-      if (peek().is(TokenKind::KwLet) && !isLetSome() &&
-          !isLetWithIn()) {
+      if (peek().is(TokenKind::KwLet) && !isLetSome()) {
         ExprPtr L = parseBareLet(Loc);
         if (!L)
           return nullptr;
-        Elems.push_back(std::move(L));
+        Elems.push(L);
         EndsWithValue = true;
         break; // parseBareLet consumed the rest of the block.
       }
@@ -341,7 +377,7 @@ private:
       if (!E)
         return nullptr;
       bool BlockLike = isBlockLike(*E);
-      Elems.push_back(std::move(E));
+      Elems.push(E);
       if (consumeIf(TokenKind::Semicolon)) {
         EndsWithValue = false;
         continue;
@@ -359,22 +395,16 @@ private:
       return nullptr;
     }
     if (!EndsWithValue)
-      Elems.push_back(std::make_unique<UnitLitExpr>(Loc));
+      Elems.push(Nodes.make<UnitLitExpr>(Loc));
     if (Elems.size() == 1)
-      return std::move(Elems.front());
-    return std::make_unique<SeqExpr>(std::move(Elems), Loc);
+      return Elems.front();
+    return Nodes.make<SeqExpr>(Elems.take(), Loc);
   }
 
   /// Lookahead: `let some(`.
-  bool isLetSome() const {
-    return peek().is(TokenKind::KwLet) && peek(1).is(TokenKind::KwSome);
+  bool isLetSome() {
+    return peek().is(TokenKind::KwLet) && peekNext().is(TokenKind::KwSome);
   }
-
-  /// Lookahead: `let x = ... in` at this statement; we cannot cheaply scan
-  /// for `in`, so instead bare-let parsing handles both forms. This helper
-  /// is conservative and only returns false, leaving both forms to
-  /// parseBareLet.
-  bool isLetWithIn() const { return false; }
 
   /// Parses `let x = init ...`: either `in <block>` (explicit scope) or
   /// `; rest-of-block` (binds the remainder of the enclosing block).
@@ -402,18 +432,14 @@ private:
       ExprPtr Body = parseBlock();
       if (!Body)
         return nullptr;
-      ExprPtr Let = std::make_unique<LetExpr>(Name, Declared,
-                                              std::move(Init),
-                                              std::move(Body), Loc);
+      ExprPtr Let = Nodes.make<LetExpr>(Name, Declared, Init, Body, Loc);
       // The explicit-scope let may be followed by more block items.
       if (consumeIf(TokenKind::Semicolon) || !peek().is(TokenKind::RBrace)) {
         ExprPtr Rest = parseSeqUntilRBrace(BlockLoc);
         if (!Rest)
           return nullptr;
-        std::vector<ExprPtr> Elems;
-        Elems.push_back(std::move(Let));
-        Elems.push_back(std::move(Rest));
-        return std::make_unique<SeqExpr>(std::move(Elems), BlockLoc);
+        Expr *const Elems[] = {Let, Rest};
+        return Nodes.make<SeqExpr>(Nodes.copy<Expr *>(Elems), BlockLoc);
       }
       return Let;
     }
@@ -422,8 +448,7 @@ private:
     ExprPtr Body = parseSeqUntilRBrace(BlockLoc);
     if (!Body)
       return nullptr;
-    return std::make_unique<LetExpr>(Name, Declared, std::move(Init),
-                                     std::move(Body), Loc);
+    return Nodes.make<LetExpr>(Name, Declared, Init, Body, Loc);
   }
 
   /// Parses `let some(x) = e in <block> else <block>`.
@@ -446,9 +471,7 @@ private:
     ExprPtr NoneBody = parseBlock();
     if (!NoneBody)
       return nullptr;
-    return std::make_unique<LetSomeExpr>(Name, std::move(Scrut),
-                                         std::move(SomeBody),
-                                         std::move(NoneBody), Loc);
+    return Nodes.make<LetSomeExpr>(Name, Scrut, SomeBody, NoneBody, Loc);
   }
 
   ExprPtr parseExpr() { return parseAssign(); }
@@ -482,14 +505,11 @@ private:
     ExprPtr Value = parseAssign();
     if (!Value)
       return nullptr;
-    if (auto *Var = dyn_cast<VarRefExpr>(Lhs.get()))
-      return std::make_unique<AssignVarExpr>(Var->Name, std::move(Value),
-                                             Loc);
-    if (isa<FieldRefExpr>(Lhs.get())) {
+    if (auto *Var = dyn_cast<VarRefExpr>(Lhs))
+      return Nodes.make<AssignVarExpr>(Var->Name, Value, Loc);
+    if (isa<FieldRefExpr>(Lhs)) {
       auto &Field = cast<FieldRefExpr>(*Lhs);
-      return std::make_unique<AssignFieldExpr>(std::move(Field.Base),
-                                               Field.Field,
-                                               std::move(Value), Loc);
+      return Nodes.make<AssignFieldExpr>(Field.Base, Field.Field, Value, Loc);
     }
     Diags.error("left-hand side of '=' must be a variable or field", Loc);
     return nullptr;
@@ -518,8 +538,7 @@ private:
     ExprPtr Body = parseBlock();
     if (!Body)
       return nullptr;
-    return std::make_unique<LetExpr>(Name, Declared, std::move(Init),
-                                     std::move(Body), Loc);
+    return Nodes.make<LetExpr>(Name, Declared, Init, Body, Loc);
   }
 
   ExprPtr parseIf() {
@@ -551,8 +570,7 @@ private:
       ExprPtr Else = parseBlock();
       if (!Else)
         return nullptr;
-      return std::make_unique<IfDisconnectedExpr>(A, B, std::move(Then),
-                                                  std::move(Else), Loc);
+      return Nodes.make<IfDisconnectedExpr>(A, B, Then, Else, Loc);
     }
     if (!expect(TokenKind::LParen))
       return nullptr;
@@ -562,7 +580,7 @@ private:
     ExprPtr Then = parseBlock();
     if (!Then)
       return nullptr;
-    ExprPtr Else;
+    ExprPtr Else = nullptr;
     if (consumeIf(TokenKind::KwElse)) {
       if (peek().is(TokenKind::KwIf)) {
         Nesting Level(*this);
@@ -575,8 +593,7 @@ private:
       if (!Else)
         return nullptr;
     }
-    return std::make_unique<IfExpr>(std::move(Cond), std::move(Then),
-                                    std::move(Else), Loc);
+    return Nodes.make<IfExpr>(Cond, Then, Else, Loc);
   }
 
   ExprPtr parseWhile() {
@@ -590,8 +607,7 @@ private:
     ExprPtr Body = parseBlock();
     if (!Body)
       return nullptr;
-    return std::make_unique<WhileExpr>(std::move(Cond), std::move(Body),
-                                       Loc);
+    return Nodes.make<WhileExpr>(Cond, Body, Loc);
   }
 
   ExprPtr parseOr() {
@@ -601,8 +617,7 @@ private:
       ExprPtr Rhs = parseAnd();
       if (!Rhs)
         return nullptr;
-      Lhs = std::make_unique<BinaryExpr>(BinaryOp::Or, std::move(Lhs),
-                                         std::move(Rhs), Loc);
+      Lhs = Nodes.make<BinaryExpr>(BinaryOp::Or, Lhs, Rhs, Loc);
     }
     return Lhs;
   }
@@ -614,8 +629,7 @@ private:
       ExprPtr Rhs = parseCompare();
       if (!Rhs)
         return nullptr;
-      Lhs = std::make_unique<BinaryExpr>(BinaryOp::And, std::move(Lhs),
-                                         std::move(Rhs), Loc);
+      Lhs = Nodes.make<BinaryExpr>(BinaryOp::And, Lhs, Rhs, Loc);
     }
     return Lhs;
   }
@@ -651,8 +665,7 @@ private:
     ExprPtr Rhs = parseAdd();
     if (!Rhs)
       return nullptr;
-    return std::make_unique<BinaryExpr>(Op, std::move(Lhs), std::move(Rhs),
-                                        Loc);
+    return Nodes.make<BinaryExpr>(Op, Lhs, Rhs, Loc);
   }
 
   ExprPtr parseAdd() {
@@ -665,8 +678,7 @@ private:
       ExprPtr Rhs = parseMul();
       if (!Rhs)
         return nullptr;
-      Lhs = std::make_unique<BinaryExpr>(Op, std::move(Lhs), std::move(Rhs),
-                                         Loc);
+      Lhs = Nodes.make<BinaryExpr>(Op, Lhs, Rhs, Loc);
     }
     return Lhs;
   }
@@ -683,8 +695,7 @@ private:
       ExprPtr Rhs = parseUnary();
       if (!Rhs)
         return nullptr;
-      Lhs = std::make_unique<BinaryExpr>(Op, std::move(Lhs), std::move(Rhs),
-                                         Loc);
+      Lhs = Nodes.make<BinaryExpr>(Op, Lhs, Rhs, Loc);
     }
     return Lhs;
   }
@@ -702,13 +713,13 @@ private:
       ExprPtr Operand = parseUnary();
       if (!Operand)
         return nullptr;
-      return std::make_unique<UnaryExpr>(Op, std::move(Operand), Loc);
+      return Nodes.make<UnaryExpr>(Op, Operand, Loc);
     }
     SourceLoc Loc = advance().Loc; // `some`
     ExprPtr Operand = parseUnary();
     if (!Operand)
       return nullptr;
-    return std::make_unique<SomeExpr>(std::move(Operand), Loc);
+    return Nodes.make<SomeExpr>(Operand, Loc);
   }
 
   ExprPtr parsePostfix() {
@@ -719,7 +730,7 @@ private:
         Symbol Field = expectIdent();
         if (!Field.isValid())
           return nullptr;
-        E = std::make_unique<FieldRefExpr>(std::move(E), Field, Loc);
+        E = Nodes.make<FieldRefExpr>(E, Field, Loc);
         continue;
       }
       break;
@@ -732,39 +743,39 @@ private:
     switch (peek().Kind) {
     case TokenKind::IntLiteral: {
       int64_t Value = advance().IntValue;
-      return std::make_unique<IntLitExpr>(Value, Loc);
+      return Nodes.make<IntLitExpr>(Value, Loc);
     }
     case TokenKind::KwTrue:
       advance();
-      return std::make_unique<BoolLitExpr>(true, Loc);
+      return Nodes.make<BoolLitExpr>(true, Loc);
     case TokenKind::KwFalse:
       advance();
-      return std::make_unique<BoolLitExpr>(false, Loc);
+      return Nodes.make<BoolLitExpr>(false, Loc);
     case TokenKind::KwUnit:
       advance();
-      return std::make_unique<UnitLitExpr>(Loc);
+      return Nodes.make<UnitLitExpr>(Loc);
     case TokenKind::KwNone:
       advance();
-      return std::make_unique<NoneLitExpr>(Loc);
+      return Nodes.make<NoneLitExpr>(Loc);
     case TokenKind::KwNew: {
       advance();
       Symbol Name = expectIdent();
       if (!Name.isValid() || !expect(TokenKind::LParen))
         return nullptr;
-      std::vector<ExprPtr> Args;
+      PendingList Args(*this);
       if (!peek().is(TokenKind::RParen)) {
         for (;;) {
           ExprPtr Arg = parseExpr();
           if (!Arg)
             return nullptr;
-          Args.push_back(std::move(Arg));
+          Args.push(Arg);
           if (!consumeIf(TokenKind::Comma))
             break;
         }
       }
       if (!expect(TokenKind::RParen))
         return nullptr;
-      return std::make_unique<NewExpr>(Name, std::move(Args), Loc);
+      return Nodes.make<NewExpr>(Name, Args.take(), Loc);
     }
     case TokenKind::KwIsNone: {
       advance();
@@ -773,7 +784,7 @@ private:
       ExprPtr Operand = parseExpr();
       if (!Operand || !expect(TokenKind::RParen))
         return nullptr;
-      return std::make_unique<IsNoneExpr>(std::move(Operand), Loc);
+      return Nodes.make<IsNoneExpr>(Operand, Loc);
     }
     case TokenKind::KwSend: {
       advance();
@@ -782,7 +793,7 @@ private:
       ExprPtr Operand = parseExpr();
       if (!Operand || !expect(TokenKind::RParen))
         return nullptr;
-      return std::make_unique<SendExpr>(std::move(Operand), Loc);
+      return Nodes.make<SendExpr>(Operand, Loc);
     }
     case TokenKind::KwRecv: {
       advance();
@@ -792,27 +803,27 @@ private:
       if (!Ty.isValid() || !expect(TokenKind::Greater) ||
           !expect(TokenKind::LParen) || !expect(TokenKind::RParen))
         return nullptr;
-      return std::make_unique<RecvExpr>(Ty, Loc);
+      return Nodes.make<RecvExpr>(Ty, Loc);
     }
     case TokenKind::Identifier: {
       Symbol Name = Names.intern(advance().Text);
       if (consumeIf(TokenKind::LParen)) {
-        std::vector<ExprPtr> Args;
+        PendingList Args(*this);
         if (!peek().is(TokenKind::RParen)) {
           for (;;) {
             ExprPtr Arg = parseExpr();
             if (!Arg)
               return nullptr;
-            Args.push_back(std::move(Arg));
+            Args.push(Arg);
             if (!consumeIf(TokenKind::Comma))
               break;
           }
         }
         if (!expect(TokenKind::RParen))
           return nullptr;
-        return std::make_unique<CallExpr>(Name, std::move(Args), Loc);
+        return Nodes.make<CallExpr>(Name, Args.take(), Loc);
       }
-      return std::make_unique<VarRefExpr>(Name, Loc);
+      return Nodes.make<VarRefExpr>(Name, Loc);
     }
     case TokenKind::LParen: {
       advance();
@@ -830,10 +841,38 @@ private:
     }
   }
 
-  std::vector<Token> Tokens;
+  /// The children of the Seq, New and Call nodes being parsed, innermost
+  /// list on top; each moves to the arena as one span with its node.
+  std::vector<Expr *> Pending;
+
+  /// One node's run of Pending, popped when the scope ends.
+  class PendingList {
+  public:
+    explicit PendingList(Parser &P) : P(P), Mark(P.Pending.size()) {}
+    ~PendingList() { P.Pending.resize(Mark); }
+    PendingList(const PendingList &) = delete;
+    PendingList &operator=(const PendingList &) = delete;
+
+    void push(Expr *E) { P.Pending.push_back(E); }
+    size_t size() const { return P.Pending.size() - Mark; }
+    Expr *front() const { return P.Pending[Mark]; }
+    /// Copies the run into the arena.
+    ExprList take() const {
+      return P.Nodes.copy<Expr *>({P.Pending.data() + Mark, size()});
+    }
+
+  private:
+    Parser &P;
+    size_t Mark;
+  };
+
+  Lexer Lex;
   Interner &Names;
-  DiagnosticEngine &Diags;
-  size_t Pos = 0;
+  AstArena &Nodes;
+  DiagnosticEngine Diags; ///< The parser's own, held until finish().
+  Token Cur;
+  Token Next; ///< Valid iff HasNext.
+  bool HasNext = false;
   size_t Depth = 0;
 };
 
@@ -841,21 +880,20 @@ private:
 
 std::optional<Program> fearless::parseProgram(std::string_view Source,
                                               DiagnosticEngine &Diags) {
-  std::vector<Token> Tokens = lex(Source, Diags);
-  if (Diags.hasErrors())
-    return std::nullopt;
   Program P;
-  Parser TheParser(std::move(Tokens), P.Names, Diags);
-  if (!TheParser.parseDecls(P))
+  P.Nodes = AstArena(Source.size());
+  Parser TheParser(Source, Diags, P.Names, P.Nodes);
+  bool Parsed = TheParser.parseDecls(P);
+  if (!TheParser.finish(Diags) || !Parsed)
     return std::nullopt;
   return P;
 }
 
 ExprPtr fearless::parseExprString(std::string_view Source, Interner &Names,
-                                  DiagnosticEngine &Diags) {
-  std::vector<Token> Tokens = lex(Source, Diags);
-  if (Diags.hasErrors())
+                                  AstArena &Nodes, DiagnosticEngine &Diags) {
+  Parser TheParser(Source, Diags, Names, Nodes);
+  ExprPtr E = TheParser.parseSingleExpr();
+  if (!TheParser.finish(Diags))
     return nullptr;
-  Parser TheParser(std::move(Tokens), Names, Diags);
-  return TheParser.parseSingleExpr();
+  return E;
 }

@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Recursive-descent parser from tokens to the AST. Entry point is
-/// parseProgram; parseExprString is exposed for tests.
+/// Recursive-descent parser from a pull lexer's tokens to the AST, built
+/// in the Program's arena. Entry point is parseProgram; parseExprString
+/// is exposed for tests.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,7 +17,6 @@
 #include "ast/Ast.h"
 #include "support/Diagnostics.h"
 
-#include <memory>
 #include <optional>
 #include <string_view>
 
@@ -27,9 +27,10 @@ namespace fearless {
 std::optional<Program> parseProgram(std::string_view Source,
                                     DiagnosticEngine &Diags);
 
-/// Parses a single expression using \p Names for interning; test helper.
+/// Parses a single expression using \p Names for interning and \p Nodes
+/// for its nodes, which live as long as \p Nodes; test helper.
 ExprPtr parseExprString(std::string_view Source, Interner &Names,
-                        DiagnosticEngine &Diags);
+                        AstArena &Nodes, DiagnosticEngine &Diags);
 
 } // namespace fearless
 

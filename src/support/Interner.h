@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace fearless {
@@ -31,7 +30,9 @@ struct Symbol {
   auto operator<=>(const Symbol &) const = default;
 };
 
-/// Interns identifier spellings; owned by a Program.
+/// Interns identifier spellings; owned by a Program. Lookup is an
+/// open-addressed table of ids probed by the spelling's hash and compared
+/// against Spellings in place, so finding a known name allocates nothing.
 class Interner {
 public:
   /// Returns the unique Symbol for \p Text, interning it if new.
@@ -44,8 +45,12 @@ public:
   size_t size() const { return Spellings.size() - 1; }
 
 private:
+  void grow();
+
   std::vector<std::string> Spellings = {""}; // index 0 reserved: invalid
-  std::unordered_map<std::string, uint32_t> Index;
+  std::vector<size_t> Hashes = {0};          // parallel to Spellings
+  /// Power-of-two slots, each a Symbol id or 0 for empty; at most 3/4 full.
+  std::vector<uint32_t> Slots;
 };
 
 } // namespace fearless

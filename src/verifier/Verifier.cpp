@@ -422,7 +422,7 @@ private:
   ExpectedVoid verifyIsoFieldRef(const DerivStep &Step) {
     const Contexts &After = D.after(Step);
     const auto *Ref = dyn_cast<FieldRefExpr>(Step.E);
-    if (!Ref || !isa<VarRefExpr>(Ref->Base.get()))
+    if (!Ref || !isa<VarRefExpr>(Ref->Base))
       return fail("T5: step is not an iso field read on a variable");
     Symbol Var = cast<VarRefExpr>(*Ref->Base).Name;
     auto Region = After.Heap.trackingRegionOf(Var);
@@ -442,7 +442,7 @@ private:
   ExpectedVoid verifyIsoFieldAssign(const DerivStep &Step) {
     const Contexts &After = D.after(Step);
     const auto *Assign = dyn_cast<AssignFieldExpr>(Step.E);
-    if (!Assign || !isa<VarRefExpr>(Assign->Base.get()))
+    if (!Assign || !isa<VarRefExpr>(Assign->Base))
       return fail("T7: step is not an iso field write on a variable");
     Symbol Var = cast<VarRefExpr>(*Assign->Base).Name;
     auto Region = After.Heap.trackingRegionOf(Var);

@@ -34,7 +34,7 @@ public:
       Scope.emplace_back(P.Name, R);
     }
     uint16_t Dst = allocReg();
-    if (!compileExpr(Fn.Body.get(), Dst))
+    if (!compileExpr(Fn.Body, Dst))
       return false;
     emit(Op::Ret, Dst);
     Ch.NumParams = static_cast<uint16_t>(Fn.Params.size());
@@ -154,7 +154,7 @@ private:
       const auto &Ref = cast<FieldRefExpr>(*E);
       uint16_t Mark = NextReg;
       uint16_t Base = allocReg();
-      if (!compileExpr(Ref.Base.get(), Base))
+      if (!compileExpr(Ref.Base, Base))
         return false;
       // The checked flavor folds both E5a checks (base membership,
       // result membership) into the op; erased omits them entirely.
@@ -173,7 +173,7 @@ private:
       uint16_t VarReg = *R;
       uint16_t Mark = NextReg;
       uint16_t Tmp = allocReg();
-      if (!compileExpr(A.Value.get(), Tmp))
+      if (!compileExpr(A.Value, Tmp))
         return false;
       // E8: the assigned value must be in the reservation.
       emitChkVal(Tmp, CheckWhat::VarWrite);
@@ -186,7 +186,7 @@ private:
       const auto &A = cast<AssignFieldExpr>(*E);
       uint16_t Mark = NextReg;
       uint16_t Base = allocReg();
-      if (!compileExpr(A.Base.get(), Base))
+      if (!compileExpr(A.Base, Base))
         return false;
       // The base is checked before the value expression evaluates;
       // ChkWriteBase preserves that order.
@@ -195,7 +195,7 @@ private:
       else
         ++Out.ChecksErased;
       uint16_t Val = allocReg();
-      if (!compileExpr(A.Value.get(), Val))
+      if (!compileExpr(A.Value, Val))
         return false;
       // E7a: the written value must be in the reservation.
       emitChkVal(Val, CheckWhat::FieldWrite);
@@ -209,10 +209,10 @@ private:
       const auto &L = cast<LetExpr>(*E);
       uint16_t Mark = NextReg;
       uint16_t R = allocReg();
-      if (!compileExpr(L.Init.get(), R)) // binding not yet visible
+      if (!compileExpr(L.Init, R)) // binding not yet visible
         return false;
       Scope.emplace_back(L.Name, R);
-      bool Ok = compileExpr(L.Body.get(), Dst);
+      bool Ok = compileExpr(L.Body, Dst);
       Scope.pop_back();
       freeTo(Mark);
       return Ok;
@@ -221,17 +221,17 @@ private:
       const auto &L = cast<LetSomeExpr>(*E);
       uint16_t Mark = NextReg;
       uint16_t R = allocReg();
-      if (!compileExpr(L.Scrutinee.get(), R))
+      if (!compileExpr(L.Scrutinee, R))
         return false;
       size_t JNone = emit(Op::JumpIfNone, R);
       Scope.emplace_back(L.Name, R);
-      bool Ok = compileExpr(L.SomeBody.get(), Dst);
+      bool Ok = compileExpr(L.SomeBody, Dst);
       Scope.pop_back();
       if (!Ok)
         return false;
       size_t JEnd = emit(Op::Jump);
       patchToHere(JNone);
-      if (!compileExpr(L.NoneBody.get(), Dst))
+      if (!compileExpr(L.NoneBody, Dst))
         return false;
       patchToHere(JEnd);
       freeTo(Mark);
@@ -241,7 +241,7 @@ private:
       const auto &I = cast<IfExpr>(*E);
       uint16_t Mark = NextReg;
       uint16_t Cond = allocReg();
-      if (!compileExpr(I.Cond.get(), Cond))
+      if (!compileExpr(I.Cond, Cond))
         return false;
       size_t JFalse = emit(Op::JumpIfFalse, Cond, 0,
                            static_cast<uint16_t>(CheckWhat::IfCond));
@@ -249,17 +249,17 @@ private:
       if (!I.Else) {
         // Statement form: the then-result is discarded, both paths
         // produce unit.
-        if (!compileExpr(I.Then.get(), Dst))
+        if (!compileExpr(I.Then, Dst))
           return false;
         patchToHere(JFalse);
         emit(Op::LoadUnit, Dst);
         return true;
       }
-      if (!compileExpr(I.Then.get(), Dst))
+      if (!compileExpr(I.Then, Dst))
         return false;
       size_t JEnd = emit(Op::Jump);
       patchToHere(JFalse);
-      if (!compileExpr(I.Else.get(), Dst))
+      if (!compileExpr(I.Else, Dst))
         return false;
       patchToHere(JEnd);
       return true;
@@ -271,12 +271,12 @@ private:
       size_t Head = here();
       uint16_t Mark = NextReg;
       uint16_t Cond = allocReg();
-      if (!compileExpr(W.Cond.get(), Cond))
+      if (!compileExpr(W.Cond, Cond))
         return false;
       size_t JExit = emit(Op::JumpIfFalse, Cond, 0,
                           static_cast<uint16_t>(CheckWhat::WhileCond));
       freeTo(Mark);
-      if (!compileExpr(W.Body.get(), Dst)) // body result discarded
+      if (!compileExpr(W.Body, Dst)) // body result discarded
         return false;
       emit(Op::Jump, 0, 0, 0, static_cast<int32_t>(Head));
       patchToHere(JExit);
@@ -286,8 +286,8 @@ private:
     case ExprKind::Seq: {
       const auto &Sq = cast<SeqExpr>(*E);
       assert(!Sq.Elems.empty() && "parser guarantees nonempty blocks");
-      for (const ExprPtr &Elem : Sq.Elems) // intermediates overwritten
-        if (!compileExpr(Elem.get(), Dst))
+      for (const Expr *Elem : Sq.Elems) // intermediates overwritten
+        if (!compileExpr(Elem, Dst))
           return false;
       return true;
     }
@@ -319,10 +319,10 @@ private:
         Out.ChecksErased += N.Args.size();
       uint16_t Mark = NextReg;
       uint16_t ArgBase = NextReg;
-      for (const ExprPtr &Arg : N.Args) {
+      for (const Expr *Arg : N.Args) {
         uint16_t R = allocReg();
         uint16_t Tail = NextReg;
-        if (!compileExpr(Arg.get(), R))
+        if (!compileExpr(Arg, R))
           return false;
         freeTo(Tail); // keep earlier args live, drop this arg's temps
       }
@@ -334,9 +334,9 @@ private:
     }
     case ExprKind::SomeExpr:
       // some(v) is represented by v itself.
-      return compileExpr(cast<SomeExpr>(*E).Operand.get(), Dst);
+      return compileExpr(cast<SomeExpr>(*E).Operand, Dst);
     case ExprKind::IsNone: {
-      if (!compileExpr(cast<IsNoneExpr>(*E).Operand.get(), Dst))
+      if (!compileExpr(cast<IsNoneExpr>(*E).Operand, Dst))
         return false;
       emit(Op::IsNone, Dst, Dst);
       return true;
@@ -345,7 +345,7 @@ private:
       const auto &S = cast<SendExpr>(*E);
       uint16_t Mark = NextReg;
       uint16_t Val = allocReg();
-      if (!compileExpr(S.Operand.get(), Val))
+      if (!compileExpr(S.Operand, Val))
         return false;
       // τ statically recorded by the checker; -1 = derive from the
       // runtime value (unchecked programs).
@@ -370,10 +370,10 @@ private:
                     "(checker bug)");
       uint16_t Mark = NextReg;
       uint16_t ArgBase = NextReg;
-      for (const ExprPtr &Arg : C.Args) {
+      for (const Expr *Arg : C.Args) {
         uint16_t R = allocReg();
         uint16_t Tail = NextReg;
-        if (!compileExpr(Arg.get(), R))
+        if (!compileExpr(Arg, R))
           return false;
         freeTo(Tail);
       }
@@ -388,23 +388,23 @@ private:
       if (B.Op == BinaryOp::And || B.Op == BinaryOp::Or) {
         // Short-circuit: lhs lands in Dst and is the result when the
         // jump fires; the rhs is not bool-checked.
-        if (!compileExpr(B.Lhs.get(), Dst))
+        if (!compileExpr(B.Lhs, Dst))
           return false;
         size_t J = emit(B.Op == BinaryOp::And ? Op::JumpIfFalse
                                               : Op::JumpIfTrue,
                         Dst, 0,
                         static_cast<uint16_t>(CheckWhat::LogicalOp));
-        if (!compileExpr(B.Rhs.get(), Dst))
+        if (!compileExpr(B.Rhs, Dst))
           return false;
         patchToHere(J);
         return true;
       }
       uint16_t Mark = NextReg;
       uint16_t L = allocReg();
-      if (!compileExpr(B.Lhs.get(), L))
+      if (!compileExpr(B.Lhs, L))
         return false;
       uint16_t R = allocReg();
-      if (!compileExpr(B.Rhs.get(), R))
+      if (!compileExpr(B.Rhs, R))
         return false;
       Op O;
       switch (B.Op) {
@@ -428,7 +428,7 @@ private:
     }
     case ExprKind::Unary: {
       const auto &U = cast<UnaryExpr>(*E);
-      if (!compileExpr(U.Operand.get(), Dst))
+      if (!compileExpr(U.Operand, Dst))
         return false;
       emit(U.Op == UnaryOp::Not ? Op::Not : Op::Neg, Dst, Dst);
       return true;
@@ -469,16 +469,16 @@ private:
       Site.Taken = Taken ? SiteDecision::Action::FoldedThen
                          : SiteDecision::Action::FoldedElse;
       Out.Sites.push_back(Site);
-      return compileExpr(Taken ? E.Then.get() : E.Else.get(), Dst);
+      return compileExpr(Taken ? E.Then : E.Else, Dst);
     }
 
     Out.Sites.push_back(Site);
     size_t D = emit(Op::Disconn, *A, *B, Flags);
-    if (!compileExpr(E.Then.get(), Dst))
+    if (!compileExpr(E.Then, Dst))
       return false;
     size_t JEnd = emit(Op::Jump);
     patchToHere(D);
-    if (!compileExpr(E.Else.get(), Dst))
+    if (!compileExpr(E.Else, Dst))
       return false;
     patchToHere(JEnd);
     return true;

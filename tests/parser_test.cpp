@@ -14,21 +14,24 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <pthread.h>
 
 using namespace fearless;
 
 namespace {
 
-ExprPtr parseExpr(std::string_view Source, Interner &Names) {
+ExprPtr parseExpr(std::string_view Source, Interner &Names,
+                  AstArena &Nodes) {
   DiagnosticEngine Diags;
-  ExprPtr E = parseExprString(Source, Names, Diags);
+  ExprPtr E = parseExprString(Source, Names, Nodes, Diags);
   EXPECT_TRUE(E != nullptr) << Diags.renderAll();
   return E;
 }
 
 std::string reprint(std::string_view Source) {
   Interner Names;
-  ExprPtr E = parseExpr(Source, Names);
+  AstArena Nodes;
+  ExprPtr E = parseExpr(Source, Names, Nodes);
   if (!E)
     return "<parse error>";
   return printExpr(*E, Names);
@@ -56,7 +59,8 @@ TEST(Parser, SomeAndNone) {
 
 TEST(Parser, BareLetBindsRestOfBlock) {
   Interner Names;
-  ExprPtr E = parseExpr("{ let x = 1; let y = 2; x }", Names);
+  AstArena Nodes;
+  ExprPtr E = parseExpr("{ let x = 1; let y = 2; x }", Names, Nodes);
   ASSERT_TRUE(E);
   // Desugars to let x = 1 in (let y = 2 in x).
   ASSERT_EQ(E->kind(), ExprKind::Let);
@@ -66,14 +70,16 @@ TEST(Parser, BareLetBindsRestOfBlock) {
 
 TEST(Parser, LetWithExplicitScope) {
   Interner Names;
-  ExprPtr E = parseExpr("{ let x = 1 in { x + 1 }; 5 }", Names);
+  AstArena Nodes;
+  ExprPtr E = parseExpr("{ let x = 1 in { x + 1 }; 5 }", Names, Nodes);
   ASSERT_TRUE(E);
   ASSERT_EQ(E->kind(), ExprKind::Seq);
 }
 
 TEST(Parser, TrailingSemicolonYieldsUnit) {
   Interner Names;
-  ExprPtr E = parseExpr("{ f(); }", Names);
+  AstArena Nodes;
+  ExprPtr E = parseExpr("{ f(); }", Names, Nodes);
   ASSERT_TRUE(E);
   const auto &Seq = cast<SeqExpr>(*E);
   EXPECT_EQ(Seq.Elems.back()->kind(), ExprKind::UnitLit);
@@ -92,10 +98,10 @@ TEST(Parser, LetSome) {
 
 TEST(Parser, IfDisconnectedRequiresVariables) {
   Interner Names;
+  AstArena Nodes;
   DiagnosticEngine Diags;
-  ExprPtr E =
-      parseExprString("if disconnected(a.b, c) { 1 } else { 2 }", Names,
-                      Diags);
+  ExprPtr E = parseExprString("if disconnected(a.b, c) { 1 } else { 2 }",
+                              Names, Nodes, Diags);
   EXPECT_EQ(E, nullptr);
   EXPECT_TRUE(Diags.hasErrors());
 }
@@ -172,19 +178,76 @@ TEST(Parser, ErrorsAreReported) {
 
   DiagnosticEngine Diags2;
   Interner Names;
-  EXPECT_EQ(parseExprString("1 +", Names, Diags2), nullptr);
+  AstArena Nodes;
+  EXPECT_EQ(parseExprString("1 +", Names, Nodes, Diags2), nullptr);
   EXPECT_TRUE(Diags2.hasErrors());
 
   DiagnosticEngine Diags3;
-  EXPECT_EQ(parseExprString("(1 = 2) = 3", Names, Diags3), nullptr);
+  EXPECT_EQ(parseExprString("(1 = 2) = 3", Names, Nodes, Diags3), nullptr);
   EXPECT_TRUE(Diags3.hasErrors());
 }
 
 TEST(Parser, MissingSemicolonDiagnosed) {
   DiagnosticEngine Diags;
   Interner Names;
-  EXPECT_EQ(parseExprString("{ a b }", Names, Diags), nullptr);
+  AstArena Nodes;
+  EXPECT_EQ(parseExprString("{ a b }", Names, Nodes, Diags), nullptr);
   EXPECT_TRUE(Diags.hasErrors());
+}
+
+//===----------------------------------------------------------------------===//
+// AST storage
+//===----------------------------------------------------------------------===//
+
+/// Parses a 100k-term `1 + ... + 1` chain into a fresh arena, checks its
+/// depth, and drops it. Runs on a 256 KiB stack: the parser builds the
+/// chain in a loop, and the arena frees it without a recursive walk.
+void *parseAndDropLongChain(void *Out) {
+  constexpr size_t Terms = 100000;
+  std::string Source = "1";
+  for (size_t I = 1; I < Terms; ++I)
+    Source += " + 1";
+  size_t Depth = 0;
+  {
+    Interner Names;
+    AstArena Nodes(Source.size());
+    DiagnosticEngine Diags;
+    const Expr *E = parseExprString(Source, Names, Nodes, Diags);
+    for (; E && isa<BinaryExpr>(E); E = cast<BinaryExpr>(*E).Lhs)
+      ++Depth;
+  }
+  *static_cast<size_t *>(Out) = Depth;
+  return nullptr;
+}
+
+TEST(AstArena, LongChainDropsOnASmallStack) {
+  pthread_attr_t Attr;
+  ASSERT_EQ(pthread_attr_init(&Attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&Attr, 256 * 1024), 0);
+  size_t Depth = 0;
+  pthread_t Thread;
+  ASSERT_EQ(pthread_create(&Thread, &Attr, parseAndDropLongChain, &Depth),
+            0);
+  ASSERT_EQ(pthread_join(Thread, nullptr), 0);
+  pthread_attr_destroy(&Attr);
+  EXPECT_EQ(Depth, 99999u);
+}
+
+TEST(AstArena, MovedProgramKeepsItsNodes) {
+  DiagnosticEngine Diags;
+  std::string Source = "def f(x : int) : int { let y = x + 1; g(y, y) }";
+  std::optional<Program> P = parseProgram(Source, Diags);
+  ASSERT_TRUE(P.has_value()) << Diags.renderAll();
+  const Expr *Body = P->Functions[0].Body;
+  size_t Used = P->Nodes.bytesUsed();
+  EXPECT_GT(Used, 0u);
+  EXPECT_LE(Used, P->Nodes.bytesReserved());
+
+  Program Moved = std::move(*P);
+  P.reset();
+  EXPECT_EQ(Moved.Functions[0].Body, Body);
+  EXPECT_EQ(Moved.Nodes.bytesUsed(), Used);
+  EXPECT_EQ(printExpr(*Body, Moved.Names), "let y = (x + 1) in g(y, y)");
 }
 
 //===----------------------------------------------------------------------===//

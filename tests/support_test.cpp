@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "HeapCount.h"
 #include "support/ChunkedVector.h"
 #include "support/Expected.h"
 #include "support/FlatMap.h"
@@ -84,6 +85,45 @@ TEST(Interner, InvalidSymbolIsDistinct) {
   EXPECT_FALSE(Invalid.isValid());
   Interner Names;
   EXPECT_NE(Names.intern("x"), Invalid);
+}
+
+TEST(Interner, EqualSubstringsOfDifferentBuffersShareASymbol) {
+  // Neither view is NUL-terminated: each is followed by another letter.
+  const char First[] = {'n', 'o', 'd', 'e', 'x'};
+  const char Second[] = {'y', 'n', 'o', 'd', 'e', 'z'};
+  Interner Names;
+  Symbol A = Names.intern(std::string_view(First, 4));
+  Symbol B = Names.intern(std::string_view(Second + 1, 4));
+  EXPECT_EQ(A, B);
+  EXPECT_EQ(Names.spelling(A), "node");
+  EXPECT_EQ(Names.size(), 1u);
+}
+
+TEST(Interner, IdsStayDenseAndStableAcrossTableGrowth) {
+  constexpr uint32_t Count = 12000;
+  Interner Names;
+  for (uint32_t I = 1; I <= Count; ++I)
+    ASSERT_EQ(Names.intern("s" + std::to_string(I)).Id, I);
+  EXPECT_EQ(Names.size(), Count);
+  for (uint32_t I = Count; I >= 1; --I) {
+    std::string Spelling = "s" + std::to_string(I);
+    ASSERT_EQ(Names.intern(Spelling).Id, I);
+    ASSERT_EQ(Names.spelling(Symbol{I}), Spelling);
+  }
+  EXPECT_EQ(Names.size(), Count);
+}
+
+TEST(Interner, LookupOfAKnownNameAllocatesNothing) {
+  Interner Names;
+  std::vector<std::string> Spellings;
+  for (int I = 0; I < 1000; ++I)
+    Spellings.push_back("a_longer_identifier_" + std::to_string(I));
+  for (const std::string &S : Spellings)
+    Names.intern(S);
+  uint64_t Before = heapAllocs();
+  for (const std::string &S : Spellings)
+    Names.intern(S);
+  EXPECT_EQ(heapAllocs(), Before);
 }
 
 TEST(SourceLoc, Rendering) {

@@ -28,7 +28,8 @@
 # long-block smokes under AddressSanitizer. The
 # concurrent runtime (ParallelExec, ChannelSet) is the part of this repo
 # most likely to rot silently — TSan and chaos keep the "fearless" claim
-# honest.
+# honest. Each `==>` step prints its elapsed seconds and each pass its
+# total, and the run ends with its slowest steps.
 #
 # Usage: tools/ci.sh [extra ctest args...]
 #
@@ -39,15 +40,49 @@ set -euo pipefail
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
+# Step timing. Every step starts with `step "[pass] label"`, which prints
+# the `==>` header and closes the step before it with its elapsed
+# seconds; when the `[pass]` tag changes, the finished pass's total is
+# printed too. The end of the run lists the slowest steps.
+STEP_LABEL="" STEP_T0=0 PASS_TAG="" PASS_T0=0
+STEP_TIMES=()
+now() { date +%s.%N; }
+since() { awk -v a="$1" -v b="$(now)" 'BEGIN { printf "%.1f", b - a }'; }
+close_step() {
+  [[ -n "$STEP_LABEL" ]] || return 0
+  local secs
+  secs="$(since "$STEP_T0")"
+  echo "    (${secs} s)"
+  STEP_TIMES+=("$secs $STEP_LABEL")
+  STEP_LABEL=""
+}
+close_pass() {
+  [[ -n "$PASS_TAG" ]] || return 0
+  echo "==> $PASS_TAG pass total: $(since "$PASS_T0") s"
+  PASS_TAG=""
+}
+step() {
+  close_step
+  local tag="${1%%]*}]"
+  if [[ "$tag" != "$PASS_TAG" ]]; then
+    close_pass
+    PASS_TAG="$tag"
+    PASS_T0="$(now)"
+  fi
+  STEP_LABEL="$1"
+  STEP_T0="$(now)"
+  echo "==> $1"
+}
+
 # The default pass must build warning-free. It builds from clean, so the
 # log holds every translation unit's diagnostics, and fails on any
 # `warning:` line in it.
 run_pass() {
   local name="$1" dir="$2"
   shift 2
-  echo "==> [$name] configure"
+  step "[$name] configure"
   cmake -B "$dir" -S "$ROOT" "$@" >/dev/null
-  echo "==> [$name] build"
+  step "[$name] build"
   if [[ "$name" == default ]]; then
     cmake --build "$dir" -j "$JOBS" --clean-first 2>&1 |
       tee "$dir/ci_build.log"
@@ -60,7 +95,7 @@ run_pass() {
   else
     cmake --build "$dir" -j "$JOBS"
   fi
-  echo "==> [$name] test"
+  step "[$name] test"
   (cd "$dir" && ctest --output-on-failure -j "$JOBS" "${CTEST_ARGS[@]}")
 }
 
@@ -72,10 +107,10 @@ run_pass() {
 run_analyze() {
   local name="$1" dir="$2"
   local fc="$dir/tools/fearlessc"
-  echo "==> [$name] analyze (embedded samples)"
+  step "[$name] analyze (embedded samples)"
   "$fc" analyze --samples | sed 's/^/    /'
   for f in "$ROOT"/examples/*.fls; do
-    echo "==> [$name] analyze $(basename "$f")"
+    step "[$name] analyze $(basename "$f")"
     local out
     out="$("$fc" analyze "$f")"
     sed 's/^/    /' <<<"$out"
@@ -93,7 +128,7 @@ run_analyze() {
 # catches exporter rot end to end through the CLI.
 run_trace_smoke() {
   local name="$1" dir="$2"
-  echo "==> [$name] trace smoke (fearlessc run --trace)"
+  step "[$name] trace smoke (fearlessc run --trace)"
   local out="$dir/ci_trace_smoke.json"
   "$dir/tools/fearlessc" run "$ROOT/examples/dll_remove.fls" main \
     --metrics --trace "$out" >/dev/null
@@ -131,7 +166,7 @@ expect_exit() {
 run_cli_smoke() {
   local name="$1" dir="$2"
   local fc="$dir/tools/fearlessc"
-  echo "==> [$name] CLI exit-code smoke"
+  step "[$name] CLI exit-code smoke"
   printf 'struct data { value : int;\n' >"$dir/ci_parse_err.fls"
   cat >"$dir/ci_check_err.fls" <<'EOF'
 struct data { value : int; }
@@ -203,7 +238,7 @@ EOF
 run_vm_smoke() {
   local name="$1" dir="$2"
   local fc="$dir/tools/fearlessc"
-  echo "==> [$name] vm disasm smoke"
+  step "[$name] vm disasm smoke"
   "$fc" disasm "$ROOT/examples/dll_remove.fls" | grep -q "chunk main" || {
     echo "==> [$name] FAIL: disasm output missing chunks" >&2
     exit 1
@@ -227,7 +262,7 @@ run_server_smoke() {
   local name="$1" dir="$2"
   local fc="$dir/tools/fearlessc" fd="$dir/tools/fearlessd"
   local sock="$dir/ci_server.sock"
-  echo "==> [$name] server smoke (fearlessd + --daemon equivalence)"
+  step "[$name] server smoke (fearlessd + --daemon equivalence)"
   # Number flags are digits only and --workers has a ceiling: each of
   # these is a usage error during argument parsing, before any worker
   # thread starts or the socket is bound (the timeout only guards
@@ -337,7 +372,7 @@ run_corpus_smoke() {
       local src="$dir/ci_corpus_${shape}_${seed}.fls"
       python3 "$ROOT/tools/gen_corpus.py" \
         --seed "$seed" --functions 60 --shape "$shape" --out "$src"
-      echo "==> [$name] corpus smoke ($shape, seed $seed)"
+      step "[$name] corpus smoke ($shape, seed $seed)"
       "$fc" analyze --json "$src" >"$src.inter.json"
       "$fc" analyze --json --interprocedural=off "$src" >"$src.intra.json"
       python3 - "$shape" "$src.inter.json" "$src.intra.json" <<'PYEOF'
@@ -359,7 +394,7 @@ print(f"    must-* verdicts: interprocedural={inter} intra={intra}")
 PYEOF
     done
   done
-  echo "==> [$name] analysis digests (tests/fixtures/analysis_digests.sha256)"
+  step "[$name] analysis digests (tests/fixtures/analysis_digests.sha256)"
   if ! diff -u "$ROOT/tests/fixtures/analysis_digests.sha256" \
        <("$ROOT/tools/analysis_digests.sh" "$dir"); then
     echo "==> [$name] FAIL: \`fearlessc analyze\` output changed" >&2
@@ -374,7 +409,7 @@ PYEOF
 run_depth_smoke() {
   local name="$1" dir="$2"
   local fc="$dir/tools/fearlessc"
-  echo "==> [$name] nesting-cap smoke"
+  step "[$name] nesting-cap smoke"
   python3 - "$dir" <<'PYEOF'
 import sys
 kinds = {
@@ -413,7 +448,7 @@ run_long_block_smoke() {
   local name="$1" dir="$2"
   local fc="$dir/tools/fearlessc"
   local src="$dir/ci_long_block.fls"
-  echo "==> [$name] long-block smoke"
+  step "[$name] long-block smoke"
   python3 - "$src" <<'PYEOF'
 import sys
 with open(sys.argv[1], "w") as f:
@@ -448,7 +483,7 @@ PYEOF
 run_mc_smoke() {
   local name="$1" dir="$2"
   local fc="$dir/tools/fearlessc"
-  echo "==> [$name] model-checker smoke (erasure-soundness gate)"
+  step "[$name] model-checker smoke (erasure-soundness gate)"
   local f base on_out off_out run_on run_off
   mc_gate() {
     local src="$1" label="$2"
@@ -519,7 +554,7 @@ run_mc_smoke() {
 # acceptance scale.
 run_sched_smoke() {
   local name="$1" dir="$2"
-  echo "==> [$name] scheduler smoke (100k-task ring + allocs_per_iter=0)"
+  step "[$name] scheduler smoke (100k-task ring + allocs_per_iter=0)"
   FEARLESS_SCHED_SMOKE=100000 \
     "$dir/bench/bench_scheduler" --benchmark_filter=NONE 2>&1 |
     grep -v "Failed to match any benchmarks" |
@@ -537,7 +572,7 @@ run_chaos_smoke() {
   local spec
   for seed in 1 2 3 4 5 6 7 8; do
     spec="thread.start=prob:0.1,sched.step=prob:0.0005,heap.alloc=prob:0.001,seed=$seed"
-    echo "==> [$name] chaos smoke (seed $seed: $spec)"
+    step "[$name] chaos smoke (seed $seed: $spec)"
     FEARLESS_FAULTS="$spec" \
       "$dir/bench/bench_concurrency" --benchmark_filter=NONE 2>&1 |
       sed 's/^/    /'
@@ -546,9 +581,9 @@ run_chaos_smoke() {
 
 CTEST_ARGS=("$@")
 
-echo "==> [tools] bench_compare self-test"
+step "[tools] bench_compare self-test"
 python3 "$ROOT/tools/bench_compare.py" --self-test
-echo "==> [tools] check_docs (doc drift gate)"
+step "[tools] check_docs (doc drift gate)"
 python3 "$ROOT/tools/check_docs.py" --self-test
 python3 "$ROOT/tools/check_docs.py"
 
@@ -564,14 +599,14 @@ run_long_block_smoke "default" "$ROOT/build"
 run_mc_smoke "default" "$ROOT/build"
 run_sched_smoke "default" "$ROOT/build"
 run_chaos_smoke "default" "$ROOT/build"
-echo "==> [default] bench smoke"
+step "[default] bench smoke"
 "$ROOT/tools/bench.sh" --smoke -B "$ROOT/build"
 run_pass "tsan" "$ROOT/build-tsan" -DFEARLESS_SANITIZE=thread
 # The channel set's single critical section and the scheduler's wake
 # chains are the pool's whole synchronization protocol: run its three
 # suites three more times under TSan, so a rare interleaving gets more
 # chances to show.
-echo "==> [tsan] channel/scheduler stress (3 repeats)"
+step "[tsan] channel/scheduler stress (3 repeats)"
 (cd "$ROOT/build-tsan" &&
   ctest --output-on-failure -j "$JOBS" --repeat until-fail:3 \
     -R "^(scheduler_test|concurrency_test|fault_test)\$" "${CTEST_ARGS[@]}")
@@ -590,16 +625,16 @@ run_chaos_smoke "tsan" "$ROOT/build-tsan"
 # owns.
 # AddressSanitizer on those unit tests and on the same corpus smoke
 # catches lifetime bugs the default pass would miss.
-ASAN_TESTS=(support_test parser_test regions_test checker_test verifier_test
-            unify_test virtual_test signature_test analysis_test
+ASAN_TESTS=(support_test lexer_test parser_test regions_test checker_test
+            verifier_test unify_test virtual_test signature_test analysis_test
             soundness_test property_test baselines_test vm_test
             machine_test mc_test fault_test trace_test invariants_test
             concurrency_test runtime_test)
-echo "==> [asan] configure + build (FEARLESS_SANITIZE=address)"
+step "[asan] configure + build (FEARLESS_SANITIZE=address)"
 cmake -B "$ROOT/build-asan" -S "$ROOT" -DFEARLESS_SANITIZE=address >/dev/null
 cmake --build "$ROOT/build-asan" -j "$JOBS" --target fearlessc \
   "${ASAN_TESTS[@]}"
-echo "==> [asan] checker-side and runtime unit tests"
+step "[asan] checker-side and runtime unit tests"
 (cd "$ROOT/build-asan" &&
   ctest --output-on-failure -j "$JOBS" \
     -R "^($(IFS='|'; echo "${ASAN_TESTS[*]}"))\$" "${CTEST_ARGS[@]}")
@@ -607,4 +642,8 @@ run_corpus_smoke "asan" "$ROOT/build-asan"
 run_depth_smoke "asan" "$ROOT/build-asan"
 run_long_block_smoke "asan" "$ROOT/build-asan"
 
+close_step
+close_pass
+echo "==> slowest steps (seconds):"
+printf '%s\n' "${STEP_TIMES[@]}" | sort -rn | head -5 | sed 's/^/    /'
 echo "==> all passes green"
